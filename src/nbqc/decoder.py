@@ -11,13 +11,32 @@ field element acting on symbol values.
 Row weight L and column weight 2 are uniform, so the whole message
 state lives in (M, L, q) arrays and one iteration is a handful of
 vectorised array ops.  All-but-one products use exclusive prefix/suffix
-cumulative products, which stay exact when a transformed message has
-zeros (no division).
+products, which stay exact when a transformed message has zeros (no
+division).
+
+Layout.  Stored messages are edge-major, (M, L, q).  Between the two
+transforms of an iteration they are symbol-major, (q, M, L), so every
+butterfly stage is two contiguous add/subtract calls over h*M*L
+elements and every prefix/suffix step is one call over (q, M).  The
+permutation gathers on either side of the transforms are single `take`
+calls on flat edge*q + symbol indices built once per decoder; they also
+switch between the two layouts, so no transposing copy is made.
+
+Bit-identity.  Every message is computed by the same IEEE-754 float64
+operations in the same order as the per-edge definition: butterfly
+stages h = 1, 2, 4, ..., sequential prefix and suffix products, and
+normalising sums along contiguous length-q rows (numpy's summation order
+depends on the memory layout).  Decisions and iteration counts are
+therefore reproducible to the trial, and the benchmark checks them
+exactly.  A dense +-1 Hadamard matmul or float32 messages would be
+faster at some sizes, but they round differently, flip near-tied
+decisions and change iteration counts, so they are not used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import log2
 
 import numpy as np
@@ -73,8 +92,7 @@ def init_pmf(f_m: float, p: int) -> np.ndarray:
     """
     if not 0.0 <= f_m < 0.5:
         raise ValueError(f"f_m must be in [0, 0.5), got {f_m}")
-    q = 1 << p
-    w = _popcount(np.arange(q))
+    w = _symbol_weights(p)
     return f_m ** w * (1.0 - f_m) ** (p - w)
 
 
@@ -87,25 +105,43 @@ def _popcount(v: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=16)
+def _symbol_weights(p: int) -> np.ndarray:
+    """Hamming weight of every symbol in [0, 2^p); shared, so read-only."""
+    w = _popcount(np.arange(1 << p))
+    w.setflags(write=False)
+    return w
+
+
 def walsh_hadamard(x: np.ndarray) -> np.ndarray:
     """Unnormalised WHT along the last axis (length a power of 2).
 
-    Applying it twice multiplies by q.
+    Applying it twice multiplies by q.  The butterflies run on a
+    symbol-major (q, rows) float64 layout, alternating between two fresh
+    buffers, so the input is never written.  An input already laid out
+    that way in memory (`np.moveaxis(x, -1, 0)` C-contiguous) is read
+    without a transposing copy.  The result has the input's shape and
+    the same symbol-major memory layout.
     """
+    x = np.asarray(x)
     q = x.shape[-1]
     if q & (q - 1):
         raise LengthMismatch(f"length {q} is not a power of 2")
-    lead = x.shape[:-1]
-    y = x.reshape(-1, q).astype(np.float64).copy()
+    if q == 1:
+        return x.astype(np.float64)
+    src = np.ascontiguousarray(x.reshape(-1, q).T, dtype=np.float64)
+    rows = src.shape[1]
+    bufs = (np.empty((q, rows)), np.empty((q, rows)))
     h = 1
     while h < q:
-        y = y.reshape(-1, q // (2 * h), 2, h)
-        even = y[:, :, 0, :] + y[:, :, 1, :]
-        odd = y[:, :, 0, :] - y[:, :, 1, :]
-        y = np.concatenate((even[:, :, None, :], odd[:, :, None, :]), axis=2)
-        y = y.reshape(-1, q)
+        # symbol s = (2 * block + half) * h + j pairs with s + h
+        a = src.reshape(q // (2 * h), 2, h * rows)
+        src = bufs[h.bit_length() & 1]
+        b = src.reshape(q // (2 * h), 2, h * rows)
+        np.add(a[:, 0], a[:, 1], out=b[:, 0])
+        np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
         h *= 2
-    return y.reshape(*lead, q)
+    return src.T.reshape(x.shape)
 
 
 def _character(shift: int, q: int) -> np.ndarray:
@@ -157,9 +193,10 @@ class SyndromeDecoder:
     """Reusable decoder for one constituent code of a pair.
 
     Precomputes, per edge (m, k): the symbol permutation of the entry's
-    binary image and its inverse, plus column-to-edge pointers.  A
-    decoder instance owns its message buffers; share the (immutable)
-    code across instances, not the instance across threads.
+    binary image, flat gather indices through it and through its
+    inverse, and column-to-edge pointers.  A decoder instance owns its
+    message buffers; share the (immutable) code across instances, not
+    the instance across threads.
 
     `op_count` accumulates the arithmetic operations (adds and
     multiplies) of the check-node convolutions: transform butterflies
@@ -173,39 +210,34 @@ class SyndromeDecoder:
         self.code = code
         self.role = role
         field = code.field
-        self.q = field.q
+        self.q = q = field.q
         self.p = field.p
         mat = code.matrix(role)
         self.cols, vals = mat.row_grid()
-        self.M, self.L = self.cols.shape
+        self.M, self.L = M, L = self.cols.shape
+        edge = np.arange(M * L)
 
-        table = field.mul_index_table if role == "C" else field.transpose_index_table
-        fwd = np.empty((self.M, self.L, self.q), dtype=np.int64)
-        inv = np.empty((self.M, self.L, self.q), dtype=np.int64)
-        for m in range(self.M):
-            for k in range(self.L):
-                v = int(vals[m, k])
-                fwd[m, k] = table(v)
-                inv[m, k] = table(field.inv(v))
-        self.perm_fwd = fwd       # action of the entry's image on symbols
-        self.perm_inv = inv       # action of the inverse entry's image
+        fwd = field.symbol_maps(vals.reshape(-1), transpose=role == "D")   # (M*L, q)
+        inv = np.empty_like(fwd)
+        np.put_along_axis(inv, fwd, np.arange(q)[None, :], axis=1)
+        self.perm_fwd = fwd.reshape(M, L, q)    # action of the entry's image on symbols
+        # flat gathers: symbol-major transform input (q, M, L) from the
+        # edge-major variable messages, through the inverse entry maps;
+        # edge-major check messages (M, L, q) from the symbol-major
+        # transform output, through the entry maps
+        self._gather_in = (edge * q + inv.T).reshape(q, M, L)
+        self._gather_out = (fwd * (M * L) + edge[:, None]).reshape(M, L, q)
+        self._syndrome_at = (edge * q).reshape(M, L)
 
         # column -> its two edges, as indices into the flat (M*L) edge axis
-        col_edges: list[list[int]] = [[] for _ in range(code.N)]
-        flat = 0
-        for m in range(self.M):
-            for k in range(self.L):
-                col_edges[self.cols[m, k]].append(flat)
-                flat += 1
-        if any(len(e) != 2 for e in col_edges):
+        flat_cols = self.cols.reshape(-1)
+        if (np.bincount(flat_cols, minlength=code.N) != 2).any():
             raise DimensionMismatch("decoder requires column weight exactly 2")
-        edges = np.array(col_edges, dtype=np.int64)
+        edges = np.argsort(flat_cols, kind="stable").reshape(code.N, 2)
         self.edge_a = edges[:, 0]
         self.edge_b = edges[:, 1]
 
-        parity = _popcount(np.arange(self.q)[:, None] & np.arange(self.q)[None, :]) & 1
-        self._char_lut = 1.0 - 2.0 * parity      # (q, q): chi[s, w]
-
+        self._parity = _symbol_weights(self.p) & 1
         self.op_count = 0
         self.last_v2c = None      # message buffers of the most recent decode,
         self.last_c2v = None      # kept for inspection and tests
@@ -214,10 +246,15 @@ class SyndromeDecoder:
         self.op_count = 0
 
     def syndrome_of_symbols(self, symbols: np.ndarray) -> np.ndarray:
-        """Syndrome of a symbol vector via the precomputed edge maps."""
-        at_edges = symbols[self.cols]                              # (M, L)
-        mapped = np.take_along_axis(self.perm_fwd, at_edges[:, :, None], axis=2)
-        return np.bitwise_xor.reduce(mapped[:, :, 0], axis=1)
+        """Syndrome of a length-N symbol vector via the precomputed edge maps."""
+        symbols = np.asarray(symbols)
+        if symbols.shape != (self.code.N,):
+            raise DimensionMismatch(
+                f"symbols must be {self.code.N} values, got shape {symbols.shape}")
+        if symbols.size and (symbols.min() < 0 or symbols.max() >= self.q):
+            raise DimensionMismatch(f"symbols must lie in [0, {self.q})")
+        mapped = self.perm_fwd.take(self._syndrome_at + symbols[self.cols])   # (M, L)
+        return np.bitwise_xor.reduce(mapped, axis=1)
 
     def decode(self, syndrome: np.ndarray, f_m: float,
                config: DecoderConfig = DecoderConfig()) -> DecodeOutcome:
@@ -238,24 +275,32 @@ class SyndromeDecoder:
         if np.array_equal(self.syndrome_of_symbols(estimate), syndrome):
             return DecodeOutcome(status="success", estimate=estimate, iterations=0)
 
-        chi = self._char_lut[syndrome]                             # (M, q)
+        # (q, M) transform of each check's syndrome point mass.  It is +-1,
+        # so seeding the prefix products with it flips signs exactly, as
+        # multiplying the finished products by it would.
+        chi = 1.0 - 2.0 * self._parity[np.arange(q)[:, None] & syndrome]
         v2c = np.broadcast_to(p0, (M, L, q)).copy()
+        pref = np.empty((q, M, L))
+        suff = np.empty((q, M, L))
+        suff[..., L - 1] = 1.0
 
         for it in range(1, config.max_iter + 1):
             # -- horizontal: all-but-one convolution with the syndrome mass
-            ptil = np.take_along_axis(v2c, self.perm_inv, axis=2)
-            t = walsh_hadamard(ptil)
+            ptil = v2c.take(self._gather_in)                           # (q, M, L)
+            t = walsh_hadamard(ptil.transpose(1, 2, 0)).transpose(2, 0, 1)
             self.op_count += M * L * q * log2q
-            pref = np.ones_like(t)
-            pref[:, 1:, :] = np.cumprod(t[:, :-1, :], axis=1)
-            suff = np.ones_like(t)
-            suff[:, :-1, :] = np.cumprod(t[:, :0:-1, :], axis=1)[:, ::-1, :]
-            excl = pref * suff * chi[:, None, :]
+            pref[..., 0] = chi
+            for k in range(1, L):
+                np.multiply(pref[..., k - 1], t[..., k - 1], out=pref[..., k])
+            for k in range(L - 2, -1, -1):
+                np.multiply(suff[..., k + 1], t[..., k + 1], out=suff[..., k])
+            pref *= suff                                               # exclusive products
             self.op_count += (2 * (L - 2) + 2 * L) * M * q
-            qtil = walsh_hadamard(excl) * (1.0 / q)
+            qtil = walsh_hadamard(pref.transpose(1, 2, 0))
             self.op_count += M * L * q * log2q + M * L * q
-            np.maximum(qtil, 0.0, out=qtil)
-            c2v = np.take_along_axis(qtil, self.perm_fwd, axis=2)
+            c2v = qtil.transpose(2, 0, 1).take(self._gather_out)      # (M, L, q)
+            c2v *= 1.0 / q
+            np.maximum(c2v, 0.0, out=c2v)
             c2v /= c2v.sum(axis=2, keepdims=True)
             np.maximum(c2v, config.pmf_floor, out=c2v)
             if not np.isfinite(c2v).all():

@@ -133,36 +133,35 @@ class FieldSpec:
 
     def mul_index_table(self, x: int) -> np.ndarray:
         """perm[e] = x * e: the action of companion(x) on symbols."""
-        if x == 0:
-            raise ZeroDivisionError("0 does not act as a permutation")
-        lx = int(self.log_table[x])
-        perm = np.zeros(self.q, dtype=np.int64)
-        nz = np.arange(1, self.q)
-        perm[1:] = self.exp_table[(self.log_table[nz] + lx) % (self.q - 1)]
-        return perm
+        return self.symbol_maps([x])[0]
 
     def transpose_index_table(self, x: int) -> np.ndarray:
         """perm[e] = companion(x)^T applied to the bit vector of e."""
-        if x == 0:
-            raise ZeroDivisionError("0 does not act as a permutation")
         cached = self._transpose_cache.get(x)
-        if cached is not None:
-            return cached
-        e = np.arange(self.q, dtype=np.int64)
-        perm = np.zeros(self.q, dtype=np.int64)
-        for j in range(self.p):
-            colmask = self.mul(x, 1 << j)
-            bits = _parity64(e & colmask)
-            perm |= bits << j
-        self._transpose_cache[x] = perm
-        return perm
+        if cached is None:
+            cached = self._transpose_cache[x] = self.symbol_maps([x], transpose=True)[0]
+        return cached
 
+    def symbol_maps(self, values, transpose: bool = False) -> np.ndarray:
+        """(len(values), q) tables: row i is the action of companion(values[i]),
+        or of its transpose, on symbols.
 
-def _parity64(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    for s in (32, 16, 8, 4, 2, 1):
-        v ^= v >> s
-    return v & 1
+        Both actions are GF(2)-linear, so each row is filled by doubling
+        from the images of the p unit vectors.
+        """
+        values = np.asarray(values, dtype=np.int64)
+        if (values == 0).any():
+            raise ZeroDivisionError("0 does not act as a permutation")
+        p, q = self.p, self.q
+        # column j of companion(v) is the bit vector of v * alpha^j
+        images = self.exp_table[(self.log_table[values][:, None] + np.arange(p)) % (q - 1)]
+        if transpose:           # unit vector i maps to row i of companion(v)
+            bits = (images[:, None, :] >> np.arange(p)[:, None]) & 1
+            images = (bits << np.arange(p)).sum(axis=2)
+        maps = np.zeros((len(values), q), dtype=np.int64)
+        for i in range(p):
+            maps[:, 1 << i:2 << i] = maps[:, :1 << i] ^ images[:, i, None]
+        return maps
 
 
 def make_field(p: int, poly: int | None = None) -> FieldSpec:

@@ -19,7 +19,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +147,9 @@ def simulate_point(code, role: str, f_m: float, trials: int, seed: int,
         fails, mismatches, iter_sum = _run_trials(
             code, role, f_m, mode, range(trials), seed, config, count_syndrome_only)
     else:
+        # imported here so that serial runs skip loading multiprocessing at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = (trials + workers - 1) // workers
         ranges = [range(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -290,8 +292,13 @@ def cmd_limits(args) -> int:
     if args.fm:
         grid = args.fm
     else:
-        grid = [args.fm_min + i * args.fm_step
-                for i in range(int((args.fm_max - args.fm_min) / args.fm_step) + 1)]
+        if not args.fm_step > 0:
+            raise DomainError(f"--fm-step must be > 0, got {args.fm_step}")
+        if not args.fm_max >= args.fm_min:
+            raise DomainError(f"--fm-max {args.fm_max} is below --fm-min {args.fm_min}")
+        # the tolerance keeps fm_max on the grid when the quotient rounds below it
+        count = int((args.fm_max - args.fm_min) / args.fm_step + 1e-9) + 1
+        grid = [args.fm_min + i * args.fm_step for i in range(count)]
     lines = ["f_m,shannon,s2,bdd"]
     for f in grid:
         pt = limit_point(f)

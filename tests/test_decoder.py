@@ -1,25 +1,32 @@
 """Decoder tests.
 
-Oracles: the O(q^2) double-sum convolution, hand-computed binary
-sum-product identities at q=2, and exhaustive single-symbol maximum
-likelihood decoding (enumerable because candidates are N*(q-1) vectors).
+Oracles: the O(q^2) double-sum convolution, the plain concatenating
+butterfly transform, the field's per-value index tables, hand-computed
+binary sum-product identities at q=2, and exhaustive single-symbol
+maximum likelihood decoding (enumerable because candidates are N*(q-1)
+vectors).  Decoder outputs are also pinned bit for bit by a digest.
 """
+
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbqc.binexpand import expand_pair
-from nbqc.channel import syndrome_of
+from nbqc.binexpand import expand_pair, load_pair
+from nbqc.channel import ChannelParams, sample_error, syndrome_of
 from nbqc.decoder import (DecoderConfig, LengthMismatch,
                           SingularMap, SyndromeDecoder, decode, decode_css,
                           init_pmf, permute_pmf, walsh_hadamard, wht_convolve)
 from nbqc.gf2p import make_field
-from nbqc.nblift import lift_gamma, solve_delta
+from nbqc.harness import trial_rng
+from nbqc.nblift import DimensionMismatch, lift_gamma, solve_delta
 from nbqc.qcpair import QCParams, build_pair
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +50,26 @@ def naive_convolve(msgs, shift):
                 out[e ^ f] += acc[e] * msg[f]
         acc = out
     return acc
+
+
+def concat_walsh_hadamard(x):
+    """Unnormalised WHT along the last axis, stage by stage on (rows, q).
+
+    The same butterflies in the same order (h = 1, 2, 4, ...) as the
+    library transform, so the two must agree bit for bit.
+    """
+    q = x.shape[-1]
+    lead = x.shape[:-1]
+    y = x.reshape(-1, q).astype(np.float64).copy()
+    h = 1
+    while h < q:
+        y = y.reshape(-1, q // (2 * h), 2, h)
+        even = y[:, :, 0, :] + y[:, :, 1, :]
+        odd = y[:, :, 0, :] - y[:, :, 1, :]
+        y = np.concatenate((even[:, :, None, :], odd[:, :, None, :]), axis=2)
+        y = y.reshape(-1, q)
+        h *= 2
+    return y.reshape(*lead, q)
 
 
 def random_pmf(rng, q):
@@ -89,6 +116,40 @@ class TestWalshHadamard:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(LengthMismatch):
             walsh_hadamard(np.ones(6))
+
+    @pytest.mark.parametrize("q", [4, 16, 256])
+    @pytest.mark.parametrize("lead", [(), (1,), (3, 5), (2, 3, 5)])
+    @pytest.mark.parametrize("values", ["random", "zeros", "tiny", "large"])
+    def test_bit_identical_to_concatenate_oracle(self, q, lead, values):
+        rng = np.random.default_rng(q + len(lead))
+        shape = (*lead, q)
+        x = {"random": lambda: rng.random(shape),
+             "zeros": lambda: np.zeros(shape),
+             "tiny": lambda: (1.0 + rng.random(shape)) * 1e-300,
+             "large": lambda: (rng.random(shape) - 0.5) * 1e10}[values]()
+        want = concat_walsh_hadamard(x)
+        # the decoder hands over symbol-major memory: last axis outermost
+        symbol_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+        for arg in (x, symbol_major):
+            got = walsh_hadamard(arg)
+            assert got.shape == shape and got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(16,), (1, 16), (1, 1, 16), (4, 16)])
+    def test_input_not_modified(self, shape):
+        rng = np.random.default_rng(8)
+        x = rng.random(shape)
+        kept = x.copy()
+        for arg in (x, np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)):
+            walsh_hadamard(arg)
+            assert np.array_equal(arg, kept)
+
+    def test_integer_input_and_length_one(self):
+        assert np.array_equal(walsh_hadamard(np.array([1, 2, 3, 4])),
+                              concat_walsh_hadamard(np.array([1, 2, 3, 4])))
+        x = np.array([[3.0], [5.0]])
+        out = walsh_hadamard(x)
+        assert np.array_equal(out, x) and out is not x
 
 
 class TestConvolve:
@@ -215,6 +276,34 @@ class TestDecode:
         assert a.status == b.status and a.iterations == b.iterations
         assert np.array_equal(a.estimate, b.estimate)
 
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    @pytest.mark.parametrize("role", ["C", "D"])
+    def test_edge_maps_match_field_tables(self, p, role):
+        pair = build_pair(EX1)
+        field = make_field(p)
+        gamma = lift_gamma(pair, field, np.random.default_rng(4))
+        code = expand_pair(gamma, solve_delta(gamma, pair))
+        dec = SyndromeDecoder(code, role)
+        table = field.mul_index_table if role == "C" else field.transpose_index_table
+        _, vals = code.matrix(role).row_grid()
+        for m in range(dec.M):
+            for k in range(dec.L):
+                assert np.array_equal(dec.perm_fwd[m, k], table(int(vals[m, k])))
+
+    def test_syndrome_of_symbols_validates(self, code):
+        dec = SyndromeDecoder(code, "C")
+        good = np.arange(code.N) % 16
+        assert np.array_equal(dec.syndrome_of_symbols(good), syndrome_of(code, "C", good))
+        bad = [np.zeros(code.N + 5, dtype=np.int64), np.zeros(code.N - 1, dtype=np.int64),
+               np.zeros((1, code.N), dtype=np.int64)]
+        for value in (-1, 16, 10 ** 6):
+            sym = good.copy()
+            sym[7] = value
+            bad.append(sym)
+        for sym in bad:
+            with pytest.raises(DimensionMismatch):
+                dec.syndrome_of_symbols(sym)
+
     def test_dimension_mismatch(self, code):
         with pytest.raises(Exception) as err:
             decode(code, "C", np.zeros(3, dtype=np.int64), 0.01)
@@ -336,3 +425,44 @@ class TestComplexityScaling:
             ratios.append(dec.op_count / (q * np.log2(q)))
         c = np.mean(ratios)
         assert np.abs(np.array(ratios) / c - 1).max() < 0.25
+
+
+def decode_digest(code, trials=6):
+    """SHA-256 over estimate, iterations and both message buffers per trial."""
+    h = hashlib.sha256()
+    for role in ("C", "D"):
+        dec = SyndromeDecoder(code, role)
+        for f_m in (0.03, 0.05):
+            params = ChannelParams(f_m)
+            for t in range(trials):
+                x_err, z_err = sample_error(code.N, code.field.p, params, trial_rng(11, t))
+                err = x_err if role == "C" else z_err
+                out = dec.decode(syndrome_of(code, role, err), f_m)
+                h.update(np.asarray(out.estimate, dtype=np.int64).tobytes())
+                h.update(out.iterations.to_bytes(4, "little"))
+                for buf in (dec.last_c2v, dec.last_v2c):
+                    h.update(b"-" if buf is None else np.ascontiguousarray(buf).tobytes())
+    return h.hexdigest()
+
+
+class TestBitIdentity:
+    """Decoder outputs, float message bytes included, pinned to recorded digests.
+
+    The digests were recorded with the plain per-edge formulation (one
+    take_along_axis gather per side, concatenating transform, cumprod
+    exclusive products).  A kernel that reorders floating-point
+    operations changes them even when every decision survives; see the
+    decoder module docstring for why decisions must be reproducible.
+    """
+
+    def test_golden_gf16_pair(self):
+        code = load_pair(DATA / "golden_gf16.gamma.nbqc", DATA / "golden_gf16.delta.nbqc")
+        assert decode_digest(code) == (
+            "037eca32bf1fd841a98ebe667e7b71e31657ba15465f5aa494235beaa1d5af7e")
+
+    def test_small_gf256_code(self):
+        pair = build_pair(EX1)
+        gamma = lift_gamma(pair, make_field(8), np.random.default_rng(2))
+        code = expand_pair(gamma, solve_delta(gamma, pair))
+        assert decode_digest(code) == (
+            "3ef0dda44ffc3b34eee4c84446fbe815aa5fdfb7ae012c514d5155494895239c")

@@ -224,8 +224,20 @@ class TestIndexTables:
                          gf256.transpose_index_table(int(x))):
                 assert np.array_equal(np.sort(perm), np.arange(256))
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_symbol_maps_match_matrix_action(self, gf256, transpose):
+        values = np.random.default_rng(6).integers(1, 256, size=12)
+        maps = gf256.symbol_maps(values, transpose=transpose)
+        bits = (np.arange(256)[:, None] >> np.arange(8)) & 1          # (q, p)
+        for x, row in zip(values, maps):
+            mat = gf256.companion_transpose(int(x)) if transpose else gf256.companion(int(x))
+            expect = (bits @ mat.T.astype(np.int64) & 1) @ (1 << np.arange(8))
+            assert np.array_equal(row, expect)
+
     def test_zero_rejected(self, gf16):
         with pytest.raises(ZeroDivisionError):
             gf16.mul_index_table(0)
         with pytest.raises(ZeroDivisionError):
             gf16.transpose_index_table(0)
+        with pytest.raises(ZeroDivisionError):
+            gf16.symbol_maps([3, 0, 5])

@@ -5,6 +5,8 @@ digits (mpmath root-finding on the closed forms) and frozen here.
 """
 
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +232,34 @@ class TestCli:
         assert len(lines) == 3
         s2_at_011 = float(lines[2].split(",")[2])
         assert s2_at_011 == pytest.approx(s2_limit(0.11))
+
+    def test_limits_grid_keeps_its_last_point(self, tmp_path):
+        # (0.03 - 0.01) / 0.01 evaluates to 1.9999999999999996
+        out = str(tmp_path / "grid.csv")
+        rc = main(["limits", "--fm-min", "0.01", "--fm-max", "0.03",
+                   "--fm-step", "0.01", "--out", out])
+        assert rc == 0
+        rows = Path(out).read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0.01", "0.02", "0.03"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--fm-step", "0"],
+        ["--fm-step", "-0.01"],
+        ["--fm-min", "0.03", "--fm-max", "0.01"],
+    ])
+    def test_limits_grid_rejects_bad_range(self, argv, capsys):
+        assert main(["limits", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_serial_import_skips_process_pool(self):
+        code = ("import sys, nbqc.harness; "
+                "print('concurrent.futures.process' in sys.modules)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, cwd=src)
+        assert out.stdout.strip() == "False"
 
     def test_simulate_csv_deterministic(self, tmp_path, golden_paths):
         outs = []
