@@ -8,6 +8,14 @@ a hard invariant.
 
 Files carry only the non-binary matrices (plus field and construction
 parameters); the binary expansion is recomputed on load, never stored.
+
+Costs.  The expansion reads each entry's image off the images of the
+p unit vectors, O(nnz p^2).  `binary_orthogonal` joins the ones of the
+two matrices on their column and counts, for each row pair that shares
+a column, how many columns it shares; the product vanishes iff every
+count is even.  A pair that shares no column has a zero product, so the
+check is exact, and the join holds O(nnz x column weight) entry pairs.
+No array has one cell per pair of rows.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from nbqc.gf2p import FieldSpec, make_field
-from nbqc.nblift import DimensionMismatch, NBMatrix, verify_orthogonal
+from nbqc.nblift import DimensionMismatch, NBMatrix, _column_join, verify_orthogonal
 from nbqc.qcpair import QCParams, SparseBinaryMatrix
 
 
@@ -106,35 +114,25 @@ def expand_pair(gamma: NBMatrix, delta: NBMatrix,
 
 def _expand_binary(mat: NBMatrix, transpose: bool) -> SparseBinaryMatrix:
     p = mat.field.p
-    images = {}
-    for row in mat.rows:
-        for _, v in row:
-            if v not in images:
-                img = mat.field.companion(v)
-                images[v] = img.T.copy() if transpose else img
-    rows: list[list[int]] = [[] for _ in range(p * mat.m)]
-    for m, row in enumerate(mat.rows):
-        for n, v in row:
-            img = images[v]
-            for i in range(p):
-                base = n * p
-                cols = rows[m * p + i]
-                cols.extend(base + j for j in range(p) if img[i, j])
+    rows, cols, vals = mat.coo()
+    # bit i of image column j is entry [i, j] of the entry's p x p image
+    images = mat.field.unit_images(vals, transpose)
+    entry, i, j = np.nonzero((images[:, None, :] >> np.arange(p)[:, None]) & 1)
+    bin_rows = rows[entry] * p + i
+    bin_cols = cols[entry] * p + j
+    flat = bin_cols[np.lexsort((bin_cols, bin_rows))].tolist()
+    ends = np.cumsum(np.bincount(bin_rows, minlength=p * mat.m)).tolist()
     return SparseBinaryMatrix(m=p * mat.m, n=p * mat.n,
-                              rows=[sorted(r) for r in rows])
+                              rows=[flat[lo:hi] for lo, hi in zip([0] + ends, ends)])
 
 
 def binary_orthogonal(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> bool:
-    """a @ b.T == 0 over GF(2), via bit-packed rows."""
+    """a @ b.T == 0 over GF(2), via a sparse column join."""
     if a.n != b.n:
         raise DimensionMismatch(f"column counts differ: {a.n} != {b.n}")
-    a_bits = a.row_bitsets()
-    b_bits = b.row_bitsets()
-    for ra in a_bits:
-        for rb in b_bits:
-            if (ra & rb).bit_count() & 1:
-                return False
-    return True
+    ia, _, starts = _column_join(*a.coo(), *b.coo())
+    shared = np.diff(starts, append=len(ia))
+    return not (shared & 1).any()
 
 
 # -- NBQC text format ---------------------------------------------------------

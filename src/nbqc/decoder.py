@@ -273,6 +273,9 @@ class SyndromeDecoder:
         # tentative decision before any message update: argmax of the prior
         estimate = np.full(self.code.N, int(np.argmax(p0)), dtype=np.int64)
         if np.array_equal(self.syndrome_of_symbols(estimate), syndrome):
+            # no messages were passed; cleared here only, because freeing the
+            # previous buffers before an iterating decode slows it measurably
+            self.last_v2c = self.last_c2v = None
             return DecodeOutcome(status="success", estimate=estimate, iterations=0)
 
         # (q, M) transform of each check's syndrome point mass.  It is +-1,

@@ -142,6 +142,23 @@ class FieldSpec:
             cached = self._transpose_cache[x] = self.symbol_maps([x], transpose=True)[0]
         return cached
 
+    def unit_images(self, values, transpose: bool = False) -> np.ndarray:
+        """(len(values), p) array: entry [i, j] is the symbol that
+        companion(values[i]), or its transpose, maps the unit vector
+        1 << j to, i.e. column j of that matrix as a bit vector.
+
+        0 maps every unit vector to 0 (the zero matrix).
+        """
+        values = np.asarray(values, dtype=np.int64)
+        p, q = self.p, self.q
+        # column j of companion(v) is the bit vector of v * alpha^j
+        images = self.exp_table[(self.log_table[values][:, None] + np.arange(p)) % (q - 1)]
+        images[values == 0] = 0
+        if transpose:           # unit vector i maps to row i of companion(v)
+            bits = (images[:, None, :] >> np.arange(p)[:, None]) & 1
+            images = (bits << np.arange(p)).sum(axis=2)
+        return images
+
     def symbol_maps(self, values, transpose: bool = False) -> np.ndarray:
         """(len(values), q) tables: row i is the action of companion(values[i]),
         or of its transpose, on symbols.
@@ -153,11 +170,7 @@ class FieldSpec:
         if (values == 0).any():
             raise ZeroDivisionError("0 does not act as a permutation")
         p, q = self.p, self.q
-        # column j of companion(v) is the bit vector of v * alpha^j
-        images = self.exp_table[(self.log_table[values][:, None] + np.arange(p)) % (q - 1)]
-        if transpose:           # unit vector i maps to row i of companion(v)
-            bits = (images[:, None, :] >> np.arange(p)[:, None]) & 1
-            images = (bits << np.arange(p)).sum(axis=2)
+        images = self.unit_images(values, transpose)
         maps = np.zeros((len(values), q), dtype=np.int64)
         for i in range(p):
             maps[:, 1 << i:2 << i] = maps[:, :1 << i] ^ images[:, i, None]

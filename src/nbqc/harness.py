@@ -226,23 +226,23 @@ def verify_pair_files(gamma_path, delta_path) -> list[tuple[str, bool, str]]:
 
     det_ok = True
     field = gamma.field
-    for m_prime in range(hd.m):
-        cyc = nblift.cycle_structure(hc, hd, m_prime)
+    entries = [dict(row) for row in gamma.rows]
+    for cyc in nblift.cycle_structures(hc, hd):
         prod1 = prod2 = 1
         for m, n in cyc.e1():
-            prod1 = field.mul(prod1, gamma.entry(m, n))
+            prod1 = field.mul(prod1, entries[m].get(n, 0))
         for m, n in cyc.e2():
-            prod2 = field.mul(prod2, gamma.entry(m, n))
+            prod2 = field.mul(prod2, entries[m].get(n, 0))
         if prod1 != prod2:
             det_ok = False
             break
     checks.append(("determinant_condition", det_ok, "per-row cycle products"))
 
-    if nb_ok:
-        code = binexpand.expand_pair(gamma, delta)
-        bin_ok = binexpand.binary_orthogonal(code.hc, code.hd)
-    else:
-        bin_ok = False
+    # expanded here rather than by expand_pair, which would repeat the
+    # non-binary check above
+    bin_ok = nb_ok and binexpand.binary_orthogonal(
+        binexpand._expand_binary(gamma, transpose=False),
+        binexpand._expand_binary(delta, transpose=True))
     checks.append(("binary_orthogonal", bin_ok, "product over GF(2)"))
     return checks
 
@@ -255,8 +255,10 @@ def cmd_construct(args) -> int:
     field = make_field(args.p, args.poly)
     pair = build_pair(params)
     rng = np.random.default_rng(args.seed)
-    gamma = nblift.lift_gamma(pair, field, rng, reject_trivial=args.reject_trivial)
-    delta = nblift.solve_delta(gamma, pair)
+    cycles = nblift.cycle_structures(pair.expand_c(), pair.expand_d())
+    gamma = nblift.lift_gamma(pair, field, rng, reject_trivial=args.reject_trivial,
+                              cycles=cycles)
+    delta = nblift.solve_delta(gamma, pair, cycles)
     code = binexpand.expand_pair(gamma, delta)
     write_matrix(gamma, f"{args.out}.gamma.nbqc")
     write_matrix(delta, f"{args.out}.delta.nbqc")

@@ -10,6 +10,15 @@ lifted pair reduces to one balance equation per row,
 
 which is solved over the residue ring and sampled.  The nonzeros of the
 second matrix then follow by a two-term recurrence around each cycle.
+
+Costs.  `cycle_structures` indexes the column neighbours of the first
+matrix once, so each of its M walks costs O(L).  `verify_orthogonal`
+joins the nonzeros of the two matrices on their column: only row pairs
+that share a column appear, and each pair's products are XOR-summed.
+A pair that shares no column has a zero product, so the check is
+exact.  The join lists sum_c w1(c) w2(c) entry pairs, where w1 and w2
+are column weights: O(nnz x column weight), sorted once to group them
+by row pair.  No array has one cell per pair of rows.
 """
 
 from __future__ import annotations
@@ -104,9 +113,39 @@ class NBMatrix:
     def same_shape(self, other: "NBMatrix") -> bool:
         return self.m == other.m and self.n == other.n
 
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, col, value) arrays of the stored entries, row by row."""
+        rows, cols = self.support().coo()
+        vals = np.fromiter((v for row in self.rows for _, v in row),
+                           dtype=np.int64, count=len(cols))
+        return rows, cols, vals
+
+
+def _column_join(rows_a, cols_a, rows_b, cols_b):
+    """Every pair of nonzeros, one of A and one of B, in the same column.
+
+    Returns index arrays (ia, ib) into the two entry lists, sorted so
+    that the pairs of each (row of A, row of B) are contiguous, and the
+    start of each such run.  B's entries are sorted by column once;
+    each entry of A finds its column's run with searchsorted and is
+    repeated over it.
+    """
+    by_col = np.argsort(cols_b)
+    sorted_cols = cols_b[by_col]
+    lo = np.searchsorted(sorted_cols, cols_a, side="left")
+    counts = np.searchsorted(sorted_cols, cols_a, side="right") - lo
+    ia = np.repeat(np.arange(len(cols_a)), counts)
+    # each pair's offset inside its A entry's run
+    offsets = np.arange(len(ia)) - np.repeat(np.cumsum(counts) - counts, counts)
+    ib = by_col[np.repeat(lo, counts) + offsets]
+    keys = rows_a[ia] * (int(rows_b.max(initial=-1)) + 1) + rows_b[ib]
+    order = np.argsort(keys)
+    keys = keys[order]
+    return ia[order], ib[order], np.flatnonzero(np.diff(keys, prepend=-1))
+
 
 def cycle_structure(hc: SparseBinaryMatrix, hd: SparseBinaryMatrix,
-                    m_prime: int) -> CycleStructure:
+                    m_prime: int, col_checks: list | None = None) -> CycleStructure:
     """Walk the cycle of row `m_prime` of the second matrix through the
     Tanner graph of the first.
 
@@ -114,20 +153,21 @@ def cycle_structure(hc: SparseBinaryMatrix, hd: SparseBinaryMatrix,
     its check neighbour in the top half, so the orientation matches the
     closed forms.  Raises NotACycle when the walk does not visit all 2L
     positions and return to its start.
+
+    `col_checks` is `hc.col_supports()`, built here when omitted; with
+    it given, the walk costs O(L).
     """
     if hc.m != hd.m or hc.n != hd.n:
         raise DimensionMismatch("pair matrices must have equal shape")
     if not 0 <= m_prime < hd.m:
         raise IndexError(f"row {m_prime} outside [0, {hd.m})")
+    if col_checks is None:
+        col_checks = hc.col_supports()
     P = hc.m // 2
     support = list(hd.rows[m_prime])
     L = len(support)
-    in_support = set(support)
-    col_neighbors = {}
-    for m, row in enumerate(hc.rows):
-        for c in row:
-            if c in in_support:
-                col_neighbors.setdefault(c, []).append(m)
+    col_neighbors = {c: col_checks[c] for c in support
+                     if 0 <= c < hc.n and col_checks[c]}
     if any(len(v) != 2 for v in col_neighbors.values()) or len(col_neighbors) != L:
         raise NotACycle(f"columns of row {m_prime} do not all have 2 check neighbours")
     row_cols = {}
@@ -162,6 +202,16 @@ def cycle_structure(hc: SparseBinaryMatrix, hd: SparseBinaryMatrix,
     return CycleStructure(m_prime=m_prime, n_seq=n_seq, m_seq=m_seq)
 
 
+def cycle_structures(hc: SparseBinaryMatrix,
+                     hd: SparseBinaryMatrix) -> list[CycleStructure]:
+    """The cycle of every row of the second matrix, in row order.
+
+    The column index of `hc` is built once for all M walks.
+    """
+    col_checks = hc.col_supports()
+    return [cycle_structure(hc, hd, m_prime, col_checks) for m_prime in range(hd.m)]
+
+
 def closed_form_cycle(params: QCParams, m_prime: int) -> CycleStructure:
     """Direct formulas for the cycle of an upper-half row (0 <= m' < P).
 
@@ -186,25 +236,27 @@ def closed_form_cycle(params: QCParams, m_prime: int) -> CycleStructure:
     return CycleStructure(m_prime=m_prime, n_seq=n_seq, m_seq=m_seq)
 
 
-def assemble_constraints(pair: QCPair, modulus: int) -> tuple[ModSystem, dict]:
+def assemble_constraints(pair: QCPair, modulus: int,
+                         cycles: list | None = None) -> tuple[ModSystem, dict]:
     """Balance equations for the lift, one per row of the second matrix.
 
     Variables are the discrete logs of the first matrix's nonzeros,
     indexed row-major over its support; the modulus is 2^p - 1 for a
     lift over GF(2^p).  Returns the system together with the
-    (row, col) -> variable index map.
+    (row, col) -> variable index map.  `cycles` is the pair's
+    `cycle_structures`, walked here when omitted.
     """
     if pair.params.J != 2:
         raise DimensionMismatch("cycle constraints require column weight J=2")
     hc = pair.expand_c()
-    hd = pair.expand_d()
+    if cycles is None:
+        cycles = cycle_structures(hc, pair.expand_d())
     var_index = {}
     for m, cols in enumerate(hc.rows):
         for c in cols:
             var_index[(m, c)] = len(var_index)
     system = ModSystem(modulus=modulus, n_vars=len(var_index))
-    for m_prime in range(hd.m):
-        cyc = cycle_structure(hc, hd, m_prime)
+    for cyc in cycles:
         terms = [(var_index[pos], 1) for pos in cyc.e1()]
         terms += [(var_index[pos], -1) for pos in cyc.e2()]
         system.add_equation(terms)
@@ -212,15 +264,17 @@ def assemble_constraints(pair: QCPair, modulus: int) -> tuple[ModSystem, dict]:
 
 
 def lift_gamma(pair: QCPair, field: FieldSpec, rng: np.random.Generator,
-               reject_trivial: bool = False, max_resample: int = 1000) -> NBMatrix:
+               reject_trivial: bool = False, max_resample: int = 1000,
+               cycles: list | None = None) -> NBMatrix:
     """Sample the first non-binary matrix on the support of the QC pair.
 
     Logs are drawn from the solution space of the balance equations, so
     every cycle determinant vanishes by construction.  With
     `reject_trivial`, the all-zero log draw (the all-ones matrix, which
-    collapses back to the binary code) is resampled.
+    collapses back to the binary code) is resampled.  `cycles` is
+    passed on to `assemble_constraints`.
     """
-    system, var_index = assemble_constraints(pair, field.q - 1)
+    system, var_index = assemble_constraints(pair, field.q - 1, cycles)
     space = solve_mod(system)
     for _ in range(max_resample):
         logs = sample_solution(space, rng)
@@ -236,34 +290,37 @@ def lift_gamma(pair: QCPair, field: FieldSpec, rng: np.random.Generator,
                     params=pair.params, rows=rows)
 
 
-def solve_delta(gamma: NBMatrix, pair: QCPair) -> NBMatrix:
+def solve_delta(gamma: NBMatrix, pair: QCPair,
+                cycles: list | None = None) -> NBMatrix:
     """Propagate the second matrix's nonzeros around each cycle.
 
     Each row is a null-space ray of the cycle's bidiagonal system; the
     anchor entry is fixed to 1 (any nonzero scaling gives an equivalent
     code).  The wrap-around of each recurrence is re-checked and a
     failure flags a first matrix that does not satisfy its determinant
-    condition, which lift_gamma rules out.
+    condition, which lift_gamma rules out.  `cycles` is the pair's
+    `cycle_structures`, walked here when omitted.
     """
     field = gamma.field
-    hc = pair.expand_c()
     hd = pair.expand_d()
+    if cycles is None:
+        cycles = cycle_structures(pair.expand_c(), hd)
+    entries = [dict(row) for row in gamma.rows]
     rows = []
-    for m_prime in range(hd.m):
-        cyc = cycle_structure(hc, hd, m_prime)
+    for cyc in cycles:
         L = cyc.L
         vals = {cyc.n_seq[0]: 1}
         for i in range(L - 1):
-            g_here = gamma.entry(cyc.m_seq[i], cyc.n_seq[i])
-            g_next = gamma.entry(cyc.m_seq[i], cyc.n_seq[i + 1])
+            g_here = entries[cyc.m_seq[i]].get(cyc.n_seq[i], 0)
+            g_next = entries[cyc.m_seq[i]].get(cyc.n_seq[i + 1], 0)
             vals[cyc.n_seq[i + 1]] = field.mul(
                 vals[cyc.n_seq[i]], field.mul(g_here, field.inv(g_next)))
-        g_last = gamma.entry(cyc.m_seq[-1], cyc.n_seq[-1])
-        g_wrap = gamma.entry(cyc.m_seq[-1], cyc.n_seq[0])
+        g_last = entries[cyc.m_seq[-1]].get(cyc.n_seq[-1], 0)
+        g_wrap = entries[cyc.m_seq[-1]].get(cyc.n_seq[0], 0)
         closure = field.mul(vals[cyc.n_seq[-1]], field.mul(g_last, field.inv(g_wrap)))
         if closure != vals[cyc.n_seq[0]]:
             raise ClosureViolation(
-                f"row {m_prime}: cycle closure failed (determinant condition broken)")
+                f"row {cyc.m_prime}: cycle closure failed (determinant condition broken)")
         rows.append(sorted(vals.items()))
     return NBMatrix(m=hd.m, n=hd.n, role="DELTA", field=field,
                     params=pair.params, rows=rows)
@@ -272,20 +329,19 @@ def solve_delta(gamma: NBMatrix, pair: QCPair) -> NBMatrix:
 def verify_orthogonal(gamma: NBMatrix, delta: NBMatrix) -> bool:
     """All pairwise row products over GF(2^p) vanish.
 
-    Sparse row intersection; zero-dimension matrices are orthogonal.
+    Sparse column join (see the module docstring); zero-dimension
+    matrices are orthogonal.
     """
     if gamma.n != delta.n:
         raise DimensionMismatch(
             f"column counts differ: {gamma.n} != {delta.n}")
     field = gamma.field
-    for grow in gamma.rows:
-        gmap = dict(grow)
-        for drow in delta.rows:
-            acc = 0
-            for c, dv in drow:
-                gv = gmap.get(c)
-                if gv is not None:
-                    acc ^= field.mul(gv, dv)
-            if acc:
-                return False
-    return True
+    rg, cg, vg = gamma.coo()
+    rd, cd, vd = delta.coo()
+    g_nz, d_nz = vg != 0, vd != 0       # a zero entry adds nothing
+    ig, id_, starts = _column_join(rg[g_nz], cg[g_nz], rd[d_nz], cd[d_nz])
+    if not len(starts):
+        return True
+    logs = field.log_table[vg[g_nz][ig]] + field.log_table[vd[d_nz][id_]]
+    products = field.exp_table[logs % (field.q - 1)]
+    return not np.bitwise_xor.reduceat(products, starts).any()

@@ -9,6 +9,7 @@ of 4-cycles.  The lift to GF(2^p) keeps these supports.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,8 +61,12 @@ class SparseBinaryMatrix:
             d[i, cols] = 1
         return d
 
-    def row_bitsets(self) -> list[int]:
-        return [sum(1 << c for c in cols) for cols in self.rows]
+    def coo(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, col) index arrays of the nonzeros, row by row."""
+        lengths = np.fromiter(map(len, self.rows), dtype=np.int64, count=len(self.rows))
+        cols = np.fromiter(itertools.chain.from_iterable(self.rows), dtype=np.int64,
+                           count=int(lengths.sum()))
+        return np.repeat(np.arange(len(self.rows)), lengths), cols
 
     def col_supports(self) -> list[list[int]]:
         cols: list[list[int]] = [[] for _ in range(self.n)]

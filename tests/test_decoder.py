@@ -331,6 +331,20 @@ class TestDecode:
             sums = buf.sum(axis=-1)
             assert np.abs(sums - 1.0).max() < 1e-9
 
+    def test_buffers_cleared_by_iteration_zero_success(self):
+        # the buffers belong to the most recent decode, even one that
+        # stops before the first message update
+        code = load_pair(DATA / "golden_gf16.gamma.nbqc", DATA / "golden_gf16.delta.nbqc")
+        dec = SyndromeDecoder(code, "C")
+        err = np.zeros(code.N, dtype=np.int64)
+        err[[2, 9, 33]] = [1, 6, 15]
+        out = dec.decode(syndrome_of(code, "C", err), 0.05)
+        assert out.ok and out.iterations >= 1
+        assert dec.last_c2v is not None and dec.last_v2c is not None
+        out = dec.decode(np.zeros(code.M, dtype=np.int64), 0.05)
+        assert out.ok and out.iterations == 0
+        assert dec.last_c2v is None and dec.last_v2c is None
+
     def test_first_iteration_matches_public_ops(self, code):
         # one horizontal step, recomputed edge by edge with the public
         # permute/convolve operations

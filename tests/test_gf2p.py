@@ -234,6 +234,15 @@ class TestIndexTables:
             expect = (bits @ mat.T.astype(np.int64) & 1) @ (1 << np.arange(8))
             assert np.array_equal(row, expect)
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_unit_images_are_matrix_columns(self, gf16, transpose):
+        # zero included: its image is the zero matrix
+        images = gf16.unit_images(np.arange(16), transpose=transpose)
+        for x in range(16):
+            mat = gf16.companion_transpose(x) if transpose else gf16.companion(x)
+            expect = (1 << np.arange(4)) @ mat.astype(np.int64)      # column j as a symbol
+            assert np.array_equal(images[x], expect)
+
     def test_zero_rejected(self, gf16):
         with pytest.raises(ZeroDivisionError):
             gf16.mul_index_table(0)

@@ -4,6 +4,7 @@ Spot values for the limit curves were computed independently at 30
 digits (mpmath root-finding on the closed forms) and frozen here.
 """
 
+import hashlib
 import math
 import subprocess
 import sys
@@ -167,6 +168,23 @@ class TestVerify:
         checks = dict((n, ok) for n, ok, _ in
                       verify_pair_files(golden_paths[0], str(other)))
         assert not checks["nonbinary_orthogonal"]
+
+    def test_longer_code_bytes_and_checks(self, tmp_path, capsys):
+        # n=3048 (P=127); the digests pin the written bytes, which must not
+        # depend on how the checks and cycle walks are implemented
+        prefix = str(tmp_path / "long")
+        assert main(["construct", "--p", "4", "--L", "6", "--P", "127",
+                     "--sigma", "19", "--tau", "2", "--seed", "0",
+                     "--reject-trivial", "--out", prefix]) == 0
+        assert "n=3048" in capsys.readouterr().out
+        g, d = prefix + ".gamma.nbqc", prefix + ".delta.nbqc"
+        assert hashlib.sha256(Path(g).read_bytes()).hexdigest() == (
+            "30afc028036fb5f10eff623cf9fddec994528b2a617664a6f7d0a74da701e5f9")
+        assert hashlib.sha256(Path(d).read_bytes()).hexdigest() == (
+            "21e75f7a926f931521d512f468e3face8b7f7345f0fe1f939294e1c7af721ce9")
+        checks = verify_pair_files(g, d)
+        assert len(checks) == 10
+        assert all(ok for _, ok, _ in checks), [n for n, ok, _ in checks if not ok]
 
 
 class TestCli:
