@@ -1,26 +1,52 @@
-"""Homogeneous linear systems over the residue ring Z_m.
+"""Cycle-balance systems over the residue ring Z_m, solved on their graph.
 
 The lift constraints are balance equations on discrete logs, taken mod
-m = 2^p - 1.  That modulus is composite for most p (15 = 3 * 5), so
-field-style Gaussian elimination is unsound: pivots can be zero
-divisors.  We reduce to Howell form instead.  Pivot entries of a Howell
-form divide m, entries above a pivot are reduced below it, and for
-every pivot row h with pivot g the row (m/g)*h lies in the span of the
-later rows.  That last property is what guarantees back-substitution
-never dead-ends, whatever values the free variables take.
+m = 2^p - 1, one per row of the second QC matrix.  Every variable (a
+nonzero of the first matrix) lies on exactly two of the row cycles, one
+from each half of the second matrix, with the same coefficient in both:
++1 and +1, or -1 and -1.  Negating the equations of one half does not
+change the row module, and it turns the system into the signed
+incidence matrix of a bipartite graph: nodes are the equations, edges
+are the variables.  `solve_mod` finds such a signing itself, so it
+accepts any system in which every variable has exactly two
+coefficients, each +-1, and every cycle is balanced; anything else
+raises `NotBalancedGraph`.
 
-Sampling draws free variables uniformly from Z_m and, at each pivot row
-with pivot g, picks uniformly among the g solutions of the pivot
-congruence, which makes the draw uniform over the whole solution set.
+Why the greedy forest is the Howell form.  m is composite for most p
+(15 = 3 * 5), so field-style elimination is unsound in general: pivots
+can be zero divisors.  An incidence matrix, however, is totally
+unimodular, so a Howell-form reduction of it has only unit pivots.
+Taking columns in variable order, a column is a pivot exactly when it
+is independent of the columns before it, that is, when its edge joins
+two components of the earlier edges.  The pivot columns are therefore
+the spanning forest that union-find grows in variable order, and the
+free columns are the remaining edges.
+
+Why the draw is unchanged.  For given free values the solution is
+unique: adding up the signed equations of the subtree below a forest
+edge cancels every edge inside the subtree and leaves that edge against
+the free edges that leave it.  Peeling the forest from its leaves thus
+gives exactly what back-substitution gives.  Sampling draws the free
+variables uniformly from Z_m with one `rng.integers(0, m, size=#free)`
+call and nothing else, as the Howell sampler did (a unit pivot draws
+nothing), so the same generator yields the same solution.  The Howell
+reduction itself is kept in the test suite as the reference.
+
+Costs: O(terms) to build the graph, near-linear union-find, and one
+pass over the forest per sample.  No array has one cell per
+(equation, variable) pair.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+class NotBalancedGraph(ValueError):
+    """The system is not the signed incidence matrix of a balanced graph."""
 
 
 @dataclass
@@ -38,177 +64,157 @@ class ModSystem:
     def add_equation(self, terms: list[tuple[int, int]]) -> None:
         self.equations.append(list(terms))
 
-    def dense_rows(self) -> np.ndarray:
-        rows = np.zeros((len(self.equations), self.n_vars), dtype=np.int64)
-        for i, terms in enumerate(self.equations):
-            for v, c in terms:
-                rows[i, v] += c
-        return rows % self.modulus
+    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(equation, variable, coefficient) arrays of every term."""
+        lengths = np.fromiter(map(len, self.equations), dtype=np.int64,
+                              count=len(self.equations))
+        flat = np.array(list(itertools.chain.from_iterable(self.equations)),
+                        dtype=np.int64).reshape(-1, 2)
+        return np.repeat(np.arange(len(self.equations)), lengths), flat[:, 0], flat[:, 1]
 
     def check(self, assignment: np.ndarray) -> bool:
         """True iff the assignment satisfies every equation mod modulus."""
         x = np.asarray(assignment, dtype=np.int64)
-        return not np.any(self.dense_rows() @ x % self.modulus)
+        eqs, var, coef = self.terms()
+        sums = np.zeros(len(self.equations), dtype=np.int64)
+        np.add.at(sums, eqs, coef * x[var])
+        return not np.any(sums % self.modulus)
 
 
 @dataclass
 class SolutionSpace:
-    """Howell-form description of the solutions of a homogeneous system.
+    """The spanning forest of a balanced system and its peeling order.
 
-    pivot_rows[i] has its first nonzero (= pivot_vals[i], a divisor of
-    the modulus) at pivot_cols[i]; free_cols are the remaining columns.
-    The all-zero vector is always a member.
+    pivot_cols are the forest edges in variable order, free_cols the
+    other variables.  free_ends/free_coefs hold the two equations of
+    each free variable and its signed coefficient in each.  The peel
+    lists the forest edges from the leaves inwards: edge peel_edges[k]
+    is solved from the subtree below peel_child[k], whose signed total
+    then joins that of peel_parent[k]; peel_coefs[k] is the edge's
+    signed coefficient at the child.
     """
 
     modulus: int
     n_vars: int
     pivot_cols: list
-    pivot_vals: list
-    pivot_rows: np.ndarray        # (r, n_vars) int64
     free_cols: list
-
-    def count(self) -> int:
-        """Number of distinct solutions: m^#free * prod(pivot values)."""
-        n = self.modulus ** len(self.free_cols)
-        for g in self.pivot_vals:
-            n *= g
-        return n
-
-    def enumerate(self):
-        """Yield every solution (beware: count() grows fast)."""
-        m = self.modulus
-        free_ranges = [range(m)] * len(self.free_cols)
-        pivot_ranges = [range(g) for g in self.pivot_vals]
-        for free_vals in itertools.product(*free_ranges):
-            for ks in itertools.product(*pivot_ranges):
-                x = np.zeros(self.n_vars, dtype=np.int64)
-                x[self.free_cols] = free_vals
-                self._back_substitute(x, ks)
-                yield x
-
-    def _back_substitute(self, x: np.ndarray, ks) -> None:
-        m = self.modulus
-        for i in range(len(self.pivot_cols) - 1, -1, -1):
-            col, g = self.pivot_cols[i], self.pivot_vals[i]
-            rest = int(self.pivot_rows[i] @ x % m)
-            if rest % g:
-                raise AssertionError("Howell property violated: pivot congruence unsolvable")
-            x[col] = (-(rest // g)) % (m // g) + (m // g) * ks[i]
+    free_ends: np.ndarray         # (#free, 2) equation indices
+    free_coefs: np.ndarray        # (#free, 2) signed coefficients, +-1 mod m
+    peel_edges: list
+    peel_child: list
+    peel_parent: list
+    peel_coefs: np.ndarray        # (#pivots,) signed coefficients, +-1 mod m
+    n_equations: int
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    return old_r, old_s, old_t
+def _incidence(system: ModSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The two equations of every variable and its coefficient in each.
 
-
-def _unit_scale_to_divisor(g: int, m: int) -> tuple[int, int]:
-    """Unit u of Z_m with u*g = gcd(g, m) mod m; returns (u, gcd)."""
-    d = math.gcd(g, m)
-    if d == m:
-        return 1, m
-    md = m // d
-    u0 = pow(g // d, -1, md)
-    for t in range(d + 1):
-        u = u0 + md * t
-        if math.gcd(u, m) == 1:
-            return u % m, d
-    raise AssertionError(f"no unit lift for g={g} mod {m}")
+    Returns (n_vars, 2) arrays, equations ascending within a row.
+    Raises NotBalancedGraph unless every variable has exactly two
+    nonzero coefficients mod m and each is +-1.
+    """
+    m, n = system.modulus, system.n_vars
+    eqs, var, coef = system.terms()
+    if len(var) and (var.min() < 0 or var.max() >= n):
+        raise NotBalancedGraph(f"variable index outside [0, {n})")
+    n_eqs = max(len(system.equations), 1)
+    keys, where = np.unique(var * n_eqs + eqs, return_inverse=True)
+    totals = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(totals, where, coef)
+    totals %= m
+    keys, totals = keys[totals != 0], totals[totals != 0]
+    counts = np.bincount(keys // n_eqs, minlength=n)
+    if (counts != 2).any():
+        v = int(np.flatnonzero(counts != 2)[0])
+        raise NotBalancedGraph(f"variable {v} is in {counts[v]} equations, not 2")
+    bad = (totals != 1) & (totals != m - 1)
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise NotBalancedGraph(f"variable {keys[k] // n_eqs} has coefficient "
+                               f"{totals[k]}, not +-1 mod {m}")
+    return (keys % n_eqs).reshape(n, 2), totals.reshape(n, 2)
 
 
 def solve_mod(system: ModSystem) -> SolutionSpace:
-    """Reduce a homogeneous system to Howell form.
+    """Pivot and free columns of a cycle-balance system, plus its peel.
 
-    Always consistent (zero is a solution).  Unit pivots (+-1 first)
-    are preferred; gcd combination handles columns where every entry is
-    a zero divisor.  Re-reducing a reduced system is a no-op.
+    The pivots are the spanning forest grown by union-find in variable
+    order; each node's sign relative to its tree root is fixed along
+    the forest, and every free edge must then cancel under those signs.
+    Raises NotBalancedGraph for a system that is not a graph (see
+    `_incidence`) or has a free edge that closes an unbalanced cycle.
     """
-    m = system.modulus
-    n = system.n_vars
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    if m == 1:
-        return SolutionSpace(m, n, [], [], np.zeros((0, n), dtype=np.int64),
-                             list(range(n)))
-    pending = [r for r in system.dense_rows() if r.any()]
-    pivot_cols: list[int] = []
-    pivot_vals: list[int] = []
-    pivot_rows: list[np.ndarray] = []
+    m, n = system.modulus, system.n_vars
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
+    ends, coefs = _incidence(system)
+    n_eqs = len(system.equations)
 
-    for col in range(n):
-        active = [r for r in pending if r[col]]
-        pending = [r for r in pending if not r[col]]
-        if not active:
+    root = list(range(n_eqs))
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n_eqs)]
+    pivots = []
+    for e, (a, b) in enumerate(ends.tolist()):
+        ra, rb = a, b
+        while root[ra] != ra:
+            root[ra] = ra = root[root[ra]]
+        while root[rb] != rb:
+            root[rb] = rb = root[root[rb]]
+        if ra != rb:
+            root[ra] = rb
+            pivots.append(e)
+            adjacent[a].append((e, 0))
+            adjacent[b].append((e, 1))
+
+    # root each tree at its lowest equation; sign[k] * coef cancels across every forest edge
+    c, far = coefs.tolist(), ends.tolist()
+    sign = [0] * n_eqs
+    edges, children, parents, peel_coefs = [], [], [], []
+    for r in range(n_eqs):
+        if sign[r]:
             continue
-        row = _take_pivot_row(active, col, m)
-        g = int(row[col])
-        for other in active:
-            other = (other - (int(other[col]) // g) * row) % m
-            if other.any():
-                pending.append(other)
-        if g > 1:
-            derived = (m // g) * row % m
-            if derived.any():
-                pending.append(derived)
-        pivot_cols.append(col)
-        pivot_vals.append(g)
-        pivot_rows.append(row)
+        sign[r] = 1
+        queue = [r]
+        for node in queue:
+            for e, side in adjacent[node]:
+                child = far[e][1 - side]
+                if not sign[child]:
+                    sign[child] = -sign[node] * c[e][side] * c[e][1 - side] % m
+                    edges.append(e)
+                    children.append(child)
+                    parents.append(node)
+                    peel_coefs.append(sign[child] * c[e][1 - side] % m)
+                    queue.append(child)
 
-    # canonical form: reduce entries above each pivot below the pivot value
-    for i in range(len(pivot_cols)):
-        col, g = pivot_cols[i], pivot_vals[i]
-        for j in range(i):
-            v = int(pivot_rows[j][col])
-            if v >= g:
-                pivot_rows[j] = (pivot_rows[j] - (v // g) * pivot_rows[i]) % m
-
-    rows = np.array(pivot_rows, dtype=np.int64) if pivot_rows else np.zeros((0, n), dtype=np.int64)
-    free = [c for c in range(n) if c not in set(pivot_cols)]
-    return SolutionSpace(m, n, pivot_cols, pivot_vals, rows, free)
-
-
-def _take_pivot_row(active: list[np.ndarray], col: int, m: int) -> np.ndarray:
-    """Pick/construct the pivot row for `col`, leaving `active` as the rows
-    still to be eliminated against it.  The returned pivot divides m."""
-    # unit preference: exact +-1 first, then any unit
-    for want_exact in (True, False):
-        for i, r in enumerate(active):
-            v = int(r[col])
-            exact = v == 1 or v == m - 1
-            if (exact if want_exact else math.gcd(v, m) == 1):
-                active.pop(i)
-                u = pow(v, -1, m)
-                return (u * r) % m
-    # all entries share a factor with m: gcd-combine into a single row
-    row = active.pop(0)
-    for i, r in enumerate(active):
-        a, b = int(row[col]), int(r[col])
-        g, s, t = _xgcd(a, b)
-        combined = (s * row + t * r) % m
-        zeroed = ((a // g) * r - (b // g) * row) % m
-        row = combined
-        active[i] = zeroed
-    u, d = _unit_scale_to_divisor(int(row[col]), m)
-    return (u * row) % m
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    free_coefs = np.array(sign, dtype=np.int64)[ends[free]] * coefs[free] % m
+    unbalanced = np.flatnonzero(free_coefs.sum(axis=1) % m)
+    if len(unbalanced):
+        raise NotBalancedGraph(
+            f"variable {free[unbalanced[0]]} closes an unbalanced cycle mod {m}")
+    # breadth-first order reversed: every subtree is peeled before its root
+    return SolutionSpace(m, n, pivots, free.tolist(), ends[free], free_coefs,
+                         edges[::-1], children[::-1], parents[::-1],
+                         np.array(peel_coefs[::-1], dtype=np.int64), n_eqs)
 
 
 def sample_solution(space: SolutionSpace, rng: np.random.Generator) -> np.ndarray:
     """Draw one solution, uniformly over the full solution set.
 
-    Free variables are uniform on Z_m; each pivot congruence g*x = rest
-    has exactly g solutions and one is picked uniformly.
+    Free variables are uniform on Z_m; each forest edge then follows
+    from the signed total of the subtree below it, leaves first.
     """
     m = space.modulus
     x = np.zeros(space.n_vars, dtype=np.int64)
     if space.free_cols:
         x[space.free_cols] = rng.integers(0, m, size=len(space.free_cols))
-    ks = [int(rng.integers(0, g)) if g > 1 else 0 for g in space.pivot_vals]
-    space._back_substitute(x, ks)
+    totals = np.zeros(space.n_equations, dtype=np.int64)
+    np.add.at(totals, space.free_ends, space.free_coefs * x[space.free_cols][:, None])
+    totals = totals.tolist()
+    for child, parent in zip(space.peel_child, space.peel_parent):
+        totals[parent] += totals[child]
+    subtree = np.array(totals, dtype=np.int64)[space.peel_child]
+    x[space.peel_edges] = -space.peel_coefs * subtree % m
     return x

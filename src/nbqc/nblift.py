@@ -212,30 +212,6 @@ def cycle_structures(hc: SparseBinaryMatrix,
     return [cycle_structure(hc, hd, m_prime, col_checks) for m_prime in range(hd.m)]
 
 
-def closed_form_cycle(params: QCParams, m_prime: int) -> CycleStructure:
-    """Direct formulas for the cycle of an upper-half row (0 <= m' < P).
-
-    Serves as an independent cross-check of the graph walk.  The column
-    formula for odd positions uses exponent sigma^(i mod L/2); the sign
-    conventions of the even forms follow the construction exponents.
-    """
-    P, L, sigma, tau = params.P, params.L, params.sigma, params.tau
-    if not 0 <= m_prime < P:
-        raise IndexError("closed forms cover the upper half rows only")
-    half = L // 2
-    sigma_inv = pow(sigma, -1, P)
-    n_seq = [0] * L
-    m_seq = [0] * L
-    for i in range(half):
-        n_seq[2 * i] = (-tau * pow(sigma_inv, i, P) + m_prime) % P + i * P
-        block = (-i) % half + half
-        n_seq[2 * i + 1] = (-pow(sigma, i % half, P) + m_prime) % P + block * P
-        m_seq[2 * i] = (-pow(sigma, i, P) - tau * pow(sigma_inv, i, P) + m_prime) % P
-        m_seq[(2 * i - 1) % L] = (-pow(sigma, i - 1 if i >= 1 else half - 1, P)
-                                  - tau * pow(sigma_inv, i, P) + m_prime) % P + P
-    return CycleStructure(m_prime=m_prime, n_seq=n_seq, m_seq=m_seq)
-
-
 def assemble_constraints(pair: QCPair, modulus: int,
                          cycles: list | None = None) -> tuple[ModSystem, dict]:
     """Balance equations for the lift, one per row of the second matrix.
@@ -245,6 +221,10 @@ def assemble_constraints(pair: QCPair, modulus: int,
     lift over GF(2^p).  Returns the system together with the
     (row, col) -> variable index map.  `cycles` is the pair's
     `cycle_structures`, walked here when omitted.
+
+    Each variable lies on two cycles, one from each half of the second
+    matrix, with equal coefficients: the system is a balanced signed
+    graph, which `solve_mod` solves on its spanning forest.
     """
     if pair.params.J != 2:
         raise DimensionMismatch("cycle constraints require column weight J=2")
@@ -274,7 +254,7 @@ def lift_gamma(pair: QCPair, field: FieldSpec, rng: np.random.Generator,
     collapses back to the binary code) is resampled.  `cycles` is
     passed on to `assemble_constraints`.
     """
-    system, var_index = assemble_constraints(pair, field.q - 1, cycles)
+    system, _ = assemble_constraints(pair, field.q - 1, cycles)
     space = solve_mod(system)
     for _ in range(max_resample):
         logs = sample_solution(space, rng)
@@ -282,10 +262,11 @@ def lift_gamma(pair: QCPair, field: FieldSpec, rng: np.random.Generator,
             break
     else:
         raise RuntimeError("could not sample a non-trivial lift")
+    # variables are numbered row-major over the support: zip takes each
+    # row's share of the values in turn
+    values = iter(field.exp_table[logs].tolist())
     hc = pair.expand_c()
-    rows = []
-    for m, cols in enumerate(hc.rows):
-        rows.append([(c, field.exp(int(logs[var_index[(m, c)]]))) for c in cols])
+    rows = [list(zip(cols, values)) for cols in hc.rows]
     return NBMatrix(m=hc.m, n=hc.n, role="GAMMA", field=field,
                     params=pair.params, rows=rows)
 

@@ -209,6 +209,8 @@ def find_params(L: int, P_range) -> list[QCParams]:
 
     Returns every combination that passes validation, ordered by
     (P, sigma, tau).  May be empty (e.g. no element of order L/2).
+    A sigma that is not a unit of order L/2 fails validation for every
+    tau, so the tau scan runs only for the few sigma that pass.
     """
     if L % 2 != 0 or L < 4:
         raise InvalidParams(f"L must be even and >= 4, got {L}")
@@ -217,6 +219,10 @@ def find_params(L: int, P_range) -> list[QCParams]:
         if P <= 2:
             continue
         for sigma in range(1, P):
+            # pow filters first, so _order only walks orders dividing L/2
+            if (math.gcd(sigma, P) != 1 or pow(sigma, L // 2, P) != 1
+                    or _order(sigma, P) != L // 2):
+                continue
             for tau in range(1, P):
                 params = QCParams(P=P, J=2, L=L, sigma=sigma, tau=tau)
                 if not validate_params(params):

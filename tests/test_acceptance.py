@@ -11,13 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import closed_form_cycle
 from nbqc.binexpand import binary_orthogonal, expand_pair
 from nbqc.channel import syndrome_of
 from nbqc.decoder import DecoderConfig, SyndromeDecoder, wht_convolve
 from nbqc.gf2p import make_field
 from nbqc.harness import main, s2_limit, shannon_limit, simulate_point
-from nbqc.nblift import (closed_form_cycle, cycle_structure, lift_gamma,
-                         solve_delta, verify_orthogonal)
+from nbqc.nblift import cycle_structure, lift_gamma, solve_delta, verify_orthogonal
 from nbqc.qcpair import QCParams, build_pair
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)

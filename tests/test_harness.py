@@ -186,6 +186,23 @@ class TestVerify:
         assert len(checks) == 10
         assert all(ok for _, ok, _ in checks), [n for n, ok, _ in checks if not ok]
 
+    def test_long_code_n29976_bytes_and_checks(self, tmp_path, capsys):
+        # P=1249: the balance system has 2498 equations over 14988 variables,
+        # too large for a dense solver; the digests pin the written bytes
+        prefix = str(tmp_path / "n29976")
+        assert main(["construct", "--p", "4", "--L", "6", "--P", "1249",
+                     "--sigma", "93", "--tau", "2", "--seed", "0",
+                     "--reject-trivial", "--out", prefix]) == 0
+        assert "n=29976" in capsys.readouterr().out
+        g, d = prefix + ".gamma.nbqc", prefix + ".delta.nbqc"
+        assert hashlib.sha256(Path(g).read_bytes()).hexdigest() == (
+            "4d756300919314f88851027b7612692ca41004d608207738adff2fac6c17df98")
+        assert hashlib.sha256(Path(d).read_bytes()).hexdigest() == (
+            "f8550537bd9e9d8636e3f6ce3ebe44598fa2b8ed689094c12b560486ab6449d7")
+        checks = verify_pair_files(g, d)
+        assert len(checks) == 10
+        assert all(ok for _, ok, _ in checks), [n for n, ok, _ in checks if not ok]
+
 
 class TestCli:
     def test_construct_verify_simulate(self, tmp_path, capsys):

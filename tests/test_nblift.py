@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import closed_form_cycle
 from nbqc.gf2p import make_field
 from nbqc.nblift import (ClosureViolation, CycleStructure, NBMatrix, NotACycle,
-                         assemble_constraints, closed_form_cycle,
-                         cycle_structure, lift_gamma, solve_delta,
-                         verify_orthogonal)
+                         assemble_constraints, cycle_structure, lift_gamma,
+                         solve_delta, verify_orthogonal)
 from nbqc.qcpair import QCParams, SparseBinaryMatrix, build_pair, find_params
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)

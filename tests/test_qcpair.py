@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nbqc.qcpair import (ExponentMatrix, InvalidParams, QCParams,
                          SparseBinaryMatrix, build_pair, expand, find_params,
                          format_exponents, has_4cycle, validate_params)
@@ -122,6 +123,17 @@ class TestFindParams:
             find_params(5, [7])
         with pytest.raises(InvalidParams):
             find_params(2, [7])
+
+    @pytest.mark.parametrize("L", [4, 6, 8, 10])
+    def test_matches_scan_of_every_pair(self, L):
+        assert find_params(L, range(3, 60)) == oracles.find_params(L, range(3, 60))
+
+    def test_long_code_scan(self):
+        # P=1249 (n=29976 at p=4): only the sigma of order 3 are scanned
+        found = find_params(6, [1249])
+        assert len(found) == 2490
+        assert (found[0].sigma, found[0].tau) == (93, 2)
+        assert all(validate_params(p) == [] for p in found[::97])
 
 
 class TestHas4Cycle:
