@@ -20,7 +20,15 @@ butterfly stage is two contiguous add/subtract calls over h*M*L
 elements and every prefix/suffix step is one call over (q, M).  The
 permutation gathers on either side of the transforms are single `take`
 calls on flat edge*q + symbol indices built once per decoder; they also
-switch between the two layouts, so no transposing copy is made.
+switch between the two layouts, so no transposing copy is made.  A
+decoder allocates its work buffers once: the transform input that the
+forward gather writes into, the prefix and suffix products, the pair of
+butterfly buffers that both transforms of an iteration share, and the
+(2, N, q) arrays of the variable update, which handles both edges of
+every column in one pass.  The butterfly views of every transform stage
+and the (q, M) slices of every prefix/suffix step are built with them,
+so an iteration creates no views.  Only the arrays that a decode hands
+out (`estimate`, `last_c2v`, `last_v2c`) are fresh for each decode.
 
 Bit-identity.  Every message is computed by the same IEEE-754 float64
 operations in the same order as the per-edge definition: butterfly
@@ -37,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log2
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,29 +57,22 @@ class LengthMismatch(ValueError):
     pass
 
 
-class SingularMap(ValueError):
-    """The supplied bit matrix is not invertible over GF(2)."""
-
-
 class NonFiniteMessage(ArithmeticError):
     """A message PMF contains NaN or infinity."""
 
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Iteration cap, probability floor, and argmax tie rule."""
+    """Iteration cap and probability floor.  Ties go to the lowest symbol."""
 
     max_iter: int = 32
     pmf_floor: float = 1e-300
-    tie_break: str = "lowest"
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.pmf_floor < 0:
             raise ValueError(f"pmf_floor must be >= 0, got {self.pmf_floor}")
-        if self.tie_break != "lowest":
-            raise ValueError("only tie_break='lowest' is supported")
 
 
 @dataclass
@@ -85,15 +86,19 @@ class DecodeOutcome:
         return self.status == "success"
 
 
+@lru_cache(maxsize=64)
 def init_pmf(f_m: float, p: int) -> np.ndarray:
     """Channel prior over GF(2)^p: mass f_m^wt(e) (1-f_m)^(p-wt(e)).
 
-    Sums to exactly 1 by the binomial theorem.
+    Sums to exactly 1 by the binomial theorem.  Symbol 0 has the largest
+    mass for every f_m in [0, 1/2).  Cached per (f_m, p), so read-only.
     """
     if not 0.0 <= f_m < 0.5:
         raise ValueError(f"f_m must be in [0, 0.5), got {f_m}")
     w = _symbol_weights(p)
-    return f_m ** w * (1.0 - f_m) ** (p - w)
+    pmf = f_m ** w * (1.0 - f_m) ** (p - w)
+    pmf.setflags(write=False)
+    return pmf
 
 
 def _popcount(v: np.ndarray) -> np.ndarray:
@@ -113,15 +118,50 @@ def _symbol_weights(p: int) -> np.ndarray:
     return w
 
 
-def walsh_hadamard(x: np.ndarray) -> np.ndarray:
+class WHTWork(NamedTuple):
+    """Output halves of the first butterfly stage, (in, in, out, out) views
+    of every later stage, and the (q, rows) buffer that holds the result."""
+
+    first: tuple
+    later: tuple
+    out: np.ndarray
+
+
+def wht_work(q: int, rows: int) -> WHTWork:
+    """Two (q, rows) float64 buffers and the views of every butterfly stage."""
+    if q < 2 or q & (q - 1):
+        raise LengthMismatch(f"length {q} is not a power of 2 above 1")
+    bufs = (np.empty((q, rows)), np.empty((q, rows)))
+    stages = []
+    src = None
+    h = 1
+    while h < q:
+        # symbol s = (2 * block + half) * h + j pairs with s + h
+        dst = bufs[h.bit_length() & 1]
+        b = dst.reshape(q // (2 * h), 2, h * rows)
+        if src is None:
+            first = (b[:, 0], b[:, 1])
+        else:
+            a = src.reshape(q // (2 * h), 2, h * rows)
+            stages.append((a[:, 0], a[:, 1], b[:, 0], b[:, 1]))
+        src = dst
+        h *= 2
+    return WHTWork(first, tuple(stages), src)
+
+
+def walsh_hadamard(x: np.ndarray, work: WHTWork | None = None) -> np.ndarray:
     """Unnormalised WHT along the last axis (length a power of 2).
 
     Applying it twice multiplies by q.  The butterflies run on a
-    symbol-major (q, rows) float64 layout, alternating between two fresh
+    symbol-major (q, rows) float64 layout, alternating between two
     buffers, so the input is never written.  An input already laid out
     that way in memory (`np.moveaxis(x, -1, 0)` C-contiguous) is read
     without a transposing copy.  The result has the input's shape and
     the same symbol-major memory layout.
+
+    `work`, from `wht_work(q, rows)`, supplies the buffers; the result is
+    then a view of `work.out`, which the next call with the same `work`
+    overwrites.  Without it, fresh buffers are made.
     """
     x = np.asarray(x)
     q = x.shape[-1]
@@ -130,63 +170,17 @@ def walsh_hadamard(x: np.ndarray) -> np.ndarray:
     if q == 1:
         return x.astype(np.float64)
     src = np.ascontiguousarray(x.reshape(-1, q).T, dtype=np.float64)
-    rows = src.shape[1]
-    bufs = (np.empty((q, rows)), np.empty((q, rows)))
-    h = 1
-    while h < q:
-        # symbol s = (2 * block + half) * h + j pairs with s + h
-        a = src.reshape(q // (2 * h), 2, h * rows)
-        src = bufs[h.bit_length() & 1]
-        b = src.reshape(q // (2 * h), 2, h * rows)
-        np.add(a[:, 0], a[:, 1], out=b[:, 0])
-        np.subtract(a[:, 0], a[:, 1], out=b[:, 1])
-        h *= 2
-    return src.T.reshape(x.shape)
-
-
-def _character(shift: int, q: int) -> np.ndarray:
-    """(-1)^<shift, w> for w in [0, q): the WHT of the point mass at shift."""
-    bits = _popcount(np.arange(q) & shift) & 1
-    return 1.0 - 2.0 * bits
-
-
-def wht_convolve(msgs, shift: int = 0) -> np.ndarray:
-    """Group convolution over (Z_2)^p of PMFs plus the point mass at shift.
-
-    Transform-domain product, inverse transform, clamp round-off
-    negatives to zero, renormalise.  Cost O(k q log q) for k messages.
-    """
-    if not msgs:
-        raise LengthMismatch("need at least one message")
-    arrs = [np.asarray(m, dtype=np.float64) for m in msgs]
-    q = arrs[0].shape[-1]
-    for a in arrs:
-        if a.shape != (q,):
-            raise LengthMismatch(f"message shapes differ: {a.shape} vs ({q},)")
-    acc = _character(shift, q)
-    for a in arrs:
-        acc = acc * walsh_hadamard(a)
-    out = walsh_hadamard(acc) / q
-    np.maximum(out, 0.0, out=out)
-    return out / out.sum()
-
-
-def permute_pmf(msg: np.ndarray, map_matrix: np.ndarray) -> np.ndarray:
-    """Relabel a PMF by an invertible map on symbols: out(e) = msg(map @ e)."""
-    map_matrix = np.asarray(map_matrix, dtype=np.int64)
-    p = map_matrix.shape[0]
-    if map_matrix.shape != (p, p):
-        raise SingularMap(f"map must be square, got {map_matrix.shape}")
-    q = 1 << p
-    msg = np.asarray(msg, dtype=np.float64)
-    if msg.shape != (q,):
-        raise LengthMismatch(f"message length {msg.shape} does not match map size {q}")
-    bits = (np.arange(q)[:, None] >> np.arange(p)) & 1
-    out_bits = bits @ map_matrix.T & 1
-    idx = out_bits @ (1 << np.arange(p))
-    if np.bincount(idx, minlength=q).max() != 1:
-        raise SingularMap("map is not invertible over GF(2)")
-    return msg[idx]
+    if work is None:
+        work = wht_work(q, src.shape[1])
+    elif work.out.shape != src.shape:
+        raise LengthMismatch(f"work buffers are {work.out.shape}, input is {src.shape}")
+    a = src.reshape(q // 2, 2, src.shape[1])
+    np.add(a[:, 0], a[:, 1], out=work.first[0])
+    np.subtract(a[:, 0], a[:, 1], out=work.first[1])
+    for a0, a1, b0, b1 in work.later:
+        np.add(a0, a1, out=b0)
+        np.subtract(a0, a1, out=b1)
+    return work.out.T.reshape(x.shape)
 
 
 class SyndromeDecoder:
@@ -195,8 +189,8 @@ class SyndromeDecoder:
     Precomputes, per edge (m, k): the symbol permutation of the entry's
     binary image, flat gather indices through it and through its
     inverse, and column-to-edge pointers.  A decoder instance owns its
-    message buffers; share the (immutable) code across instances, not
-    the instance across threads.
+    message and work buffers; share the (immutable) code across
+    instances, not the instance across threads.
 
     `op_count` accumulates the arithmetic operations (adds and
     multiplies) of the check-node convolutions: transform butterflies
@@ -229,15 +223,38 @@ class SyndromeDecoder:
         self._gather_out = (fwd * (M * L) + edge[:, None]).reshape(M, L, q)
         self._syndrome_at = (edge * q).reshape(M, L)
 
-        # column -> its two edges, as indices into the flat (M*L) edge axis
+        # column -> its two edges, as indices into the flat (M*L) edge axis:
+        # row 0 holds each column's first edge, row 1 its second.  The
+        # message to one edge is built from the check message on the other.
         flat_cols = self.cols.reshape(-1)
         if (np.bincount(flat_cols, minlength=code.N) != 2).any():
             raise DimensionMismatch("decoder requires column weight exactly 2")
         edges = np.argsort(flat_cols, kind="stable").reshape(code.N, 2)
-        self.edge_a = edges[:, 0]
-        self.edge_b = edges[:, 1]
+        self._edges_to = np.ascontiguousarray(edges.T)              # (2, N)
+        self._edges_from = np.ascontiguousarray(edges.T[::-1])
 
         self._parity = _symbol_weights(self.p) & 1
+        self._symbols = np.arange(q)[:, None]
+        log2q = q.bit_length() - 1
+        self._ops_per_iteration = (2 * M * L * q * log2q + M * L * q
+                                   + (2 * (L - 2) + 2 * L) * M * q)
+
+        # decoder-owned work buffers (see the module docstring)
+        self._wht = wht_work(q, M * L)
+        self._t_in = np.empty((q, M, L))
+        self._pref = pref = np.empty((q, M, L))
+        self._suff = suff = np.empty((q, M, L))
+        suff[..., L - 1] = 1.0
+        t = self._wht.out.reshape(q, M, L)
+        self._pref0 = pref[..., 0]
+        self._products = (
+            tuple((pref[..., k - 1], t[..., k - 1], pref[..., k]) for k in range(1, L))
+            + tuple((suff[..., k + 1], t[..., k + 1], suff[..., k])
+                    for k in range(L - 2, -1, -1)))
+        self._from = np.empty((2, code.N, q))
+        self._to = np.empty((2, code.N, q))
+        self._belief = np.empty((code.N, q))
+
         self.op_count = 0
         self.last_v2c = None      # message buffers of the most recent decode,
         self.last_c2v = None      # kept for inspection and tests
@@ -266,42 +283,44 @@ class SyndromeDecoder:
             raise DimensionMismatch(f"syndrome symbols must lie in [0, {self.q})")
         if not 0 <= config.pmf_floor < 1.0 / self.q:
             raise ValueError(f"pmf_floor must be below 1/q = {1.0 / self.q}")
-        M, L, q = self.M, self.L, self.q
-        log2q = int(log2(q))
+        M, L, q, N = self.M, self.L, self.q, self.code.N
         p0 = init_pmf(f_m, self.p)
 
-        # tentative decision before any message update: argmax of the prior
-        estimate = np.full(self.code.N, int(np.argmax(p0)), dtype=np.int64)
-        if np.array_equal(self.syndrome_of_symbols(estimate), syndrome):
+        # the decision before any message update is the prior's argmax, the
+        # all-zero vector (see init_pmf), so it succeeds iff the syndrome is zero
+        if not syndrome.any():
             # no messages were passed; cleared here only, because freeing the
             # previous buffers before an iterating decode slows it measurably
             self.last_v2c = self.last_c2v = None
-            return DecodeOutcome(status="success", estimate=estimate, iterations=0)
+            return DecodeOutcome(status="success", estimate=np.zeros(N, dtype=np.int64),
+                                 iterations=0)
 
         # (q, M) transform of each check's syndrome point mass.  It is +-1,
         # so seeding the prefix products with it flips signs exactly, as
         # multiplying the finished products by it would.
-        chi = 1.0 - 2.0 * self._parity[np.arange(q)[:, None] & syndrome]
+        chi = 1.0 - 2.0 * self._parity[self._symbols & syndrome]
         v2c = np.broadcast_to(p0, (M, L, q)).copy()
-        pref = np.empty((q, M, L))
-        suff = np.empty((q, M, L))
-        suff[..., L - 1] = 1.0
+        c2v = np.empty((M, L, q))
+        v2c_flat = v2c.reshape(M * L, q)
+        c2v_flat = c2v.reshape(M * L, q)
+        wht, pref, frm, to, belief = self._wht, self._pref, self._from, self._to, self._belief
+        t_in = self._t_in.transpose(1, 2, 0)
+        pref_in = pref.transpose(1, 2, 0)
 
         for it in range(1, config.max_iter + 1):
-            # -- horizontal: all-but-one convolution with the syndrome mass
-            ptil = v2c.take(self._gather_in)                           # (q, M, L)
-            t = walsh_hadamard(ptil.transpose(1, 2, 0)).transpose(2, 0, 1)
-            self.op_count += M * L * q * log2q
-            pref[..., 0] = chi
-            for k in range(1, L):
-                np.multiply(pref[..., k - 1], t[..., k - 1], out=pref[..., k])
-            for k in range(L - 2, -1, -1):
-                np.multiply(suff[..., k + 1], t[..., k + 1], out=suff[..., k])
-            pref *= suff                                               # exclusive products
-            self.op_count += (2 * (L - 2) + 2 * L) * M * q
-            qtil = walsh_hadamard(pref.transpose(1, 2, 0))
-            self.op_count += M * L * q * log2q + M * L * q
-            c2v = qtil.transpose(2, 0, 1).take(self._gather_out)      # (M, L, q)
+            # -- horizontal: all-but-one convolution with the syndrome mass;
+            # both transforms leave their result in wht.out.  The gather
+            # indices are in range by construction, and mode "clip" writes
+            # straight into `out`, which the default mode would buffer.
+            v2c.take(self._gather_in, out=self._t_in, mode="clip")   # (q, M, L)
+            walsh_hadamard(t_in, wht)
+            self._pref0[...] = chi
+            for a, b, out in self._products:
+                np.multiply(a, b, out=out)
+            pref *= self._suff                                          # exclusive products
+            walsh_hadamard(pref_in, wht)
+            self.op_count += self._ops_per_iteration
+            wht.out.take(self._gather_out, out=c2v, mode="clip")     # (M, L, q)
             c2v *= 1.0 / q
             np.maximum(c2v, 0.0, out=c2v)
             c2v /= c2v.sum(axis=2, keepdims=True)
@@ -310,27 +329,22 @@ class SyndromeDecoder:
                 raise NonFiniteMessage(f"check messages non-finite at iteration {it}")
             self.last_c2v = c2v
 
-            # -- vertical: channel prior times the other edge's check message
-            c2v_flat = c2v.reshape(M * L, q)
-            from_a = c2v_flat[self.edge_a]                         # (N, q)
-            from_b = c2v_flat[self.edge_b]
-            to_a = p0 * from_b
-            to_b = p0 * from_a
-            to_a /= to_a.sum(axis=1, keepdims=True)
-            to_b /= to_b.sum(axis=1, keepdims=True)
-            np.maximum(to_a, config.pmf_floor, out=to_a)
-            np.maximum(to_b, config.pmf_floor, out=to_b)
-            if not (np.isfinite(to_a).all() and np.isfinite(to_b).all()):
+            # -- vertical: channel prior times the other edge's check message,
+            # for both edges of every column at once; the belief
+            # (p0 * from_first) * from_second is taken before normalising
+            c2v_flat.take(self._edges_from, axis=0, out=frm, mode="clip")   # (2, N, q)
+            np.multiply(frm, p0, out=to)
+            np.multiply(to[1], frm[0], out=belief)
+            to /= to.sum(axis=2, keepdims=True)
+            np.maximum(to, config.pmf_floor, out=to)
+            if not np.isfinite(to).all():
                 raise NonFiniteMessage(f"variable messages non-finite at iteration {it}")
-            v2c_flat = v2c.reshape(M * L, q)
-            v2c_flat[self.edge_a] = to_a
-            v2c_flat[self.edge_b] = to_b
+            v2c_flat[self._edges_to] = to
             self.last_v2c = v2c
 
             # -- tentative decision and syndrome check
-            belief = p0 * from_a * from_b
             estimate = np.argmax(belief, axis=1)
-            if np.array_equal(self.syndrome_of_symbols(estimate), syndrome):
+            if (self.syndrome_of_symbols(estimate) == syndrome).all():
                 return DecodeOutcome(status="success", estimate=estimate, iterations=it)
 
         return DecodeOutcome(status="fail", estimate=estimate, iterations=config.max_iter)

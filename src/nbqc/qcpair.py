@@ -209,24 +209,30 @@ def find_params(L: int, P_range) -> list[QCParams]:
 
     Returns every combination that passes validation, ordered by
     (P, sigma, tau).  May be empty (e.g. no element of order L/2).
-    A sigma that is not a unit of order L/2 fails validation for every
-    tau, so the tau scan runs only for the few sigma that pass.
+    The conditions of `validate_params` that involve only sigma are
+    checked once per sigma; the tau scan then tests the two that involve
+    tau (a unit, outside the orbit of sigma), and runs only for the few
+    sigma that pass.
     """
     if L % 2 != 0 or L < 4:
         raise InvalidParams(f"L must be even and >= 4, got {L}")
+    order = L // 2
     found = []
     for P in P_range:
         if P <= 2:
             continue
         for sigma in range(1, P):
             # pow filters first, so _order only walks orders dividing L/2
-            if (math.gcd(sigma, P) != 1 or pow(sigma, L // 2, P) != 1
-                    or _order(sigma, P) != L // 2):
+            if (math.gcd(sigma, P) != 1 or pow(sigma, order, P) != 1
+                    or _order(sigma, P) != order):
                 continue
-            for tau in range(1, P):
-                params = QCParams(P=P, J=2, L=L, sigma=sigma, tau=tau)
-                if not validate_params(params):
-                    found.append(params)
+            powers = [pow(sigma, j, P) for j in range(order)]
+            if order == _unit_count(P) or any(math.gcd((1 - s) % P, P) != 1 for s in powers[1:]):
+                continue
+            orbit = set(powers)
+            found.extend(QCParams(P=P, J=2, L=L, sigma=sigma, tau=tau)
+                         for tau in range(1, P)
+                         if math.gcd(tau, P) == 1 and tau not in orbit)
     return found
 
 

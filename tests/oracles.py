@@ -6,8 +6,9 @@ and walks cycles through a column index; these are the direct
 formulations they must agree with.  The orthogonality checks compare
 every pair of rows (or loop over every entry), so they are quadratic in
 the row count.  The Howell-form solver reduces dense rows over Z_m for
-any homogeneous system, zero-divisor pivots included.  All of them are
-kept out of `src/`.
+any homogeneous system, zero-divisor pivots included.  The single-message
+convolution and symbol relabelling are the per-edge steps of the
+decoder's vectorised iteration.  All of them are kept out of `src/`.
 """
 
 import itertools
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nbqc.decoder import LengthMismatch, walsh_hadamard
 from nbqc.modring import ModSystem
 from nbqc.nblift import CycleStructure, DimensionMismatch, NBMatrix
 from nbqc.qcpair import QCParams, SparseBinaryMatrix, validate_params
@@ -293,3 +295,55 @@ def find_params(L: int, P_range) -> list[QCParams]:
                   for P in P_range if P > 2
                   for sigma in range(1, P) for tau in range(1, P))
     return [params for params in candidates if not validate_params(params)]
+
+
+# -- per-edge decoder steps ------------------------------------------------------
+
+
+class SingularMap(ValueError):
+    """The supplied bit matrix is not invertible over GF(2)."""
+
+
+def _character(shift: int, q: int) -> np.ndarray:
+    """(-1)^<shift, w> for w in [0, q): the WHT of the point mass at shift."""
+    bits = np.array([(w & shift).bit_count() & 1 for w in range(q)])
+    return 1.0 - 2.0 * bits
+
+
+def wht_convolve(msgs, shift: int = 0) -> np.ndarray:
+    """Group convolution over (Z_2)^p of PMFs plus the point mass at shift.
+
+    Transform-domain product, inverse transform, clamp round-off
+    negatives to zero, renormalise.  Cost O(k q log q) for k messages.
+    """
+    if not msgs:
+        raise LengthMismatch("need at least one message")
+    arrs = [np.asarray(m, dtype=np.float64) for m in msgs]
+    q = arrs[0].shape[-1]
+    for a in arrs:
+        if a.shape != (q,):
+            raise LengthMismatch(f"message shapes differ: {a.shape} vs ({q},)")
+    acc = _character(shift, q)
+    for a in arrs:
+        acc = acc * walsh_hadamard(a)
+    out = walsh_hadamard(acc) / q
+    np.maximum(out, 0.0, out=out)
+    return out / out.sum()
+
+
+def permute_pmf(msg: np.ndarray, map_matrix: np.ndarray) -> np.ndarray:
+    """Relabel a PMF by an invertible map on symbols: out(e) = msg(map @ e)."""
+    map_matrix = np.asarray(map_matrix, dtype=np.int64)
+    p = map_matrix.shape[0]
+    if map_matrix.shape != (p, p):
+        raise SingularMap(f"map must be square, got {map_matrix.shape}")
+    q = 1 << p
+    msg = np.asarray(msg, dtype=np.float64)
+    if msg.shape != (q,):
+        raise LengthMismatch(f"message length {msg.shape} does not match map size {q}")
+    bits = (np.arange(q)[:, None] >> np.arange(p)) & 1
+    out_bits = bits @ map_matrix.T & 1
+    idx = out_bits @ (1 << np.arange(p))
+    if np.bincount(idx, minlength=q).max() != 1:
+        raise SingularMap("map is not invertible over GF(2)")
+    return msg[idx]

@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import closed_form_cycle
+from oracles import closed_form_cycle, wht_convolve
 from nbqc.binexpand import binary_orthogonal, expand_pair
 from nbqc.channel import syndrome_of
-from nbqc.decoder import DecoderConfig, SyndromeDecoder, wht_convolve
+from nbqc.decoder import DecoderConfig, SyndromeDecoder
 from nbqc.gf2p import make_field
 from nbqc.harness import main, s2_limit, shannon_limit, simulate_point
 from nbqc.nblift import cycle_structure, lift_gamma, solve_delta, verify_orthogonal

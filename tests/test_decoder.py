@@ -17,13 +17,13 @@ from hypothesis import strategies as st
 
 from nbqc.binexpand import expand_pair, load_pair
 from nbqc.channel import ChannelParams, sample_error, syndrome_of
-from nbqc.decoder import (DecoderConfig, LengthMismatch,
-                          SingularMap, SyndromeDecoder, decode, decode_css,
-                          init_pmf, permute_pmf, walsh_hadamard, wht_convolve)
+from nbqc.decoder import (DecoderConfig, LengthMismatch, SyndromeDecoder, decode,
+                          decode_css, init_pmf, walsh_hadamard, wht_work)
 from nbqc.gf2p import make_field
 from nbqc.harness import trial_rng
 from nbqc.nblift import DimensionMismatch, lift_gamma, solve_delta
 from nbqc.qcpair import QCParams, build_pair
+from oracles import SingularMap, permute_pmf, wht_convolve
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
 DATA = Path(__file__).parent / "data"
@@ -97,6 +97,21 @@ class TestInitPmf:
         with pytest.raises(ValueError):
             init_pmf(-0.1, 4)
 
+    @pytest.mark.parametrize("p", range(1, 9))
+    @pytest.mark.parametrize("f", [0.0, 1e-12, 0.02, 0.3, 0.5 - 1e-9])
+    def test_symbol_zero_is_the_argmax(self, p, f):
+        # the decoder's iteration-0 check relies on this: the prior's
+        # decision is the all-zero vector, whose syndrome is zero
+        pmf = init_pmf(f, p)
+        assert np.argmax(pmf) == 0
+        assert pmf[0] > pmf[1:].max()
+
+    def test_cached_prior_is_read_only(self):
+        pmf = init_pmf(0.02, 4)
+        assert init_pmf(0.02, 4) is pmf
+        with pytest.raises(ValueError):
+            pmf[0] = 0.5
+
 
 class TestWalshHadamard:
     def test_twice_is_q_identity(self):
@@ -128,21 +143,34 @@ class TestWalshHadamard:
              "tiny": lambda: (1.0 + rng.random(shape)) * 1e-300,
              "large": lambda: (rng.random(shape) - 0.5) * 1e10}[values]()
         want = concat_walsh_hadamard(x)
-        # the decoder hands over symbol-major memory: last axis outermost
+        # the decoder hands over symbol-major memory: last axis outermost,
+        # and its own work buffers, reused from call to call
         symbol_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+        work = wht_work(q, x.size // q)
         for arg in (x, symbol_major):
-            got = walsh_hadamard(arg)
-            assert got.shape == shape and got.dtype == np.float64
-            assert np.array_equal(got, want)
+            for got in (walsh_hadamard(arg), walsh_hadamard(arg, work)):
+                assert got.shape == shape and got.dtype == np.float64
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("shape", [(16,), (1, 16), (1, 1, 16), (4, 16)])
     def test_input_not_modified(self, shape):
         rng = np.random.default_rng(8)
         x = rng.random(shape)
         kept = x.copy()
+        work = wht_work(16, x.size // 16)
         for arg in (x, np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)):
             walsh_hadamard(arg)
+            walsh_hadamard(arg, work)
             assert np.array_equal(arg, kept)
+
+    def test_work_buffers_must_fit(self):
+        with pytest.raises(LengthMismatch):
+            walsh_hadamard(np.ones((3, 16)), wht_work(16, 4))
+        with pytest.raises(LengthMismatch):
+            walsh_hadamard(np.ones((4, 8)), wht_work(16, 2))
+        for q in (0, 1, 6):
+            with pytest.raises(LengthMismatch):
+                wht_work(q, 4)
 
     def test_integer_input_and_length_one(self):
         assert np.array_equal(walsh_hadamard(np.array([1, 2, 3, 4])),
@@ -312,7 +340,7 @@ class TestDecode:
     def test_config_validation(self, code):
         with pytest.raises(ValueError):
             DecoderConfig(max_iter=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):      # ties always go to the lowest symbol
             DecoderConfig(tie_break="random")
         with pytest.raises(ValueError):
             decode(code, "C", np.zeros(code.M, dtype=np.int64), 0.01,
@@ -344,6 +372,43 @@ class TestDecode:
         out = dec.decode(np.zeros(code.M, dtype=np.int64), 0.05)
         assert out.ok and out.iterations == 0
         assert dec.last_c2v is None and dec.last_v2c is None
+
+    def test_reuse_across_decodes(self):
+        # the decoder's work buffers carry nothing from one decode to the
+        # next, and never alias what a decode hands out
+        code = load_pair(DATA / "golden_gf16.gamma.nbqc", DATA / "golden_gf16.delta.nbqc")
+        dec = SyndromeDecoder(code, "C")
+        err_a = np.zeros(code.N, dtype=np.int64)
+        err_a[[2, 9, 33]] = [1, 6, 15]
+        err_b = np.random.default_rng(4).integers(0, 16, size=code.N)
+        runs = []
+        for err, f_m in ((err_a, 0.05), (err_b, 0.08), (err_a, 0.05)):
+            out = dec.decode(syndrome_of(code, "C", err), f_m, DecoderConfig(max_iter=6))
+            assert out.iterations >= 1
+            runs.append((out, dec.last_c2v, dec.last_v2c,
+                         [a.copy() for a in (out.estimate, dec.last_c2v, dec.last_v2c)]))
+        (a1, c2v_a1, v2c_a1, kept_a1), (b, c2v_b, v2c_b, kept_b), (a2, c2v_a2, v2c_a2, _) = runs
+        assert a1.status == a2.status and a1.iterations == a2.iterations
+        assert np.array_equal(a1.estimate, a2.estimate)
+        assert c2v_a1.tobytes() == c2v_a2.tobytes() and v2c_a1.tobytes() == v2c_a2.tobytes()
+        assert c2v_b.tobytes() != c2v_a1.tobytes()
+        for (out, c2v, v2c, kept) in runs[:2]:
+            for now, before in zip((out.estimate, c2v, v2c), kept):
+                assert now.tobytes() == before.tobytes()
+        held = (a1.estimate, c2v_a1, v2c_a1, b.estimate, c2v_b, v2c_b)
+        for i, x in enumerate(held):
+            for y in held[i + 1:]:
+                assert not np.shares_memory(x, y)
+
+    def test_nonzero_syndrome_never_stops_at_iteration_zero(self, code):
+        dec = SyndromeDecoder(code, "C")
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            s = np.zeros(code.M, dtype=np.int64)
+            s[rng.integers(0, code.M)] = rng.integers(1, 16)
+            out = dec.decode(s, float(rng.choice([0.0, 0.01, 0.2])), DecoderConfig(max_iter=2))
+            assert out.iterations >= 1
+            assert dec.last_c2v is not None and dec.last_v2c is not None
 
     def test_first_iteration_matches_public_ops(self, code):
         # one horizontal step, recomputed edge by edge with the public
