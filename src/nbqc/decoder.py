@@ -39,6 +39,31 @@ therefore reproducible to the trial, and the benchmark checks them
 exactly.  A dense +-1 Hadamard matmul or float32 messages would be
 faster at some sizes, but they round differently, flip near-tied
 decisions and change iteration counts, so they are not used.
+
+First iteration.  Iteration 1 starts from the prior p0 on every edge, so
+its check pass depends on the syndrome only through the +-1 character
+chi_s of each check's syndrome symbol s, which seeds the exclusive
+products.  Multiplying by a character translates the transform:
+WHT(chi_s * x)[u] = WHT(x)[u ^ s] (Declercq & Fossorier, IEEE Trans.
+Commun. 2007).  Both steps are exact in float64.  Every prefix and
+suffix product seeded with chi_s is chi_s times the same product seeded
+with 1, because round-to-nearest rounds a negated value to the negated
+result.  Each butterfly stage on sign-flipped operands computes the
+negated or swapped sums of the unflipped stage, so the inverse
+transform of the seeded products is the unseeded one translated by s,
+bit for bit except possibly the sign of an exact zero, and the clamp
+`np.maximum(c2v, 0.0)` turns -0.0 into +0.0 before any message is
+stored.  So a decoder keeps, for the prior of the last f_m it iterated
+at, the table T = max(WHT(E) / q, 0) of the check pass seeded with 1,
+edge-major (M*L, q), and iteration 1's check messages are one XOR of
+flat indices and one `take`: c2v[m, l, s] = T[e, fwd[e, s] ^ s_m], at
+flat index (e*q + fwd[e, s]) ^ s_m, since e*q has zero low bits.  The
+table is built inside the first iterating decode at a new f_m, with the
+same gather, transform and product code as every later iteration.  It
+costs one float64 table and one int64 index array, each M*L*q entries:
+16.3 MB together for GF(256) at P=331 (n=15888).  `op_count` still
+counts iteration 1 in full, since it models the convolution's
+arithmetic, not the work executed.
 """
 
 from __future__ import annotations
@@ -254,6 +279,13 @@ class SyndromeDecoder:
         self._from = np.empty((2, code.N, q))
         self._to = np.empty((2, code.N, q))
         self._belief = np.empty((code.N, q))
+        # iteration 1's lookup (see "First iteration"), built by decode:
+        # the prior it was built for, the table, and flat indices into it
+        # that hold the syndrome of the last decode that used them
+        self._first_p0 = None
+        self._first_table = None
+        self._first_at = None
+        self._first_syndrome = np.zeros(M, dtype=np.int64)
 
         self.op_count = 0
         self.last_v2c = None      # message buffers of the most recent decode,
@@ -272,6 +304,40 @@ class SyndromeDecoder:
             raise DimensionMismatch(f"symbols must lie in [0, {self.q})")
         mapped = self.perm_fwd.take(self._syndrome_at + symbols[self.cols])   # (M, L)
         return np.bitwise_xor.reduce(mapped, axis=1)
+
+    def _check_pass(self, v2c: np.ndarray, chi) -> None:
+        """Transform, exclusive products seeded with chi, inverse transform.
+
+        Leaves the symbol-major (q, M*L) result in `self._wht.out`.  The
+        gather indices are in range by construction, and mode "clip"
+        writes straight into `out`, which the default mode would buffer.
+        chi is +-1, so seeding the prefix products with it flips signs
+        exactly, as multiplying the finished products by it would.
+        """
+        v2c.take(self._gather_in, out=self._t_in, mode="clip")   # (q, M, L)
+        walsh_hadamard(self._t_in.transpose(1, 2, 0), self._wht)
+        self._pref0[...] = chi
+        for a, b, out in self._products:
+            np.multiply(a, b, out=out)
+        self._pref *= self._suff                                    # exclusive products
+        walsh_hadamard(self._pref.transpose(1, 2, 0), self._wht)
+
+    def _first_check_messages(self, p0: np.ndarray, syndrome: np.ndarray,
+                              out: np.ndarray) -> None:
+        """Iteration 1's check messages, clamped at 0 and not yet
+        normalised, into `out` (M, L, q)."""
+        if self._first_p0 is not p0:
+            self._check_pass(np.broadcast_to(p0, (self.M, self.L, self.q)), 1.0)
+            table = np.ascontiguousarray(self._wht.out.T)          # (M*L, q)
+            table *= 1.0 / self.q
+            np.maximum(table, 0.0, out=table)
+            if self._first_at is None:
+                edge = np.arange(self.M * self.L).reshape(self.M, self.L, 1)
+                self._first_at = edge * self.q + self.perm_fwd
+            self._first_table, self._first_p0 = table, p0
+        self._first_at ^= (syndrome ^ self._first_syndrome)[:, None, None]
+        self._first_syndrome[:] = syndrome
+        self._first_table.take(self._first_at, out=out, mode="clip")
 
     def decode(self, syndrome: np.ndarray, f_m: float,
                config: DecoderConfig = DecoderConfig()) -> DecodeOutcome:
@@ -295,34 +361,27 @@ class SyndromeDecoder:
             return DecodeOutcome(status="success", estimate=np.zeros(N, dtype=np.int64),
                                  iterations=0)
 
-        # (q, M) transform of each check's syndrome point mass.  It is +-1,
-        # so seeding the prefix products with it flips signs exactly, as
-        # multiplying the finished products by it would.
-        chi = 1.0 - 2.0 * self._parity[self._symbols & syndrome]
-        v2c = np.broadcast_to(p0, (M, L, q)).copy()
+        v2c = np.empty((M, L, q))     # iteration 1 writes every edge before any read
         c2v = np.empty((M, L, q))
         v2c_flat = v2c.reshape(M * L, q)
         c2v_flat = c2v.reshape(M * L, q)
-        wht, pref, frm, to, belief = self._wht, self._pref, self._from, self._to, self._belief
-        t_in = self._t_in.transpose(1, 2, 0)
-        pref_in = pref.transpose(1, 2, 0)
+        frm, to, belief = self._from, self._to, self._belief
 
         for it in range(1, config.max_iter + 1):
-            # -- horizontal: all-but-one convolution with the syndrome mass;
-            # both transforms leave their result in wht.out.  The gather
-            # indices are in range by construction, and mode "clip" writes
-            # straight into `out`, which the default mode would buffer.
-            v2c.take(self._gather_in, out=self._t_in, mode="clip")   # (q, M, L)
-            walsh_hadamard(t_in, wht)
-            self._pref0[...] = chi
-            for a, b, out in self._products:
-                np.multiply(a, b, out=out)
-            pref *= self._suff                                          # exclusive products
-            walsh_hadamard(pref_in, wht)
+            # -- horizontal: all-but-one convolution with the syndrome mass,
+            # looked up from the table at iteration 1
+            if it == 1:
+                self._first_check_messages(p0, syndrome, c2v)
+            else:
+                if it == 2:
+                    # (q, M) transform of each check's syndrome point mass
+                    chi = 1.0 - 2.0 * self._parity[self._symbols & syndrome]
+                self._check_pass(v2c, chi)
+                # mode "clip" writes straight into `out`; see _check_pass
+                self._wht.out.take(self._gather_out, out=c2v, mode="clip")   # (M, L, q)
+                c2v *= 1.0 / q
+                np.maximum(c2v, 0.0, out=c2v)
             self.op_count += self._ops_per_iteration
-            wht.out.take(self._gather_out, out=c2v, mode="clip")     # (M, L, q)
-            c2v *= 1.0 / q
-            np.maximum(c2v, 0.0, out=c2v)
             c2v /= c2v.sum(axis=2, keepdims=True)
             np.maximum(c2v, config.pmf_floor, out=c2v)
             if not np.isfinite(c2v).all():

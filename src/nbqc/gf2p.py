@@ -85,16 +85,6 @@ class FieldSpec:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.exp_table[(-int(self.log_table[a])) % (self.q - 1)])
 
-    def pow(self, a: int, k: int) -> int:
-        """a^k; negative k allowed for nonzero a; 0^0 = 1."""
-        if a == 0:
-            if k == 0:
-                return 1
-            if k < 0:
-                raise ZeroDivisionError("negative power of 0")
-            return 0
-        return int(self.exp_table[(int(self.log_table[a]) * k) % (self.q - 1)])
-
     def log(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("log of 0 is undefined")

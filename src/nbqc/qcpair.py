@@ -234,12 +234,3 @@ def find_params(L: int, P_range) -> list[QCParams]:
                          for tau in range(1, P)
                          if math.gcd(tau, P) == 1 and tau not in orbit)
     return found
-
-
-def format_exponents(pair: QCPair) -> str:
-    """Render both matrices in bracketed I(x) block notation."""
-    out = []
-    for exp in (pair.c, pair.d):
-        rows = ["  ".join(f"I({v})" for v in row) for row in exp.table]
-        out.append(f"H_{exp.role} =\n  " + "\n  ".join(rows))
-    return "\n".join(out)

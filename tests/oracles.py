@@ -8,7 +8,10 @@ every pair of rows (or loop over every entry), so they are quadratic in
 the row count.  The Howell-form solver reduces dense rows over Z_m for
 any homogeneous system, zero-divisor pivots included.  The single-message
 convolution and symbol relabelling are the per-edge steps of the
-decoder's vectorised iteration.  All of them are kept out of `src/`.
+decoder's vectorised iteration, and the plain first check pass is what
+the decoder's first-iteration lookup replaces.  Field powers and the
+exponent-table printout are used by tests only.  All of them are kept
+out of `src/`.
 """
 
 import itertools
@@ -17,10 +20,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nbqc.decoder import LengthMismatch, walsh_hadamard
+from nbqc.decoder import LengthMismatch, SyndromeDecoder, walsh_hadamard
+from nbqc.gf2p import FieldSpec
 from nbqc.modring import ModSystem
 from nbqc.nblift import CycleStructure, DimensionMismatch, NBMatrix
-from nbqc.qcpair import QCParams, SparseBinaryMatrix, validate_params
+from nbqc.qcpair import QCPair, QCParams, SparseBinaryMatrix, validate_params
+
+
+def field_pow(field: FieldSpec, a: int, k: int) -> int:
+    """a^k; negative k allowed for nonzero a; 0^0 = 1."""
+    if a == 0:
+        if k == 0:
+            return 1
+        if k < 0:
+            raise ZeroDivisionError("negative power of 0")
+        return 0
+    return int(field.exp_table[(int(field.log_table[a]) * k) % (field.q - 1)])
+
+
+def format_exponents(pair: QCPair) -> str:
+    """Render both matrices in bracketed I(x) block notation."""
+    out = []
+    for exp in (pair.c, pair.d):
+        rows = ["  ".join(f"I({v})" for v in row) for row in exp.table]
+        out.append(f"H_{exp.role} =\n  " + "\n  ".join(rows))
+    return "\n".join(out)
 
 
 def binary_orthogonal(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> bool:
@@ -347,3 +371,24 @@ def permute_pmf(msg: np.ndarray, map_matrix: np.ndarray) -> np.ndarray:
     if np.bincount(idx, minlength=q).max() != 1:
         raise SingularMap("map is not invertible over GF(2)")
     return msg[idx]
+
+
+def first_check_pass(decoder: SyndromeDecoder, syndrome: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """Iteration 1's check messages before normalising, (M, L, q), computed directly.
+
+    Every edge carries the prior p0: gather it through the inverse entry
+    maps, transform, take exclusive products along each row seeded with
+    the character of the row's syndrome symbol (cumprod, the same
+    sequential products as the decoder), transform back, gather through
+    the entry maps, scale by 1/q and clamp at 0.
+    """
+    q = decoder.q
+    fwd = decoder.perm_fwd                                      # (M, L, q)
+    inv = np.argsort(fwd, axis=2)
+    t = walsh_hadamard(p0[inv])
+    chi = np.stack([_character(int(s), q) for s in syndrome])   # (M, q)
+    pref = np.cumprod(np.concatenate((chi[:, None], t[:, :-1]), axis=1), axis=1)
+    ones = np.ones_like(chi)[:, None]
+    suff = np.cumprod(np.concatenate((ones, t[:, :0:-1]), axis=1), axis=1)[:, ::-1]
+    back = walsh_hadamard(pref * suff)
+    return np.maximum(np.take_along_axis(back, fwd, axis=2) * (1.0 / q), 0.0)

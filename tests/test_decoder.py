@@ -7,6 +7,7 @@ maximum likelihood decoding (enumerable because candidates are N*(q-1)
 vectors).  Decoder outputs are also pinned bit for bit by a digest.
 """
 
+import functools
 import hashlib
 from pathlib import Path
 
@@ -17,13 +18,13 @@ from hypothesis import strategies as st
 
 from nbqc.binexpand import expand_pair, load_pair
 from nbqc.channel import ChannelParams, sample_error, syndrome_of
-from nbqc.decoder import (DecoderConfig, LengthMismatch, SyndromeDecoder, decode,
-                          decode_css, init_pmf, walsh_hadamard, wht_work)
+from nbqc.decoder import (DecoderConfig, LengthMismatch, NonFiniteMessage, SyndromeDecoder,
+                          decode, decode_css, init_pmf, walsh_hadamard, wht_work)
 from nbqc.gf2p import make_field
 from nbqc.harness import trial_rng
 from nbqc.nblift import DimensionMismatch, lift_gamma, solve_delta
 from nbqc.qcpair import QCParams, build_pair
-from oracles import SingularMap, permute_pmf, wht_convolve
+from oracles import SingularMap, first_check_pass, permute_pmf, wht_convolve
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
 DATA = Path(__file__).parent / "data"
@@ -151,6 +152,24 @@ class TestWalshHadamard:
             for got in (walsh_hadamard(arg), walsh_hadamard(arg, work)):
                 assert got.shape == shape and got.dtype == np.float64
                 assert np.array_equal(got, want)
+
+    @settings(max_examples=80, deadline=None)
+    @given(q=st.sampled_from([2, 4, 16, 256]), lead=st.sampled_from([(), (1,), (3,), (2, 5)]),
+           symbol_major=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_character_translates_transform(self, q, lead, symbol_major, seed, data):
+        # WHT(chi_a * x)[u] == WHT(x)[u ^ a], bit for bit up to the sign of
+        # an exact zero, which np.array_equal does not see
+        a = data.draw(st.integers(0, q - 1))
+        rng = np.random.default_rng(seed)
+        shape = (*lead, q)
+        scale = rng.choice([0.0, 1e-300, 1.0, 1e10], size=shape)
+        x = scale * rng.uniform(-1.0, 1.0, size=shape)
+        idx = np.arange(q)
+        chi = 1.0 - 2.0 * (np.bitwise_count(idx & a) & 1)
+        layout = ((lambda v: np.moveaxis(np.ascontiguousarray(np.moveaxis(v, -1, 0)), 0, -1))
+                  if symbol_major else (lambda v: v))
+        assert np.array_equal(walsh_hadamard(layout(chi * x)),
+                              walsh_hadamard(layout(x))[..., idx ^ a])
 
     @pytest.mark.parametrize("shape", [(16,), (1, 16), (1, 1, 16), (4, 16)])
     def test_input_not_modified(self, shape):
@@ -441,6 +460,80 @@ class TestDecode:
         out_c, out_d = decode_css(code, (s_c, s_d), 0.01)
         assert out_d.ok and out_d.iterations == 0 and not out_d.estimate.any()
         assert out_c.ok and np.array_equal(out_c.estimate, err)
+
+
+@functools.lru_cache(maxsize=None)
+def ex1_code(p):
+    pair = build_pair(EX1)
+    gamma = lift_gamma(pair, make_field(p), np.random.default_rng(2))
+    return expand_pair(gamma, solve_delta(gamma, pair))
+
+
+def decode_record(dec, syndrome, f_m, config):
+    """Outcome, op_count increment and message bytes of one decode, or its error."""
+    before = dec.op_count
+    try:
+        out = dec.decode(syndrome, f_m, config)
+    except NonFiniteMessage as exc:
+        return ("raised", str(exc), dec.op_count - before)
+    return (out.status, out.estimate.tobytes(), out.iterations, dec.op_count - before,
+            *(b"-" if buf is None else buf.tobytes() for buf in (dec.last_c2v, dec.last_v2c)))
+
+
+class TestFirstIterationLookup:
+    """Iteration 1's check messages come from a per-f_m table translated by
+    the syndrome; they must equal the plain first check pass bit for bit."""
+
+    @staticmethod
+    def plain_decoder(code, role):
+        # the same decoder with its lookup replaced by the oracle's plain pass
+        dec = SyndromeDecoder(code, role)
+        dec._first_check_messages = (
+            lambda p0, syndrome, out: np.copyto(out, first_check_pass(dec, syndrome, p0)))
+        return dec
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    @pytest.mark.parametrize("role", ["C", "D"])
+    @pytest.mark.parametrize("pmf_floor", [0.0, 1e-300])
+    def test_matches_plain_first_pass(self, p, role, pmf_floor):
+        code = ex1_code(p)
+        q = code.field.q
+        rng = np.random.default_rng(p)
+        lookup, plain = SyndromeDecoder(code, role), self.plain_decoder(code, role)
+        outcomes = set()
+        for f_m in (0.0, 0.01, 0.2, 0.49):
+            for max_iter in (1, 3):
+                config = DecoderConfig(max_iter=max_iter, pmf_floor=pmf_floor)
+                # random syndromes with zero checks, and syndromes of sparse errors
+                err = np.zeros(code.N, dtype=np.int64)
+                err[rng.choice(code.N, 2, replace=False)] = rng.integers(1, q, size=2)
+                syndromes = [rng.integers(0, q, size=code.M) * (rng.random(code.M) < 0.7)
+                             for _ in range(2)]
+                syndromes += [syndrome_of(code, role, err), syndrome_of(code, role, err[::-1])]
+                for s in syndromes:
+                    got = decode_record(lookup, s, f_m, config)
+                    assert got == decode_record(plain, s, f_m, config)
+                    outcomes.add(got[0])
+        assert outcomes >= {"success", "fail"}
+
+    def test_cache_follows_f_m(self):
+        code = ex1_code(4)
+        rng = np.random.default_rng(5)
+        syndromes = [rng.integers(0, 16, size=code.M) for _ in range(3)]
+        shared = SyndromeDecoder(code, "C")
+        config = DecoderConfig(max_iter=3)
+        for f_m in (0.03, 0.05, 0.03):
+            for s in syndromes:
+                fresh = SyndromeDecoder(code, "C")
+                assert (decode_record(shared, s, f_m, config)
+                        == decode_record(fresh, s, f_m, config))
+            for bad in (0.5, -0.01):
+                with pytest.raises(ValueError):
+                    shared.decode(syndromes[0], bad, config)
+        fresh = SyndromeDecoder(code, "C")
+        assert (decode_record(shared, syndromes[1], 0.05, config)
+                == decode_record(fresh, syndromes[1], 0.05, config))
 
 
 class TestBinaryEquivalence:

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from nbqc.binexpand import load_pair, write_matrix
+from nbqc.channel import ChannelParams, sample_error, syndrome_of
+from nbqc.decoder import SyndromeDecoder
 from nbqc.harness import (DomainError, SimRecord, bdd_limit,
                           limit_point, main, record_csv_line, s2_limit,
                           shannon_limit, simulate_point, simulate_sweep,
@@ -126,6 +128,40 @@ class TestSimulate:
         c = trial_rng(7, 0).random(4)
         assert not np.array_equal(a, b)
         assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**62, 2**64 + 5, 2**128 - 1])
+    def test_trial_rng_is_philox_keyed_by_seed(self, seed):
+        for t in (0, 1, 2**64 + 3):
+            want = np.random.Generator(np.random.Philox(key=seed, counter=t << 128))
+            got = trial_rng(seed, t)
+            assert np.array_equal(got.random(6), want.random(6))
+            assert np.array_equal(got.integers(0, 2**62, 6), want.integers(0, 2**62, 6))
+            assert np.array_equal(got.random(5, dtype=np.float32),
+                                  want.random(5, dtype=np.float32))
+
+    @pytest.mark.parametrize("seed, trial", [(-1, 0), (2**128, 0), (1 << 130, 3),
+                                             (5, -1), (5, 2**128)])
+    def test_trial_rng_rejects_out_of_range(self, seed, trial):
+        with pytest.raises(ValueError):
+            trial_rng(seed, trial)
+
+    def test_simulation_draws_the_trial_rng_streams(self, golden_code):
+        # the simulation re-seeks one generator; trial t must still see the
+        # stream of Philox(key=seed, counter=t << 128)
+        seed, f_m, trials = 2**64 + 5, 0.05, 30
+        rec = simulate_point(golden_code, "C", f_m, trials=trials, seed=seed)
+        dec = SyndromeDecoder(golden_code, "C")
+        fails = iters = 0
+        for t in range(trials):
+            rng = np.random.Generator(np.random.Philox(key=seed, counter=t << 128))
+            err, _ = sample_error(golden_code.N, golden_code.field.p, ChannelParams(f_m), rng)
+            out = dec.decode(syndrome_of(golden_code, "C", err), f_m)
+            fails += not out.ok
+            iters += out.iterations
+        assert iters > trials
+        assert rec.fail_count == fails and rec.mean_iterations == iters / trials
+        with pytest.raises(ValueError):
+            simulate_point(golden_code, "C", f_m, trials=3, seed=-1)
 
     def test_csv_line(self):
         rec = SimRecord(f_m=0.02, role="C", trials=1000, block_errors=13,

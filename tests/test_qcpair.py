@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import oracles
 from nbqc.qcpair import (ExponentMatrix, InvalidParams, QCParams,
                          SparseBinaryMatrix, build_pair, expand, find_params,
-                         format_exponents, has_4cycle, validate_params)
+                         has_4cycle, validate_params)
+from oracles import format_exponents
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
 EX1_C = [[1, 2, 4, 3, 6, 5], [4, 1, 2, 5, 3, 6]]
