@@ -16,8 +16,14 @@ division).
 
 Layout.  Stored messages are edge-major, (M, L, q).  Between the two
 transforms of an iteration they are symbol-major, (q, M, L), so every
-butterfly stage is two contiguous add/subtract calls over h*M*L
-elements and every prefix/suffix step is one call over (q, M).  The
+butterfly stage h is one product H2 @ B over the contiguous
+(q/2h, 2, h*M*L) view of its buffer, with H2 = [[1, 1], [1, -1]], and
+every prefix/suffix step is one call over (q, M).  The product reads
+each operand once, where an add/subtract pair read it twice through
+strided views.  Its (2, w) operands are at most 2^15 columns wide (or
+M*L, if that is wider), so that OpenBLAS runs them on one thread:
+threads slowed the transform, and oversubscribed the cores when
+NBQC_WORKERS > 1.  The
 permutation gathers on either side of the transforms are single `take`
 calls on flat edge*q + symbol indices built once per decoder; they also
 switch between the two layouts, so no transposing copy is made.  A
@@ -34,11 +40,19 @@ Bit-identity.  Every message is computed by the same IEEE-754 float64
 operations in the same order as the per-edge definition: butterfly
 stages h = 1, 2, 4, ..., sequential prefix and suffix products, and
 normalising sums along contiguous length-q rows (numpy's summation order
-depends on the memory layout).  Decisions and iteration counts are
-therefore reproducible to the trial, and the benchmark checks them
-exactly.  A dense +-1 Hadamard matmul or float32 messages would be
-faster at some sizes, but they round differently, flip near-tied
-decisions and change iteration counts, so they are not used.
+depends on the memory layout).  A stage's product H2 @ B is exact
+whatever BLAS kernel runs it: each output is a two-term sum of operands
+times +-1, and multiplying by +-1 is exact, so the sum is rounded once,
+to the butterfly's a + b or a - b (unless the BLAS flushes subnormals).
+The one difference is the sign of an exact zero: the product may give
++0.0 where the butterfly gives -0.0.  No nonzero result depends on that
+sign, and the clamp `np.maximum(., 0.0)` turns every zero into +0.0
+before a table or message is stored.  Decisions and iteration counts
+are therefore reproducible to the trial, and the benchmark checks them
+exactly.  A dense q x q Hadamard matmul or float32 messages would be
+faster at some sizes, but a q-term sum in BLAS order, like a float32
+product, rounds differently, flips near-tied decisions and changes
+iteration counts, so they are not used.
 
 First iteration.  Iteration 1 starts from the prior p0 on every edge, so
 its check pass depends on the syndrome only through the +-1 character
@@ -144,12 +158,22 @@ def _symbol_weights(p: int) -> np.ndarray:
 
 
 class WHTWork(NamedTuple):
-    """Output halves of the first butterfly stage, (in, in, out, out) views
-    of every later stage, and the (q, rows) buffer that holds the result."""
+    """Output view of the first butterfly stage, (in, out) views of every
+    later stage, and the (q, rows) buffer that holds the result."""
 
-    first: tuple
+    first: np.ndarray
     later: tuple
     out: np.ndarray
+
+
+# one butterfly: (a, b) -> (a + b, a - b)
+_H2 = np.array([[1.0, 1.0], [1.0, -1.0]])
+_H2.setflags(write=False)
+
+# widest (2, w) operand of one product: 2 x 2 x 2^15 multiply-adds stay
+# below the size at which OpenBLAS starts threads (M*N*K > 4 * 65536 by
+# default), which only slow this memory-bound transform down
+_MAX_WIDTH = 1 << 15
 
 
 def wht_work(q: int, rows: int) -> WHTWork:
@@ -157,21 +181,18 @@ def wht_work(q: int, rows: int) -> WHTWork:
     if q < 2 or q & (q - 1):
         raise LengthMismatch(f"length {q} is not a power of 2 above 1")
     bufs = (np.empty((q, rows)), np.empty((q, rows)))
-    stages = []
-    src = None
-    h = 1
-    while h < q:
-        # symbol s = (2 * block + half) * h + j pairs with s + h
-        dst = bufs[h.bit_length() & 1]
-        b = dst.reshape(q // (2 * h), 2, h * rows)
-        if src is None:
-            first = (b[:, 0], b[:, 1])
-        else:
-            a = src.reshape(q // (2 * h), 2, h * rows)
-            stages.append((a[:, 0], a[:, 1], b[:, 0], b[:, 1]))
-        src = dst
-        h *= 2
-    return WHTWork(first, tuple(stages), src)
+    span = 1 << (max(1, _MAX_WIDTH // max(rows, 1)).bit_length() - 1)
+
+    def stage(buf, h):
+        # symbol s = (2 * block + half) * h + j pairs with s + h, so each
+        # block is one (2, h*rows) matrix, taken g*rows columns at a time
+        g = min(h, span)
+        return buf.reshape(q // (2 * h), 2, h // g, g * rows).transpose(0, 2, 1, 3)
+
+    hs = [1 << k for k in range(q.bit_length() - 1)]
+    dsts = [bufs[(k + 1) & 1] for k in range(len(hs))]     # stages alternate buffers
+    later = tuple((stage(src, h), stage(dst, h)) for src, dst, h in zip(dsts, dsts[1:], hs[1:]))
+    return WHTWork(stage(dsts[0], 1), later, dsts[-1])
 
 
 def walsh_hadamard(x: np.ndarray, work: WHTWork | None = None) -> np.ndarray:
@@ -179,10 +200,17 @@ def walsh_hadamard(x: np.ndarray, work: WHTWork | None = None) -> np.ndarray:
 
     Applying it twice multiplies by q.  The butterflies run on a
     symbol-major (q, rows) float64 layout, alternating between two
-    buffers, so the input is never written.  An input already laid out
-    that way in memory (`np.moveaxis(x, -1, 0)` C-contiguous) is read
-    without a transposing copy.  The result has the input's shape and
-    the same symbol-major memory layout.
+    buffers, so the input is never written.  Each stage h = 1, 2, 4, ...
+    is one product H2 @ B with H2 = [[1, 1], [1, -1]] and B the
+    (q/2h, 2, h*rows) view of its buffer, split into (2, w) operands no
+    wider than `_MAX_WIDTH`: every output is a two-term sum of operands
+    times +-1, rounded once, so it equals the add/subtract butterfly bit
+    for bit, except that an exact zero may take either sign (see the
+    module docstring).  An
+    input already laid out symbol-major in memory
+    (`np.moveaxis(x, -1, 0)` C-contiguous) is read without a transposing
+    copy.  The result has the input's shape and the same symbol-major
+    memory layout.
 
     `work`, from `wht_work(q, rows)`, supplies the buffers; the result is
     then a view of `work.out`, which the next call with the same `work`
@@ -199,13 +227,23 @@ def walsh_hadamard(x: np.ndarray, work: WHTWork | None = None) -> np.ndarray:
         work = wht_work(q, src.shape[1])
     elif work.out.shape != src.shape:
         raise LengthMismatch(f"work buffers are {work.out.shape}, input is {src.shape}")
-    a = src.reshape(q // 2, 2, src.shape[1])
-    np.add(a[:, 0], a[:, 1], out=work.first[0])
-    np.subtract(a[:, 0], a[:, 1], out=work.first[1])
-    for a0, a1, b0, b1 in work.later:
-        np.add(a0, a1, out=b0)
-        np.subtract(a0, a1, out=b1)
+    np.matmul(_H2, src.reshape(work.first.shape), out=work.first)
+    for a, b in work.later:
+        np.matmul(_H2, a, out=b)
     return work.out.T.reshape(x.shape)
+
+
+def _row_sums(msgs: np.ndarray, kind: str, it: int) -> np.ndarray:
+    """Sums along the last axis, which normalise `msgs`.
+
+    Entries are >= 0 or NaN and at most about 1, so every normalised
+    entry is finite exactly when every sum is positive and finite.  The
+    check comes before the division, so a 0/0 raises without a warning.
+    """
+    sums = msgs.sum(axis=-1, keepdims=True)
+    if not (sums.min() > 0.0 and sums.max() < np.inf):
+        raise NonFiniteMessage(f"{kind} messages non-finite at iteration {it}")
+    return sums
 
 
 class SyndromeDecoder:
@@ -300,7 +338,10 @@ class SyndromeDecoder:
         if symbols.shape != (self.code.N,):
             raise DimensionMismatch(
                 f"symbols must be {self.code.N} values, got shape {symbols.shape}")
-        if symbols.size and (symbols.min() < 0 or symbols.max() >= self.q):
+        # q is a power of 2: the OR of all symbols is negative iff one is,
+        # and at least q iff one is
+        bits = np.bitwise_or.reduce(symbols)
+        if bits < 0 or bits >= self.q:
             raise DimensionMismatch(f"symbols must lie in [0, {self.q})")
         mapped = self.perm_fwd.take(self._syndrome_at + symbols[self.cols])   # (M, L)
         return np.bitwise_xor.reduce(mapped, axis=1)
@@ -382,10 +423,8 @@ class SyndromeDecoder:
                 c2v *= 1.0 / q
                 np.maximum(c2v, 0.0, out=c2v)
             self.op_count += self._ops_per_iteration
-            c2v /= c2v.sum(axis=2, keepdims=True)
+            c2v /= _row_sums(c2v, "check", it)
             np.maximum(c2v, config.pmf_floor, out=c2v)
-            if not np.isfinite(c2v).all():
-                raise NonFiniteMessage(f"check messages non-finite at iteration {it}")
             self.last_c2v = c2v
 
             # -- vertical: channel prior times the other edge's check message,
@@ -394,10 +433,8 @@ class SyndromeDecoder:
             c2v_flat.take(self._edges_from, axis=0, out=frm, mode="clip")   # (2, N, q)
             np.multiply(frm, p0, out=to)
             np.multiply(to[1], frm[0], out=belief)
-            to /= to.sum(axis=2, keepdims=True)
+            to /= _row_sums(to, "variable", it)
             np.maximum(to, config.pmf_floor, out=to)
-            if not np.isfinite(to).all():
-                raise NonFiniteMessage(f"variable messages non-finite at iteration {it}")
             v2c_flat[self._edges_to] = to
             self.last_v2c = v2c
 

@@ -9,6 +9,7 @@ vectors).  Decoder outputs are also pinned bit for bit by a digest.
 
 import functools
 import hashlib
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,24 +135,44 @@ class TestWalshHadamard:
             walsh_hadamard(np.ones(6))
 
     @pytest.mark.parametrize("q", [4, 16, 256])
-    @pytest.mark.parametrize("lead", [(), (1,), (3, 5), (2, 3, 5)])
-    @pytest.mark.parametrize("values", ["random", "zeros", "tiny", "large"])
+    # 300 rows: at q=256 the last stages are split into narrower products
+    @pytest.mark.parametrize("lead", [(), (1,), (3, 5), (2, 3, 5), (300,)])
+    @pytest.mark.parametrize("values", ["random", "zeros", "tiny", "large",
+                                        "signed_zeros", "subnormal", "nonfinite"])
     def test_bit_identical_to_concatenate_oracle(self, q, lead, values):
         rng = np.random.default_rng(q + len(lead))
         shape = (*lead, q)
+
+        def sprinkle(special, every):
+            # ordinary values with one entry in `every` (at least one) replaced
+            x = rng.random(shape) - 0.5
+            at = rng.choice(x.size, size=max(1, x.size // every), replace=False)
+            x.reshape(-1)[at] = rng.choice(special, size=at.size)
+            return x
+
         x = {"random": lambda: rng.random(shape),
              "zeros": lambda: np.zeros(shape),
              "tiny": lambda: (1.0 + rng.random(shape)) * 1e-300,
-             "large": lambda: (rng.random(shape) - 0.5) * 1e10}[values]()
-        want = concat_walsh_hadamard(x)
-        # the decoder hands over symbol-major memory: last axis outermost,
-        # and its own work buffers, reused from call to call
-        symbol_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
-        work = wht_work(q, x.size // q)
-        for arg in (x, symbol_major):
-            for got in (walsh_hadamard(arg), walsh_hadamard(arg, work)):
-                assert got.shape == shape and got.dtype == np.float64
-                assert np.array_equal(got, want)
+             "large": lambda: (rng.random(shape) - 0.5) * 1e10,
+             "signed_zeros": lambda: sprinkle([0.0, -0.0], 2),
+             "subnormal": lambda: (rng.random(shape) - 0.5) * 2e-310,
+             "nonfinite": lambda: sprinkle([np.inf, -np.inf, np.nan], 16)}[values]()
+        finite = np.isfinite(x).all()
+        with np.errstate(invalid="ignore"):      # inf - inf in "nonfinite"
+            want = concat_walsh_hadamard(x)
+            # the decoder hands over symbol-major memory: last axis outermost,
+            # and its own work buffers, reused from call to call
+            symbol_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, -1, 0)), 0, -1)
+            work = wht_work(q, x.size // q)
+            for arg in (x, symbol_major):
+                for got in (walsh_hadamard(arg), walsh_hadamard(arg, work)):
+                    assert got.shape == shape and got.dtype == np.float64
+                    assert np.array_equal(got, want, equal_nan=True)
+                    # an exact zero may differ in sign only, which the
+                    # decoder's clamp at 0 removes
+                    if finite:
+                        assert (np.maximum(got, 0.0).tobytes()
+                                == np.maximum(want, 0.0).tobytes())
 
     @settings(max_examples=80, deadline=None)
     @given(q=st.sampled_from([2, 4, 16, 256]), lead=st.sampled_from([(), (1,), (3,), (2, 5)]),
@@ -197,6 +218,8 @@ class TestWalshHadamard:
         x = np.array([[3.0], [5.0]])
         out = walsh_hadamard(x)
         assert np.array_equal(out, x) and out is not x
+        empty = walsh_hadamard(np.ones((0, 16)))
+        assert empty.shape == (0, 16) and empty.dtype == np.float64
 
 
 class TestConvolve:
@@ -492,7 +515,6 @@ class TestFirstIterationLookup:
             lambda p0, syndrome, out: np.copyto(out, first_check_pass(dec, syndrome, p0)))
         return dec
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("p", [2, 4, 8])
     @pytest.mark.parametrize("role", ["C", "D"])
     @pytest.mark.parametrize("pmf_floor", [0.0, 1e-300])
@@ -516,6 +538,20 @@ class TestFirstIterationLookup:
                     assert got == decode_record(plain, s, f_m, config)
                     outcomes.add(got[0])
         assert outcomes >= {"success", "fail"}
+
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    @pytest.mark.parametrize("role", ["C", "D"])
+    def test_zero_prior_raises_without_warning(self, p, role):
+        # at f_m 0.0 without a floor, a nonzero syndrome leaves rows of
+        # zeros; the decoder raises before it would divide 0 by 0
+        code = ex1_code(p)
+        dec = SyndromeDecoder(code, role)
+        syndrome = np.zeros(code.M, dtype=np.int64)
+        syndrome[0] = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteMessage, match="at iteration 1$"):
+                dec.decode(syndrome, 0.0, DecoderConfig(pmf_floor=0.0))
 
     def test_cache_follows_f_m(self):
         code = ex1_code(4)
@@ -617,6 +653,30 @@ def decode_digest(code, trials=6):
     return h.hexdigest()
 
 
+def floor_zero_digest(p, role):
+    """SHA-256 over `decode_record` at pmf_floor 0 and f_m 0.0 and 0.02.
+
+    The syndromes are those of four f_m 0.02 errors and two uniform ones.
+    Without a floor, exact zeros reach the normalisation, and at f_m 0.0
+    every nonzero syndrome raises.
+    """
+    code = ex1_code(p)
+    dec = SyndromeDecoder(code, role)
+    config = DecoderConfig(pmf_floor=0.0)
+    rng = np.random.default_rng(p)
+    syndromes = []
+    for t in range(4):
+        x_err, z_err = sample_error(code.N, p, ChannelParams(0.02), trial_rng(13, t))
+        syndromes.append(syndrome_of(code, role, x_err if role == "C" else z_err))
+    syndromes += [rng.integers(0, code.field.q, size=code.M) for _ in range(2)]
+    h = hashlib.sha256()
+    for f_m in (0.0, 0.02):
+        for s in syndromes:
+            for item in decode_record(dec, s, f_m, config):
+                h.update(item if isinstance(item, bytes) else repr(item).encode())
+    return h.hexdigest()
+
+
 class TestBitIdentity:
     """Decoder outputs, float message bytes included, pinned to recorded digests.
 
@@ -638,3 +698,22 @@ class TestBitIdentity:
         code = expand_pair(gamma, solve_delta(gamma, pair))
         assert decode_digest(code) == (
             "3ef0dda44ffc3b34eee4c84446fbe815aa5fdfb7ae012c514d5155494895239c")
+
+    @pytest.mark.parametrize("p, role, digest", [
+        (2, "C",
+         "34f1354fc6170e6ebddefc48a433d721566748e50481fd80333be100810ad4a7"),
+        (2, "D",
+         "633acda4b3089c1803119f02d83fca781500c47d4d71f061e2c4962561ed813c"),
+        (4, "C",
+         "b45a5f63dc0fb2f7916d80f0f86edd34bb09346bc142d80773cb32808b15db14"),
+        (4, "D",
+         "9f4365d04976bbfff9a0cd6ce187fb265aec897e43cfc0b060aae0f0844ef6b7"),
+        (8, "C",
+         "5c8fd623ea4eee9941a32d39f117f348dc49744bbbe0af8b13aea97550fcdb1b"),
+        (8, "D",
+         "cb9606e360f8a6322a5b9423c1be011b56adfdd69a69ad1197c6b60d185a46c7"),
+    ])
+    def test_without_floor(self, p, role, digest):
+        # pmf_floor 0 lets the sign of an exact zero reach the stored
+        # messages unless the clamps at 0 remove it
+        assert floor_zero_digest(p, role) == digest
