@@ -75,12 +75,14 @@ def syndrome_of(code: CssCodePair, role: str, error: np.ndarray) -> np.ndarray:
 
     Symbol-wise: each check accumulates (XOR) the binary image of its
     entry applied to the error symbol, which for the first matrix is
-    just field multiplication.
+    just field multiplication.  Symbols must lie in [0, q).
     """
     error = np.asarray(error, dtype=np.int64)
     if error.shape != (code.N,):
         raise DimensionMismatch(
             f"error must be {code.N} symbols, got shape {error.shape}")
+    if not 0 <= error.min() <= error.max() < code.field.q:
+        raise DimensionMismatch(f"error symbols must lie in [0, {code.field.q})")
     mat = code.matrix(role)
     field = code.field
     syndrome = np.zeros(code.M, dtype=np.int64)

@@ -233,9 +233,11 @@ def verify_pair_files(gamma_path, delta_path) -> list[tuple[str, bool, str]]:
                    f"{gamma.params} vs {delta.params}"))
 
     violations = validate_params(params)
+    if params.J != 2:
+        violations.append(f"J={params.J}, but the lift and its checks need J=2")
     checks.append(("params_valid", not violations,
                    ", ".join(violations) or "all construction conditions hold"))
-    if violations or params.J != 2:
+    if violations:
         return checks
 
     pair = build_pair(params)
@@ -257,18 +259,11 @@ def verify_pair_files(gamma_path, delta_path) -> list[tuple[str, bool, str]]:
     nb_ok = nblift.verify_orthogonal(gamma, delta)
     checks.append(("nonbinary_orthogonal", nb_ok, "product over GF(2^p)"))
 
-    det_ok = True
-    field = gamma.field
-    entries = [dict(row) for row in gamma.rows]
-    for cyc in nblift.cycle_structures(hc, hd):
-        prod1 = prod2 = 1
-        for m, n in cyc.e1():
-            prod1 = field.mul(prod1, entries[m].get(n, 0))
-        for m, n in cyc.e2():
-            prod2 = field.mul(prod2, entries[m].get(n, 0))
-        if prod1 != prod2:
-            det_ok = False
-            break
+    # a cycle passes iff its two sides' products agree: both meet a zero,
+    # or neither does and their logs balance
+    steps, (zero1, zero2) = nblift.cycle_log_steps(gamma, nblift.cycle_structure(hc, hd))
+    balanced = steps.sum(axis=1) % (gamma.field.q - 1) == 0
+    det_ok = bool(np.where(zero1 | zero2, zero1 & zero2, balanced).all())
     checks.append(("determinant_condition", det_ok, "per-row cycle products"))
 
     # expanded here rather than by expand_pair, which would repeat the
@@ -288,7 +283,7 @@ def cmd_construct(args) -> int:
     field = make_field(args.p, args.poly)
     pair = build_pair(params)
     rng = np.random.default_rng(args.seed)
-    cycles = nblift.cycle_structures(pair.expand_c(), pair.expand_d())
+    cycles = nblift.cycle_structure(pair.expand_c(), pair.expand_d())
     gamma = nblift.lift_gamma(pair, field, rng, reject_trivial=args.reject_trivial,
                               cycles=cycles)
     delta = nblift.solve_delta(gamma, pair, cycles)

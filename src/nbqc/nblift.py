@@ -8,17 +8,24 @@ lifted pair reduces to one balance equation per row,
 
     sum_{E1} log gamma - sum_{E2} log gamma = 0  (mod 2^p - 1),
 
-which is solved over the residue ring and sampled.  The nonzeros of the
-second matrix then follow by a two-term recurrence around each cycle.
+which is solved over the residue ring and sampled.  The logs of the
+second matrix's nonzeros are the running sums of the same log
+differences around each cycle, and the sum over a whole cycle is the
+determinant condition that `nbqc verify` re-checks.
 
-Costs.  `cycle_structures` indexes the column neighbours of the first
-matrix once, so each of its M walks costs O(L).  `verify_orthogonal`
-joins the nonzeros of the two matrices on their column: only row pairs
-that share a column appear, and each pair's products are XOR-summed.
-A pair that shares no column has a zero product, so the check is
-exact.  The join lists sum_c w1(c) w2(c) entry pairs, where w1 and w2
-are column weights: O(nnz x column weight), sorted once to group them
-by row pair.  No array has one cell per pair of rows.
+Costs.  `cycle_structure` walks the cycles of all M rows at once: one
+column index of the first matrix, then L steps of one array lookup
+each.  The balance equations, the second matrix and the determinant
+check read the cycles as two (M, L) arrays, and the logs of the first
+matrix on E1 and E2 come from one `NBMatrix.entry` lookup: O(M L) array
+work, with no per-row Python walk and no per-entry field arithmetic.
+`verify_orthogonal` joins the nonzeros of the two matrices on their
+column: only row pairs that share a column appear, and each pair's
+products are XOR-summed.  A pair that shares no column has a zero
+product, so the check is exact.  The join lists sum_c w1(c) w2(c)
+entry pairs, where w1 and w2 are column weights: O(nnz x column
+weight), sorted once to group them by row pair.  No array has one cell
+per pair of rows.
 """
 
 from __future__ import annotations
@@ -44,31 +51,6 @@ class DimensionMismatch(ValueError):
     pass
 
 
-@dataclass
-class CycleStructure:
-    """The 2L-cycle induced by row m_prime of the second QC matrix.
-
-    n_seq walks the L support columns, m_seq the L check rows of the
-    first matrix; position i contributes (m_i, n_i) to E1 and
-    (m_i, n_{i+1 mod L}) to E2.
-    """
-
-    m_prime: int
-    n_seq: list
-    m_seq: list
-
-    @property
-    def L(self) -> int:
-        return len(self.n_seq)
-
-    def e1(self) -> list[tuple[int, int]]:
-        return [(m, n) for m, n in zip(self.m_seq, self.n_seq)]
-
-    def e2(self) -> list[tuple[int, int]]:
-        L = self.L
-        return [(self.m_seq[i], self.n_seq[(i + 1) % L]) for i in range(L)]
-
-
 @dataclass(eq=False)
 class NBMatrix:
     """Sparse matrix over GF(2^p): per-row sorted (column, element) pairs.
@@ -84,11 +66,20 @@ class NBMatrix:
     params: QCParams
     rows: list                   # rows[i]: sorted list of (col, value)
 
-    def entry(self, i: int, j: int) -> int:
-        for c, v in self.rows[i]:
-            if c == j:
-                return v
-        return 0
+    def entry(self, i, j):
+        """The element at (i, j), 0 off the support.
+
+        i and j may be index arrays, broadcast together; the result is
+        then an int64 array, found with one `searchsorted` over the
+        row-major (ascending) keys of the stored entries.
+        """
+        rows, cols, vals = self.coo()
+        keys = np.append(rows * self.n + cols, np.iinfo(np.int64).max)
+        i, j = np.asarray(i), np.asarray(j)
+        want = np.where((0 <= j) & (j < self.n), i * self.n + j, -1)
+        at = np.searchsorted(keys, want)
+        found = np.where(keys[at] == want, np.append(vals, 0)[at], 0)
+        return found if found.ndim else int(found)
 
     def support(self) -> SparseBinaryMatrix:
         return SparseBinaryMatrix(
@@ -144,83 +135,92 @@ def _column_join(rows_a, cols_a, rows_b, cols_b):
     return ia[order], ib[order], np.flatnonzero(np.diff(keys, prepend=-1))
 
 
-def cycle_structure(hc: SparseBinaryMatrix, hd: SparseBinaryMatrix,
-                    m_prime: int, col_checks: list | None = None) -> CycleStructure:
-    """Walk the cycle of row `m_prime` of the second matrix through the
+def _require(bad: np.ndarray, what: str) -> None:
+    """Raise NotACycle naming the first row flagged in `bad` (M rows)."""
+    if bad.any():
+        raise NotACycle(f"row {int(bad.argmax())}: {what}")
+
+
+def cycle_structure(hc: SparseBinaryMatrix,
+                    hd: SparseBinaryMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Walk the cycle of every row of the second matrix through the
     Tanner graph of the first.
 
-    Starts at the smallest support column (the block-0 column) and at
-    its check neighbour in the top half, so the orientation matches the
-    closed forms.  Raises NotACycle when the walk does not visit all 2L
-    positions and return to its start.
+    Returns (m_seq, n_seq), two (M, L) int64 arrays: row r's cycle
+    visits columns n_seq[r] and checks m_seq[r] in turn, so position i
+    gives (m_i, n_i) to E1 and (m_i, n_{i+1 mod L}) to E2.  Each walk
+    starts at the row's smallest support column (the block-0 column)
+    and at its check neighbour in the top half, so the orientation
+    matches the closed forms.
 
-    `col_checks` is `hc.col_supports()`, built here when omitted; with
-    it given, the walk costs O(L).
+    All rows walk together.  Incidence 2j + s of a row is the s-th check
+    neighbour of its support column j; `partner` pairs the two
+    incidences of each check, and one step, partner ^ 1, moves to the
+    other check of the next column.  Raises NotACycle when a support
+    column does not have 2 check neighbours, when the restricted graph
+    is not 2-regular on L checks, when the first column lacks a unique
+    top-half neighbour, or when a walk does not close after exactly L
+    columns.
     """
     if hc.m != hd.m or hc.n != hd.n:
         raise DimensionMismatch("pair matrices must have equal shape")
-    if not 0 <= m_prime < hd.m:
-        raise IndexError(f"row {m_prime} outside [0, {hd.m})")
-    if col_checks is None:
-        col_checks = hc.col_supports()
-    P = hc.m // 2
-    support = list(hd.rows[m_prime])
-    L = len(support)
-    col_neighbors = {c: col_checks[c] for c in support
-                     if 0 <= c < hc.n and col_checks[c]}
-    if any(len(v) != 2 for v in col_neighbors.values()) or len(col_neighbors) != L:
-        raise NotACycle(f"columns of row {m_prime} do not all have 2 check neighbours")
-    row_cols = {}
-    for c, ms in col_neighbors.items():
-        for m in ms:
-            row_cols.setdefault(m, []).append(c)
-    if any(len(v) != 2 for v in row_cols.values()) or len(row_cols) != L:
-        raise NotACycle(f"row {m_prime}: restricted graph is not 2-regular on {L} checks")
+    weights = {len(row) for row in hd.rows}
+    if len(weights) > 1:
+        raise DimensionMismatch("rows of the second matrix differ in weight")
+    M, L = hd.m, weights.pop() if weights else 0
+    support = hd.coo()[1].reshape(M, L)
+    rows_c, cols_c = hc.coo()
+    by_col = np.argsort(cols_c, kind="stable")
+    sorted_cols = cols_c[by_col]
+    first = np.searchsorted(sorted_cols, support)
+    _require((np.searchsorted(sorted_cols, support, side="right") - first != 2).any(axis=1),
+             "a support column does not have 2 check neighbours")
+    checks = rows_c[by_col[first[:, :, None] + np.arange(2)]].reshape(M, 2 * L)
 
-    n0 = min(support)
-    tops = [m for m in col_neighbors[n0] if m < P]
-    if len(tops) != 1:
-        raise NotACycle(f"column {n0} lacks a unique top-half neighbour")
-    n_seq, m_seq = [n0], [tops[0]]
-    while True:
-        m_cur, n_cur = m_seq[-1], n_seq[-1]
-        nxt = [c for c in row_cols[m_cur] if c != n_cur]
-        if len(nxt) != 1:
-            raise NotACycle(f"walk stuck at check {m_cur}")
-        n_nxt = nxt[0]
-        if n_nxt == n0:
-            break
-        m_nxt = [m for m in col_neighbors[n_nxt] if m != m_cur]
-        if len(m_nxt) != 1:
-            raise NotACycle(f"walk stuck at column {n_nxt}")
-        n_seq.append(n_nxt)
-        m_seq.append(m_nxt[0])
-        if len(n_seq) > L:
-            raise NotACycle(f"walk through row {m_prime} exceeds {L} columns")
-    if len(n_seq) != L:
-        raise NotACycle(f"walk closed after {len(n_seq)} of {L} columns")
-    return CycleStructure(m_prime=m_prime, n_seq=n_seq, m_seq=m_seq)
+    order = np.argsort(checks, axis=1, kind="stable")
+    pairs = np.take_along_axis(checks, order, axis=1).reshape(M, L, 2)
+    _require((pairs[:, :, 0] != pairs[:, :, 1]).any(axis=1)
+             | (pairs[:, 1:, 0] == pairs[:, :-1, 1]).any(axis=1),
+             f"restricted graph is not 2-regular on {L} checks")
+    top = checks[:, :2] < hc.m // 2
+    _require(top[:, 0] == top[:, 1], "the first column lacks a unique top-half neighbour")
+
+    # sorted by check, incidences come in pairs that share a check
+    partner = np.empty_like(order)
+    np.put_along_axis(partner, order, order.reshape(M, L, 2)[:, :, ::-1].reshape(M, 2 * L),
+                      axis=1)
+    # flat incidence indices, so that each step is one lookup
+    base = np.arange(M) * (2 * L)
+    partner = (partner + base[:, None]).ravel()
+    walk = np.empty((L + 1, M), dtype=np.int64)
+    walk[0] = base + top[:, 1]
+    for i in range(L):
+        walk[i + 1] = partner[walk[i]] ^ 1
+    walk = walk.T - base[:, None]
+    column = walk >> 1              # rows are sorted: the walk starts at column 0
+    _require((column[:, 1:L] == 0).any(axis=1) | (column[:, L] != 0),
+             f"walk does not close after exactly {L} columns")
+    return (np.take_along_axis(checks, walk[:, :L], axis=1),
+            np.take_along_axis(support, column[:, :L], axis=1))
 
 
-def cycle_structures(hc: SparseBinaryMatrix,
-                     hd: SparseBinaryMatrix) -> list[CycleStructure]:
-    """The cycle of every row of the second matrix, in row order.
-
-    The column index of `hc` is built once for all M walks.
-    """
-    col_checks = hc.col_supports()
-    return [cycle_structure(hc, hd, m_prime, col_checks) for m_prime in range(hd.m)]
+def _sides(cycles: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) index arrays of E1 and E2, each stacked as (2, M, L)."""
+    m_seq, n_seq = cycles
+    return np.stack((m_seq, m_seq)), np.stack((n_seq, np.roll(n_seq, -1, axis=1)))
 
 
 def assemble_constraints(pair: QCPair, modulus: int,
-                         cycles: list | None = None) -> tuple[ModSystem, dict]:
+                         cycles: tuple | None = None) -> tuple[ModSystem, dict]:
     """Balance equations for the lift, one per row of the second matrix.
 
     Variables are the discrete logs of the first matrix's nonzeros,
     indexed row-major over its support; the modulus is 2^p - 1 for a
-    lift over GF(2^p).  Returns the system together with the
-    (row, col) -> variable index map.  `cycles` is the pair's
-    `cycle_structures`, walked here when omitted.
+    lift over GF(2^p).  Row r's equation lists its E1 variables with
+    coefficient +1, then its E2 variables with -1, in walk order.
+    Returns the system together with the (row, col) -> variable index
+    map.  `cycles` is the pair's `cycle_structure`, walked here when
+    omitted.
 
     Each variable lies on two cycles, one from each half of the second
     matrix, with equal coefficients: the system is a balanced signed
@@ -230,22 +230,36 @@ def assemble_constraints(pair: QCPair, modulus: int,
         raise DimensionMismatch("cycle constraints require column weight J=2")
     hc = pair.expand_c()
     if cycles is None:
-        cycles = cycle_structures(hc, pair.expand_d())
-    var_index = {}
-    for m, cols in enumerate(hc.rows):
-        for c in cols:
-            var_index[(m, c)] = len(var_index)
-    system = ModSystem(modulus=modulus, n_vars=len(var_index))
-    for cyc in cycles:
-        terms = [(var_index[pos], 1) for pos in cyc.e1()]
-        terms += [(var_index[pos], -1) for pos in cyc.e2()]
-        system.add_equation(terms)
-    return system, var_index
+        cycles = cycle_structure(hc, pair.expand_d())
+    rows, cols = hc.coo()
+    i, j = _sides(cycles)
+    # row-major keys ascend, so a position's rank is its variable index
+    var = np.searchsorted(rows * hc.n + cols, i * hc.n + j)
+    coefs = [1] * var.shape[2] + [-1] * var.shape[2]
+    equations = [list(zip(terms, coefs)) for terms in np.concatenate(var, axis=1).tolist()]
+    var_index = dict(zip(zip(rows.tolist(), cols.tolist()), range(len(cols))))
+    return ModSystem(modulus=modulus, n_vars=len(cols), equations=equations), var_index
+
+
+def cycle_log_steps(gamma: NBMatrix,
+                    cycles: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Log differences of the first matrix around each cycle.
+
+    Returns (steps, zeros).  steps[r, i] = log gamma(E1_i) -
+    log gamma(E2_i) on row r's cycle, an (M, L) array, and the row is
+    balanced iff its steps sum to 0 mod 2^p - 1.  zeros is (2, M) and
+    flags a cycle that meets a zero of gamma on E1 (zeros[0]) or on E2
+    (zeros[1]); a zero has no log, so that row's steps mean nothing.
+    Both sides come from one `entry` lookup.
+    """
+    values = gamma.entry(*_sides(cycles))
+    logs = gamma.field.log_table[values]
+    return logs[0] - logs[1], (values == 0).any(axis=2)
 
 
 def lift_gamma(pair: QCPair, field: FieldSpec, rng: np.random.Generator,
                reject_trivial: bool = False, max_resample: int = 1000,
-               cycles: list | None = None) -> NBMatrix:
+               cycles: tuple | None = None) -> NBMatrix:
     """Sample the first non-binary matrix on the support of the QC pair.
 
     Logs are drawn from the solution space of the balance equations, so
@@ -272,39 +286,36 @@ def lift_gamma(pair: QCPair, field: FieldSpec, rng: np.random.Generator,
 
 
 def solve_delta(gamma: NBMatrix, pair: QCPair,
-                cycles: list | None = None) -> NBMatrix:
+                cycles: tuple | None = None) -> NBMatrix:
     """Propagate the second matrix's nonzeros around each cycle.
 
-    Each row is a null-space ray of the cycle's bidiagonal system; the
-    anchor entry is fixed to 1 (any nonzero scaling gives an equivalent
-    code).  The wrap-around of each recurrence is re-checked and a
-    failure flags a first matrix that does not satisfy its determinant
-    condition, which lift_gamma rules out.  `cycles` is the pair's
-    `cycle_structures`, walked here when omitted.
+    Row r is a null-space ray of its cycle's bidiagonal system,
+    delta(n_{i+1}) = delta(n_i) gamma(E1_i) / gamma(E2_i), with the
+    anchor delta(n_0) fixed to 1 (any nonzero scaling gives an
+    equivalent code): its logs are the running sums of the cycle's log
+    steps mod 2^p - 1.  The sum over the whole cycle must vanish; a
+    cycle that does not close, or that meets a zero of gamma, flags a
+    first matrix that breaks its determinant condition, which
+    lift_gamma rules out, and raises ClosureViolation.  `cycles` is the
+    pair's `cycle_structure`, walked here when omitted.
     """
     field = gamma.field
-    hd = pair.expand_d()
     if cycles is None:
-        cycles = cycle_structures(pair.expand_c(), hd)
-    entries = [dict(row) for row in gamma.rows]
-    rows = []
-    for cyc in cycles:
-        L = cyc.L
-        vals = {cyc.n_seq[0]: 1}
-        for i in range(L - 1):
-            g_here = entries[cyc.m_seq[i]].get(cyc.n_seq[i], 0)
-            g_next = entries[cyc.m_seq[i]].get(cyc.n_seq[i + 1], 0)
-            vals[cyc.n_seq[i + 1]] = field.mul(
-                vals[cyc.n_seq[i]], field.mul(g_here, field.inv(g_next)))
-        g_last = entries[cyc.m_seq[-1]].get(cyc.n_seq[-1], 0)
-        g_wrap = entries[cyc.m_seq[-1]].get(cyc.n_seq[0], 0)
-        closure = field.mul(vals[cyc.n_seq[-1]], field.mul(g_last, field.inv(g_wrap)))
-        if closure != vals[cyc.n_seq[0]]:
-            raise ClosureViolation(
-                f"row {cyc.m_prime}: cycle closure failed (determinant condition broken)")
-        rows.append(sorted(vals.items()))
-    return NBMatrix(m=hd.m, n=hd.n, role="DELTA", field=field,
-                    params=pair.params, rows=rows)
+        cycles = cycle_structure(pair.expand_c(), pair.expand_d())
+    steps, zeros = cycle_log_steps(gamma, cycles)
+    running = np.cumsum(steps, axis=1) % (field.q - 1)
+    broken = zeros.any(axis=0) | (running[:, -1] != 0)
+    if broken.any():
+        raise ClosureViolation(f"row {int(broken.argmax())}: cycle closure failed "
+                               "(determinant condition broken)")
+    # the closed total is 0, so rolling it to the front gives the anchor's log
+    n_seq = cycles[1]
+    by_col = np.argsort(n_seq, axis=1)
+    cols = np.take_along_axis(n_seq, by_col, axis=1).tolist()
+    values = field.exp_table[np.take_along_axis(np.roll(running, 1, axis=1), by_col, axis=1)]
+    rows = [list(zip(c, v)) for c, v in zip(cols, values.tolist())]
+    return NBMatrix(m=len(n_seq), n=pair.params.L * pair.params.P, role="DELTA",
+                    field=field, params=pair.params, rows=rows)
 
 
 def verify_orthogonal(gamma: NBMatrix, delta: NBMatrix) -> bool:

@@ -9,9 +9,11 @@ the row count.  The Howell-form solver reduces dense rows over Z_m for
 any homogeneous system, zero-divisor pivots included.  The single-message
 convolution and symbol relabelling are the per-edge steps of the
 decoder's vectorised iteration, and the plain first check pass is what
-the decoder's first-iteration lookup replaces.  Field powers and the
-exponent-table printout are used by tests only.  All of them are kept
-out of `src/`.
+the decoder's first-iteration lookup replaces.  The per-row cycle walk,
+the field recurrence for the second matrix and the cycle products are
+what the lift's array walk and log-domain cycle balance replace.  Field
+powers and the exponent-table printout are used by tests only.  All of
+them are kept out of `src/`.
 """
 
 import itertools
@@ -23,7 +25,7 @@ import numpy as np
 from nbqc.decoder import LengthMismatch, SyndromeDecoder, walsh_hadamard
 from nbqc.gf2p import FieldSpec
 from nbqc.modring import ModSystem
-from nbqc.nblift import CycleStructure, DimensionMismatch, NBMatrix
+from nbqc.nblift import DimensionMismatch, NBMatrix, NotACycle
 from nbqc.qcpair import QCPair, QCParams, SparseBinaryMatrix, validate_params
 
 
@@ -284,6 +286,133 @@ def howell_sample(space: HowellSpace, rng: np.random.Generator) -> np.ndarray:
 
 
 # -- cycles ----------------------------------------------------------------------
+
+
+@dataclass
+class CycleStructure:
+    """The 2L-cycle induced by row m_prime of the second QC matrix.
+
+    n_seq walks the L support columns, m_seq the L check rows of the
+    first matrix; position i contributes (m_i, n_i) to E1 and
+    (m_i, n_{i+1 mod L}) to E2.
+    """
+
+    m_prime: int
+    n_seq: list
+    m_seq: list
+
+    @property
+    def L(self) -> int:
+        return len(self.n_seq)
+
+    def e1(self) -> list[tuple[int, int]]:
+        return [(m, n) for m, n in zip(self.m_seq, self.n_seq)]
+
+    def e2(self) -> list[tuple[int, int]]:
+        L = self.L
+        return [(self.m_seq[i], self.n_seq[(i + 1) % L]) for i in range(L)]
+
+    @classmethod
+    def from_arrays(cls, cycles, m_prime: int) -> "CycleStructure":
+        """Row m_prime of `nblift.cycle_structure`'s (m_seq, n_seq) arrays."""
+        m_seq, n_seq = cycles
+        return cls(m_prime=m_prime, n_seq=n_seq[m_prime].tolist(),
+                   m_seq=m_seq[m_prime].tolist())
+
+
+def walk_cycle(hc: SparseBinaryMatrix, hd: SparseBinaryMatrix,
+               m_prime: int, col_checks: list | None = None) -> CycleStructure:
+    """Walk the cycle of row `m_prime` of the second matrix, one step at a time.
+
+    The per-row reference for `nblift.cycle_structure`: starts at the
+    smallest support column and its top-half check neighbour, and raises
+    NotACycle when the walk does not visit all 2L positions and return
+    to its start.  `col_checks` is `hc.col_supports()`, built here when
+    omitted.
+    """
+    if hc.m != hd.m or hc.n != hd.n:
+        raise DimensionMismatch("pair matrices must have equal shape")
+    if not 0 <= m_prime < hd.m:
+        raise IndexError(f"row {m_prime} outside [0, {hd.m})")
+    if col_checks is None:
+        col_checks = hc.col_supports()
+    P = hc.m // 2
+    support = list(hd.rows[m_prime])
+    L = len(support)
+    col_neighbors = {c: col_checks[c] for c in support
+                     if 0 <= c < hc.n and col_checks[c]}
+    if any(len(v) != 2 for v in col_neighbors.values()) or len(col_neighbors) != L:
+        raise NotACycle(f"columns of row {m_prime} do not all have 2 check neighbours")
+    row_cols = {}
+    for c, ms in col_neighbors.items():
+        for m in ms:
+            row_cols.setdefault(m, []).append(c)
+    if any(len(v) != 2 for v in row_cols.values()) or len(row_cols) != L:
+        raise NotACycle(f"row {m_prime}: restricted graph is not 2-regular on {L} checks")
+
+    n0 = min(support)
+    tops = [m for m in col_neighbors[n0] if m < P]
+    if len(tops) != 1:
+        raise NotACycle(f"column {n0} lacks a unique top-half neighbour")
+    n_seq, m_seq = [n0], [tops[0]]
+    while True:
+        m_cur, n_cur = m_seq[-1], n_seq[-1]
+        nxt = [c for c in row_cols[m_cur] if c != n_cur]
+        if len(nxt) != 1:
+            raise NotACycle(f"walk stuck at check {m_cur}")
+        n_nxt = nxt[0]
+        if n_nxt == n0:
+            break
+        m_nxt = [m for m in col_neighbors[n_nxt] if m != m_cur]
+        if len(m_nxt) != 1:
+            raise NotACycle(f"walk stuck at column {n_nxt}")
+        n_seq.append(n_nxt)
+        m_seq.append(m_nxt[0])
+        if len(n_seq) > L:
+            raise NotACycle(f"walk through row {m_prime} exceeds {L} columns")
+    if len(n_seq) != L:
+        raise NotACycle(f"walk closed after {len(n_seq)} of {L} columns")
+    return CycleStructure(m_prime=m_prime, n_seq=n_seq, m_seq=m_seq)
+
+
+def walk_cycles(hc: SparseBinaryMatrix, hd: SparseBinaryMatrix) -> list[CycleStructure]:
+    """`walk_cycle` of every row of the second matrix, in row order."""
+    col_checks = hc.col_supports()
+    return [walk_cycle(hc, hd, m_prime, col_checks) for m_prime in range(hd.m)]
+
+
+def recurrence_delta(gamma: NBMatrix, cycles: list) -> list:
+    """Rows of the second matrix by the field recurrence around each cycle.
+
+    delta(n_0) = 1 and delta(n_{i+1}) = delta(n_i) gamma(E1_i) / gamma(E2_i),
+    one field.mul and field.inv per entry; raises ZeroDivisionError on a
+    zero of gamma and AssertionError when a cycle does not close.
+    """
+    field = gamma.field
+    entries = [dict(row) for row in gamma.rows]
+    rows = []
+    for cyc in cycles:
+        vals = {cyc.n_seq[0]: 1}
+        for i, ((m, n), (_, n_next)) in enumerate(zip(cyc.e1(), cyc.e2())):
+            value = field.mul(vals[n], field.mul(entries[m].get(n, 0),
+                                                 field.inv(entries[m].get(n_next, 0))))
+            if i < cyc.L - 1:
+                vals[n_next] = value
+            elif value != 1:
+                raise AssertionError(f"row {cyc.m_prime}: cycle closure failed")
+        rows.append(sorted(vals.items()))
+    return rows
+
+
+def cycle_products(gamma: NBMatrix, cyc: CycleStructure) -> tuple[int, int]:
+    """Products of gamma's entries over E1 and over E2, with field.mul."""
+    field = gamma.field
+    prod1 = prod2 = 1
+    for m, n in cyc.e1():
+        prod1 = field.mul(prod1, gamma.entry(m, n))
+    for m, n in cyc.e2():
+        prod2 = field.mul(prod2, gamma.entry(m, n))
+    return prod1, prod2
 
 
 def closed_form_cycle(params: QCParams, m_prime: int) -> CycleStructure:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import closed_form_cycle, wht_convolve
+from oracles import CycleStructure, closed_form_cycle, wht_convolve
 from nbqc.binexpand import binary_orthogonal, expand_pair
 from nbqc.channel import syndrome_of
 from nbqc.decoder import DecoderConfig, SyndromeDecoder
@@ -86,8 +86,9 @@ def test_c02_orthogonality_suite():
 def test_c03_cycle_suite():
     pair = build_pair(EX1)
     hc, hd = pair.expand_c(), pair.expand_d()
+    cycles = cycle_structure(hc, hd)
     for m_prime in range(14):
-        cyc = cycle_structure(hc, hd, m_prime)
+        cyc = CycleStructure.from_arrays(cycles, m_prime)
         assert len(cyc.n_seq) == len(set(cyc.n_seq)) == 6
         assert len(cyc.m_seq) == len(set(cyc.m_seq)) == 6
         support = set(hd.rows[m_prime])
@@ -97,10 +98,10 @@ def test_c03_cycle_suite():
         assert e1 | e2 == brute and not e1 & e2
         assert len(e1) == len(e2) == 6
     for m_prime in range(7):
-        walk = cycle_structure(hc, hd, m_prime)
+        walk = CycleStructure.from_arrays(cycles, m_prime)
         closed = closed_form_cycle(EX1, m_prime)
         assert walk.n_seq == closed.n_seq and walk.m_seq == closed.m_seq
-    obs = cycle_structure(hc, hd, 5)
+    obs = CycleStructure.from_arrays(cycles, 5)
     assert obs.n_seq == [2, 25, 7, 38, 20, 29]
     assert obs.m_seq == [1, 13, 5, 11, 2, 12]
     report(3, "all 14 rows walk a single 12-cycle; closed forms match "

@@ -135,3 +135,13 @@ class TestSyndrome:
     def test_dimension_check(self, code):
         with pytest.raises(DimensionMismatch):
             syndrome_of(code, "C", np.zeros(7, dtype=np.int64))
+
+    @pytest.mark.parametrize("role", ["C", "D"])
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_symbol_range_check(self, code, role, bad):
+        err = np.zeros(code.N, dtype=np.int64)
+        err[5] = bad
+        with pytest.raises(DimensionMismatch, match=r"\[0, 16\)"):
+            syndrome_of(code, role, err)
+        err[5] = 15
+        assert syndrome_of(code, role, err).any()

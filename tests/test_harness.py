@@ -174,6 +174,7 @@ class TestVerify:
     def test_golden_pair_all_pass(self, golden_paths):
         checks = verify_pair_files(*golden_paths)
         assert all(ok for _, ok, _ in checks)
+        assert len(checks) == 10
         names = {name for name, _, _ in checks}
         assert {"nonbinary_orthogonal", "binary_orthogonal", "column_weight",
                 "row_weight", "no_symbol_4cycles", "determinant_condition"} <= names
@@ -189,6 +190,53 @@ class TestVerify:
         assert not checks["nonbinary_orthogonal"]
         assert not checks["binary_orthogonal"]
         assert checks["determinant_condition"]  # gamma side is untouched
+
+    # verdicts of every check on tampered copies of the golden first matrix;
+    # recorded with the per-entry field products that the log-domain cycle
+    # balance replaced
+    TAMPERED_GAMMA = {
+        # one log changed: r0's entry in column 1, log 4 -> 5
+        "log": ({0: lambda t: ["1:5"] + t[1:]},
+                "TTTTTTTFFF"),
+        # one entry moved off the construction support, column 1 -> 0: two
+        # cycles meet a zero on one side
+        "moved": ({0: lambda t: ["0:4"] + t[1:]},
+                  "TTTFTFFFFF"),
+        # both entries of column 1 removed: each cycle through the column
+        # meets a zero on both sides
+        "column": ({0: lambda t: t[1:], 11: lambda t: [x for x in t if x[:2] != "1:"]},
+                   "TTTFFFTFTF"),
+        # (1, 2) on E1 and (13, 7) on E2 of row 5's cycle removed: that cycle
+        # meets zeros on both sides, the other cycles through them on one
+        "two_columns": ({1: lambda t: t[1:], 13: lambda t: [x for x in t if x[:2] != "7:"]},
+                        "TTTFFFTFFF"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TAMPERED_GAMMA))
+    def test_tampered_gamma_verdicts(self, golden_paths, tmp_path, name):
+        edits, verdicts = self.TAMPERED_GAMMA[name]
+        lines = Path(golden_paths[0]).read_text().splitlines()
+        for r, edit in edits.items():
+            prefix, entries = lines[3 + r].split(" ", 1)
+            lines[3 + r] = " ".join([prefix] + edit(entries.split()))
+        bad = tmp_path / f"{name}.gamma.nbqc"
+        bad.write_text("\n".join(lines) + "\n")
+        checks = verify_pair_files(str(bad), golden_paths[1])
+        assert "".join("TF"[not ok] for _, ok, _ in checks) == verdicts
+        assert [n for n, _, _ in checks][8] == "determinant_condition"
+
+    @pytest.mark.parametrize("J", [1, 3])
+    def test_column_weight_other_than_2_fails(self, golden_paths, tmp_path, capsys, J):
+        paths = []
+        for path in golden_paths:
+            bad = tmp_path / Path(path).name
+            bad.write_text(Path(path).read_text().replace(" J=2 ", f" J={J} ", 1))
+            paths.append(str(bad))
+        checks = verify_pair_files(*paths)
+        assert [n for n, ok, _ in checks if not ok] == ["params_valid"]
+        assert f"J={J}" in dict((n, d) for n, _, d in checks)["params_valid"]
+        assert main(["verify", *paths]) == 1
+        assert "FAIL params_valid" in capsys.readouterr().out
 
     def test_cross_seed_pair_fails(self, golden_paths, tmp_path):
         import numpy as np

@@ -1,8 +1,9 @@
 """Non-binary lift tests.
 
 Oracles: brute-force enumeration of the restricted support positions,
-dense matrix products over GF(2^p), and direct evaluation of the cycle
-determinant products.
+the per-row cycle walk and the closed-form cycles, dense matrix
+products over GF(2^p), direct evaluation of the cycle determinant
+products, and the field recurrence for the second matrix.
 """
 
 import numpy as np
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import closed_form_cycle
+from oracles import (CycleStructure, closed_form_cycle, cycle_products, recurrence_delta,
+                     walk_cycle, walk_cycles)
 from nbqc.gf2p import make_field
-from nbqc.nblift import (ClosureViolation, CycleStructure, NBMatrix, NotACycle,
-                         assemble_constraints, cycle_structure, lift_gamma,
-                         solve_delta, verify_orthogonal)
+from nbqc.modring import ModSystem
+from nbqc.nblift import (ClosureViolation, NBMatrix, NotACycle, assemble_constraints,
+                         cycle_structure, lift_gamma, solve_delta, verify_orthogonal)
 from nbqc.qcpair import QCParams, SparseBinaryMatrix, build_pair, find_params
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
@@ -36,14 +38,34 @@ def brute_force_positions(hc, hd, m_prime):
     return {(m, n) for m, row in enumerate(hc.rows) for n in row if n in support}
 
 
+def array_rows(hc, hd):
+    """The rows of the array walk as per-row CycleStructures."""
+    cycles = cycle_structure(hc, hd)
+    return [CycleStructure.from_arrays(cycles, m_prime) for m_prime in range(hd.m)]
+
+
+def scan_params():
+    """find_params for L in {4, 6, 8, 10} and P < 80, the first 5 tau of each sigma."""
+    taus = {}
+    for L in (4, 6, 8, 10):
+        for params in find_params(L, range(3, 80)):
+            taus.setdefault((L, params.P, params.sigma), []).append(params)
+    return [params for group in taus.values() for params in group[:5]]
+
+
 class TestCycleStructure:
+    def test_arrays(self, pair):
+        m_seq, n_seq = cycle_structure(pair.expand_c(), pair.expand_d())
+        for a in (m_seq, n_seq):
+            assert a.shape == (2 * EX1.P, EX1.L) and a.dtype == np.int64
+
     def test_reference_row5_orders(self, pair):
-        cyc = cycle_structure(pair.expand_c(), pair.expand_d(), 5)
+        cyc = array_rows(pair.expand_c(), pair.expand_d())[5]
         assert cyc.n_seq == [2, 25, 7, 38, 20, 29]
         assert cyc.m_seq == [1, 13, 5, 11, 2, 12]
 
     def test_reference_row5_position_set(self, pair):
-        cyc = cycle_structure(pair.expand_c(), pair.expand_d(), 5)
+        cyc = array_rows(pair.expand_c(), pair.expand_d())[5]
         expected = {(1, 2), (5, 7), (2, 20), (1, 25), (2, 29), (5, 38),
                     (12, 2), (13, 7), (11, 20), (13, 25), (12, 29), (11, 38)}
         assert set(cyc.e1()) | set(cyc.e2()) == expected
@@ -52,17 +74,14 @@ class TestCycleStructure:
 
     def test_all_rows_match_brute_force(self, pair):
         hc, hd = pair.expand_c(), pair.expand_d()
-        for m_prime in range(hd.m):
-            cyc = cycle_structure(hc, hd, m_prime)
+        for m_prime, cyc in enumerate(array_rows(hc, hd)):
             assert set(cyc.e1()) | set(cyc.e2()) == brute_force_positions(hc, hd, m_prime)
             assert len(set(cyc.n_seq)) == len(cyc.n_seq) == EX1.L
             assert len(set(cyc.m_seq)) == len(cyc.m_seq) == EX1.L
 
     def test_back_and_forth_structure(self, pair):
-        hc, hd = pair.expand_c(), pair.expand_d()
         P, half_n = EX1.P, EX1.L * EX1.P // 2
-        for m_prime in range(hd.m):
-            cyc = cycle_structure(hc, hd, m_prime)
+        for cyc in array_rows(pair.expand_c(), pair.expand_d()):
             for i in range(EX1.L):
                 if i % 2 == 0:
                     assert cyc.m_seq[i] < P and cyc.n_seq[i] < half_n
@@ -70,31 +89,38 @@ class TestCycleStructure:
                     assert cyc.m_seq[i] >= P and cyc.n_seq[i] >= half_n
 
     def test_even_odd_distinctness(self, pair):
-        hc, hd = pair.expand_c(), pair.expand_d()
-        for m_prime in range(hd.m):
-            cyc = cycle_structure(hc, hd, m_prime)
+        for cyc in array_rows(pair.expand_c(), pair.expand_d()):
             evens = cyc.m_seq[0::2]
             odds = cyc.m_seq[1::2]
             assert len(set(evens)) == len(evens)
             assert len(set(odds)) == len(odds)
 
     def test_closed_forms_match_walk_upper_half(self, pair):
-        hc, hd = pair.expand_c(), pair.expand_d()
+        walks = array_rows(pair.expand_c(), pair.expand_d())
         for m_prime in range(EX1.P):
-            walk = cycle_structure(hc, hd, m_prime)
             closed = closed_form_cycle(EX1, m_prime)
-            assert walk.n_seq == closed.n_seq, m_prime
-            assert walk.m_seq == closed.m_seq, m_prime
+            assert walks[m_prime].n_seq == closed.n_seq, m_prime
+            assert walks[m_prime].m_seq == closed.m_seq, m_prime
 
     def test_closed_forms_other_instances(self):
         for params in find_params(8, [13])[:4] + find_params(6, [13])[:4]:
             inst = build_pair(params)
-            hc, hd = inst.expand_c(), inst.expand_d()
+            walks = array_rows(inst.expand_c(), inst.expand_d())
             for m_prime in range(params.P):
-                walk = cycle_structure(hc, hd, m_prime)
                 closed = closed_form_cycle(params, m_prime)
-                assert walk.n_seq == closed.n_seq
-                assert walk.m_seq == closed.m_seq
+                assert walks[m_prime].n_seq == closed.n_seq
+                assert walks[m_prime].m_seq == closed.m_seq
+
+    def test_every_row_matches_oracle_walk_and_closed_forms(self):
+        sets = scan_params()
+        assert {params.L for params in sets} == {4, 6, 8, 10}
+        for params in sets:
+            inst = build_pair(params)
+            hc, hd = inst.expand_c(), inst.expand_d()
+            walks = array_rows(hc, hd)
+            assert walks == walk_cycles(hc, hd), params
+            for m_prime in range(params.P):
+                assert walks[m_prime] == closed_form_cycle(params, m_prime), (params, m_prime)
 
     def test_not_a_cycle_on_broken_input(self, pair):
         hc = pair.expand_c()
@@ -103,11 +129,53 @@ class TestCycleStructure:
                                     rows=[list(r) for r in hc.rows])
         broken.rows[1] = [c for c in broken.rows[1] if c != 25]
         with pytest.raises(NotACycle):
-            cycle_structure(broken, hd, 5)
+            walk_cycle(broken, hd, 5)
+        with pytest.raises(NotACycle, match="2 check neighbours"):
+            cycle_structure(broken, hd)
+
+    def test_not_a_cycle_on_weight3_column(self, pair):
+        hc, hd = pair.expand_c(), pair.expand_d()
+        heavy = SparseBinaryMatrix(m=hc.m, n=hc.n, rows=[list(r) for r in hc.rows])
+        heavy.rows[0] = sorted(heavy.rows[0] + [25])     # column 25 now has 3 checks
+        with pytest.raises(NotACycle):
+            walk_cycle(heavy, hd, 5)
+        with pytest.raises(NotACycle, match="a support column does not have 2"):
+            cycle_structure(heavy, hd)
+
+    def test_not_a_cycle_on_split_support(self):
+        # two disjoint 4-cycles in the support of one row: the restricted
+        # graph is 2-regular on 4 checks, but the walk closes after 2 columns
+        hc = SparseBinaryMatrix(m=4, n=4, rows=[[0, 1], [2, 3], [0, 1], [2, 3]])
+        hd = SparseBinaryMatrix(m=4, n=4, rows=[[0, 1, 2, 3]] * 4)
+        with pytest.raises(NotACycle, match="closed after 2 of 4"):
+            walk_cycle(hc, hd, 0)
+        with pytest.raises(NotACycle, match="row 0: walk does not close after exactly 4"):
+            cycle_structure(hc, hd)
+
+    def test_not_a_cycle_without_unique_top_neighbour(self):
+        # one 8-cycle, but the first column's checks are both in the top half
+        hc = SparseBinaryMatrix(m=4, n=4, rows=[[0, 3], [0, 1], [1, 2], [2, 3]])
+        hd = SparseBinaryMatrix(m=4, n=4, rows=[[0, 1, 2, 3]] * 4)
+        with pytest.raises(NotACycle, match="top-half"):
+            walk_cycle(hc, hd, 0)
+        with pytest.raises(NotACycle, match="top-half"):
+            cycle_structure(hc, hd)
+
+    def test_not_a_cycle_on_irregular_restriction(self):
+        # check 0 meets three support columns
+        hc = SparseBinaryMatrix(m=4, n=4, rows=[[0, 1, 2], [0, 3], [1, 3], [2]])
+        hd = SparseBinaryMatrix(m=4, n=4, rows=[[0, 1, 2, 3]] * 4)
+        with pytest.raises(NotACycle):
+            walk_cycle(hc, hd, 0)
+        with pytest.raises(NotACycle):
+            cycle_structure(hc, hd)
 
     def test_bad_row_index(self, pair):
         with pytest.raises(IndexError):
-            cycle_structure(pair.expand_c(), pair.expand_d(), 99)
+            walk_cycle(pair.expand_c(), pair.expand_d(), 99)
+        m_seq, _ = cycle_structure(pair.expand_c(), pair.expand_d())
+        with pytest.raises(IndexError):
+            m_seq[99]
 
 
 class TestConstraints:
@@ -136,6 +204,19 @@ class TestConstraints:
     def test_constant_assignment_satisfies(self, pair):
         system, _ = assemble_constraints(pair, 15)
         assert system.check(np.full(84, 11, dtype=np.int64))
+
+    def test_equations_match_oracle_walk(self):
+        for params in scan_params()[::5]:
+            inst = build_pair(params)
+            system, var_index = assemble_constraints(inst, 15)
+            want = ModSystem(modulus=15, n_vars=len(var_index))
+            for cyc in walk_cycles(inst.expand_c(), inst.expand_d()):
+                want.add_equation([(var_index[pos], 1) for pos in cyc.e1()]
+                                  + [(var_index[pos], -1) for pos in cyc.e2()])
+            assert system.equations == want.equations, params
+            assert system.n_vars == want.n_vars
+            assert list(var_index) == [(m, c) for m, row in enumerate(inst.expand_c().rows)
+                                       for c in row]
 
 
 def dense_nb_product(gamma: NBMatrix, delta: NBMatrix) -> np.ndarray:
@@ -170,14 +251,8 @@ class TestLift:
     def test_lift_satisfies_determinant_condition(self, pair, gf16):
         rng = np.random.default_rng(12)
         gamma = lift_gamma(pair, gf16, rng)
-        hc, hd = pair.expand_c(), pair.expand_d()
-        for m_prime in range(hd.m):
-            cyc = cycle_structure(hc, hd, m_prime)
-            p1 = p2 = 1
-            for m, n in cyc.e1():
-                p1 = gf16.mul(p1, gamma.entry(m, n))
-            for m, n in cyc.e2():
-                p2 = gf16.mul(p2, gamma.entry(m, n))
+        for cyc in array_rows(pair.expand_c(), pair.expand_d()):
+            p1, p2 = cycle_products(gamma, cyc)
             assert p1 == p2
 
     def test_lift_support_and_weights(self, pair, gf16):
@@ -224,6 +299,34 @@ class TestLift:
         gamma.rows[0][0] = (gamma.rows[0][0][0], 5)
         with pytest.raises(ClosureViolation):
             solve_delta(gamma, pair)
+
+    def test_closure_violation_on_zero_entry(self, pair, gf16):
+        gamma = all_ones_lift(pair, gf16)
+        gamma.rows[0] = gamma.rows[0][1:]     # a zero on the two cycles through it
+        with pytest.raises(ClosureViolation):
+            solve_delta(gamma, pair)
+
+    def test_delta_matches_field_recurrence(self):
+        for params in scan_params()[::20]:
+            inst = build_pair(params)
+            walks = walk_cycles(inst.expand_c(), inst.expand_d())
+            for p in (2, 3, 4, 8):
+                field = make_field(p)
+                gamma = lift_gamma(inst, field, np.random.default_rng(p))
+                delta = solve_delta(gamma, inst)
+                assert delta.rows == recurrence_delta(gamma, walks), (params, p)
+                assert (delta.m, delta.n) == (inst.expand_d().m, inst.expand_d().n)
+
+    def test_entry_takes_index_arrays(self, pair, gf16):
+        gamma = lift_gamma(pair, gf16, np.random.default_rng(3))
+        dense = gamma.to_dense()
+        i, j = np.indices(dense.shape)
+        got = gamma.entry(i, j)
+        assert got.dtype == np.int64 and np.array_equal(got, dense)
+        col, value = gamma.rows[4][2]
+        assert gamma.entry(4, col) == value and type(gamma.entry(4, col)) is int
+        assert gamma.entry(4, col + 1) == 0
+        assert gamma.entry(1, -1) == 0 and gamma.entry(0, gamma.n) == 0
 
     def test_zero_dim_orthogonal(self, gf16):
         empty = NBMatrix(m=0, n=0, role="GAMMA", field=gf16, params=EX1, rows=[])
