@@ -8,6 +8,9 @@ a hard invariant.
 
 Files carry only the non-binary matrices (plus field and construction
 parameters); the binary expansion is recomputed on load, never stored.
+Both are held as row-major index arrays (see `qcpair` and `nblift`):
+the expansion writes its `row` and `col` arrays in one sort, and the
+text format is read and written one line per row.
 
 Costs.  The expansion reads each entry's image off the images of the
 p unit vectors, O(nnz p^2).  `binary_orthogonal` joins the ones of the
@@ -26,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from nbqc.gf2p import FieldSpec, make_field
-from nbqc.nblift import DimensionMismatch, NBMatrix, _column_join, verify_orthogonal
-from nbqc.qcpair import QCParams, SparseBinaryMatrix
+from nbqc.nblift import DimensionMismatch, NBMatrix, verify_orthogonal
+from nbqc.qcpair import QCParams, SparseBinaryMatrix, _column_join
 
 
 class OrthogonalityBroken(AssertionError):
@@ -90,15 +93,14 @@ class CssCodePair:
         raise ValueError(f"role must be 'C' or 'D', got {role!r}")
 
 
-def expand_pair(gamma: NBMatrix, delta: NBMatrix,
-                field: FieldSpec | None = None) -> CssCodePair:
+def expand_pair(gamma: NBMatrix, delta: NBMatrix) -> CssCodePair:
     """Expand an orthogonal non-binary pair to its binary pair.
 
     Verifies non-binary orthogonality up front and binary orthogonality
     afterwards; the latter failing indicates a bug, not bad input.
     """
-    field = field or gamma.field
-    if not (field.same_field(gamma.field) and field.same_field(delta.field)):
+    field = gamma.field
+    if not field.same_field(delta.field):
         raise FieldMismatch("matrices live in different fields")
     if not gamma.same_shape(delta):
         raise DimensionMismatch("pair matrices must have equal shape")
@@ -114,23 +116,21 @@ def expand_pair(gamma: NBMatrix, delta: NBMatrix,
 
 def _expand_binary(mat: NBMatrix, transpose: bool) -> SparseBinaryMatrix:
     p = mat.field.p
-    rows, cols, vals = mat.coo()
     # bit i of image column j is entry [i, j] of the entry's p x p image
-    images = mat.field.unit_images(vals, transpose)
+    images = mat.field.unit_images(mat.val, transpose)
     entry, i, j = np.nonzero((images[:, None, :] >> np.arange(p)[:, None]) & 1)
-    bin_rows = rows[entry] * p + i
-    bin_cols = cols[entry] * p + j
-    flat = bin_cols[np.lexsort((bin_cols, bin_rows))].tolist()
-    ends = np.cumsum(np.bincount(bin_rows, minlength=p * mat.m)).tolist()
+    bin_rows = mat.row[entry] * p + i
+    bin_cols = mat.col[entry] * p + j
+    order = np.lexsort((bin_cols, bin_rows))
     return SparseBinaryMatrix(m=p * mat.m, n=p * mat.n,
-                              rows=[flat[lo:hi] for lo, hi in zip([0] + ends, ends)])
+                              row=bin_rows[order], col=bin_cols[order])
 
 
 def binary_orthogonal(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> bool:
     """a @ b.T == 0 over GF(2), via a sparse column join."""
     if a.n != b.n:
         raise DimensionMismatch(f"column counts differ: {a.n} != {b.n}")
-    ia, _, starts = _column_join(*a.coo(), *b.coo())
+    ia, _, starts = _column_join(a.row, a.col, b.row, b.col)
     shared = np.diff(starts, append=len(ia))
     return not (shared & 1).any()
 
@@ -158,9 +158,13 @@ def write_matrix(mat: NBMatrix, sink) -> None:
     sink.write(f"p={mat.field.p} poly={mat.field.poly:#x} J={pr.J} L={pr.L} "
                f"P={pr.P} sigma={pr.sigma} tau={pr.tau} role={mat.role}\n")
     sink.write(f"M={mat.m} N={mat.n}\n")
-    for r, row in enumerate(mat.rows):
-        cells = " ".join(f"{c}:{format(mat.field.log(v), 'x')}" for c, v in row)
-        sink.write(f"r{r}: {cells}\n")
+    if not mat.val.all():
+        raise ZeroDivisionError("a stored zero has no log")
+    cells = [f"{c}:{lg:x}" for c, lg in zip(mat.col.tolist(),
+                                             mat.field.log_table[mat.val].tolist())]
+    ends = np.cumsum(np.bincount(mat.row, minlength=mat.m)).tolist()
+    sink.write("".join(f"r{r}: {' '.join(cells[lo:hi])}\n"
+                       for r, (lo, hi) in enumerate(zip([0] + ends, ends))))
 
 
 def read_matrix(source, expected_field: FieldSpec | None = None) -> NBMatrix:
@@ -213,16 +217,16 @@ def read_matrix(source, expected_field: FieldSpec | None = None) -> NBMatrix:
 
     if len(lines) != 3 + m:
         raise ParseError(len(lines), f"expected {m} row lines, found {len(lines) - 3}")
-    rows = []
+    weights, cols, logs = [], [], []
     for r in range(m):
         line_no = 4 + r
         line = lines[3 + r]
         prefix = f"r{r}:"
         if not line.startswith(prefix):
             raise ParseError(line_no, f"expected row prefix {prefix!r}")
-        row = []
         last_col = -1
-        for tok in line[len(prefix):].split():
+        tokens = line[len(prefix):].split()
+        for tok in tokens:
             col_s, _, log_s = tok.partition(":")
             try:
                 col = int(col_s)
@@ -236,9 +240,12 @@ def read_matrix(source, expected_field: FieldSpec | None = None) -> NBMatrix:
             if not 0 <= lg < field.q - 1:
                 raise ParseError(line_no, f"log {lg} outside [0, {field.q - 1})")
             last_col = col
-            row.append((col, field.exp(lg)))
-        rows.append(row)
-    return NBMatrix(m=m, n=n, role=role, field=field, params=params, rows=rows)
+            cols.append(col)
+            logs.append(lg)
+        weights.append(len(tokens))
+    return NBMatrix(m=m, n=n, role=role, field=field, params=params,
+                    row=np.repeat(np.arange(m), weights), col=np.array(cols, dtype=np.int64),
+                    val=field.exp_table[np.array(logs, dtype=np.int64)])
 
 
 def _parse_kv(line: str, line_no: int) -> dict:

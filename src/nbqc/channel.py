@@ -73,26 +73,20 @@ def unpack_symbols(symbols: np.ndarray, p: int) -> np.ndarray:
 def syndrome_of(code: CssCodePair, role: str, error: np.ndarray) -> np.ndarray:
     """Length-M symbol syndrome of an error under one constituent code.
 
-    Symbol-wise: each check accumulates (XOR) the binary image of its
-    entry applied to the error symbol, which for the first matrix is
-    just field multiplication.  Symbols must lie in [0, q).
+    The GF(2) product of the code's binary matrix (hc for role C, hd
+    for role D) with the error's bits, packed back into symbols: bit i
+    of check m's syndrome is row pm + i of the product.  It reads only
+    the expansion, not the decoder's symbol tables, so it re-checks
+    them independently.  Symbols must lie in [0, q).
     """
+    if role not in ("C", "D"):
+        raise ValueError(f"role must be 'C' or 'D', got {role!r}")
     error = np.asarray(error, dtype=np.int64)
     if error.shape != (code.N,):
         raise DimensionMismatch(
             f"error must be {code.N} symbols, got shape {error.shape}")
     if not 0 <= error.min() <= error.max() < code.field.q:
         raise DimensionMismatch(f"error symbols must lie in [0, {code.field.q})")
-    mat = code.matrix(role)
-    field = code.field
-    syndrome = np.zeros(code.M, dtype=np.int64)
-    for m, row in enumerate(mat.rows):
-        acc = 0
-        if role == "C":
-            for n, v in row:
-                acc ^= field.mul(v, int(error[n]))
-        else:
-            for n, v in row:
-                acc ^= int(field.transpose_index_table(v)[error[n]])
-        syndrome[m] = acc
-    return syndrome
+    h = code.hc if role == "C" else code.hd
+    ones = unpack_symbols(error, code.field.p)[h.col] != 0
+    return _pack_symbols(np.bincount(h.row[ones], minlength=h.m) & 1, code.field.p)

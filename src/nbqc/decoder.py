@@ -329,9 +329,6 @@ class SyndromeDecoder:
         self.last_v2c = None      # message buffers of the most recent decode,
         self.last_c2v = None      # kept for inspection and tests
 
-    def reset_op_count(self) -> None:
-        self.op_count = 0
-
     def syndrome_of_symbols(self, symbols: np.ndarray) -> np.ndarray:
         """Syndrome of a length-N symbol vector via the precomputed edge maps."""
         symbols = np.asarray(symbols)

@@ -14,7 +14,7 @@ an orthogonal binary pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class FieldSpec:
     q: int
     exp_table: np.ndarray          # exp_table[i] = alpha^i, i in [0, q-1)
     log_table: np.ndarray          # log_table[v] = log_alpha v, v in [1, q)
-    _transpose_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def same_field(self, other: "FieldSpec") -> bool:
         return self.p == other.p and self.poly == other.poly
@@ -119,18 +118,7 @@ class FieldSpec:
     # -- index maps on [0, q) -----------------------------------------------
     # The action of companion(x) on coefficient vectors, viewed as a
     # permutation of symbol values.  These drive the decoder and the
-    # syndrome map without materialising any matrices.
-
-    def mul_index_table(self, x: int) -> np.ndarray:
-        """perm[e] = x * e: the action of companion(x) on symbols."""
-        return self.symbol_maps([x])[0]
-
-    def transpose_index_table(self, x: int) -> np.ndarray:
-        """perm[e] = companion(x)^T applied to the bit vector of e."""
-        cached = self._transpose_cache.get(x)
-        if cached is None:
-            cached = self._transpose_cache[x] = self.symbol_maps([x], transpose=True)[0]
-        return cached
+    # binary expansion without materialising any matrices.
 
     def unit_images(self, values, transpose: bool = False) -> np.ndarray:
         """(len(values), p) array: entry [i, j] is the symbol that

@@ -242,15 +242,15 @@ def verify_pair_files(gamma_path, delta_path) -> list[tuple[str, bool, str]]:
 
     pair = build_pair(params)
     hc, hd = pair.expand_c(), pair.expand_d()
-    sup_ok = (gamma.support().rows == hc.rows and delta.support().rows == hd.rows)
+    sup_ok = all(np.array_equal(mat.row, h.row) and np.array_equal(mat.col, h.col)
+                 for mat, h in ((gamma, hc), (delta, hd)))
     checks.append(("supports_match_construction", sup_ok, "supports vs QC expansion"))
 
-    gw = {len(r) for r in gamma.rows} | {len(r) for r in delta.rows}
+    gw = {w for mat in (gamma, delta) for w in np.bincount(mat.row, minlength=mat.m).tolist()}
     checks.append(("row_weight", gw == {params.L}, f"row weights {sorted(gw)}"))
-    col_w = [len(c) for c in gamma.support().col_supports()]
-    col_w += [len(c) for c in delta.support().col_supports()]
-    checks.append(("column_weight", set(col_w) == {params.J},
-                   f"column weights {sorted(set(col_w))}"))
+    col_w = {w for mat in (gamma, delta) for w in np.bincount(mat.col, minlength=mat.n).tolist()}
+    checks.append(("column_weight", col_w == {params.J},
+                   f"column weights {sorted(col_w)}"))
 
     checks.append(("no_symbol_4cycles",
                    not has_4cycle(gamma.support()) and not has_4cycle(delta.support()),

@@ -13,6 +13,14 @@ second matrix's nonzeros are the running sums of the same log
 differences around each cycle, and the sum over a whole cycle is the
 determinant condition that `nbqc verify` re-checks.
 
+An `NBMatrix` is stored like a `SparseBinaryMatrix`: int64 arrays `row`
+and `col`, one entry per nonzero in row-major order with columns
+ascending within each row, plus `val`, the field element at each entry.
+The first matrix takes its `row` and `col` from the QC expansion, whose
+entry order is also the numbering of the lift's variables, so its
+values are the sampled logs through the antilog table.  The second
+matrix's entries are each cycle's columns, sorted per row.
+
 Costs.  `cycle_structure` walks the cycles of all M rows at once: one
 column index of the first matrix, then L steps of one array lookup
 each.  The balance equations, the second matrix and the determinant
@@ -36,7 +44,7 @@ import numpy as np
 
 from nbqc.gf2p import FieldSpec
 from nbqc.modring import ModSystem, sample_solution, solve_mod
-from nbqc.qcpair import QCPair, QCParams, SparseBinaryMatrix
+from nbqc.qcpair import QCPair, QCParams, SparseBinaryMatrix, _column_join
 
 
 class NotACycle(ValueError):
@@ -51,9 +59,13 @@ class DimensionMismatch(ValueError):
     pass
 
 
+MAX_RESAMPLE = 1000     # draws `lift_gamma` makes before giving up on a non-trivial lift
+
+
 @dataclass(eq=False)
 class NBMatrix:
-    """Sparse matrix over GF(2^p): per-row sorted (column, element) pairs.
+    """Sparse matrix over GF(2^p): element val[k] at (row[k], col[k]),
+    in row-major order with columns ascending within each row.
 
     All stored elements are nonzero; the support is that of the QC
     expansion the matrix was lifted from.
@@ -64,7 +76,9 @@ class NBMatrix:
     role: str                    # "GAMMA" | "DELTA"
     field: FieldSpec
     params: QCParams
-    rows: list                   # rows[i]: sorted list of (col, value)
+    row: np.ndarray              # int64
+    col: np.ndarray              # int64
+    val: np.ndarray              # int64 field elements
 
     def entry(self, i, j):
         """The element at (i, j), 0 off the support.
@@ -73,66 +87,38 @@ class NBMatrix:
         then an int64 array, found with one `searchsorted` over the
         row-major (ascending) keys of the stored entries.
         """
-        rows, cols, vals = self.coo()
-        keys = np.append(rows * self.n + cols, np.iinfo(np.int64).max)
+        keys = np.append(self.row * self.n + self.col, np.iinfo(np.int64).max)
         i, j = np.asarray(i), np.asarray(j)
         want = np.where((0 <= j) & (j < self.n), i * self.n + j, -1)
         at = np.searchsorted(keys, want)
-        found = np.where(keys[at] == want, np.append(vals, 0)[at], 0)
+        found = np.where(keys[at] == want, np.append(self.val, 0)[at], 0)
         return found if found.ndim else int(found)
 
     def support(self) -> SparseBinaryMatrix:
-        return SparseBinaryMatrix(
-            m=self.m, n=self.n, rows=[[c for c, _ in row] for row in self.rows])
+        """The nonzero pattern; shares the index arrays."""
+        return SparseBinaryMatrix(m=self.m, n=self.n, row=self.row, col=self.col)
 
     def to_dense(self) -> np.ndarray:
         d = np.zeros((self.m, self.n), dtype=np.int64)
-        for i, row in enumerate(self.rows):
-            for c, v in row:
-                d[i, c] = v
+        d[self.row, self.col] = self.val
         return d
 
     def row_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """(cols, vals) as (m, L) arrays; requires uniform row weight."""
-        weights = {len(r) for r in self.rows}
-        if len(weights) != 1:
-            raise DimensionMismatch("row weight is not uniform")
-        cols = np.array([[c for c, _ in row] for row in self.rows], dtype=np.int64)
-        vals = np.array([[v for _, v in row] for row in self.rows], dtype=np.int64)
-        return cols, vals
+        L = _row_weight(self, "row weight is not uniform")
+        return self.col.reshape(self.m, L), self.val.reshape(self.m, L)
 
     def same_shape(self, other: "NBMatrix") -> bool:
         return self.m == other.m and self.n == other.n
 
-    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(row, col, value) arrays of the stored entries, row by row."""
-        rows, cols = self.support().coo()
-        vals = np.fromiter((v for row in self.rows for _, v in row),
-                           dtype=np.int64, count=len(cols))
-        return rows, cols, vals
 
-
-def _column_join(rows_a, cols_a, rows_b, cols_b):
-    """Every pair of nonzeros, one of A and one of B, in the same column.
-
-    Returns index arrays (ia, ib) into the two entry lists, sorted so
-    that the pairs of each (row of A, row of B) are contiguous, and the
-    start of each such run.  B's entries are sorted by column once;
-    each entry of A finds its column's run with searchsorted and is
-    repeated over it.
-    """
-    by_col = np.argsort(cols_b)
-    sorted_cols = cols_b[by_col]
-    lo = np.searchsorted(sorted_cols, cols_a, side="left")
-    counts = np.searchsorted(sorted_cols, cols_a, side="right") - lo
-    ia = np.repeat(np.arange(len(cols_a)), counts)
-    # each pair's offset inside its A entry's run
-    offsets = np.arange(len(ia)) - np.repeat(np.cumsum(counts) - counts, counts)
-    ib = by_col[np.repeat(lo, counts) + offsets]
-    keys = rows_a[ia] * (int(rows_b.max(initial=-1)) + 1) + rows_b[ib]
-    order = np.argsort(keys)
-    keys = keys[order]
-    return ia[order], ib[order], np.flatnonzero(np.diff(keys, prepend=-1))
+def _row_weight(mat, what: str) -> int:
+    """The common row weight of `mat`; raises DimensionMismatch(what) if
+    its rows differ in weight."""
+    weights = np.bincount(mat.row, minlength=mat.m)
+    if (weights != weights[:1]).any():
+        raise DimensionMismatch(what)
+    return int(weights[0]) if len(weights) else 0
 
 
 def _require(bad: np.ndarray, what: str) -> None:
@@ -164,12 +150,9 @@ def cycle_structure(hc: SparseBinaryMatrix,
     """
     if hc.m != hd.m or hc.n != hd.n:
         raise DimensionMismatch("pair matrices must have equal shape")
-    weights = {len(row) for row in hd.rows}
-    if len(weights) > 1:
-        raise DimensionMismatch("rows of the second matrix differ in weight")
-    M, L = hd.m, weights.pop() if weights else 0
-    support = hd.coo()[1].reshape(M, L)
-    rows_c, cols_c = hc.coo()
+    M, L = hd.m, _row_weight(hd, "rows of the second matrix differ in weight")
+    support = hd.col.reshape(M, L)
+    rows_c, cols_c = hc.row, hc.col
     by_col = np.argsort(cols_c, kind="stable")
     sorted_cols = cols_c[by_col]
     first = np.searchsorted(sorted_cols, support)
@@ -231,7 +214,7 @@ def assemble_constraints(pair: QCPair, modulus: int,
     hc = pair.expand_c()
     if cycles is None:
         cycles = cycle_structure(hc, pair.expand_d())
-    rows, cols = hc.coo()
+    rows, cols = hc.row, hc.col
     i, j = _sides(cycles)
     # row-major keys ascend, so a position's rank is its variable index
     var = np.searchsorted(rows * hc.n + cols, i * hc.n + j)
@@ -258,8 +241,7 @@ def cycle_log_steps(gamma: NBMatrix,
 
 
 def lift_gamma(pair: QCPair, field: FieldSpec, rng: np.random.Generator,
-               reject_trivial: bool = False, max_resample: int = 1000,
-               cycles: tuple | None = None) -> NBMatrix:
+               reject_trivial: bool = False, cycles: tuple | None = None) -> NBMatrix:
     """Sample the first non-binary matrix on the support of the QC pair.
 
     Logs are drawn from the solution space of the balance equations, so
@@ -270,19 +252,16 @@ def lift_gamma(pair: QCPair, field: FieldSpec, rng: np.random.Generator,
     """
     system, _ = assemble_constraints(pair, field.q - 1, cycles)
     space = solve_mod(system)
-    for _ in range(max_resample):
+    for _ in range(MAX_RESAMPLE):
         logs = sample_solution(space, rng)
         if not reject_trivial or logs.any():
             break
     else:
         raise RuntimeError("could not sample a non-trivial lift")
-    # variables are numbered row-major over the support: zip takes each
-    # row's share of the values in turn
-    values = iter(field.exp_table[logs].tolist())
+    # variables are numbered row-major over the support, like its entries
     hc = pair.expand_c()
-    rows = [list(zip(cols, values)) for cols in hc.rows]
-    return NBMatrix(m=hc.m, n=hc.n, role="GAMMA", field=field,
-                    params=pair.params, rows=rows)
+    return NBMatrix(m=hc.m, n=hc.n, role="GAMMA", field=field, params=pair.params,
+                    row=hc.row, col=hc.col, val=field.exp_table[logs])
 
 
 def solve_delta(gamma: NBMatrix, pair: QCPair,
@@ -310,12 +289,13 @@ def solve_delta(gamma: NBMatrix, pair: QCPair,
                                "(determinant condition broken)")
     # the closed total is 0, so rolling it to the front gives the anchor's log
     n_seq = cycles[1]
+    M, L = n_seq.shape
     by_col = np.argsort(n_seq, axis=1)
-    cols = np.take_along_axis(n_seq, by_col, axis=1).tolist()
     values = field.exp_table[np.take_along_axis(np.roll(running, 1, axis=1), by_col, axis=1)]
-    rows = [list(zip(c, v)) for c, v in zip(cols, values.tolist())]
-    return NBMatrix(m=len(n_seq), n=pair.params.L * pair.params.P, role="DELTA",
-                    field=field, params=pair.params, rows=rows)
+    return NBMatrix(m=M, n=pair.params.L * pair.params.P, role="DELTA", field=field,
+                    params=pair.params, row=np.repeat(np.arange(M), L),
+                    col=np.take_along_axis(n_seq, by_col, axis=1).reshape(-1),
+                    val=values.reshape(-1))
 
 
 def verify_orthogonal(gamma: NBMatrix, delta: NBMatrix) -> bool:
@@ -328,12 +308,11 @@ def verify_orthogonal(gamma: NBMatrix, delta: NBMatrix) -> bool:
         raise DimensionMismatch(
             f"column counts differ: {gamma.n} != {delta.n}")
     field = gamma.field
-    rg, cg, vg = gamma.coo()
-    rd, cd, vd = delta.coo()
-    g_nz, d_nz = vg != 0, vd != 0       # a zero entry adds nothing
-    ig, id_, starts = _column_join(rg[g_nz], cg[g_nz], rd[d_nz], cd[d_nz])
+    g_nz, d_nz = gamma.val != 0, delta.val != 0     # a zero entry adds nothing
+    ig, id_, starts = _column_join(gamma.row[g_nz], gamma.col[g_nz],
+                                   delta.row[d_nz], delta.col[d_nz])
     if not len(starts):
         return True
-    logs = field.log_table[vg[g_nz][ig]] + field.log_table[vd[d_nz][id_]]
+    logs = field.log_table[gamma.val[g_nz][ig]] + field.log_table[delta.val[d_nz][id_]]
     products = field.exp_table[logs % (field.q - 1)]
     return not np.bitwise_xor.reduceat(products, starts).any()

@@ -5,11 +5,18 @@ the cyclic shift and I(x) = I(1)^x.  With sigma of order L/2 in Z_P^*
 and a twist tau outside its orbit, the exponent formulas below give a
 pair whose product over GF(2) vanishes and whose Tanner graphs are free
 of 4-cycles.  The lift to GF(2^p) keeps these supports.
+
+A sparse binary matrix is stored as two int64 index arrays, `row` and
+`col`, one entry per nonzero, row-major with columns ascending within
+each row.  The expansion writes them in one broadcast, and the matrices
+of the construction have uniform row weight, so `col.reshape(m, L)` is
+the support row by row.  Checks that pair up nonzeros (4-cycles here,
+orthogonality in `nblift` and `binexpand`) join the index arrays with
+`_column_join` instead of comparing rows.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,36 +54,23 @@ class ExponentMatrix:
         return self.table.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseBinaryMatrix:
-    """Binary matrix stored as per-row sorted column lists."""
+    """Binary m x n matrix: its ones sit at (row[k], col[k]), in row-major
+    order with columns ascending within each row."""
 
     m: int
     n: int
-    rows: list        # rows[i]: sorted list of column indices
+    row: np.ndarray     # int64
+    col: np.ndarray     # int64
 
     def to_dense(self) -> np.ndarray:
         d = np.zeros((self.m, self.n), dtype=np.uint8)
-        for i, cols in enumerate(self.rows):
-            d[i, cols] = 1
+        d[self.row, self.col] = 1
         return d
 
-    def coo(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row, col) index arrays of the nonzeros, row by row."""
-        lengths = np.fromiter(map(len, self.rows), dtype=np.int64, count=len(self.rows))
-        cols = np.fromiter(itertools.chain.from_iterable(self.rows), dtype=np.int64,
-                           count=int(lengths.sum()))
-        return np.repeat(np.arange(len(self.rows)), lengths), cols
-
-    def col_supports(self) -> list[list[int]]:
-        cols: list[list[int]] = [[] for _ in range(self.n)]
-        for i, row in enumerate(self.rows):
-            for c in row:
-                cols[c].append(i)
-        return cols
-
     def nnz(self) -> int:
-        return sum(len(r) for r in self.rows)
+        return len(self.col)
 
 
 @dataclass(frozen=True)
@@ -180,28 +174,50 @@ def build_pair(params: QCParams, allow_any_j: bool = False) -> QCPair:
 def expand(exponents: ExponentMatrix, P: int) -> SparseBinaryMatrix:
     """Blow up an exponent table into its JP x LP binary matrix.
 
-    Row r of I(x) has its single 1 at column (x + r) mod P.
+    Row r of I(x) has its single 1 at column (x + r) mod P.  Block ell
+    holds the columns [ell P, (ell + 1) P), so each row's columns
+    already ascend with ell.
     """
     J, L = exponents.table.shape
-    rows = []
-    for j in range(J):
-        for r in range(P):
-            cols = [int(ell * P + (exponents.table[j, ell] + r) % P) for ell in range(L)]
-            rows.append(sorted(cols))
-    return SparseBinaryMatrix(m=J * P, n=L * P, rows=rows)
+    r = np.arange(P)[:, None]
+    cols = np.arange(L) * P + (exponents.table[:, None, :] + r) % P     # (J, P, L)
+    return SparseBinaryMatrix(m=J * P, n=L * P, row=np.repeat(np.arange(J * P), L),
+                              col=cols.reshape(-1))
+
+
+def _column_join(rows_a, cols_a, rows_b, cols_b):
+    """Every pair of nonzeros, one of A and one of B, in the same column.
+
+    Returns index arrays (ia, ib) into the two entry lists, sorted so
+    that the pairs of each (row of A, row of B) are contiguous, and the
+    start of each such run.  B's entries are sorted by column once;
+    each entry of A finds its column's run with searchsorted and is
+    repeated over it.
+    """
+    by_col = np.argsort(cols_b)
+    sorted_cols = cols_b[by_col]
+    lo = np.searchsorted(sorted_cols, cols_a, side="left")
+    counts = np.searchsorted(sorted_cols, cols_a, side="right") - lo
+    ia = np.repeat(np.arange(len(cols_a)), counts)
+    # each pair's offset inside its A entry's run
+    offsets = np.arange(len(ia)) - np.repeat(np.cumsum(counts) - counts, counts)
+    ib = by_col[np.repeat(lo, counts) + offsets]
+    keys = rows_a[ia] * (int(rows_b.max(initial=-1)) + 1) + rows_b[ib]
+    order = np.argsort(keys)
+    keys = keys[order]
+    return ia[order], ib[order], np.flatnonzero(np.diff(keys, prepend=-1))
 
 
 def has_4cycle(mat: SparseBinaryMatrix) -> bool:
-    """True iff two columns share two or more rows."""
-    seen = set()
-    for cols in mat.rows:
-        for i in range(len(cols)):
-            for j in range(i + 1, len(cols)):
-                pair = (cols[i], cols[j])
-                if pair in seen:
-                    return True
-                seen.add(pair)
-    return False
+    """True iff two columns share two or more rows.
+
+    Joining the ones on their row lists every pair of ones in one row,
+    grouped by their (column, column) pair; a pair of distinct columns
+    that occurs in two rows closes a 4-cycle.
+    """
+    ia, ib, starts = _column_join(mat.col, mat.row, mat.col, mat.row)
+    shared = np.diff(starts, append=len(ia))
+    return bool(((shared > 1) & (mat.col[ia[starts]] < mat.col[ib[starts]])).any())
 
 
 def find_params(L: int, P_range) -> list[QCParams]:

@@ -11,9 +11,14 @@ convolution and symbol relabelling are the per-edge steps of the
 decoder's vectorised iteration, and the plain first check pass is what
 the decoder's first-iteration lookup replaces.  The per-row cycle walk,
 the field recurrence for the second matrix and the cycle products are
-what the lift's array walk and log-domain cycle balance replace.  Field
-powers and the exponent-table printout are used by tests only.  All of
-them are kept out of `src/`.
+what the lift's array walk and log-domain cycle balance replace.  The
+double loop of the QC expansion, the pair-set 4-cycle search, the
+per-entry syndrome loop and the single-element symbol tables are what
+the array code of `qcpair`, `channel` and `gf2p` replaces.  Matrices
+store row-major index arrays; `rows_of`, `from_rows` and `nb_from_rows`
+convert to and from per-row lists, which the oracles and the tampering
+tests read and edit.  Field powers and the exponent-table printout are
+used by tests only.  All of them are kept out of `src/`.
 """
 
 import itertools
@@ -22,11 +27,113 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nbqc.binexpand import CssCodePair
 from nbqc.decoder import LengthMismatch, SyndromeDecoder, walsh_hadamard
 from nbqc.gf2p import FieldSpec
 from nbqc.modring import ModSystem
 from nbqc.nblift import DimensionMismatch, NBMatrix, NotACycle
-from nbqc.qcpair import QCPair, QCParams, SparseBinaryMatrix, validate_params
+from nbqc.qcpair import (ExponentMatrix, QCPair, QCParams, SparseBinaryMatrix,
+                         validate_params)
+
+
+# -- per-row lists -----------------------------------------------------------------
+
+
+def rows_of(mat) -> list:
+    """Per-row lists in stored order: column indices of a SparseBinaryMatrix,
+    (column, value) pairs of an NBMatrix."""
+    entries = mat.col.tolist()
+    if isinstance(mat, NBMatrix):
+        entries = list(zip(entries, mat.val.tolist()))
+    ends = np.cumsum(np.bincount(mat.row, minlength=mat.m)).tolist()
+    return [entries[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def _flatten(rows) -> tuple[np.ndarray, list]:
+    """Row index of every entry, and the entries in order."""
+    row = np.repeat(np.arange(len(rows), dtype=np.int64), [len(r) for r in rows])
+    return row, [e for r in rows for e in r]
+
+
+def from_rows(m: int, n: int, rows) -> SparseBinaryMatrix:
+    """Binary matrix whose row i holds the columns rows[i], in the order given."""
+    row, cols = _flatten(rows)
+    return SparseBinaryMatrix(m=m, n=n, row=row, col=np.array(cols, dtype=np.int64))
+
+
+def nb_from_rows(m: int, n: int, rows, role: str, field: FieldSpec,
+                 params: QCParams) -> NBMatrix:
+    """NBMatrix whose row i holds the (column, value) pairs rows[i], in the order given."""
+    row, entries = _flatten(rows)
+    col, val = np.array(entries, dtype=np.int64).reshape(-1, 2).T.copy()
+    return NBMatrix(m=m, n=n, role=role, field=field, params=params, row=row, col=col, val=val)
+
+
+def col_supports(mat: SparseBinaryMatrix) -> list[list[int]]:
+    """The rows of each column's ones, column by column."""
+    cols: list[list[int]] = [[] for _ in range(mat.n)]
+    for i, row in enumerate(rows_of(mat)):
+        for c in row:
+            cols[c].append(i)
+    return cols
+
+
+# -- QC expansion and 4-cycles -------------------------------------------------------
+
+
+def expand(exponents: ExponentMatrix, P: int) -> SparseBinaryMatrix:
+    """The JP x LP binary matrix of an exponent table, one circulant row at a time."""
+    J, L = exponents.table.shape
+    rows = []
+    for j in range(J):
+        for r in range(P):
+            cols = [int(ell * P + (exponents.table[j, ell] + r) % P) for ell in range(L)]
+            rows.append(sorted(cols))
+    return from_rows(J * P, L * P, rows)
+
+
+def has_4cycle(mat: SparseBinaryMatrix) -> bool:
+    """True iff two columns share two or more rows, by a set of column pairs."""
+    seen = set()
+    for cols in rows_of(mat):
+        for i in range(len(cols)):
+            for j in range(i + 1, len(cols)):
+                pair = (cols[i], cols[j])
+                if pair in seen:
+                    return True
+                seen.add(pair)
+    return False
+
+
+# -- symbol tables and syndromes -----------------------------------------------------
+
+
+def mul_index_table(field: FieldSpec, x: int) -> np.ndarray:
+    """perm[e] = x * e: the action of companion(x) on symbols."""
+    return field.symbol_maps([x])[0]
+
+
+def transpose_index_table(field: FieldSpec, x: int) -> np.ndarray:
+    """perm[e] = companion(x)^T applied to the bit vector of e."""
+    return field.symbol_maps([x], transpose=True)[0]
+
+
+def syndrome_of(code: CssCodePair, role: str, error: np.ndarray) -> np.ndarray:
+    """Symbol syndrome entry by entry: each check XORs the image of its entry
+    applied to the error symbol (field.mul for role C, the transposed image
+    for role D)."""
+    mat = code.matrix(role)
+    field = code.field
+    syndrome = np.zeros(code.M, dtype=np.int64)
+    for m, row in enumerate(rows_of(mat)):
+        acc = 0
+        for n, v in row:
+            if role == "C":
+                acc ^= field.mul(v, int(error[n]))
+            else:
+                acc ^= int(transpose_index_table(field, v)[error[n]])
+        syndrome[m] = acc
+    return syndrome
 
 
 def field_pow(field: FieldSpec, a: int, k: int) -> int:
@@ -53,8 +160,8 @@ def binary_orthogonal(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> bool:
     """a @ b.T == 0 over GF(2), via bit-packed rows, every pair of rows."""
     if a.n != b.n:
         raise DimensionMismatch(f"column counts differ: {a.n} != {b.n}")
-    a_bits = [sum(1 << c for c in cols) for cols in a.rows]
-    b_bits = [sum(1 << c for c in cols) for cols in b.rows]
+    a_bits = [sum(1 << c for c in cols) for cols in rows_of(a)]
+    b_bits = [sum(1 << c for c in cols) for cols in rows_of(b)]
     for ra in a_bits:
         for rb in b_bits:
             if (ra & rb).bit_count() & 1:
@@ -68,9 +175,10 @@ def verify_orthogonal(gamma: NBMatrix, delta: NBMatrix) -> bool:
         raise DimensionMismatch(
             f"column counts differ: {gamma.n} != {delta.n}")
     field = gamma.field
-    for grow in gamma.rows:
+    delta_rows = rows_of(delta)
+    for grow in rows_of(gamma):
         gmap = dict(grow)
-        for drow in delta.rows:
+        for drow in delta_rows:
             acc = 0
             for c, dv in drow:
                 gv = gmap.get(c)
@@ -85,21 +193,21 @@ def expand_binary(mat: NBMatrix, transpose: bool) -> SparseBinaryMatrix:
     """Binary expansion entry by entry through the companion matrices."""
     p = mat.field.p
     images = {}
-    for row in mat.rows:
+    mat_rows = rows_of(mat)
+    for row in mat_rows:
         for _, v in row:
             if v not in images:
                 img = mat.field.companion(v)
                 images[v] = img.T.copy() if transpose else img
     rows: list[list[int]] = [[] for _ in range(p * mat.m)]
-    for m, row in enumerate(mat.rows):
+    for m, row in enumerate(mat_rows):
         for n, v in row:
             img = images[v]
             for i in range(p):
                 base = n * p
                 cols = rows[m * p + i]
                 cols.extend(base + j for j in range(p) if img[i, j])
-    return SparseBinaryMatrix(m=p * mat.m, n=p * mat.n,
-                              rows=[sorted(r) for r in rows])
+    return from_rows(p * mat.m, p * mat.n, [sorted(r) for r in rows])
 
 
 # -- Howell form over Z_m ------------------------------------------------------
@@ -327,7 +435,7 @@ def walk_cycle(hc: SparseBinaryMatrix, hd: SparseBinaryMatrix,
     The per-row reference for `nblift.cycle_structure`: starts at the
     smallest support column and its top-half check neighbour, and raises
     NotACycle when the walk does not visit all 2L positions and return
-    to its start.  `col_checks` is `hc.col_supports()`, built here when
+    to its start.  `col_checks` is `col_supports(hc)`, built here when
     omitted.
     """
     if hc.m != hd.m or hc.n != hd.n:
@@ -335,9 +443,9 @@ def walk_cycle(hc: SparseBinaryMatrix, hd: SparseBinaryMatrix,
     if not 0 <= m_prime < hd.m:
         raise IndexError(f"row {m_prime} outside [0, {hd.m})")
     if col_checks is None:
-        col_checks = hc.col_supports()
+        col_checks = col_supports(hc)
     P = hc.m // 2
-    support = list(hd.rows[m_prime])
+    support = hd.col[hd.row == m_prime].tolist()
     L = len(support)
     col_neighbors = {c: col_checks[c] for c in support
                      if 0 <= c < hc.n and col_checks[c]}
@@ -377,7 +485,7 @@ def walk_cycle(hc: SparseBinaryMatrix, hd: SparseBinaryMatrix,
 
 def walk_cycles(hc: SparseBinaryMatrix, hd: SparseBinaryMatrix) -> list[CycleStructure]:
     """`walk_cycle` of every row of the second matrix, in row order."""
-    col_checks = hc.col_supports()
+    col_checks = col_supports(hc)
     return [walk_cycle(hc, hd, m_prime, col_checks) for m_prime in range(hd.m)]
 
 
@@ -389,7 +497,7 @@ def recurrence_delta(gamma: NBMatrix, cycles: list) -> list:
     zero of gamma and AssertionError when a cycle does not close.
     """
     field = gamma.field
-    entries = [dict(row) for row in gamma.rows]
+    entries = [dict(row) for row in rows_of(gamma)]
     rows = []
     for cyc in cycles:
         vals = {cyc.n_seq[0]: 1}

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import CycleStructure, closed_form_cycle, wht_convolve
+from oracles import CycleStructure, closed_form_cycle, rows_of, wht_convolve
 from nbqc.binexpand import binary_orthogonal, expand_pair
 from nbqc.channel import syndrome_of
 from nbqc.decoder import DecoderConfig, SyndromeDecoder
@@ -48,8 +48,8 @@ def test_c01_example_reproduction():
     assert pair.c.table.tolist() == [[1, 2, 4, 3, 6, 5], [4, 1, 2, 5, 3, 6]]
     assert pair.d.table.tolist() == [[4, 2, 1, 6, 3, 5], [1, 4, 2, 5, 6, 3]]
     hc, hd = pair.expand_c(), pair.expand_d()
-    assert hd.rows[5] == [2, 7, 20, 25, 29, 38]
-    assert hc.rows[0] == [1, 9, 18, 24, 34, 40]
+    assert rows_of(hd)[5] == [2, 7, 20, 25, 29, 38]
+    assert rows_of(hc)[0] == [1, 9, 18, 24, 34, 40]
     assert hc.nnz() == hd.nnz() == 84
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -91,8 +91,8 @@ def test_c03_cycle_suite():
         cyc = CycleStructure.from_arrays(cycles, m_prime)
         assert len(cyc.n_seq) == len(set(cyc.n_seq)) == 6
         assert len(cyc.m_seq) == len(set(cyc.m_seq)) == 6
-        support = set(hd.rows[m_prime])
-        brute = {(m, n) for m, row in enumerate(hc.rows)
+        support = set(rows_of(hd)[m_prime])
+        brute = {(m, n) for m, row in enumerate(rows_of(hc))
                  for n in row if n in support}
         e1, e2 = set(cyc.e1()), set(cyc.e2())
         assert e1 | e2 == brute and not e1 & e2

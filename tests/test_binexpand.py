@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import col_supports, nb_from_rows, rows_of
 from nbqc.binexpand import (CssCodePair, FieldMismatch, OrthogonalityBroken,
                             ParseError, binary_orthogonal, expand_pair,
                             load_pair, read_matrix, write_matrix)
@@ -65,9 +66,9 @@ class TestExpandPair:
         hc = pair.expand_c()
         hd = pair.expand_d()
         ones_g = NBMatrix(m=14, n=42, role="GAMMA", field=gf16, params=EX1,
-                          rows=[[(c, 1) for c in r] for r in hc.rows])
+                          row=hc.row, col=hc.col, val=np.ones_like(hc.col))
         ones_d = NBMatrix(m=14, n=42, role="DELTA", field=gf16, params=EX1,
-                          rows=[[(c, 1) for c in r] for r in hd.rows])
+                          row=hd.row, col=hd.col, val=np.ones_like(hd.col))
         code = expand_pair(ones_g, ones_d)
         p = 4
         expect = np.kron(hc.to_dense(), np.eye(p, dtype=np.uint8))
@@ -88,8 +89,8 @@ class TestExpandPair:
         rng = np.random.default_rng(9)
         gamma = lift_gamma(pair, gf16, rng)
         delta = solve_delta(gamma, pair)
-        c0, v0 = delta.rows[0][0]
-        delta.rows[0][0] = (c0, v0 ^ 3 if v0 ^ 3 else 2)
+        v0 = int(delta.val[0])      # row 0's first entry
+        delta.val[0] = v0 ^ 3 if v0 ^ 3 else 2
         with pytest.raises(ValueError):
             expand_pair(gamma, delta)
 
@@ -104,7 +105,7 @@ class TestExpandPair:
         code = make_code()
         p, J, L, P = 4, EX1.J, EX1.L, EX1.P
         assert code.hc.nnz() <= J * L * P * p * p
-        col_weights = [len(c) for c in code.hc.col_supports()]
+        col_weights = [len(c) for c in col_supports(code.hc)]
         assert max(col_weights) <= J * p
 
 
@@ -114,7 +115,7 @@ class TestFormat:
         path = tmp_path / "g.nbqc"
         write_matrix(code.gamma, path)
         back = read_matrix(path)
-        assert back.rows == code.gamma.rows
+        assert rows_of(back) == rows_of(code.gamma)
         assert back.params == EX1
         assert back.role == "GAMMA"
 
@@ -133,16 +134,14 @@ class TestFormat:
                 assert buf1.getvalue() == buf2.getvalue()
 
     def test_single_entry_rendering(self, gf16):
-        one = NBMatrix(m=1, n=1, role="GAMMA", field=gf16, params=EX1,
-                       rows=[[(0, 1)]])
+        one = nb_from_rows(1, 1, [[(0, 1)]], "GAMMA", gf16, EX1)
         buf = io.StringIO()
         write_matrix(one, buf)
         assert buf.getvalue().splitlines()[-1] == "r0: 0:0"
 
     def test_alpha11_renders_as_b(self, gf16):
         alpha11 = gf16.exp(11)
-        mat = NBMatrix(m=1, n=2, role="DELTA", field=gf16, params=EX1,
-                       rows=[[(1, alpha11)]])
+        mat = nb_from_rows(1, 2, [[(1, alpha11)]], "DELTA", gf16, EX1)
         buf = io.StringIO()
         write_matrix(mat, buf)
         assert buf.getvalue().splitlines()[-1] == "r0: 1:b"
@@ -204,8 +203,8 @@ class TestGoldenPair:
     def test_supports_match_construction(self, pair):
         code = load_pair(DATA / "golden_gf16.gamma.nbqc",
                          DATA / "golden_gf16.delta.nbqc")
-        assert code.gamma.support().rows == pair.expand_c().rows
-        assert code.delta.support().rows == pair.expand_d().rows
+        assert rows_of(code.gamma.support()) == rows_of(pair.expand_c())
+        assert rows_of(code.delta.support()) == rows_of(pair.expand_d())
 
     def test_round_trips_byte_identical(self):
         for name in ("golden_gf16.gamma.nbqc", "golden_gf16.delta.nbqc"):

@@ -7,6 +7,7 @@ dense binary matrix-vector product for the symbol-wise syndrome.
 import numpy as np
 import pytest
 
+import oracles
 from nbqc.binexpand import expand_pair
 from nbqc.channel import ChannelParams, sample_error, syndrome_of, unpack_symbols
 from nbqc.gf2p import make_field
@@ -92,7 +93,7 @@ class TestSyndrome:
         n, v = 13, 9
         err[n] = v
         s = syndrome_of(code, "C", err)
-        touched = {m for m, row in enumerate(code.gamma.rows)
+        touched = {m for m, row in enumerate(oracles.rows_of(code.gamma))
                    if any(c == n for c, _ in row)}
         assert {m for m in range(code.M) if s[m]} <= touched
         assert len(touched) == 2
@@ -113,6 +114,19 @@ class TestSyndrome:
             got = syndrome_of(code, role, err)
             assert np.array_equal(got, expect)
 
+    @pytest.mark.parametrize("role", ["C", "D"])
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_matches_per_entry_loop(self, p, role):
+        pair = build_pair(EX1)
+        field = make_field(p)
+        gamma = lift_gamma(pair, field, np.random.default_rng(20 + p))
+        code = expand_pair(gamma, solve_delta(gamma, pair))
+        rng = np.random.default_rng(p)
+        for _ in range(20):
+            err = rng.integers(0, field.q, size=code.N) * (rng.random(code.N) < 0.3)
+            assert np.array_equal(syndrome_of(code, role, err),
+                                  oracles.syndrome_of(code, role, err))
+
     def test_linearity(self, code):
         rng = np.random.default_rng(13)
         for role in ("C", "D"):
@@ -128,7 +142,7 @@ class TestSyndrome:
         from nbqc.channel import _pack_symbols
         for r in range(0, code.hd.m, 9):
             bits = np.zeros(code.hc.n, dtype=bool)
-            bits[code.hd.rows[r]] = True
+            bits[oracles.rows_of(code.hd)[r]] = True
             err = _pack_symbols(bits, p)
             assert not syndrome_of(code, "C", err).any()
 

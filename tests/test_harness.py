@@ -288,6 +288,26 @@ class TestVerify:
         assert all(ok for _, ok, _ in checks), [n for n, ok, _ in checks if not ok]
 
 
+    @pytest.mark.parametrize("flags, gamma_sha, delta_sha", [
+        (["--p", "8", "--L", "6", "--P", "7", "--sigma", "2", "--tau", "3", "--seed", "0"],
+         "ba814459fc83c1a32405ef850f3abcf56d3c6e435e5264afd2ce475571f88090",
+         "db45b7e86ba71ef69de9aa03165cd3ab8f4f80e1f4364aedd57f745b51d06a16"),
+        (["--p", "4", "--L", "6", "--P", "43", "--sigma", "6", "--tau", "2", "--seed", "0",
+          "--reject-trivial"],
+         "b2df7bcdb9bc56dac217af91b9ada25b75cf4bc244ee6a8eae05a13de9c2f950",
+         "f54e637e6dae1ff84f54b0721a69a7472b4d9542cff0f799609e851b809b1437"),
+    ], ids=["gf256-n336", "gf16-n1032"])
+    def test_benchmark_code_bytes_and_checks(self, tmp_path, flags, gamma_sha, delta_sha):
+        # the two codes the benchmark builds; at p=8 the logs take two hex digits
+        prefix = str(tmp_path / "code")
+        assert main(["construct", *flags, "--out", prefix]) == 0
+        g, d = prefix + ".gamma.nbqc", prefix + ".delta.nbqc"
+        assert hashlib.sha256(Path(g).read_bytes()).hexdigest() == gamma_sha
+        assert hashlib.sha256(Path(d).read_bytes()).hexdigest() == delta_sha
+        checks = verify_pair_files(g, d)
+        assert len(checks) == 10
+        assert all(ok for _, ok, _ in checks), [n for n, ok, _ in checks if not ok]
+
 class TestCli:
     def test_construct_verify_simulate(self, tmp_path, capsys):
         prefix = str(tmp_path / "code")

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (CycleStructure, closed_form_cycle, cycle_products, recurrence_delta,
-                     walk_cycle, walk_cycles)
+from oracles import (CycleStructure, closed_form_cycle, cycle_products, from_rows,
+                     nb_from_rows, recurrence_delta, rows_of, walk_cycle, walk_cycles)
 from nbqc.gf2p import make_field
 from nbqc.modring import ModSystem
 from nbqc.nblift import (ClosureViolation, NBMatrix, NotACycle, assemble_constraints,
                          cycle_structure, lift_gamma, solve_delta, verify_orthogonal)
-from nbqc.qcpair import QCParams, SparseBinaryMatrix, build_pair, find_params
+from nbqc.qcpair import QCParams, build_pair, find_params
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
 
@@ -34,8 +34,8 @@ def gf16():
 
 def brute_force_positions(hc, hd, m_prime):
     """All first-matrix nonzeros in the support columns of row m_prime."""
-    support = set(hd.rows[m_prime])
-    return {(m, n) for m, row in enumerate(hc.rows) for n in row if n in support}
+    support = set(rows_of(hd)[m_prime])
+    return {(m, n) for m, row in enumerate(rows_of(hc)) for n in row if n in support}
 
 
 def array_rows(hc, hd):
@@ -125,9 +125,9 @@ class TestCycleStructure:
     def test_not_a_cycle_on_broken_input(self, pair):
         hc = pair.expand_c()
         hd = pair.expand_d()
-        broken = SparseBinaryMatrix(m=hc.m, n=hc.n,
-                                    rows=[list(r) for r in hc.rows])
-        broken.rows[1] = [c for c in broken.rows[1] if c != 25]
+        rows = rows_of(hc)
+        rows[1] = [c for c in rows[1] if c != 25]
+        broken = from_rows(hc.m, hc.n, rows)
         with pytest.raises(NotACycle):
             walk_cycle(broken, hd, 5)
         with pytest.raises(NotACycle, match="2 check neighbours"):
@@ -135,8 +135,9 @@ class TestCycleStructure:
 
     def test_not_a_cycle_on_weight3_column(self, pair):
         hc, hd = pair.expand_c(), pair.expand_d()
-        heavy = SparseBinaryMatrix(m=hc.m, n=hc.n, rows=[list(r) for r in hc.rows])
-        heavy.rows[0] = sorted(heavy.rows[0] + [25])     # column 25 now has 3 checks
+        rows = rows_of(hc)
+        rows[0] = sorted(rows[0] + [25])     # column 25 now has 3 checks
+        heavy = from_rows(hc.m, hc.n, rows)
         with pytest.raises(NotACycle):
             walk_cycle(heavy, hd, 5)
         with pytest.raises(NotACycle, match="a support column does not have 2"):
@@ -145,8 +146,8 @@ class TestCycleStructure:
     def test_not_a_cycle_on_split_support(self):
         # two disjoint 4-cycles in the support of one row: the restricted
         # graph is 2-regular on 4 checks, but the walk closes after 2 columns
-        hc = SparseBinaryMatrix(m=4, n=4, rows=[[0, 1], [2, 3], [0, 1], [2, 3]])
-        hd = SparseBinaryMatrix(m=4, n=4, rows=[[0, 1, 2, 3]] * 4)
+        hc = from_rows(4, 4, [[0, 1], [2, 3], [0, 1], [2, 3]])
+        hd = from_rows(4, 4, [[0, 1, 2, 3]] * 4)
         with pytest.raises(NotACycle, match="closed after 2 of 4"):
             walk_cycle(hc, hd, 0)
         with pytest.raises(NotACycle, match="row 0: walk does not close after exactly 4"):
@@ -154,8 +155,8 @@ class TestCycleStructure:
 
     def test_not_a_cycle_without_unique_top_neighbour(self):
         # one 8-cycle, but the first column's checks are both in the top half
-        hc = SparseBinaryMatrix(m=4, n=4, rows=[[0, 3], [0, 1], [1, 2], [2, 3]])
-        hd = SparseBinaryMatrix(m=4, n=4, rows=[[0, 1, 2, 3]] * 4)
+        hc = from_rows(4, 4, [[0, 3], [0, 1], [1, 2], [2, 3]])
+        hd = from_rows(4, 4, [[0, 1, 2, 3]] * 4)
         with pytest.raises(NotACycle, match="top-half"):
             walk_cycle(hc, hd, 0)
         with pytest.raises(NotACycle, match="top-half"):
@@ -163,8 +164,8 @@ class TestCycleStructure:
 
     def test_not_a_cycle_on_irregular_restriction(self):
         # check 0 meets three support columns
-        hc = SparseBinaryMatrix(m=4, n=4, rows=[[0, 1, 2], [0, 3], [1, 3], [2]])
-        hd = SparseBinaryMatrix(m=4, n=4, rows=[[0, 1, 2, 3]] * 4)
+        hc = from_rows(4, 4, [[0, 1, 2], [0, 3], [1, 3], [2]])
+        hd = from_rows(4, 4, [[0, 1, 2, 3]] * 4)
         with pytest.raises(NotACycle):
             walk_cycle(hc, hd, 0)
         with pytest.raises(NotACycle):
@@ -215,7 +216,7 @@ class TestConstraints:
                                   + [(var_index[pos], -1) for pos in cyc.e2()])
             assert system.equations == want.equations, params
             assert system.n_vars == want.n_vars
-            assert list(var_index) == [(m, c) for m, row in enumerate(inst.expand_c().rows)
+            assert list(var_index) == [(m, c) for m, row in enumerate(rows_of(inst.expand_c()))
                                        for c in row]
 
 
@@ -236,16 +237,15 @@ def dense_nb_product(gamma: NBMatrix, delta: NBMatrix) -> np.ndarray:
 
 def all_ones_lift(pair, field) -> NBMatrix:
     hc = pair.expand_c()
-    rows = [[(c, 1) for c in row] for row in hc.rows]
-    return NBMatrix(m=hc.m, n=hc.n, role="GAMMA", field=field,
-                    params=pair.params, rows=rows)
+    return NBMatrix(m=hc.m, n=hc.n, role="GAMMA", field=field, params=pair.params,
+                    row=hc.row, col=hc.col, val=np.ones_like(hc.col))
 
 
 class TestLift:
     def test_all_ones_gamma_gives_all_ones_delta(self, pair, gf16):
         gamma = all_ones_lift(pair, gf16)
         delta = solve_delta(gamma, pair)
-        assert all(v == 1 for row in delta.rows for _, v in row)
+        assert all(v == 1 for row in rows_of(delta) for _, v in row)
         assert verify_orthogonal(gamma, delta)
 
     def test_lift_satisfies_determinant_condition(self, pair, gf16):
@@ -257,18 +257,18 @@ class TestLift:
 
     def test_lift_support_and_weights(self, pair, gf16):
         gamma = lift_gamma(pair, gf16, np.random.default_rng(5))
-        assert gamma.support().rows == pair.expand_c().rows
-        assert all(v != 0 for row in gamma.rows for _, v in row)
+        assert rows_of(gamma.support()) == rows_of(pair.expand_c())
+        assert all(v != 0 for row in rows_of(gamma) for _, v in row)
 
     def test_lift_deterministic(self, pair, gf16):
         a = lift_gamma(pair, gf16, np.random.default_rng(77))
         b = lift_gamma(pair, gf16, np.random.default_rng(77))
-        assert a.rows == b.rows
+        assert rows_of(a) == rows_of(b)
 
     def test_reject_trivial(self, pair, gf16):
         rng = np.random.default_rng(8)
         gamma = lift_gamma(pair, gf16, rng, reject_trivial=True)
-        logs = [gf16.log(v) for row in gamma.rows for _, v in row]
+        logs = [gf16.log(v) for row in rows_of(gamma) for _, v in row]
         assert any(lg != 0 for lg in logs)
 
     def test_pair_orthogonal_dense_oracle(self, pair, gf16):
@@ -282,27 +282,32 @@ class TestLift:
         rng = np.random.default_rng(31)
         gamma = lift_gamma(pair, gf16, rng)
         delta = solve_delta(gamma, pair)
-        delta.rows[3] = [(c, gf16.mul(v, 7)) for c, v in delta.rows[3]]
+        rows = rows_of(delta)
+        rows[3] = [(c, gf16.mul(v, 7)) for c, v in rows[3]]
+        delta = nb_from_rows(delta.m, delta.n, rows, "DELTA", gf16, pair.params)
         assert verify_orthogonal(gamma, delta)
 
     def test_perturbed_delta_breaks_orthogonality(self, pair, gf16):
         rng = np.random.default_rng(41)
         gamma = lift_gamma(pair, gf16, rng)
         delta = solve_delta(gamma, pair)
-        c0, v0 = delta.rows[2][3]
-        delta.rows[2][3] = (c0, v0 ^ 1 if v0 ^ 1 else 3)
+        k = np.flatnonzero(delta.row == 2)[3]
+        v0 = int(delta.val[k])
+        delta.val[k] = v0 ^ 1 if v0 ^ 1 else 3
         assert not verify_orthogonal(gamma, delta)
 
     def test_closure_violation_detected(self, pair, gf16):
         gamma = all_ones_lift(pair, gf16)
         # corrupt one entry of a cycle so the wrap-around product is off
-        gamma.rows[0][0] = (gamma.rows[0][0][0], 5)
+        gamma.val[0] = 5        # row 0's first entry
         with pytest.raises(ClosureViolation):
             solve_delta(gamma, pair)
 
     def test_closure_violation_on_zero_entry(self, pair, gf16):
         gamma = all_ones_lift(pair, gf16)
-        gamma.rows[0] = gamma.rows[0][1:]     # a zero on the two cycles through it
+        rows = rows_of(gamma)
+        rows[0] = rows[0][1:]     # a zero on the two cycles through it
+        gamma = nb_from_rows(gamma.m, gamma.n, rows, "GAMMA", gf16, pair.params)
         with pytest.raises(ClosureViolation):
             solve_delta(gamma, pair)
 
@@ -314,7 +319,7 @@ class TestLift:
                 field = make_field(p)
                 gamma = lift_gamma(inst, field, np.random.default_rng(p))
                 delta = solve_delta(gamma, inst)
-                assert delta.rows == recurrence_delta(gamma, walks), (params, p)
+                assert rows_of(delta) == recurrence_delta(gamma, walks), (params, p)
                 assert (delta.m, delta.n) == (inst.expand_d().m, inst.expand_d().n)
 
     def test_entry_takes_index_arrays(self, pair, gf16):
@@ -323,13 +328,13 @@ class TestLift:
         i, j = np.indices(dense.shape)
         got = gamma.entry(i, j)
         assert got.dtype == np.int64 and np.array_equal(got, dense)
-        col, value = gamma.rows[4][2]
+        col, value = rows_of(gamma)[4][2]
         assert gamma.entry(4, col) == value and type(gamma.entry(4, col)) is int
         assert gamma.entry(4, col + 1) == 0
         assert gamma.entry(1, -1) == 0 and gamma.entry(0, gamma.n) == 0
 
     def test_zero_dim_orthogonal(self, gf16):
-        empty = NBMatrix(m=0, n=0, role="GAMMA", field=gf16, params=EX1, rows=[])
+        empty = nb_from_rows(0, 0, [], "GAMMA", gf16, EX1)
         assert verify_orthogonal(empty, empty)
 
     @given(seed=st.integers(0, 2 ** 31), p=st.sampled_from([2, 4, 6, 8]))
@@ -342,5 +347,5 @@ class TestLift:
         gamma = lift_gamma(pair, field, rng)
         delta = solve_delta(gamma, pair)
         assert verify_orthogonal(gamma, delta)
-        assert gamma.support().rows == pair.expand_c().rows
-        assert delta.support().rows == pair.expand_d().rows
+        assert rows_of(gamma.support()) == rows_of(pair.expand_c())
+        assert rows_of(delta.support()) == rows_of(pair.expand_d())

@@ -24,7 +24,7 @@ FIELDS = {p: make_field(p) for p in (2, 4, 8)}
 
 
 def random_binary(rng, m, n, density) -> SparseBinaryMatrix:
-    return SparseBinaryMatrix(m=m, n=n, rows=[
+    return oracles.from_rows(m, n, [
         np.flatnonzero(rng.random(n) < density).tolist() for _ in range(m)])
 
 
@@ -33,7 +33,7 @@ def random_nb(rng, field, m, n, density, role="GAMMA") -> NBMatrix:
     for _ in range(m):
         cols = np.flatnonzero(rng.random(n) < density).tolist()
         rows.append([(c, int(rng.integers(1, field.q))) for c in cols])
-    return NBMatrix(m=m, n=n, role=role, field=field, params=EX1, rows=rows)
+    return oracles.nb_from_rows(m, n, rows, role, field, EX1)
 
 
 def lifted_pair(p, seed):
@@ -79,16 +79,19 @@ def test_lifted_pairs_and_single_changes(p, seed, pick):
     # one GF(2^p) entry of delta changed, possibly to 0
     rng = np.random.default_rng(pick)
     r = int(rng.integers(delta.m))
-    k = int(rng.integers(len(delta.rows[r])))
-    c, v = delta.rows[r][k]
-    delta.rows[r][k] = (c, int((v + rng.integers(1, field.q)) % field.q))
+    entries = np.flatnonzero(delta.row == r)
+    k = entries[int(rng.integers(len(entries)))]
+    v = int(delta.val[k])
+    delta.val[k] = int((v + rng.integers(1, field.q)) % field.q)
     assert verify_orthogonal(gamma, delta) == oracles.verify_orthogonal(gamma, delta)
     assert not verify_orthogonal(gamma, delta)
 
     # one bit of the binary expansion flipped
     r = int(rng.integers(hd.m))
     col = int(rng.integers(hd.n))
-    hd.rows[r] = sorted(set(hd.rows[r]) ^ {col})
+    rows = oracles.rows_of(hd)
+    rows[r] = sorted(set(rows[r]) ^ {col})
+    hd = oracles.from_rows(hd.m, hd.n, rows)
     assert binary_orthogonal(hc, hd) == oracles.binary_orthogonal(hc, hd)
 
 
@@ -100,8 +103,8 @@ def test_overlap_parity_decides_binary_verdict(seed, overlap):
     n = 16
     cols = rng.permutation(n)
     shared = cols[:overlap].tolist()
-    a = SparseBinaryMatrix(m=2, n=n, rows=[sorted(shared + cols[overlap:8].tolist()), []])
-    b = SparseBinaryMatrix(m=2, n=n, rows=[[], sorted(shared + cols[8:12].tolist())])
+    a = oracles.from_rows(2, n, [sorted(shared + cols[overlap:8].tolist()), []])
+    b = oracles.from_rows(2, n, [[], sorted(shared + cols[8:12].tolist())])
     assert binary_orthogonal(a, b) == (overlap % 2 == 0) == oracles.binary_orthogonal(a, b)
 
 
@@ -109,28 +112,26 @@ class TestEdgeCases:
     @pytest.mark.parametrize("p", [2, 4, 8])
     def test_zero_rows_are_orthogonal(self, p):
         field = FIELDS[p]
-        empty = NBMatrix(m=0, n=5, role="GAMMA", field=field, params=EX1, rows=[])
+        empty = oracles.nb_from_rows(0, 5, [], "GAMMA", field, EX1)
         full = random_nb(np.random.default_rng(p), field, 4, 5, 0.8)
         for g, d in ((empty, empty), (empty, full), (full, empty)):
             assert verify_orthogonal(g, d)
-        bempty = SparseBinaryMatrix(m=0, n=5, rows=[])
+        bempty = oracles.from_rows(0, 5, [])
         bfull = random_binary(np.random.default_rng(p), 4, 5, 0.8)
         for a, b in ((bempty, bempty), (bempty, bfull), (bfull, bempty)):
             assert binary_orthogonal(a, b)
 
     def test_disjoint_supports_are_orthogonal(self):
         field = FIELDS[4]
-        gamma = NBMatrix(m=2, n=6, role="GAMMA", field=field, params=EX1,
-                         rows=[[(0, 3), (1, 7)], [(2, 9)]])
-        delta = NBMatrix(m=2, n=6, role="DELTA", field=field, params=EX1,
-                         rows=[[(3, 5), (4, 1)], [(5, 2)]])
+        gamma = oracles.nb_from_rows(2, 6, [[(0, 3), (1, 7)], [(2, 9)]], "GAMMA", field, EX1)
+        delta = oracles.nb_from_rows(2, 6, [[(3, 5), (4, 1)], [(5, 2)]], "DELTA", field, EX1)
         assert verify_orthogonal(gamma, delta)
         assert binary_orthogonal(gamma.support(), delta.support())
 
     def test_column_count_mismatch(self):
         field = FIELDS[4]
-        gamma = NBMatrix(m=1, n=6, role="GAMMA", field=field, params=EX1, rows=[[(0, 1)]])
-        delta = NBMatrix(m=1, n=7, role="DELTA", field=field, params=EX1, rows=[[(0, 1)]])
+        gamma = oracles.nb_from_rows(1, 6, [[(0, 1)]], "GAMMA", field, EX1)
+        delta = oracles.nb_from_rows(1, 7, [[(0, 1)]], "DELTA", field, EX1)
         with pytest.raises(DimensionMismatch):
             verify_orthogonal(gamma, delta)
         with pytest.raises(DimensionMismatch):
@@ -143,16 +144,28 @@ class TestEdgeCases:
 def test_expand_binary_matches_per_entry_oracle(p, transpose, reverse, seed, m, n):
     mat = random_nb(np.random.default_rng(seed), FIELDS[p], m, n, 0.5)
     if reverse:         # the expanded rows come out sorted either way
-        mat.rows = [row[::-1] for row in mat.rows]
+        mat = oracles.nb_from_rows(m, n, [row[::-1] for row in oracles.rows_of(mat)],
+                                   "GAMMA", mat.field, EX1)
     got = _expand_binary(mat, transpose)
     want = oracles.expand_binary(mat, transpose)
     assert (got.m, got.n) == (want.m, want.n)
-    assert got.rows == want.rows
+    assert oracles.rows_of(got) == oracles.rows_of(want)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_expand_binary_of_unsorted_rows(transpose):
+    # columns descend in row 0 and are shuffled in row 2; the expansion is
+    # row-major with columns ascending all the same
+    rows = [[(4, 3), (2, 7), (0, 1)], [], [(3, 9), (5, 2), (1, 14)]]
+    mat = oracles.nb_from_rows(3, 6, rows, "GAMMA", FIELDS[4], EX1)
+    got = _expand_binary(mat, transpose)
+    assert oracles.rows_of(got) == oracles.rows_of(oracles.expand_binary(mat, transpose))
+    assert np.all(np.diff(got.row * got.n + got.col) > 0)
 
 
 @pytest.mark.parametrize("p", [2, 4, 8])
 def test_expand_pair_matches_oracle_on_lifted_pair(p):
     gamma, delta = lifted_pair(p, 100 + p)
     code = expand_pair(gamma, delta)
-    assert code.hc.rows == oracles.expand_binary(gamma, False).rows
-    assert code.hd.rows == oracles.expand_binary(delta, True).rows
+    assert oracles.rows_of(code.hc) == oracles.rows_of(oracles.expand_binary(gamma, False))
+    assert oracles.rows_of(code.hd) == oracles.rows_of(oracles.expand_binary(delta, True))

@@ -5,16 +5,18 @@ reference exponent tables and support rows are the published (2, 6, 7)
 instance with sigma=2, tau=3.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from nbqc.qcpair import (ExponentMatrix, InvalidParams, QCParams,
                          SparseBinaryMatrix, build_pair, expand, find_params,
                          has_4cycle, validate_params)
-from oracles import format_exponents
+from oracles import col_supports, format_exponents, from_rows, rows_of
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
 EX1_C = [[1, 2, 4, 3, 6, 5], [4, 1, 2, 5, 3, 6]]
@@ -84,15 +86,15 @@ class TestExpand:
     def test_identity_block(self):
         exp = ExponentMatrix(role="C", table=np.zeros((1, 1), dtype=np.int64))
         mat = expand(exp, 5)
-        assert mat.rows == [[r] for r in range(5)]
+        assert rows_of(mat) == [[r] for r in range(5)]
 
     def test_reference_row5_support(self):
         hd = build_pair(EX1).expand_d()
-        assert hd.rows[5] == [2, 7, 20, 25, 29, 38]
+        assert rows_of(hd)[5] == [2, 7, 20, 25, 29, 38]
 
     def test_reference_hc_row0_support(self):
         hc = build_pair(EX1).expand_c()
-        assert hc.rows[0] == [1, 9, 18, 24, 34, 40]
+        assert rows_of(hc)[0] == [1, 9, 18, 24, 34, 40]
 
     def test_orthogonality_reference(self):
         pair = build_pair(EX1)
@@ -101,9 +103,18 @@ class TestExpand:
     def test_weights(self):
         pair = build_pair(EX1)
         for mat in (pair.expand_c(), pair.expand_d()):
-            assert all(len(r) == EX1.L for r in mat.rows)
-            assert all(len(c) == EX1.J for c in mat.col_supports())
+            assert all(len(r) == EX1.L for r in rows_of(mat))
+            assert all(len(c) == EX1.J for c in col_supports(mat))
             assert mat.nnz() == EX1.J * EX1.L * EX1.P
+
+    @pytest.mark.parametrize("J", [1, 2, 3])
+    def test_matches_circulant_double_loop(self, J):
+        for params in find_params(6, range(3, 40))[::5] + find_params(8, range(3, 40))[::5]:
+            pair = build_pair(replace(params, J=J), allow_any_j=True)
+            for exponents in (pair.c, pair.d):
+                got, want = expand(exponents, params.P), oracles.expand(exponents, params.P)
+                assert (got.m, got.n) == (want.m, want.n) == (J * params.P, params.L * params.P)
+                assert np.array_equal(got.row, want.row) and np.array_equal(got.col, want.col)
 
 
 class TestFindParams:
@@ -144,10 +155,19 @@ class TestHas4Cycle:
         assert not has_4cycle(pair.expand_d())
 
     def test_all_ones_2x2(self):
-        assert has_4cycle(SparseBinaryMatrix(m=2, n=2, rows=[[0, 1], [0, 1]]))
+        assert has_4cycle(from_rows(2, 2, [[0, 1], [0, 1]]))
 
     def test_single_shared_row_ok(self):
-        assert not has_4cycle(SparseBinaryMatrix(m=2, n=2, rows=[[0, 1], [0]]))
+        assert not has_4cycle(from_rows(2, 2, [[0, 1], [0]]))
+
+    @given(n=st.integers(1, 8),
+           rows=st.lists(st.sets(st.integers(0, 7), max_size=4).map(sorted), max_size=8))
+    @example(n=6, rows=[[], [0, 2, 5], [1], [], [2, 3, 5]])       # columns 2 and 5 twice
+    @example(n=6, rows=[[], [0, 2, 5], [1], [], [2, 3, 4], []])   # no repeated pair
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pair_set(self, n, rows):
+        mat = from_rows(len(rows), n, [[c for c in row if c < n] for row in rows])
+        assert has_4cycle(mat) == oracles.has_4cycle(mat)
 
 
 @st.composite
@@ -168,8 +188,8 @@ class TestProperties:
         assert not dense_product_mod2(hc, hd).any()
         assert not has_4cycle(hc)
         assert not has_4cycle(hd)
-        assert all(len(r) == params.L for r in hc.rows)
-        assert all(len(c) == params.J for c in hd.col_supports())
+        assert all(len(r) == params.L for r in rows_of(hc))
+        assert all(len(c) == params.J for c in col_supports(hd))
 
 
 def test_format_exponents_mentions_blocks():
