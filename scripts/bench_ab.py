@@ -10,7 +10,10 @@ even seeds and second on odd ones, so a slow stretch of the host hits
 both sides alike.  For every end-to-end metric of `BENCHMARK.json` the
 script prints each side's median and quartiles, the change's median
 relative to the parent's, the median gain against the parent's IQR, and
-in how many pairs the change was better (ties count for neither).
+in how many pairs the change was better (ties count for neither).  A pair
+in which either run was incorrect (`correct` false, failed operations or
+a nonzero exit) is left out of these statistics; the report says how
+many pairs were dropped.
 
 Uses the standard library only and imports nothing from nbqc, so both
 sides run on their own sources.
@@ -65,13 +68,21 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def is_correct(result: dict) -> bool:
+    return bool(result["correct"]) and not result["failed"] and not result["exit"]
+
+
 def report(workload: str, metrics: list[dict], runs: list[tuple[dict, dict]]) -> None:
     print(f"\n{workload}: {len(runs)} pairs")
-    bad = [(side, r) for pair in runs for side, r in zip(("parent", "change"), pair)
-           if not r["correct"] or r["failed"] or r["exit"]]
-    for side, r in bad:
-        print(f"  WARNING: a {side} run was not correct: failed {r['failed']} "
-              f"of {r['attempted']}, exit {r['exit']}")
+    for pair in runs:
+        for side, r in zip(("parent", "change"), pair):
+            if not is_correct(r):
+                print(f"  WARNING: a {side} run was not correct: failed {r['failed']} "
+                      f"of {r['attempted']}, exit {r['exit']}")
+    # an incorrect run's metrics measure a broken pipeline: its whole pair goes
+    kept = [pair for pair in runs if all(map(is_correct, pair))]
+    print(f"  {len(runs) - len(kept)} pairs dropped for an incorrect run, {len(kept)} kept")
+    runs = kept
     print(f"  {'metric':<14} {'parent median (q1-q3)':<32} {'change median (q1-q3)':<32} "
           f"{'change/parent':>13} {'gain/IQR':>9} {'wins':>6}")
     for m in metrics:

@@ -18,15 +18,14 @@ from nbqc.binexpand import expand_pair
 from nbqc.decoder import DecoderConfig
 from nbqc.gf2p import make_field
 from nbqc.harness import CSV_HEADER, record_csv_line, simulate_sweep
-from nbqc.nblift import lift_gamma, solve_delta
+from nbqc.nblift import lift
 from nbqc.qcpair import QCParams, build_pair, find_params
 
 
 def build_code(p: int, params: QCParams, seed: int):
-    pair = build_pair(params)
-    field = make_field(p)
-    gamma = lift_gamma(pair, field, np.random.default_rng(seed), reject_trivial=True)
-    return expand_pair(gamma, solve_delta(gamma, pair))
+    gamma, delta = lift(build_pair(params), make_field(p), np.random.default_rng(seed),
+                        reject_trivial=True)
+    return expand_pair(gamma, delta)
 
 
 def main() -> None:

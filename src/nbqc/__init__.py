@@ -8,16 +8,16 @@ convolution; the harness runs seeded Monte Carlo block-error sweeps.
 
 from nbqc.gf2p import FieldSpec, make_field
 from nbqc.qcpair import QCParams, QCPair, build_pair, expand, find_params, has_4cycle, validate_params
-from nbqc.nblift import NBMatrix, cycle_structure, lift_gamma, solve_delta, verify_orthogonal
+from nbqc.nblift import NBMatrix, cycle_structure, lift, lift_gamma, solve_delta, verify_orthogonal
 from nbqc.binexpand import CssCodePair, expand_pair, read_matrix, write_matrix
 from nbqc.channel import ChannelParams, sample_error, syndrome_of
-from nbqc.decoder import DecoderConfig, DecodeOutcome, SyndromeDecoder, decode, decode_css
+from nbqc.decoder import DecoderConfig, DecodeOutcome, SyndromeDecoder
 
 __all__ = [
     "FieldSpec", "make_field",
     "QCParams", "QCPair", "build_pair", "expand", "find_params", "has_4cycle", "validate_params",
-    "NBMatrix", "cycle_structure", "lift_gamma", "solve_delta", "verify_orthogonal",
+    "NBMatrix", "cycle_structure", "lift", "lift_gamma", "solve_delta", "verify_orthogonal",
     "CssCodePair", "expand_pair", "read_matrix", "write_matrix",
     "ChannelParams", "sample_error", "syndrome_of",
-    "DecoderConfig", "DecodeOutcome", "SyndromeDecoder", "decode", "decode_css",
+    "DecoderConfig", "DecodeOutcome", "SyndromeDecoder",
 ]

@@ -202,6 +202,8 @@ def read_matrix(source, expected_field: FieldSpec | None = None) -> NBMatrix:
         m, n = int(dims["M"]), int(dims["N"])
     except ValueError as exc:
         raise ParseError(3, f"bad dimension: {exc}") from exc
+    if m < 0 or n < 0:
+        raise ParseError(3, f"negative dimension M={m} N={n}")
 
     if expected_field is not None and (expected_field.p != p or expected_field.poly != poly):
         raise FieldMismatch(

@@ -441,18 +441,3 @@ class SyndromeDecoder:
                 return DecodeOutcome(status="success", estimate=estimate, iterations=it)
 
         return DecodeOutcome(status="fail", estimate=estimate, iterations=config.max_iter)
-
-
-def decode(code: CssCodePair, role: str, syndrome: np.ndarray, f_m: float,
-           config: DecoderConfig = DecoderConfig()) -> DecodeOutcome:
-    """One-shot decode; build a SyndromeDecoder directly to amortise setup."""
-    return SyndromeDecoder(code, role).decode(syndrome, f_m, config)
-
-
-def decode_css(code: CssCodePair, syndromes: tuple[np.ndarray, np.ndarray],
-               f_m: float, config: DecoderConfig = DecoderConfig()
-               ) -> tuple[DecodeOutcome, DecodeOutcome]:
-    """Decode both constituent codes independently (correlations ignored)."""
-    s_c, s_d = syndromes
-    return (SyndromeDecoder(code, "C").decode(s_c, f_m, config),
-            SyndromeDecoder(code, "D").decode(s_d, f_m, config))

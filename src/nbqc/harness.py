@@ -144,7 +144,7 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _run_trials(code, role: str, f_m: float, mode: str, trials: range,
-                seed: int, config: DecoderConfig, count_syndrome_only: bool):
+                seed: int, config: DecoderConfig):
     decoder = SyndromeDecoder(code, role)
     params = channel.ChannelParams(f_m=f_m, mode=mode)
     fails = mismatches = 0
@@ -159,7 +159,7 @@ def _run_trials(code, role: str, f_m: float, mode: str, trials: range,
         iter_sum += outcome.iterations
         if not outcome.ok:
             fails += 1
-        elif not count_syndrome_only and not np.array_equal(outcome.estimate, err):
+        elif not np.array_equal(outcome.estimate, err):
             mismatches += 1
     return fails, mismatches, iter_sum
 
@@ -167,7 +167,6 @@ def _run_trials(code, role: str, f_m: float, mode: str, trials: range,
 def simulate_point(code, role: str, f_m: float, trials: int, seed: int,
                    config: DecoderConfig = DecoderConfig(),
                    mode: str = "independent",
-                   count_syndrome_only: bool = False,
                    workers: int = 1) -> SimRecord:
     """Monte Carlo BLER of one constituent code at one operating point.
 
@@ -178,7 +177,7 @@ def simulate_point(code, role: str, f_m: float, trials: int, seed: int,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers <= 1 or trials < 2 * workers:
         fails, mismatches, iter_sum = _run_trials(
-            code, role, f_m, mode, range(trials), seed, config, count_syndrome_only)
+            code, role, f_m, mode, range(trials), seed, config)
     else:
         # imported here so that serial runs skip loading multiprocessing at start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -188,8 +187,7 @@ def simulate_point(code, role: str, f_m: float, trials: int, seed: int,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
                 _run_trials_star,
-                [(code, role, f_m, mode, r, seed, config, count_syndrome_only)
-                 for r in ranges]))
+                [(code, role, f_m, mode, r, seed, config) for r in ranges]))
         fails = sum(p[0] for p in parts)
         mismatches = sum(p[1] for p in parts)
         iter_sum = sum(p[2] for p in parts)
@@ -206,15 +204,12 @@ def _run_trials_star(args):
 def simulate_sweep(code, f_m_values, trials: int, seed: int,
                    config: DecoderConfig = DecoderConfig(),
                    mode: str = "independent",
-                   count_syndrome_only: bool = False,
                    workers: int = 1) -> list[SimRecord]:
     """One SimRecord per (f_m, role), roles C then D at each point."""
     records = []
     for f_m in f_m_values:
         for role in ("C", "D"):
-            records.append(simulate_point(
-                code, role, f_m, trials, seed, config, mode,
-                count_syndrome_only, workers))
+            records.append(simulate_point(code, role, f_m, trials, seed, config, mode, workers))
     return records
 
 
@@ -282,11 +277,7 @@ def cmd_construct(args) -> int:
     params = QCParams(P=args.P, J=args.J, L=args.L, sigma=args.sigma, tau=args.tau)
     field = make_field(args.p, args.poly)
     pair = build_pair(params)
-    rng = np.random.default_rng(args.seed)
-    cycles = nblift.cycle_structure(pair.expand_c(), pair.expand_d())
-    gamma = nblift.lift_gamma(pair, field, rng, reject_trivial=args.reject_trivial,
-                              cycles=cycles)
-    delta = nblift.solve_delta(gamma, pair, cycles)
+    gamma, delta = nblift.lift(pair, field, np.random.default_rng(args.seed), args.reject_trivial)
     code = binexpand.expand_pair(gamma, delta)
     write_matrix(gamma, f"{args.out}.gamma.nbqc")
     write_matrix(delta, f"{args.out}.delta.nbqc")
@@ -310,9 +301,7 @@ def cmd_simulate(args) -> int:
     config = DecoderConfig(max_iter=args.max_iter)
     workers = int(os.environ.get("NBQC_WORKERS", "1"))
     records = simulate_sweep(code, args.fm, args.trials, args.seed, config,
-                             mode=args.mode,
-                             count_syndrome_only=args.count_syndrome_only,
-                             workers=workers)
+                             mode=args.mode, workers=workers)
     lines = [CSV_HEADER] + [record_csv_line(r) for r in records]
     _write_lines(args.out, lines)
     return 0
@@ -382,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--max-iter", type=int, default=32)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--mode", choices=("independent", "joint"), default="independent")
-    s.add_argument("--count-syndrome-only", action="store_true",
-                   help="count only syndrome mismatches as block errors")
     s.add_argument("--out", default="-", help="CSV path (default stdout)")
     s.set_defaults(func=cmd_simulate)
 

@@ -23,10 +23,15 @@ matrix's entries are each cycle's columns, sorted per row.
 
 Costs.  `cycle_structure` walks the cycles of all M rows at once: one
 column index of the first matrix, then L steps of one array lookup
-each.  The balance equations, the second matrix and the determinant
-check read the cycles as two (M, L) arrays, and the logs of the first
-matrix on E1 and E2 come from one `NBMatrix.entry` lookup: O(M L) array
-work, with no per-row Python walk and no per-entry field arithmetic.
+each.  `lift` expands each matrix of the pair once and walks the cycles
+once; the stages it calls (`assemble_constraints`, `lift_gamma`,
+`solve_delta`) take the expansion and the walk as inputs and neither
+expand nor walk again.  A construct therefore walks the cycles once,
+and `nbqc verify` walks them once more for the determinant check.  The
+balance equations, the second matrix and the determinant check read
+the cycles as two (M, L) arrays, and the logs of the first matrix on
+E1 and E2 come from one `NBMatrix.entry` lookup: O(M L) array work,
+with no per-row Python walk and no per-entry field arithmetic.
 `verify_orthogonal` joins the nonzeros of the two matrices on their
 column: only row pairs that share a column appear, and each pair's
 products are XOR-summed.  A pair that shares no column has a zero
@@ -193,35 +198,26 @@ def _sides(cycles: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarra
     return np.stack((m_seq, m_seq)), np.stack((n_seq, np.roll(n_seq, -1, axis=1)))
 
 
-def assemble_constraints(pair: QCPair, modulus: int,
-                         cycles: tuple | None = None) -> tuple[ModSystem, dict]:
+def assemble_constraints(hc: SparseBinaryMatrix, cycles: tuple[np.ndarray, np.ndarray],
+                         modulus: int) -> ModSystem:
     """Balance equations for the lift, one per row of the second matrix.
 
-    Variables are the discrete logs of the first matrix's nonzeros,
-    indexed row-major over its support; the modulus is 2^p - 1 for a
-    lift over GF(2^p).  Row r's equation lists its E1 variables with
-    coefficient +1, then its E2 variables with -1, in walk order.
-    Returns the system together with the (row, col) -> variable index
-    map.  `cycles` is the pair's `cycle_structure`, walked here when
-    omitted.
+    Variables are the discrete logs of the first matrix `hc`'s nonzeros:
+    a variable's index is its entry's row-major rank in `hc`.  The
+    modulus is 2^p - 1 for a lift over GF(2^p).  Row r's equation lists
+    its E1 variables with coefficient +1, then its E2 variables with -1,
+    in the walk order of `cycles`, the pair's `cycle_structure`.
 
     Each variable lies on two cycles, one from each half of the second
     matrix, with equal coefficients: the system is a balanced signed
     graph, which `solve_mod` solves on its spanning forest.
     """
-    if pair.params.J != 2:
-        raise DimensionMismatch("cycle constraints require column weight J=2")
-    hc = pair.expand_c()
-    if cycles is None:
-        cycles = cycle_structure(hc, pair.expand_d())
-    rows, cols = hc.row, hc.col
     i, j = _sides(cycles)
     # row-major keys ascend, so a position's rank is its variable index
-    var = np.searchsorted(rows * hc.n + cols, i * hc.n + j)
+    var = np.searchsorted(hc.row * hc.n + hc.col, i * hc.n + j)
     coefs = [1] * var.shape[2] + [-1] * var.shape[2]
     equations = [list(zip(terms, coefs)) for terms in np.concatenate(var, axis=1).tolist()]
-    var_index = dict(zip(zip(rows.tolist(), cols.tolist()), range(len(cols))))
-    return ModSystem(modulus=modulus, n_vars=len(cols), equations=equations), var_index
+    return ModSystem(modulus=modulus, n_vars=hc.nnz(), equations=equations)
 
 
 def cycle_log_steps(gamma: NBMatrix,
@@ -240,18 +236,35 @@ def cycle_log_steps(gamma: NBMatrix,
     return logs[0] - logs[1], (values == 0).any(axis=2)
 
 
-def lift_gamma(pair: QCPair, field: FieldSpec, rng: np.random.Generator,
-               reject_trivial: bool = False, cycles: tuple | None = None) -> NBMatrix:
-    """Sample the first non-binary matrix on the support of the QC pair.
+def lift(pair: QCPair, field: FieldSpec, rng: np.random.Generator,
+         reject_trivial: bool = False) -> tuple[NBMatrix, NBMatrix]:
+    """Lift an orthogonal binary QC pair to an orthogonal pair
+    (gamma, delta) over `field`.
 
-    Logs are drawn from the solution space of the balance equations, so
-    every cycle determinant vanishes by construction.  With
-    `reject_trivial`, the all-zero log draw (the all-ones matrix, which
-    collapses back to the binary code) is resampled.  `cycles` is
-    passed on to `assemble_constraints`.
+    Expands each matrix of the pair once and walks its cycles once;
+    `lift_gamma` samples the first matrix on those cycles and
+    `solve_delta` propagates the second around them.
     """
-    system, _ = assemble_constraints(pair, field.q - 1, cycles)
-    space = solve_mod(system)
+    if pair.params.J != 2:
+        raise DimensionMismatch("cycle constraints require column weight J=2")
+    hc = pair.expand_c()
+    cycles = cycle_structure(hc, pair.expand_d())
+    gamma = lift_gamma(hc, cycles, field, pair.params, rng, reject_trivial)
+    return gamma, solve_delta(gamma, cycles)
+
+
+def lift_gamma(hc: SparseBinaryMatrix, cycles: tuple[np.ndarray, np.ndarray],
+               field: FieldSpec, params: QCParams, rng: np.random.Generator,
+               reject_trivial: bool = False) -> NBMatrix:
+    """Sample the first non-binary matrix on the support `hc`.
+
+    Logs are drawn from the solution space of the balance equations on
+    `cycles`, the pair's `cycle_structure`, so every cycle determinant
+    vanishes by construction.  With `reject_trivial`, the all-zero log
+    draw (the all-ones matrix, which collapses back to the binary code)
+    is resampled.  `params` goes into the matrix's header.
+    """
+    space = solve_mod(assemble_constraints(hc, cycles, field.q - 1))
     for _ in range(MAX_RESAMPLE):
         logs = sample_solution(space, rng)
         if not reject_trivial or logs.any():
@@ -259,14 +272,13 @@ def lift_gamma(pair: QCPair, field: FieldSpec, rng: np.random.Generator,
     else:
         raise RuntimeError("could not sample a non-trivial lift")
     # variables are numbered row-major over the support, like its entries
-    hc = pair.expand_c()
-    return NBMatrix(m=hc.m, n=hc.n, role="GAMMA", field=field, params=pair.params,
+    return NBMatrix(m=hc.m, n=hc.n, role="GAMMA", field=field, params=params,
                     row=hc.row, col=hc.col, val=field.exp_table[logs])
 
 
-def solve_delta(gamma: NBMatrix, pair: QCPair,
-                cycles: tuple | None = None) -> NBMatrix:
-    """Propagate the second matrix's nonzeros around each cycle.
+def solve_delta(gamma: NBMatrix, cycles: tuple[np.ndarray, np.ndarray]) -> NBMatrix:
+    """Propagate the second matrix's nonzeros around each of `cycles`,
+    the pair's `cycle_structure`.
 
     Row r is a null-space ray of its cycle's bidiagonal system,
     delta(n_{i+1}) = delta(n_i) gamma(E1_i) / gamma(E2_i), with the
@@ -275,12 +287,10 @@ def solve_delta(gamma: NBMatrix, pair: QCPair,
     steps mod 2^p - 1.  The sum over the whole cycle must vanish; a
     cycle that does not close, or that meets a zero of gamma, flags a
     first matrix that breaks its determinant condition, which
-    lift_gamma rules out, and raises ClosureViolation.  `cycles` is the
-    pair's `cycle_structure`, walked here when omitted.
+    lift_gamma rules out, and raises ClosureViolation.  The shape,
+    field and params come from gamma.
     """
     field = gamma.field
-    if cycles is None:
-        cycles = cycle_structure(pair.expand_c(), pair.expand_d())
     steps, zeros = cycle_log_steps(gamma, cycles)
     running = np.cumsum(steps, axis=1) % (field.q - 1)
     broken = zeros.any(axis=0) | (running[:, -1] != 0)
@@ -292,8 +302,8 @@ def solve_delta(gamma: NBMatrix, pair: QCPair,
     M, L = n_seq.shape
     by_col = np.argsort(n_seq, axis=1)
     values = field.exp_table[np.take_along_axis(np.roll(running, 1, axis=1), by_col, axis=1)]
-    return NBMatrix(m=M, n=pair.params.L * pair.params.P, role="DELTA", field=field,
-                    params=pair.params, row=np.repeat(np.arange(M), L),
+    return NBMatrix(m=M, n=gamma.n, role="DELTA", field=field, params=gamma.params,
+                    row=np.repeat(np.arange(M), L),
                     col=np.take_along_axis(n_seq, by_col, axis=1).reshape(-1),
                     val=values.reshape(-1))
 

@@ -31,7 +31,7 @@ from nbqc.binexpand import CssCodePair
 from nbqc.decoder import LengthMismatch, SyndromeDecoder, walsh_hadamard
 from nbqc.gf2p import FieldSpec
 from nbqc.modring import ModSystem
-from nbqc.nblift import DimensionMismatch, NBMatrix, NotACycle
+from nbqc.nblift import DimensionMismatch, NBMatrix, NotACycle, cycle_structure
 from nbqc.qcpair import (ExponentMatrix, QCPair, QCParams, SparseBinaryMatrix,
                          validate_params)
 
@@ -487,6 +487,13 @@ def walk_cycles(hc: SparseBinaryMatrix, hd: SparseBinaryMatrix) -> list[CycleStr
     """`walk_cycle` of every row of the second matrix, in row order."""
     col_checks = col_supports(hc)
     return [walk_cycle(hc, hd, m_prime, col_checks) for m_prime in range(hd.m)]
+
+
+def pair_walk(pair: QCPair) -> tuple[SparseBinaryMatrix, tuple[np.ndarray, np.ndarray]]:
+    """The first matrix of `pair` and the pair's `nblift.cycle_structure`:
+    the inputs of `assemble_constraints` and `lift_gamma`."""
+    hc = pair.expand_c()
+    return hc, cycle_structure(hc, pair.expand_d())
 
 
 def recurrence_delta(gamma: NBMatrix, cycles: list) -> list:

@@ -17,7 +17,7 @@ from nbqc.channel import syndrome_of
 from nbqc.decoder import DecoderConfig, SyndromeDecoder
 from nbqc.gf2p import make_field
 from nbqc.harness import main, s2_limit, shannon_limit, simulate_point
-from nbqc.nblift import cycle_structure, lift_gamma, solve_delta, verify_orthogonal
+from nbqc.nblift import cycle_structure, lift, verify_orthogonal
 from nbqc.qcpair import QCParams, build_pair
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
@@ -38,8 +38,7 @@ def desk_code():
     """
     pair = build_pair(EX1)
     field = make_field(4)
-    gamma = lift_gamma(pair, field, np.random.default_rng(26), reject_trivial=True)
-    return expand_pair(gamma, solve_delta(gamma, pair))
+    return expand_pair(*lift(pair, field, np.random.default_rng(26), reject_trivial=True))
 
 
 def test_c01_example_reproduction():
@@ -70,8 +69,7 @@ def test_c02_orthogonality_suite():
         for p in (2, 4, 8):
             field = make_field(p)
             for seed in range(9):
-                gamma = lift_gamma(pair, field, np.random.default_rng(seed))
-                delta = solve_delta(gamma, pair)
+                gamma, delta = lift(pair, field, np.random.default_rng(seed))
                 assert verify_orthogonal(gamma, delta)
                 code = expand_pair(gamma, delta)   # re-verifies over GF(2)
                 assert binary_orthogonal(code.hc, code.hd)
@@ -200,8 +198,7 @@ def test_c06_single_symbol_recovery(desk_code):
 def test_c07_monte_carlo_sanity():
     pair = build_pair(EX1)
     field = make_field(4)
-    gamma = lift_gamma(pair, field, np.random.default_rng(7), reject_trivial=True)
-    code = expand_pair(gamma, solve_delta(gamma, pair))
+    code = expand_pair(*lift(pair, field, np.random.default_rng(7), reject_trivial=True))
 
     for seed in (11, 12, 13):
         for role in ("C", "D"):
@@ -251,8 +248,7 @@ def test_c09_complexity_scaling():
     ratios = {}
     for p in (4, 6, 8):
         field = make_field(p)
-        gamma = lift_gamma(pair, field, np.random.default_rng(2))
-        code = expand_pair(gamma, solve_delta(gamma, pair))
+        code = expand_pair(*lift(pair, field, np.random.default_rng(2)))
         dec = SyndromeDecoder(code, "C")
         rng = np.random.default_rng(3)
         err = rng.integers(0, field.q, size=code.N)

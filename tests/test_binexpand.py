@@ -19,7 +19,7 @@ from nbqc.binexpand import (CssCodePair, FieldMismatch, OrthogonalityBroken,
                             ParseError, binary_orthogonal, expand_pair,
                             load_pair, read_matrix, write_matrix)
 from nbqc.gf2p import make_field
-from nbqc.nblift import NBMatrix, lift_gamma, solve_delta, verify_orthogonal
+from nbqc.nblift import NBMatrix, lift, verify_orthogonal
 from nbqc.qcpair import QCParams, build_pair, has_4cycle
 
 DATA = Path(__file__).parent / "data"
@@ -40,8 +40,7 @@ def make_code(seed=3, p=4) -> CssCodePair:
     pair = build_pair(EX1)
     field = make_field(p)
     rng = np.random.default_rng(seed)
-    gamma = lift_gamma(pair, field, rng)
-    return expand_pair(gamma, solve_delta(gamma, pair))
+    return expand_pair(*lift(pair, field, rng))
 
 
 def dense_mod2_product(a, b) -> np.ndarray:
@@ -80,15 +79,13 @@ class TestExpandPair:
     def test_random_lifts_binary_orthogonal(self, p, pair):
         field = make_field(p)
         rng = np.random.default_rng(100 + p)
-        gamma = lift_gamma(pair, field, rng)
-        code = expand_pair(gamma, solve_delta(gamma, pair))
+        code = expand_pair(*lift(pair, field, rng))
         assert not dense_mod2_product(code.hc, code.hd).any()
         assert binary_orthogonal(code.hc, code.hd)
 
     def test_non_orthogonal_input_rejected(self, pair, gf16):
         rng = np.random.default_rng(9)
-        gamma = lift_gamma(pair, gf16, rng)
-        delta = solve_delta(gamma, pair)
+        gamma, delta = lift(pair, gf16, rng)
         v0 = int(delta.val[0])      # row 0's first entry
         delta.val[0] = v0 ^ 3 if v0 ^ 3 else 2
         with pytest.raises(ValueError):
@@ -125,7 +122,7 @@ class TestFormat:
         for p in (2, 4, 8):
             field = make_field(p)
             for _ in range(34):
-                gamma = lift_gamma(pair, field, rng)
+                gamma, _ = lift(pair, field, rng)
                 buf1 = io.StringIO()
                 write_matrix(gamma, buf1)
                 back = read_matrix(io.StringIO(buf1.getvalue()))
@@ -159,14 +156,18 @@ class TestFormat:
         (lambda t: t.replace(" role=GAMMA", ""), 2),
         (lambda t: t.replace("M=14 N=42", "M=14"), 3),
         (lambda t: t.replace("r0:", "q0:"), 4),
-        (lambda t: t.replace("r3: ", "r3: 40:0 "), 4),
+        (lambda t: t.replace("r3: ", "r3: 40:0 "), 7),
+        pytest.param(lambda t: t.replace("M=14 N=42", "M=-1 N=42"), 3, id="negative-M"),
+        pytest.param(lambda t: t.replace("M=14 N=42", "M=14 N=-42"), 3, id="negative-N"),
+        pytest.param(lambda t: "\n".join(t.splitlines()[:2] + ["M=0 N=-5", ""]), 3,
+                     id="negative-N-no-rows"),
     ])
     def test_parse_errors_carry_line_numbers(self, mangle, line_no):
         buf = io.StringIO()
         write_matrix(make_code(seed=2).gamma, buf)
         with pytest.raises(ParseError) as err:
             read_matrix(io.StringIO(mangle(buf.getvalue())))
-        assert err.value.line_no >= min(line_no, 1)
+        assert err.value.line_no == line_no
 
     def test_columns_must_ascend(self):
         buf = io.StringIO()
@@ -245,7 +246,6 @@ class TestGoldenPair:
 def test_expansion_preserves_orthogonality_property(p, seed):
     pair = build_pair(EX1)
     field = make_field(p)
-    gamma = lift_gamma(pair, field, np.random.default_rng(seed))
-    delta = solve_delta(gamma, pair)
+    gamma, delta = lift(pair, field, np.random.default_rng(seed))
     code = expand_pair(gamma, delta)    # raises OrthogonalityBroken on failure
     assert binary_orthogonal(code.hc, code.hd)

@@ -11,7 +11,7 @@ import oracles
 from nbqc.binexpand import expand_pair
 from nbqc.channel import ChannelParams, sample_error, syndrome_of, unpack_symbols
 from nbqc.gf2p import make_field
-from nbqc.nblift import DimensionMismatch, lift_gamma, solve_delta
+from nbqc.nblift import DimensionMismatch, lift
 from nbqc.qcpair import QCParams, build_pair
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
@@ -21,8 +21,7 @@ EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
 def code():
     pair = build_pair(EX1)
     field = make_field(4)
-    gamma = lift_gamma(pair, field, np.random.default_rng(1))
-    return expand_pair(gamma, solve_delta(gamma, pair))
+    return expand_pair(*lift(pair, field, np.random.default_rng(1)))
 
 
 class TestChannelParams:
@@ -119,8 +118,7 @@ class TestSyndrome:
     def test_matches_per_entry_loop(self, p, role):
         pair = build_pair(EX1)
         field = make_field(p)
-        gamma = lift_gamma(pair, field, np.random.default_rng(20 + p))
-        code = expand_pair(gamma, solve_delta(gamma, pair))
+        code = expand_pair(*lift(pair, field, np.random.default_rng(20 + p)))
         rng = np.random.default_rng(p)
         for _ in range(20):
             err = rng.integers(0, field.q, size=code.N) * (rng.random(code.N) < 0.3)

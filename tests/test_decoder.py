@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 from nbqc.binexpand import expand_pair, load_pair
 from nbqc.channel import ChannelParams, sample_error, syndrome_of
 from nbqc.decoder import (DecoderConfig, LengthMismatch, NonFiniteMessage, SyndromeDecoder,
-                          decode, decode_css, init_pmf, walsh_hadamard, wht_work)
+                          init_pmf, walsh_hadamard, wht_work)
 from nbqc.gf2p import make_field
 from nbqc.harness import trial_rng
-from nbqc.nblift import DimensionMismatch, lift_gamma, solve_delta
+from nbqc.nblift import DimensionMismatch, lift
 from nbqc.qcpair import QCParams, build_pair
 from oracles import (SingularMap, first_check_pass, mul_index_table, permute_pmf, rows_of,
                      transpose_index_table, wht_convolve)
@@ -37,8 +37,7 @@ def code():
     # lift draw with no light binary codewords (single-symbol recovery exact)
     pair = build_pair(EX1)
     field = make_field(4)
-    gamma = lift_gamma(pair, field, np.random.default_rng(26), reject_trivial=True)
-    return expand_pair(gamma, solve_delta(gamma, pair))
+    return expand_pair(*lift(pair, field, np.random.default_rng(26), reject_trivial=True))
 
 
 def naive_convolve(msgs, shift):
@@ -297,7 +296,7 @@ class TestPermute:
 
 class TestDecode:
     def test_zero_syndrome_success_at_iteration_zero(self, code):
-        out = decode(code, "C", np.zeros(code.M, dtype=np.int64), 0.01)
+        out = SyndromeDecoder(code, "C").decode(np.zeros(code.M, dtype=np.int64), 0.01)
         assert out.ok and out.iterations == 0
         assert not out.estimate.any()
 
@@ -342,8 +341,8 @@ class TestDecode:
         err = np.zeros(code.N, dtype=np.int64)
         err[[3, 17, 30]] = [5, 9, 12]
         s = syndrome_of(code, "C", err)
-        a = decode(code, "C", s, 0.05)
-        b = decode(code, "C", s, 0.05)
+        a = SyndromeDecoder(code, "C").decode(s, 0.05)
+        b = SyndromeDecoder(code, "C").decode(s, 0.05)
         assert a.status == b.status and a.iterations == b.iterations
         assert np.array_equal(a.estimate, b.estimate)
 
@@ -352,8 +351,7 @@ class TestDecode:
     def test_edge_maps_match_field_tables(self, p, role):
         pair = build_pair(EX1)
         field = make_field(p)
-        gamma = lift_gamma(pair, field, np.random.default_rng(4))
-        code = expand_pair(gamma, solve_delta(gamma, pair))
+        code = expand_pair(*lift(pair, field, np.random.default_rng(4)))
         dec = SyndromeDecoder(code, role)
         table = mul_index_table if role == "C" else transpose_index_table
         _, vals = code.matrix(role).row_grid()
@@ -377,7 +375,7 @@ class TestDecode:
 
     def test_dimension_mismatch(self, code):
         with pytest.raises(Exception) as err:
-            decode(code, "C", np.zeros(3, dtype=np.int64), 0.01)
+            SyndromeDecoder(code, "C").decode(np.zeros(3, dtype=np.int64), 0.01)
         assert "syndrome" in str(err.value)
 
     def test_config_validation(self, code):
@@ -386,8 +384,8 @@ class TestDecode:
         with pytest.raises(TypeError):      # ties always go to the lowest symbol
             DecoderConfig(tie_break="random")
         with pytest.raises(ValueError):
-            decode(code, "C", np.zeros(code.M, dtype=np.int64), 0.01,
-                   DecoderConfig(pmf_floor=0.5))
+            SyndromeDecoder(code, "C").decode(np.zeros(code.M, dtype=np.int64), 0.01,
+                                              DecoderConfig(pmf_floor=0.5))
 
     def test_message_normalisation_invariant(self, code):
         # every stored PMF sums to 1 within 1e-9 at the end of an iteration
@@ -481,7 +479,8 @@ class TestDecode:
         err[[5, 22]] = [7, 2]
         s_c = syndrome_of(code, "C", err)
         s_d = np.zeros(code.M, dtype=np.int64)
-        out_c, out_d = decode_css(code, (s_c, s_d), 0.01)
+        out_c = SyndromeDecoder(code, "C").decode(s_c, 0.01)
+        out_d = SyndromeDecoder(code, "D").decode(s_d, 0.01)
         assert out_d.ok and out_d.iterations == 0 and not out_d.estimate.any()
         assert out_c.ok and np.array_equal(out_c.estimate, err)
 
@@ -489,8 +488,7 @@ class TestDecode:
 @functools.lru_cache(maxsize=None)
 def ex1_code(p):
     pair = build_pair(EX1)
-    gamma = lift_gamma(pair, make_field(p), np.random.default_rng(2))
-    return expand_pair(gamma, solve_delta(gamma, pair))
+    return expand_pair(*lift(pair, make_field(p), np.random.default_rng(2)))
 
 
 def decode_record(dec, syndrome, f_m, config):
@@ -623,8 +621,7 @@ class TestComplexityScaling:
         ratios = []
         for p in (4, 6, 8):
             field = make_field(p)
-            gamma = lift_gamma(pair, field, np.random.default_rng(2))
-            code = expand_pair(gamma, solve_delta(gamma, pair))
+            code = expand_pair(*lift(pair, field, np.random.default_rng(2)))
             dec = SyndromeDecoder(code, "C")
             rng = np.random.default_rng(3)
             err = rng.integers(0, field.q, size=code.N)
@@ -695,8 +692,7 @@ class TestBitIdentity:
 
     def test_small_gf256_code(self):
         pair = build_pair(EX1)
-        gamma = lift_gamma(pair, make_field(8), np.random.default_rng(2))
-        code = expand_pair(gamma, solve_delta(gamma, pair))
+        code = expand_pair(*lift(pair, make_field(8), np.random.default_rng(2)))
         assert decode_digest(code) == (
             "3ef0dda44ffc3b34eee4c84446fbe815aa5fdfb7ae012c514d5155494895239c")
 

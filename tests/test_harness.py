@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nbqc import nblift, qcpair
 from nbqc.binexpand import load_pair, write_matrix
 from nbqc.channel import ChannelParams, sample_error, syndrome_of
 from nbqc.decoder import SyndromeDecoder
@@ -108,14 +109,6 @@ class TestSimulate:
         serial = simulate_point(golden_code, "D", 0.04, trials=120, seed=3, workers=1)
         split = simulate_point(golden_code, "D", 0.04, trials=120, seed=3, workers=3)
         assert serial == split
-
-    def test_syndrome_only_counting_never_higher(self, golden_code):
-        strict = simulate_point(golden_code, "C", 0.05, trials=300, seed=4)
-        relaxed = simulate_point(golden_code, "C", 0.05, trials=300, seed=4,
-                                 count_syndrome_only=True)
-        assert relaxed.mismatch_count == 0
-        assert relaxed.block_errors <= strict.block_errors
-        assert relaxed.fail_count == strict.fail_count
 
     def test_sweep_order(self, golden_code):
         records = simulate_sweep(golden_code, [0.01, 0.02], trials=10, seed=5)
@@ -241,12 +234,11 @@ class TestVerify:
     def test_cross_seed_pair_fails(self, golden_paths, tmp_path):
         import numpy as np
         from nbqc.gf2p import make_field
-        from nbqc.nblift import lift_gamma, solve_delta
+        from nbqc.nblift import lift
         from nbqc.qcpair import QCParams, build_pair
         pair = build_pair(QCParams(P=7, J=2, L=6, sigma=2, tau=3))
         field = make_field(4)
-        gamma = lift_gamma(pair, field, np.random.default_rng(1234))
-        delta = solve_delta(gamma, pair)
+        gamma, delta = lift(pair, field, np.random.default_rng(1234))
         other = tmp_path / "other.delta.nbqc"
         write_matrix(delta, other)
         checks = dict((n, ok) for n, ok, _ in
@@ -338,6 +330,17 @@ class TestCli:
                   "--out", prefix])
         assert Path(a + ".gamma.nbqc").read_bytes() == Path(b + ".gamma.nbqc").read_bytes()
         assert Path(a + ".delta.nbqc").read_bytes() == Path(b + ".delta.nbqc").read_bytes()
+
+    def test_construct_expands_and_walks_once(self, tmp_path, monkeypatch):
+        calls = {"expand": 0, "cycle_structure": 0}
+        for module, name in ((qcpair, "expand"), (nblift, "cycle_structure")):
+            def counted(*args, fn=getattr(module, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        assert main(["construct", "--p", "4", "--L", "6", "--P", "7", "--sigma", "2",
+                     "--tau", "3", "--out", str(tmp_path / "code")]) == 0
+        assert calls == {"expand": 2, "cycle_structure": 1}
 
     def test_verify_exit_code_on_tamper(self, tmp_path, golden_paths, capsys):
         text = Path(golden_paths[1]).read_text()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_rows, howell_sample, howell_solve
+from oracles import dense_rows, howell_sample, howell_solve, pair_walk
 from nbqc.gf2p import make_field
 from nbqc.modring import ModSystem, NotBalancedGraph, sample_solution, solve_mod
 from nbqc.nblift import assemble_constraints
@@ -85,7 +85,7 @@ class TestSolveMod:
         assert got == brute_force_solutions(system)
 
     def test_howell_idempotent(self):
-        system, _ = assemble_constraints(build_pair(EX1), 15)
+        system = assemble_constraints(*pair_walk(build_pair(EX1)), 15)
         space = howell_solve(system)
         again = ModSystem(modulus=15, n_vars=system.n_vars)
         for row in space.pivot_rows:
@@ -126,7 +126,7 @@ class TestSampling:
         a = howell_sample(space, np.random.default_rng(99))
         b = howell_sample(space, np.random.default_rng(99))
         assert np.array_equal(a, b)
-        graph = solve_mod(assemble_constraints(build_pair(EX1), 15)[0])
+        graph = solve_mod(assemble_constraints(*pair_walk(build_pair(EX1)), 15))
         a = sample_solution(graph, np.random.default_rng(99))
         b = sample_solution(graph, np.random.default_rng(99))
         assert np.array_equal(a, b)
@@ -152,9 +152,10 @@ class TestSampling:
         assert (np.abs(counts - 1000) < 150).all()
 
     def test_example_construction_system(self):
-        system, var_index = assemble_constraints(build_pair(EX1), 15)
+        hc, cycles = pair_walk(build_pair(EX1))
+        system = assemble_constraints(hc, cycles, 15)
         assert len(system.equations) == 14
-        assert system.n_vars == 84 == len(var_index)
+        assert system.n_vars == 84 == hc.nnz()
         for terms in system.equations:
             assert len(terms) == 12
             assert sum(1 for _, c in terms if c == 1) == 6
@@ -167,7 +168,7 @@ class TestSampling:
     def test_gf256_modulus_system(self):
         # composite 255 = 3 * 5 * 17
         field = make_field(8)
-        system, _ = assemble_constraints(build_pair(EX1), field.q - 1)
+        system = assemble_constraints(*pair_walk(build_pair(EX1)), field.q - 1)
         space = solve_mod(system)
         rng = np.random.default_rng(4)
         assert system.check(sample_solution(space, rng))
@@ -238,11 +239,11 @@ class TestGraphSolver:
            seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_lift_systems_match_howell(self, params, p, seed):
-        system, _ = assemble_constraints(build_pair(params), 2 ** p - 1)
+        system = assemble_constraints(*pair_walk(build_pair(params)), 2 ** p - 1)
         assert_matches_oracle(system, seed)
 
     def test_resampling_consumes_the_same_stream(self):
-        system, _ = assemble_constraints(build_pair(EX1), 3)
+        system = assemble_constraints(*pair_walk(build_pair(EX1)), 3)
         space, howell = solve_mod(system), howell_solve(system)
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(20):

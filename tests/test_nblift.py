@@ -12,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (CycleStructure, closed_form_cycle, cycle_products, from_rows,
-                     nb_from_rows, recurrence_delta, rows_of, walk_cycle, walk_cycles)
+                     nb_from_rows, pair_walk, recurrence_delta, rows_of, walk_cycle,
+                     walk_cycles)
 from nbqc.gf2p import make_field
 from nbqc.modring import ModSystem
-from nbqc.nblift import (ClosureViolation, NBMatrix, NotACycle, assemble_constraints,
-                         cycle_structure, lift_gamma, solve_delta, verify_orthogonal)
+from nbqc.nblift import (ClosureViolation, DimensionMismatch, NBMatrix, NotACycle,
+                         assemble_constraints, cycle_structure, lift, lift_gamma, solve_delta,
+                         verify_orthogonal)
 from nbqc.qcpair import QCParams, build_pair, find_params
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
@@ -181,43 +183,42 @@ class TestCycleStructure:
 
 class TestConstraints:
     def test_counts(self, pair):
-        system, var_index = assemble_constraints(pair, 15)
+        system = assemble_constraints(*pair_walk(pair), 15)
         assert len(system.equations) == 14
         assert system.n_vars == 84
-        assert len(var_index) == 84
 
     def test_row5_equation_content(self, pair):
-        system, var_index = assemble_constraints(pair, 15)
+        hc, cycles = pair_walk(pair)
+        system = assemble_constraints(hc, cycles, 15)
         plus = {(1, 2), (13, 25), (5, 7), (11, 38), (2, 20), (12, 29)}
         minus = {(1, 25), (13, 7), (5, 38), (11, 20), (2, 29), (12, 2)}
+        positions = list(zip(hc.row.tolist(), hc.col.tolist()))
         terms = system.equations[5]
-        got_plus = {pos for pos, idx in var_index.items()
-                    if (idx, 1) in terms}
-        got_minus = {pos for pos, idx in var_index.items()
-                     if (idx, -1) in terms}
-        assert got_plus == plus
-        assert got_minus == minus
+        assert {positions[idx] for idx, coef in terms if coef == 1} == plus
+        assert {positions[idx] for idx, coef in terms if coef == -1} == minus
 
     def test_all_zero_satisfies(self, pair):
-        system, _ = assemble_constraints(pair, 15)
+        system = assemble_constraints(*pair_walk(pair), 15)
         assert system.check(np.zeros(84, dtype=np.int64))
 
     def test_constant_assignment_satisfies(self, pair):
-        system, _ = assemble_constraints(pair, 15)
+        system = assemble_constraints(*pair_walk(pair), 15)
         assert system.check(np.full(84, 11, dtype=np.int64))
 
     def test_equations_match_oracle_walk(self):
         for params in scan_params()[::5]:
             inst = build_pair(params)
-            system, var_index = assemble_constraints(inst, 15)
+            hc, cycles = pair_walk(inst)
+            system = assemble_constraints(hc, cycles, 15)
+            # a variable's index is the row-major rank of its position
+            var_index = {pos: k for k, pos in enumerate(
+                (m, c) for m, row in enumerate(rows_of(hc)) for c in row)}
             want = ModSystem(modulus=15, n_vars=len(var_index))
-            for cyc in walk_cycles(inst.expand_c(), inst.expand_d()):
+            for cyc in walk_cycles(hc, inst.expand_d()):
                 want.add_equation([(var_index[pos], 1) for pos in cyc.e1()]
                                   + [(var_index[pos], -1) for pos in cyc.e2()])
             assert system.equations == want.equations, params
             assert system.n_vars == want.n_vars
-            assert list(var_index) == [(m, c) for m, row in enumerate(rows_of(inst.expand_c()))
-                                       for c in row]
 
 
 def dense_nb_product(gamma: NBMatrix, delta: NBMatrix) -> np.ndarray:
@@ -244,53 +245,60 @@ def all_ones_lift(pair, field) -> NBMatrix:
 class TestLift:
     def test_all_ones_gamma_gives_all_ones_delta(self, pair, gf16):
         gamma = all_ones_lift(pair, gf16)
-        delta = solve_delta(gamma, pair)
+        delta = solve_delta(gamma, cycle_structure(pair.expand_c(), pair.expand_d()))
         assert all(v == 1 for row in rows_of(delta) for _, v in row)
         assert verify_orthogonal(gamma, delta)
 
     def test_lift_satisfies_determinant_condition(self, pair, gf16):
         rng = np.random.default_rng(12)
-        gamma = lift_gamma(pair, gf16, rng)
+        gamma = lift_gamma(*pair_walk(pair), gf16, pair.params, rng)
         for cyc in array_rows(pair.expand_c(), pair.expand_d()):
             p1, p2 = cycle_products(gamma, cyc)
             assert p1 == p2
 
     def test_lift_support_and_weights(self, pair, gf16):
-        gamma = lift_gamma(pair, gf16, np.random.default_rng(5))
+        gamma = lift_gamma(*pair_walk(pair), gf16, pair.params, np.random.default_rng(5))
         assert rows_of(gamma.support()) == rows_of(pair.expand_c())
         assert all(v != 0 for row in rows_of(gamma) for _, v in row)
 
     def test_lift_deterministic(self, pair, gf16):
-        a = lift_gamma(pair, gf16, np.random.default_rng(77))
-        b = lift_gamma(pair, gf16, np.random.default_rng(77))
-        assert rows_of(a) == rows_of(b)
+        a = lift(pair, gf16, np.random.default_rng(77))
+        b = lift(pair, gf16, np.random.default_rng(77))
+        assert [rows_of(m) for m in a] == [rows_of(m) for m in b]
+
+    def test_lift_composes_its_stages(self, pair, gf16):
+        hc, cycles = pair_walk(pair)
+        gamma = lift_gamma(hc, cycles, gf16, pair.params, np.random.default_rng(9), True)
+        got = lift(pair, gf16, np.random.default_rng(9), reject_trivial=True)
+        for a, b in zip(got, (gamma, solve_delta(gamma, cycles))):
+            assert (a.m, a.n, a.role, a.params) == (b.m, b.n, b.role, b.params)
+            assert rows_of(a) == rows_of(b)
+
+    def test_lift_requires_column_weight_2(self, gf16):
+        with pytest.raises(DimensionMismatch, match="J=2"):
+            lift(build_pair(QCParams(P=7, J=3, L=6, sigma=2, tau=3), allow_any_j=True),
+                 gf16, np.random.default_rng(0))
 
     def test_reject_trivial(self, pair, gf16):
         rng = np.random.default_rng(8)
-        gamma = lift_gamma(pair, gf16, rng, reject_trivial=True)
+        gamma = lift_gamma(*pair_walk(pair), gf16, pair.params, rng, reject_trivial=True)
         logs = [gf16.log(v) for row in rows_of(gamma) for _, v in row]
         assert any(lg != 0 for lg in logs)
 
     def test_pair_orthogonal_dense_oracle(self, pair, gf16):
-        rng = np.random.default_rng(21)
-        gamma = lift_gamma(pair, gf16, rng)
-        delta = solve_delta(gamma, pair)
+        gamma, delta = lift(pair, gf16, np.random.default_rng(21))
         assert not dense_nb_product(gamma, delta).any()
         assert verify_orthogonal(gamma, delta)
 
     def test_delta_row_scaling_preserves_orthogonality(self, pair, gf16):
-        rng = np.random.default_rng(31)
-        gamma = lift_gamma(pair, gf16, rng)
-        delta = solve_delta(gamma, pair)
+        gamma, delta = lift(pair, gf16, np.random.default_rng(31))
         rows = rows_of(delta)
         rows[3] = [(c, gf16.mul(v, 7)) for c, v in rows[3]]
         delta = nb_from_rows(delta.m, delta.n, rows, "DELTA", gf16, pair.params)
         assert verify_orthogonal(gamma, delta)
 
     def test_perturbed_delta_breaks_orthogonality(self, pair, gf16):
-        rng = np.random.default_rng(41)
-        gamma = lift_gamma(pair, gf16, rng)
-        delta = solve_delta(gamma, pair)
+        gamma, delta = lift(pair, gf16, np.random.default_rng(41))
         k = np.flatnonzero(delta.row == 2)[3]
         v0 = int(delta.val[k])
         delta.val[k] = v0 ^ 1 if v0 ^ 1 else 3
@@ -301,7 +309,7 @@ class TestLift:
         # corrupt one entry of a cycle so the wrap-around product is off
         gamma.val[0] = 5        # row 0's first entry
         with pytest.raises(ClosureViolation):
-            solve_delta(gamma, pair)
+            solve_delta(gamma, cycle_structure(pair.expand_c(), pair.expand_d()))
 
     def test_closure_violation_on_zero_entry(self, pair, gf16):
         gamma = all_ones_lift(pair, gf16)
@@ -309,7 +317,7 @@ class TestLift:
         rows[0] = rows[0][1:]     # a zero on the two cycles through it
         gamma = nb_from_rows(gamma.m, gamma.n, rows, "GAMMA", gf16, pair.params)
         with pytest.raises(ClosureViolation):
-            solve_delta(gamma, pair)
+            solve_delta(gamma, cycle_structure(pair.expand_c(), pair.expand_d()))
 
     def test_delta_matches_field_recurrence(self):
         for params in scan_params()[::20]:
@@ -317,13 +325,12 @@ class TestLift:
             walks = walk_cycles(inst.expand_c(), inst.expand_d())
             for p in (2, 3, 4, 8):
                 field = make_field(p)
-                gamma = lift_gamma(inst, field, np.random.default_rng(p))
-                delta = solve_delta(gamma, inst)
+                gamma, delta = lift(inst, field, np.random.default_rng(p))
                 assert rows_of(delta) == recurrence_delta(gamma, walks), (params, p)
                 assert (delta.m, delta.n) == (inst.expand_d().m, inst.expand_d().n)
 
     def test_entry_takes_index_arrays(self, pair, gf16):
-        gamma = lift_gamma(pair, gf16, np.random.default_rng(3))
+        gamma = lift_gamma(*pair_walk(pair), gf16, pair.params, np.random.default_rng(3))
         dense = gamma.to_dense()
         i, j = np.indices(dense.shape)
         got = gamma.entry(i, j)
@@ -343,9 +350,7 @@ class TestLift:
         params = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
         pair = build_pair(params)
         field = make_field(p)
-        rng = np.random.default_rng(seed)
-        gamma = lift_gamma(pair, field, rng)
-        delta = solve_delta(gamma, pair)
+        gamma, delta = lift(pair, field, np.random.default_rng(seed))
         assert verify_orthogonal(gamma, delta)
         assert rows_of(gamma.support()) == rows_of(pair.expand_c())
         assert rows_of(delta.support()) == rows_of(pair.expand_d())

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from nbqc.binexpand import _expand_binary, binary_orthogonal, expand_pair
 from nbqc.gf2p import make_field
-from nbqc.nblift import (DimensionMismatch, NBMatrix, lift_gamma, solve_delta,
-                         verify_orthogonal)
+from nbqc.nblift import DimensionMismatch, NBMatrix, lift, verify_orthogonal
 from nbqc.qcpair import QCParams, SparseBinaryMatrix, build_pair
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
@@ -38,8 +37,7 @@ def random_nb(rng, field, m, n, density, role="GAMMA") -> NBMatrix:
 
 def lifted_pair(p, seed):
     pair = build_pair(EX1)
-    gamma = lift_gamma(pair, FIELDS[p], np.random.default_rng(seed))
-    return gamma, solve_delta(gamma, pair)
+    return lift(pair, FIELDS[p], np.random.default_rng(seed))
 
 
 shapes = dict(seed=st.integers(0, 2 ** 32 - 1), m_a=st.integers(0, 7),

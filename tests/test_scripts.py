@@ -1,5 +1,5 @@
 """Smoke tests of the scripts under scripts/: each runs as a subprocess on
-a tiny input and writes CSVs with the expected header and row count."""
+a tiny input and writes CSVs with the expected header and rows."""
 
 import csv
 import os
@@ -25,13 +25,34 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+# bler_sweep.py output for the run below, recorded when each code was built
+# by separate lift_gamma and solve_delta calls: the build path must not
+# change a byte
+BLER_SWEEP_CSV = {
+    "bler_p2_L6_P7.csv": """\
+f_m,role,trials,block_errors,bler,mean_iterations,fail_count,mismatch_count,seed
+0.03,C,20,4,0.2,6.15,3,1,0
+0.03,D,20,5,0.25,9,5,0,0
+0.05,C,20,11,0.55,16.65,9,2,0
+0.05,D,20,14,0.7,22,13,1,0
+""",
+    "bler_p4_L6_P7.csv": """\
+f_m,role,trials,block_errors,bler,mean_iterations,fail_count,mismatch_count,seed
+0.03,C,20,3,0.15,6.35,2,1,0
+0.03,D,20,1,0.05,4.15,1,0,0
+0.05,C,20,10,0.5,18.5,10,0,0
+0.05,D,20,10,0.5,18.7,10,0,0
+""",
+}
+
+
 def test_bler_sweep(tmp_path):
-    run_script("bler_sweep.py", "--fields", "2", "--fm", "0.01", "--trials", "5",
-               "--outdir", str(tmp_path))
-    assert [p.name for p in tmp_path.iterdir()] == ["bler_p2_L6_P7.csv"]
-    rows = read_rows(tmp_path / "bler_p2_L6_P7.csv")
-    assert rows[0] == CSV_HEADER.split(",")
-    assert [(r[0], r[1], r[2]) for r in rows[1:]] == [("0.01", "C", "5"), ("0.01", "D", "5")]
+    run_script("bler_sweep.py", "--fields", "2", "4", "--fm", "0.03", "0.05",
+               "--trials", "20", "--outdir", str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(BLER_SWEEP_CSV)
+    for name, text in BLER_SWEEP_CSV.items():
+        assert text.startswith(CSV_HEADER + "\n")
+        assert (tmp_path / name).read_bytes() == text.encode("ascii")
 
 
 def test_limit_curves(tmp_path):
@@ -42,3 +63,25 @@ def test_limit_curves(tmp_path):
     # 0.05, 0.10, ..., 0.30 lie below 1/3
     assert len(rows) == 1 + 6
     assert all(len(r) == 4 for r in rows)
+
+
+def test_bench_ab_report_drops_incorrect_pairs(capsys):
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import bench_ab
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+
+    def run(value, correct=True, failed=0, exit=0):
+        return {"correct": correct, "failed": failed, "attempted": 8, "exit": exit,
+                "metrics": {"trials_per_s": {"value": value}}}
+    runs = [(run(10.0), run(11.0)), (run(10.0), run(12.0)),
+            (run(10.0), run(1e6, correct=False)), (run(1e6, failed=1), run(13.0)),
+            (run(1e6, exit=1), run(14.0))]
+    metric = {"name": "trials_per_s", "unit": "1/s", "better": "higher"}
+    bench_ab.report("w", [metric], runs)
+    out = capsys.readouterr().out
+    assert "3 pairs dropped for an incorrect run, 2 kept" in out
+    assert out.count("WARNING") == 3
+    row = next(line for line in out.splitlines() if line.strip().startswith("trials_per_s"))
+    assert "10 (10-10)" in row and "11.5 (11.25-11.75)" in row and " 2/2 " in row
