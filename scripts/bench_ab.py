@@ -1,6 +1,6 @@
 """Alternating parent/change runs of the benchmark, with medians, IQRs and wins.
 
-    python scripts/bench_ab.py --parent HEAD~1 --workload sim-gf16-n168 --seeds 5-14
+    python scripts/bench_ab.py --parent HEAD~1 --workload sim-gf16-n168 --seeds 5-14 [--trace]
 
 The change is the checkout this script sits in, working tree included.
 The parent revision is checked out into a temporary `git worktree`,
@@ -14,6 +14,10 @@ in how many pairs the change was better (ties count for neither).  A pair
 in which either run was incorrect (`correct` false, failed operations or
 a nonzero exit) is left out of these statistics; the report says how
 many pairs were dropped.
+
+With --trace, every seed also gets one traced run per side (`--trace 1`,
+same order), and the same statistics are printed for the per-layer
+metrics of `BENCHMARK.json`, from the traced pairs.
 
 Uses the standard library only and imports nothing from nbqc, so both
 sides run on their own sources.
@@ -43,9 +47,10 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: str, workload: str, seed: int, seconds: float,
+             trace: bool = False) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
@@ -83,7 +88,8 @@ def report(workload: str, metrics: list[dict], runs: list[tuple[dict, dict]]) ->
     kept = [pair for pair in runs if all(map(is_correct, pair))]
     print(f"  {len(runs) - len(kept)} pairs dropped for an incorrect run, {len(kept)} kept")
     runs = kept
-    print(f"  {'metric':<14} {'parent median (q1-q3)':<32} {'change median (q1-q3)':<32} "
+    width = max([14] + [len(m["name"]) for m in metrics])
+    print(f"  {'metric':<{width}} {'parent median (q1-q3)':<32} {'change median (q1-q3)':<32} "
           f"{'change/parent':>13} {'gain/IQR':>9} {'wins':>6}")
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
@@ -99,8 +105,28 @@ def report(workload: str, metrics: list[dict], runs: list[tuple[dict, dict]]) ->
         ratio = chg[1] / par[1] if par[1] else float("nan")
         per_iqr = f"{gain / iqr:9.2f}" if iqr else f"{'-':>9}"
         cells = [f"{med:.5g} ({q1:.5g}-{q3:.5g})" for q1, med, q3 in (par, chg)]
-        print(f"  {name:<14} {cells[0]:<32} {cells[1]:<32} {ratio:13.4f} {per_iqr} "
+        print(f"  {name:<{width}} {cells[0]:<32} {cells[1]:<32} {ratio:13.4f} {per_iqr} "
               f"{wins:>3}/{len(pairs)}  [{m['unit']}, {m['better']} is better]")
+
+
+def run_pairs(sides: dict, workload: str, seeds: list[int], seconds: float,
+              trace: bool, metrics: list[dict]) -> tuple[list, list]:
+    """(parent, change) result pairs, one per seed: untraced, and with
+    `trace` also traced (else an empty list).  The change runs first on
+    even seeds; each untraced pair's `metrics` are printed as it lands."""
+    runs, traced = [], []
+    for seed in seeds:
+        order = ("change", "parent") if seed % 2 == 0 else ("parent", "change")
+        got = {side: run_once(sides[side], workload, seed, seconds) for side in order}
+        runs.append((got["parent"], got["change"]))
+        print(f"# {workload} seed {seed} ({order[0]} first): " + ", ".join(
+            f"{m['name']} {value(got['parent'], m)} -> {value(got['change'], m)}"
+            for m in metrics), flush=True)
+        if trace:
+            got = {side: run_once(sides[side], workload, seed, seconds, trace=True)
+                   for side in order}
+            traced.append((got["parent"], got["change"]))
+    return runs, traced
 
 
 def main(argv=None) -> int:
@@ -109,6 +135,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", action="append", required=True,
                     help="workload name from BENCHMARK.json; repeat for several")
     ap.add_argument("--seeds", required=True, help="e.g. 5-14 or 3,7,9")
+    ap.add_argument("--trace", action="store_true",
+                    help="add one traced run per side and seed, and report the per-layer metrics")
     ap.add_argument("--seconds", type=float, default=None,
                     help="measuring time per run (default: run_seconds of BENCHMARK.json)")
     args = ap.parse_args(argv)
@@ -125,16 +153,11 @@ def main(argv=None) -> int:
                    cwd=ROOT, check=True, capture_output=True)
     try:
         for workload in args.workload:
-            runs = []
-            for seed in seeds:
-                sides = {"parent": parent_dir, "change": ROOT}
-                order = ("change", "parent") if seed % 2 == 0 else ("parent", "change")
-                got = {side: run_once(sides[side], workload, seed, seconds) for side in order}
-                runs.append((got["parent"], got["change"]))
-                print(f"# {workload} seed {seed} ({order[0]} first): " + ", ".join(
-                    f"{m['name']} {value(got['parent'], m)} -> {value(got['change'], m)}"
-                    for m in bench["end_to_end"]), flush=True)
+            runs, traced = run_pairs({"parent": parent_dir, "change": ROOT}, workload, seeds,
+                                     seconds, args.trace, bench["end_to_end"])
             report(workload, bench["end_to_end"], runs)
+            if args.trace:
+                report(f"{workload}, traced, per layer", bench["per_layer"], traced)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", parent_dir],
                        cwd=ROOT, capture_output=True)

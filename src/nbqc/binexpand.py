@@ -8,17 +8,20 @@ a hard invariant.
 
 Files carry only the non-binary matrices (plus field and construction
 parameters); the binary expansion is recomputed on load, never stored.
-Both are held as row-major index arrays (see `qcpair` and `nblift`):
-the expansion writes its `row` and `col` arrays in one sort, and the
-text format is read and written one line per row.
+Both are held as row-major index arrays (see `qcpair` and `nblift`).
+The expansion orders its ones with one sort of their row-major keys.
+The reader parses all row lines together in array steps over their
+bytes; the writer formats one line per row.
 
 Costs.  The expansion reads each entry's image off the images of the
-p unit vectors, O(nnz p^2).  `binary_orthogonal` joins the ones of the
-two matrices on their column and counts, for each row pair that shares
-a column, how many columns it shares; the product vanishes iff every
-count is even.  A pair that shares no column has a zero product, so the
-check is exact, and the join holds O(nnz x column weight) entry pairs.
-No array has one cell per pair of rows.
+p unit vectors, O(nnz p^2), and sorts the keys of its ones once.
+`binary_orthogonal` joins the ones of the two matrices on their column
+(`qcpair._column_join`) and sorts the (row of a, row of b) key of every
+joined pair: the product vanishes iff every key occurs an even number
+of times.  A pair of rows that shares no column has a zero product, so
+the check is exact, and the join holds O(nnz x column weight) keys.
+No array has one cell per pair of rows.  The reader does O(1) array
+steps over the bytes and tokens of the file.
 """
 
 from __future__ import annotations
@@ -115,24 +118,23 @@ def expand_pair(gamma: NBMatrix, delta: NBMatrix) -> CssCodePair:
 
 
 def _expand_binary(mat: NBMatrix, transpose: bool) -> SparseBinaryMatrix:
-    p = mat.field.p
+    p, width = mat.field.p, mat.field.p * mat.n
     # bit i of image column j is entry [i, j] of the entry's p x p image
     images = mat.field.unit_images(mat.val, transpose)
     entry, i, j = np.nonzero((images[:, None, :] >> np.arange(p)[:, None]) & 1)
-    bin_rows = mat.row[entry] * p + i
-    bin_cols = mat.col[entry] * p + j
-    order = np.lexsort((bin_cols, bin_rows))
-    return SparseBinaryMatrix(m=p * mat.m, n=p * mat.n,
-                              row=bin_rows[order], col=bin_cols[order])
+    # one sort of the row-major keys orders the ones, whatever the input's column order
+    row, col = np.divmod(np.sort((mat.row[entry] * p + i) * width + mat.col[entry] * p + j), width)
+    return SparseBinaryMatrix(m=p * mat.m, n=width, row=row, col=col)
 
 
 def binary_orthogonal(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> bool:
     """a @ b.T == 0 over GF(2), via a sparse column join."""
     if a.n != b.n:
         raise DimensionMismatch(f"column counts differ: {a.n} != {b.n}")
-    ia, _, starts = _column_join(a.row, a.col, b.row, b.col)
-    shared = np.diff(starts, append=len(ia))
-    return not (shared & 1).any()
+    ia, ib = _column_join(a.col, b.col, a.n)
+    keys = np.sort(a.row[ia] * b.m + b.row[ib])
+    # every (row of a, row of b) run has even length iff the sorted keys pair up
+    return len(keys) % 2 == 0 and bool((keys[0::2] == keys[1::2]).all())
 
 
 # -- NBQC text format ---------------------------------------------------------
@@ -142,9 +144,17 @@ def binary_orthogonal(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> bool:
 #   M=<int> N=<int>
 #   r<row>: <col>:<hexlog> <col>:<hexlog> ...
 #
-# hexlog is the discrete log of the entry in lowercase hex; columns ascend.
+# Tokens are separated by spaces or tabs; the row prefix is its own token.
+# row and col are decimal digits, hexlog is the discrete log of the entry
+# in lower-case hex digits, each at most _MAX_DIGITS digits with no sign;
+# row has no leading zero.  Columns strictly ascend.
 
 _HEADER_KEYS = ("p", "poly", "J", "L", "P", "sigma", "tau", "role")
+_MAX_DIGITS = 15        # per column or log; 16**15 < 2**63, so no value overflows int64
+_SEPARATOR = np.zeros(256, dtype=bool)
+_SEPARATOR[[9, 10, 32]] = True      # tab, newline, space
+_DIGIT = np.full(256, 16)       # the value of a decimal or lower-case hex digit, else 16
+_DIGIT[np.frombuffer(b"0123456789abcdef", dtype=np.uint8)] = np.arange(16)
 
 
 def write_matrix(mat: NBMatrix, sink) -> None:
@@ -173,7 +183,8 @@ def read_matrix(source, expected_field: FieldSpec | None = None) -> NBMatrix:
     With `expected_field`, the file's (p, poly) must match exactly.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii") as fh:
+        # a non-ASCII byte reads as U+FFFD, which the parse rejects with its line
+        with open(source, "r", encoding="ascii", errors="replace") as fh:
             return read_matrix(fh, expected_field)
     lines = source.read().splitlines()
     if not lines or lines[0] != "NBQC 1":
@@ -219,35 +230,74 @@ def read_matrix(source, expected_field: FieldSpec | None = None) -> NBMatrix:
 
     if len(lines) != 3 + m:
         raise ParseError(len(lines), f"expected {m} row lines, found {len(lines) - 3}")
-    weights, cols, logs = [], [], []
-    for r in range(m):
-        line_no = 4 + r
-        line = lines[3 + r]
-        prefix = f"r{r}:"
-        if not line.startswith(prefix):
-            raise ParseError(line_no, f"expected row prefix {prefix!r}")
-        last_col = -1
-        tokens = line[len(prefix):].split()
-        for tok in tokens:
-            col_s, _, log_s = tok.partition(":")
-            try:
-                col = int(col_s)
-                lg = int(log_s, 16)
-            except ValueError as exc:
-                raise ParseError(line_no, f"bad entry {tok!r}") from exc
-            if not 0 <= col < n:
-                raise ParseError(line_no, f"column {col} outside [0, {n})")
-            if col <= last_col:
-                raise ParseError(line_no, "columns must strictly ascend")
-            if not 0 <= lg < field.q - 1:
-                raise ParseError(line_no, f"log {lg} outside [0, {field.q - 1})")
-            last_col = col
-            cols.append(col)
-            logs.append(lg)
-        weights.append(len(tokens))
+    row, col, logs = _parse_rows(lines[3:], n, field.q)
     return NBMatrix(m=m, n=n, role=role, field=field, params=params,
-                    row=np.repeat(np.arange(m), weights), col=np.array(cols, dtype=np.int64),
-                    val=field.exp_table[np.array(logs, dtype=np.int64)])
+                    row=row, col=col, val=field.exp_table[logs])
+
+
+def _parse_rows(lines: list[str], n: int, q: int):
+    """(row, col, log) arrays of the entries on the row lines, in file order.
+
+    Array steps over the bytes of all lines at once.  A token is a run of
+    bytes other than space, tab and line end, and is read as a decimal
+    head, ':' and a hex tail: the first token of row line r must be
+    'r<r>:' (the head after the 'r', with no leading zero, and an empty
+    tail), every other one '<col>:<log>'.  Only when a check fails is
+    the first failing line found, and on it the first failing token, so
+    the error is the one a token-by-token reader would raise.
+    """
+    # a newline before every line, so that each token follows a separator;
+    # one byte per character, so that byte offsets are character offsets;
+    # a non-ASCII character becomes '?', which no token accepts
+    b = np.frombuffer("\n".join([""] + lines + [""]).encode("ascii", "replace"), dtype=np.uint8)
+    newline = np.flatnonzero(b == 10)
+    sep = _SEPARATOR[b]
+    start = np.flatnonzero(sep[:-1] > sep[1:]) + 1
+    end = np.flatnonzero(sep[:-1] < sep[1:]) + 1
+    line = np.searchsorted(newline, start) - 1
+    first = b[start - 1] == 10
+    colons = np.append(np.flatnonzero(b == ord(":")), len(b))
+    colon = np.minimum(colons[np.searchsorted(colons, start)], end)
+    head, head_ok = _numbers(b, start + first, colon, 10)
+    tail, tail_ok = _numbers(b, np.minimum(colon + 1, end), end, 16)
+    prefix_ok = ((b[start] == ord("r")) & head_ok & (colon + 1 == end) & (head == line)
+                 & ((b[start + 1] != ord("0")) | (colon == start + 2)))
+    ascending = np.append(True, first[:-1] | (head[1:] > head[:-1]))
+    ok = np.where(first, prefix_ok,
+                  head_ok & tail_ok & (head < n) & ascending & (tail < q - 1))
+    entry = ~first
+    if ok.all() and np.count_nonzero(first) == len(lines):
+        return line[entry], head[entry], tail[entry]
+
+    # the first bad line lacks a token at its start or holds the first failing token
+    bad = np.flatnonzero(~ok)[:1]
+    missing = np.setdiff1d(np.arange(len(lines)), line[first])[:1]
+    r = int(np.concatenate((line[bad], missing)).min())
+    if r in missing or first[bad[0]]:
+        raise ParseError(4 + r, f"expected row prefix 'r{r}:'")
+    t = bad[0]
+    if not (head_ok[t] and tail_ok[t]):
+        token = lines[r][start[t] - newline[r] - 1:end[t] - newline[r] - 1]
+        raise ParseError(4 + r, f"bad entry {token!r}")
+    if head[t] >= n:
+        raise ParseError(4 + r, f"column {head[t]} outside [0, {n})")
+    if not ascending[t]:
+        raise ParseError(4 + r, "columns must strictly ascend")
+    raise ParseError(4 + r, f"log {tail[t]} outside [0, {q - 1})")
+
+
+def _numbers(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, base: int):
+    """The value of each run of bytes b[lo:hi] as a number in `base`, and
+    whether the run is 1 to _MAX_DIGITS digits of that base.
+
+    Each run's last digits are gathered into one column of a
+    (width, runs) array, so the value is one product with the powers.
+    """
+    width = max(0, min(int((hi - lo).max(initial=0)), _MAX_DIGITS))
+    at = hi - np.arange(width, 0, -1)[:, None]
+    digits = np.where(at >= lo, _DIGIT[b.take(at, mode="clip")], 0)
+    ok = (lo < hi) & (hi - lo <= _MAX_DIGITS) & (digits < base).all(axis=0)
+    return base ** np.arange(width - 1, -1, -1) @ digits, ok
 
 
 def _parse_kv(line: str, line_no: int) -> dict:

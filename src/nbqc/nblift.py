@@ -22,8 +22,9 @@ values are the sampled logs through the antilog table.  The second
 matrix's entries are each cycle's columns, sorted per row.
 
 Costs.  `cycle_structure` walks the cycles of all M rows at once: one
-column index of the first matrix, then L steps of one array lookup
-each.  `lift` expands each matrix of the pair once and walks the cycles
+column index of the first matrix (`qcpair._column_index`: column
+offsets by counting, O(nnz) plus one sort), then L steps of one array
+lookup each.  `lift` expands each matrix of the pair once and walks the cycles
 once; the stages it calls (`assemble_constraints`, `lift_gamma`,
 `solve_delta`) take the expansion and the walk as inputs and neither
 expand nor walk again.  A construct therefore walks the cycles once,
@@ -33,12 +34,13 @@ the cycles as two (M, L) arrays, and the logs of the first matrix on
 E1 and E2 come from one `NBMatrix.entry` lookup: O(M L) array work,
 with no per-row Python walk and no per-entry field arithmetic.
 `verify_orthogonal` joins the nonzeros of the two matrices on their
-column: only row pairs that share a column appear, and each pair's
-products are XOR-summed.  A pair that shares no column has a zero
-product, so the check is exact.  The join lists sum_c w1(c) w2(c)
-entry pairs, where w1 and w2 are column weights: O(nnz x column
-weight), sorted once to group them by row pair.  No array has one cell
-per pair of rows.
+column (`qcpair._column_join`, which reads each column's run of the
+second matrix off the same counting index): only row pairs that share
+a column appear, and each pair's products are XOR-summed.  A pair that
+shares no column has a zero product, so the check is exact.  The join
+lists sum_c w1(c) w2(c) entry pairs, where w1 and w2 are column
+weights: O(nnz x column weight), sorted once to group them by row
+pair.  No array has one cell per pair of rows.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 
 from nbqc.gf2p import FieldSpec
 from nbqc.modring import ModSystem, sample_solution, solve_mod
-from nbqc.qcpair import QCPair, QCParams, SparseBinaryMatrix, _column_join
+from nbqc.qcpair import QCPair, QCParams, SparseBinaryMatrix, _column_index, _column_join
 
 
 class NotACycle(ValueError):
@@ -157,13 +159,11 @@ def cycle_structure(hc: SparseBinaryMatrix,
         raise DimensionMismatch("pair matrices must have equal shape")
     M, L = hd.m, _row_weight(hd, "rows of the second matrix differ in weight")
     support = hd.col.reshape(M, L)
-    rows_c, cols_c = hc.row, hc.col
-    by_col = np.argsort(cols_c, kind="stable")
-    sorted_cols = cols_c[by_col]
-    first = np.searchsorted(sorted_cols, support)
-    _require((np.searchsorted(sorted_cols, support, side="right") - first != 2).any(axis=1),
+    by_col, start = _column_index(hc.col, hc.n)
+    first = start[support]
+    _require((start[support + 1] - first != 2).any(axis=1),
              "a support column does not have 2 check neighbours")
-    checks = rows_c[by_col[first[:, :, None] + np.arange(2)]].reshape(M, 2 * L)
+    checks = hc.row[by_col[first[:, :, None] + np.arange(2)]].reshape(M, 2 * L)
 
     order = np.argsort(checks, axis=1, kind="stable")
     pairs = np.take_along_axis(checks, order, axis=1).reshape(M, L, 2)
@@ -319,10 +319,12 @@ def verify_orthogonal(gamma: NBMatrix, delta: NBMatrix) -> bool:
             f"column counts differ: {gamma.n} != {delta.n}")
     field = gamma.field
     g_nz, d_nz = gamma.val != 0, delta.val != 0     # a zero entry adds nothing
-    ig, id_, starts = _column_join(gamma.row[g_nz], gamma.col[g_nz],
-                                   delta.row[d_nz], delta.col[d_nz])
-    if not len(starts):
+    ig, id_ = _column_join(gamma.col[g_nz], delta.col[d_nz], gamma.n)
+    if not len(ig):
         return True
+    keys = gamma.row[g_nz][ig] * delta.m + delta.row[d_nz][id_]
+    order = np.argsort(keys)
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
     logs = field.log_table[gamma.val[g_nz][ig]] + field.log_table[delta.val[d_nz][id_]]
     products = field.exp_table[logs % (field.q - 1)]
-    return not np.bitwise_xor.reduceat(products, starts).any()
+    return not np.bitwise_xor.reduceat(products[order], starts).any()

@@ -12,7 +12,9 @@ each row.  The expansion writes them in one broadcast, and the matrices
 of the construction have uniform row weight, so `col.reshape(m, L)` is
 the support row by row.  Checks that pair up nonzeros (4-cycles here,
 orthogonality in `nblift` and `binexpand`) join the index arrays with
-`_column_join` instead of comparing rows.
+`_column_join` instead of comparing rows.  It reads each column's
+entries off `_column_index`, offsets found by counting, which the cycle
+walk of `nblift` uses too.
 """
 
 from __future__ import annotations
@@ -185,39 +187,52 @@ def expand(exponents: ExponentMatrix, P: int) -> SparseBinaryMatrix:
                               col=cols.reshape(-1))
 
 
-def _column_join(rows_a, cols_a, rows_b, cols_b):
+def _column_index(cols, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Entries grouped by column, by counting: (order, start).
+
+    Column c's entries are order[start[c]:start[c + 1]], in their
+    original order.  `start` holds the n + 1 offsets, a cumulative sum
+    of the column counts.  `order` is a stable argsort of `cols`, taken
+    as one plain sort of keys that carry each entry's index in their low
+    bits; on int64 that is several times faster than numpy's stable
+    argsort.
+    """
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=start[1:])
+    shift = len(cols).bit_length()
+    order = np.sort(cols << shift | np.arange(len(cols))) & ((1 << shift) - 1)
+    return order, start
+
+
+def _column_join(cols_a, cols_b, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every pair of nonzeros, one of A and one of B, in the same column.
 
-    Returns index arrays (ia, ib) into the two entry lists, sorted so
-    that the pairs of each (row of A, row of B) are contiguous, and the
-    start of each such run.  B's entries are sorted by column once;
-    each entry of A finds its column's run with searchsorted and is
-    repeated over it.
+    Returns index arrays (ia, ib) into the two entry lists, in A's entry
+    order.  B's entries are indexed by column once (`_column_index`);
+    each entry of A reads its column's run off the offsets and is
+    repeated over it.  The join holds sum_c w_a(c) w_b(c) pairs, where
+    w_a and w_b are column weights; callers group the pairs as they need.
     """
-    by_col = np.argsort(cols_b)
-    sorted_cols = cols_b[by_col]
-    lo = np.searchsorted(sorted_cols, cols_a, side="left")
-    counts = np.searchsorted(sorted_cols, cols_a, side="right") - lo
+    by_col, start = _column_index(cols_b, n)
+    lo = start[cols_a]
+    counts = start[cols_a + 1] - lo
     ia = np.repeat(np.arange(len(cols_a)), counts)
-    # each pair's offset inside its A entry's run
-    offsets = np.arange(len(ia)) - np.repeat(np.cumsum(counts) - counts, counts)
-    ib = by_col[np.repeat(lo, counts) + offsets]
-    keys = rows_a[ia] * (int(rows_b.max(initial=-1)) + 1) + rows_b[ib]
-    order = np.argsort(keys)
-    keys = keys[order]
-    return ia[order], ib[order], np.flatnonzero(np.diff(keys, prepend=-1))
+    # pair k of an A entry whose pairs begin at k0 reads B's run at lo + k - k0
+    ib = by_col[np.arange(len(ia)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
+    return ia, ib
 
 
 def has_4cycle(mat: SparseBinaryMatrix) -> bool:
     """True iff two columns share two or more rows.
 
-    Joining the ones on their row lists every pair of ones in one row,
-    grouped by their (column, column) pair; a pair of distinct columns
-    that occurs in two rows closes a 4-cycle.
+    Joining the ones on their row lists every pair of ones in one row;
+    a pair of distinct columns that occurs in two rows closes a 4-cycle,
+    so its (column, column) key repeats.
     """
-    ia, ib, starts = _column_join(mat.col, mat.row, mat.col, mat.row)
-    shared = np.diff(starts, append=len(ia))
-    return bool(((shared > 1) & (mat.col[ia[starts]] < mat.col[ib[starts]])).any())
+    ia, ib = _column_join(mat.row, mat.row, mat.m)
+    left, right = mat.col[ia], mat.col[ib]
+    keys = np.sort((left * mat.n + right)[left < right])
+    return bool((keys[1:] == keys[:-1]).any())
 
 
 def find_params(L: int, P_range) -> list[QCParams]:

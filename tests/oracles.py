@@ -17,17 +17,19 @@ per-entry syndrome loop and the single-element symbol tables are what
 the array code of `qcpair`, `channel` and `gf2p` replaces.  Matrices
 store row-major index arrays; `rows_of`, `from_rows` and `nb_from_rows`
 convert to and from per-row lists, which the oracles and the tampering
-tests read and edit.  Field powers and the exponent-table printout are
-used by tests only.  All of them are kept out of `src/`.
+tests read and edit.  `read_rows` is the token-by-token NBQC row reader
+that the array reader replaces.  Field powers and the exponent-table
+printout are used by tests only.  All of them are kept out of `src/`.
 """
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from nbqc.binexpand import CssCodePair
+from nbqc.binexpand import CssCodePair, ParseError
 from nbqc.decoder import LengthMismatch, SyndromeDecoder, walsh_hadamard
 from nbqc.gf2p import FieldSpec
 from nbqc.modring import ModSystem
@@ -169,6 +171,17 @@ def binary_orthogonal(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> bool:
     return True
 
 
+def dense_mod2_product(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> np.ndarray:
+    """a @ b.T over GF(2), as a dense array."""
+    return a.to_dense().astype(np.int64) @ b.to_dense().astype(np.int64).T % 2
+
+
+def column_join(cols_a, cols_b) -> list[tuple[int, int]]:
+    """Every (ia, ib) with cols_a[ia] == cols_b[ib], ia-major, by a double loop."""
+    return [(ia, ib) for ia, ca in enumerate(cols_a) for ib, cb in enumerate(cols_b)
+            if ca == cb]
+
+
 def verify_orthogonal(gamma: NBMatrix, delta: NBMatrix) -> bool:
     """All pairwise row products over GF(2^p) vanish, every pair of rows."""
     if gamma.n != delta.n:
@@ -208,6 +221,51 @@ def expand_binary(mat: NBMatrix, transpose: bool) -> SparseBinaryMatrix:
                 cols = rows[m * p + i]
                 cols.extend(base + j for j in range(p) if img[i, j])
     return from_rows(p * mat.m, p * mat.n, [sorted(r) for r in rows])
+
+
+# -- NBQC row lines ---------------------------------------------------------------
+
+
+_COLUMN = re.compile(r"[0-9]{1,15}")
+_LOG = re.compile(r"[0-9a-f]{1,15}")
+
+
+def read_rows(text: str, n: int, q: int) -> tuple[list, list, list]:
+    """(row, col, log) lists of an NBQC text's row lines, token by token.
+
+    Applies the grammar of README's format section with regular
+    expressions, one token at a time, and raises the `ParseError` that
+    the first failing check of the first bad line calls for.  The header
+    is not checked.
+    """
+    lines = text.splitlines()
+    m = int(lines[2].split()[0].partition("=")[2])
+    if len(lines) != 3 + m:
+        raise ParseError(len(lines), f"expected {m} row lines, found {len(lines) - 3}")
+    rows, cols, logs = [], [], []
+    for r, line in enumerate(lines[3:]):
+        line_no, prefix = 4 + r, f"r{r}:"
+        if not re.match(re.escape(prefix) + r"([ \t]|$)", line):
+            raise ParseError(line_no, f"expected row prefix {prefix!r}")
+        last = -1
+        for tok in re.split(r"[ \t]+", line[len(prefix):].strip(" \t")):
+            if not tok:
+                continue
+            col_s, sep, log_s = tok.partition(":")
+            if not (sep and _COLUMN.fullmatch(col_s) and _LOG.fullmatch(log_s)):
+                raise ParseError(line_no, f"bad entry {tok!r}")
+            col, lg = int(col_s), int(log_s, 16)
+            if col >= n:
+                raise ParseError(line_no, f"column {col} outside [0, {n})")
+            if col <= last:
+                raise ParseError(line_no, "columns must strictly ascend")
+            if lg >= q - 1:
+                raise ParseError(line_no, f"log {lg} outside [0, {q - 1})")
+            last = col
+            rows.append(r)
+            cols.append(col)
+            logs.append(lg)
+    return rows, cols, logs
 
 
 # -- Howell form over Z_m ------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import col_supports, nb_from_rows, rows_of
+from oracles import col_supports, dense_mod2_product, nb_from_rows, read_rows, rows_of
 from nbqc.binexpand import (CssCodePair, FieldMismatch, OrthogonalityBroken,
                             ParseError, binary_orthogonal, expand_pair,
                             load_pair, read_matrix, write_matrix)
@@ -41,10 +41,6 @@ def make_code(seed=3, p=4) -> CssCodePair:
     field = make_field(p)
     rng = np.random.default_rng(seed)
     return expand_pair(*lift(pair, field, rng))
-
-
-def dense_mod2_product(a, b) -> np.ndarray:
-    return a.to_dense().astype(np.int64) @ b.to_dense().astype(np.int64).T % 2
 
 
 class TestExpandPair:
@@ -239,6 +235,154 @@ class TestGoldenPair:
             read_matrix(io.StringIO(mutated))
         except (ParseError, FieldMismatch):
             pass
+
+
+def golden_text(role="gamma") -> str:
+    return (DATA / f"golden_gf16.{role}.nbqc").read_text()
+
+
+def with_row(text: str, r: int, edit) -> str:
+    """`text` with the tokens of row line r (prefix included) replaced by edit(tokens)."""
+    lines = text.splitlines()
+    lines[3 + r] = " ".join(edit(lines[3 + r].split(" ")))
+    return "\n".join(lines) + "\n"
+
+
+def read_text(text: str):
+    return read_matrix(io.StringIO(text))
+
+
+class TestReaderErrors:
+    """Every message family of the row reader, on the first, a middle and
+    the last row line of the golden file (lines 4, 11 and 17)."""
+
+    FAMILIES = {
+        "bad-entry": (lambda t: t[:2] + ["x:1"] + t[3:], "bad entry 'x:1'"),
+        "column-outside": (lambda t: t + ["42:0"], "column 42 outside [0, 42)"),
+        "not-ascending": (lambda t: t + ["0:0"], "columns must strictly ascend"),
+        "log-outside": (lambda t: t[:-1] + [t[-1].partition(":")[0] + ":f"],
+                        "log 15 outside [0, 15)"),
+        "prefix": (lambda t: [t[0].rstrip(":")] + t[1:], "expected row prefix 'r{r}:'"),
+    }
+
+    @pytest.mark.parametrize("r", [0, 7, 13])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_message_and_line(self, family, r):
+        edit, message = self.FAMILIES[family]
+        with pytest.raises(ParseError) as err:
+            read_text(with_row(golden_text(), r, edit))
+        assert err.value.line_no == 4 + r
+        assert str(err.value) == f"line {4 + r}: " + message.format(r=r)
+
+    def test_first_bad_line_wins(self):
+        # a later line's error is not reported while an earlier line is bad
+        text = with_row(golden_text(), 9, lambda t: t + ["0:0"])
+        text = with_row(text, 3, lambda t: ["r3"] + t[1:])
+        with pytest.raises(ParseError, match="line 7: expected row prefix 'r3:'"):
+            read_text(text)
+
+    def test_first_bad_token_of_a_line_wins(self):
+        # a bad entry before a column outside the range, on the same line
+        text = with_row(golden_text(), 5, lambda t: t[:2] + ["1:z", "99:0"] + t[2:])
+        with pytest.raises(ParseError, match="line 9: bad entry '1:z'"):
+            read_text(text)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda t: t + ["1" * 30 + ":0"], id="column"),
+        pytest.param(lambda t: t[:-1] + [t[-1].partition(":")[0] + ":" + "1" * 30], id="log"),
+        pytest.param(lambda t: t + ["9" * 19 + ":" + "f" * 16], id="both-past-int64"),
+    ])
+    def test_thirty_digit_numbers_are_bad_entries(self, edit):
+        with pytest.raises(ParseError, match="line 8: bad entry"):
+            read_text(with_row(golden_text(), 4, edit))
+
+    def test_thirty_digit_row_prefix(self):
+        with pytest.raises(ParseError, match="line 8: expected row prefix 'r4:'"):
+            read_text(with_row(golden_text(), 4, lambda t: ["r" + "4" * 30 + ":"] + t[1:]))
+
+    @pytest.mark.parametrize("token", [
+        "+9:9", "9:+9", "-1:0", "9:-1", "9_0:9", "9:1_0", "0x9:1", "9:0x1f", "9:A", "9:Fb",
+        "9:", ":9", "9", "9::9", "9:9:9", "\u0661:1", "9:\x1f", "9\u20039:9",
+    ])
+    def test_lenient_int_forms_are_bad_entries(self, token):
+        # the grammar is a decimal column and a lower-case hex log, nothing
+        # else that Python's int() would also read
+        with pytest.raises(ParseError) as err:
+            read_text(with_row(golden_text(), 0, lambda t: t[:1] + [token] + t[2:]))
+        assert str(err.value) == f"line 4: bad entry {token!r}"
+
+    @pytest.mark.parametrize("line", [
+        "r0:1:4 9:9 18:a 24:2 34:b 40:8",      # prefix glued to the first entry
+        " r0: 1:4 9:9 18:a 24:2 34:b 40:8",    # space before the prefix
+        "r00: 1:4 9:9 18:a 24:2 34:b 40:8",    # leading zero in the row
+        "r0 : 1:4 9:9 18:a 24:2 34:b 40:8",
+        "",
+    ])
+    def test_row_prefix_is_a_token_of_its_own(self, line):
+        lines = golden_text().splitlines()
+        lines[3] = line
+        with pytest.raises(ParseError, match="line 4: expected row prefix 'r0:'"):
+            read_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("find, replace, line_no", [
+        (b"r5: ", b"r5: \xe9", 9),
+        (b"r13: 3:a", b"r13: 3:\xff", 17),
+        (b"tau=3", b"tau=\xb3", 2),
+    ])
+    def test_non_ascii_byte_in_a_file(self, tmp_path, find, replace, line_no):
+        path = tmp_path / "g.nbqc"
+        path.write_bytes((DATA / "golden_gf16.gamma.nbqc").read_bytes().replace(find, replace, 1))
+        with pytest.raises(ParseError) as err:
+            read_matrix(path)
+        assert err.value.line_no == line_no
+
+    def test_accepted_spellings(self):
+        # separators may be runs of spaces and tabs, and a column or log may
+        # carry leading zeros; each reads as the canonical line
+        want = read_text(golden_text())
+        lines = golden_text().splitlines()
+        lines[3] = "r0:\t001:04  9:9\t \t18:a 24:2 34:b 040:8 \t"
+        got = read_text("\n".join(lines) + "\n")
+        for name in ("row", "col", "val"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestReaderMatchesTokenReader:
+    """The array reader against `oracles.read_rows`, which applies the same
+    grammar one token at a time."""
+
+    @pytest.mark.parametrize("role", ["gamma", "delta"])
+    def test_golden_arrays(self, role):
+        text = golden_text(role)
+        mat = read_text(text)
+        row, col, logs = read_rows(text, mat.n, mat.field.q)
+        assert mat.row.tolist() == row and mat.col.tolist() == col
+        assert mat.val.tolist() == mat.field.exp_table[logs].tolist()
+        assert mat.row.dtype == mat.col.dtype == np.int64
+
+    @given(edits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2),
+                                    st.sampled_from(list("0123456789abfABF:r \t\n_+-x\x1f") +
+                                                    ["\u2003", "\u0661", "99999999999999999"])),
+                          min_size=1, max_size=3),
+           role=st.sampled_from(["gamma", "delta"]))
+    @settings(max_examples=400, deadline=None)
+    def test_same_outcome_on_corrupted_rows(self, edits, role):
+        text = golden_text(role)
+        body = len("\n".join(text.splitlines()[:3])) + 1     # edit the row lines only
+        for pos, kind, ch in edits:
+            pos = body + pos % (len(text) - body)
+            text = (text[:pos] + ch + text[pos + 1:], text[:pos] + text[pos + 1:],
+                    text[:pos] + ch + text[pos:])[kind]
+        try:
+            want = read_rows(text, 42, 16)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as err:
+                read_text(text)
+            assert (err.value.line_no, str(err.value)) == (exc.line_no, str(exc))
+            return
+        mat = read_text(text)
+        assert (mat.row.tolist(), mat.col.tolist(),
+                mat.field.log_table[mat.val].tolist()) == want
 
 
 @given(p=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2 ** 31))

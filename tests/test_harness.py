@@ -8,13 +8,15 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracles import read_rows
 from nbqc import nblift, qcpair
-from nbqc.binexpand import load_pair, write_matrix
+from nbqc.binexpand import load_pair, read_matrix, write_matrix
 from nbqc.channel import ChannelParams, sample_error, syndrome_of
 from nbqc.decoder import SyndromeDecoder
 from nbqc.harness import (DomainError, SimRecord, bdd_limit,
@@ -27,6 +29,23 @@ DATA = Path(__file__).parent / "data"
 # frozen independent evaluations (30-digit root finds)
 S2_ZERO = 0.110027864438359551          # root of 1 - 2 h(f)
 SHANNON_THIRD = 0.0722357932154816416   # shannon(f) = 1/3
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_reader_matches_token_reader(*paths):
+    for path in paths:
+        mat = read_matrix(path)
+        text = Path(path).read_text()
+        assert (mat.row.tolist(), mat.col.tolist(),
+                mat.field.log_table[mat.val].tolist()) == read_rows(text, mat.n, mat.field.q)
 
 
 def bisect(fn, lo, hi, tol=1e-12):
@@ -275,9 +294,14 @@ class TestVerify:
             "4d756300919314f88851027b7612692ca41004d608207738adff2fac6c17df98")
         assert hashlib.sha256(Path(d).read_bytes()).hexdigest() == (
             "f8550537bd9e9d8636e3f6ce3ebe44598fa2b8ed689094c12b560486ab6449d7")
-        checks = verify_pair_files(g, d)
+        checks, verify_peak = traced_peak(verify_pair_files, g, d)
         assert len(checks) == 10
         assert all(ok for _, ok, _ in checks), [n for n, ok, _ in checks if not ok]
+        # linear memory: one m x m array of the binary rows (9992^2 cells)
+        # would take at least 100 MB
+        _, load_peak = traced_peak(load_pair, g, d)
+        assert max(verify_peak, load_peak) < 64 * 2 ** 20, (verify_peak, load_peak)
+        assert_reader_matches_token_reader(g, d)
 
 
     @pytest.mark.parametrize("flags, gamma_sha, delta_sha", [
@@ -299,6 +323,7 @@ class TestVerify:
         checks = verify_pair_files(g, d)
         assert len(checks) == 10
         assert all(ok for _, ok, _ in checks), [n for n, ok, _ in checks if not ok]
+        assert_reader_matches_token_reader(g, d)
 
 class TestCli:
     def test_construct_verify_simulate(self, tmp_path, capsys):

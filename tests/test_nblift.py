@@ -173,6 +173,31 @@ class TestCycleStructure:
         with pytest.raises(NotACycle):
             cycle_structure(hc, hd)
 
+    def test_not_a_cycle_messages(self, pair):
+        # the full message names the first bad row, for each bad input above
+        hc, hd = pair.expand_c(), pair.expand_d()
+        rows = rows_of(hc)
+        rows[1] = [c for c in rows[1] if c != 25]
+        heavy = rows_of(hc)
+        heavy[0] = sorted(heavy[0] + [25])
+        square = from_rows(4, 4, [[0, 1, 2, 3]] * 4)
+        cases = [
+            (from_rows(hc.m, hc.n, rows), hd,
+             "row 5: a support column does not have 2 check neighbours"),
+            (from_rows(hc.m, hc.n, heavy), hd,
+             "row 5: a support column does not have 2 check neighbours"),
+            (from_rows(4, 4, [[0, 1], [2, 3], [0, 1], [2, 3]]), square,
+             "row 0: walk does not close after exactly 4 columns"),
+            (from_rows(4, 4, [[0, 3], [0, 1], [1, 2], [2, 3]]), square,
+             "row 0: the first column lacks a unique top-half neighbour"),
+            (from_rows(4, 4, [[0, 1, 2], [0, 3], [1, 3], [2]]), square,
+             "row 0: restricted graph is not 2-regular on 4 checks"),
+        ]
+        for first, second, message in cases:
+            with pytest.raises(NotACycle) as err:
+                cycle_structure(first, second)
+            assert str(err.value) == message
+
     def test_bad_row_index(self, pair):
         with pytest.raises(IndexError):
             walk_cycle(pair.expand_c(), pair.expand_d(), 99)

@@ -16,7 +16,7 @@ import oracles
 from nbqc.binexpand import _expand_binary, binary_orthogonal, expand_pair
 from nbqc.gf2p import make_field
 from nbqc.nblift import DimensionMismatch, NBMatrix, lift, verify_orthogonal
-from nbqc.qcpair import QCParams, SparseBinaryMatrix, build_pair
+from nbqc.qcpair import QCParams, SparseBinaryMatrix, _column_index, _column_join, build_pair
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
 FIELDS = {p: make_field(p) for p in (2, 4, 8)}
@@ -106,6 +106,58 @@ def test_overlap_parity_decides_binary_verdict(seed, overlap):
     assert binary_orthogonal(a, b) == (overlap % 2 == 0) == oracles.binary_orthogonal(a, b)
 
 
+column_lists = st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(0, n - 1), max_size=25),
+    st.lists(st.integers(0, n - 1), max_size=25)))
+
+
+@given(case=column_lists)
+@settings(max_examples=200, deadline=None)
+def test_column_index_counts_and_stable_order(case):
+    n, cols, _ = case
+    order, start = _column_index(np.array(cols, dtype=np.int64), n)
+    assert start.tolist() == [0] + np.cumsum(np.bincount(cols, minlength=n)).tolist()
+    assert order.tolist() == sorted(range(len(cols)), key=lambda k: cols[k])
+
+
+@given(case=column_lists)
+@settings(max_examples=200, deadline=None)
+def test_column_join_lists_every_shared_column_pair(case):
+    # arbitrary column lists: repeated and unsorted columns, empty columns,
+    # columns that only one side uses, and empty sides
+    n, cols_a, cols_b = case
+    ia, ib = _column_join(np.array(cols_a, dtype=np.int64), np.array(cols_b, dtype=np.int64), n)
+    assert list(zip(ia.tolist(), ib.tolist())) == oracles.column_join(cols_a, cols_b)
+
+
+def doubled_pair(rng, m_a, m_b, k) -> tuple[SparseBinaryMatrix, SparseBinaryMatrix]:
+    """An orthogonal pair: [X | X] and [Y | Y] with their 2k columns shuffled,
+    so every row pair shares an even number of columns."""
+    x = rng.random((m_a, k)) < 0.4
+    y = rng.random((m_b, k)) < 0.4
+    perm = rng.permutation(2 * k)
+    a, b = np.hstack((x, x))[:, perm], np.hstack((y, y))[:, perm]
+    return (oracles.from_rows(m_a, 2 * k, [np.flatnonzero(r).tolist() for r in a]),
+            oracles.from_rows(m_b, 2 * k, [np.flatnonzero(r).tolist() for r in b]))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), m_a=st.integers(0, 8), m_b=st.integers(0, 8),
+       k=st.integers(1, 8), flips=st.integers(0, 2))
+@settings(max_examples=200, deadline=None)
+def test_binary_matches_dense_product_on_orthogonal_and_broken_pairs(seed, m_a, m_b, k, flips):
+    rng = np.random.default_rng(seed)
+    a, b = doubled_pair(rng, m_a, m_b, k)
+    assert binary_orthogonal(a, b) and not oracles.dense_mod2_product(a, b).any()
+    # flipping bit (r, c) of a changes the product of row r with every row
+    # of b that holds column c, unless a second flip undoes it
+    rows = oracles.rows_of(a)
+    for _ in range(flips if m_a else 0):
+        r, c = int(rng.integers(m_a)), int(rng.integers(2 * k))
+        rows[r] = sorted(set(rows[r]) ^ {c})
+    a = oracles.from_rows(m_a, 2 * k, rows)
+    assert binary_orthogonal(a, b) == (not oracles.dense_mod2_product(a, b).any())
+
+
 class TestEdgeCases:
     @pytest.mark.parametrize("p", [2, 4, 8])
     def test_zero_rows_are_orthogonal(self, p):
@@ -118,6 +170,22 @@ class TestEdgeCases:
         bfull = random_binary(np.random.default_rng(p), 4, 5, 0.8)
         for a, b in ((bempty, bempty), (bempty, bfull), (bfull, bempty)):
             assert binary_orthogonal(a, b)
+
+    def test_rows_without_ones_are_orthogonal(self):
+        nothing = oracles.from_rows(3, 5, [[], [], []])
+        some = oracles.from_rows(2, 5, [[0, 4], [1]])
+        for a, b in ((nothing, nothing), (nothing, some), (some, nothing)):
+            assert binary_orthogonal(a, b)
+
+    def test_columns_used_by_one_side_only(self):
+        # columns 3 and 4 are a's alone, 0 is b's alone; the shared column 1
+        # decides the verdict, and the empty column 2 adds nothing
+        a = oracles.from_rows(2, 5, [[1, 3, 4], [3]])
+        b = oracles.from_rows(2, 5, [[0], [0, 1]])
+        assert not binary_orthogonal(a, b)
+        assert binary_orthogonal(a, oracles.from_rows(2, 5, [[0], [0]]))
+        for x, y in ((a, b), (b, a)):
+            assert binary_orthogonal(x, y) == (not oracles.dense_mod2_product(x, y).any())
 
     def test_disjoint_supports_are_orthogonal(self):
         field = FIELDS[4]

@@ -65,12 +65,17 @@ def test_limit_curves(tmp_path):
     assert all(len(r) == 4 for r in rows)
 
 
-def test_bench_ab_report_drops_incorrect_pairs(capsys):
+def import_bench_ab():
     sys.path.insert(0, str(ROOT / "scripts"))
     try:
         import bench_ab
     finally:
         sys.path.remove(str(ROOT / "scripts"))
+    return bench_ab
+
+
+def test_bench_ab_report_drops_incorrect_pairs(capsys):
+    bench_ab = import_bench_ab()
 
     def run(value, correct=True, failed=0, exit=0):
         return {"correct": correct, "failed": failed, "attempted": 8, "exit": exit,
@@ -85,3 +90,52 @@ def test_bench_ab_report_drops_incorrect_pairs(capsys):
     assert out.count("WARNING") == 3
     row = next(line for line in out.splitlines() if line.strip().startswith("trials_per_s"))
     assert "10 (10-10)" in row and "11.5 (11.25-11.75)" in row and " 2/2 " in row
+
+
+def test_bench_ab_traced_runs_and_per_layer_report(monkeypatch, capsys):
+    bench_ab = import_bench_ab()
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds, trace=False):
+        calls.append((checkout, seed, trace))
+        if not trace:
+            return {"correct": True, "failed": 0, "attempted": 8, "exit": 0,
+                    "metrics": {"verify_s": {"value": 1.0}}}
+        # the change halves read_matrix_s; seed 3's parent run is incorrect
+        ms = (2.0 + seed) * (0.5 if checkout == "change" else 1.0)
+        return {"correct": not (seed == 3 and checkout == "parent"), "failed": 0,
+                "attempted": 8, "exit": 0,
+                "metrics": {"binexpand.read_matrix_s": {"value": ms},
+                            "binexpand.binary_orthogonal_calls": {"value": 24}}}
+
+    monkeypatch.setattr(bench_ab, "run_once", fake_run_once)
+    end_to_end = [{"name": "verify_s", "unit": "s", "better": "lower"}]
+    runs, traced = bench_ab.run_pairs({"parent": "parent", "change": "change"}, "w",
+                                      [1, 2, 3], 1.0, True, end_to_end)
+    # one untraced and one traced run per side and seed, each pair in the
+    # seed's order: the change first on even seeds
+    assert calls == [("parent", 1, False), ("change", 1, False),
+                     ("parent", 1, True), ("change", 1, True),
+                     ("change", 2, False), ("parent", 2, False),
+                     ("change", 2, True), ("parent", 2, True),
+                     ("parent", 3, False), ("change", 3, False),
+                     ("parent", 3, True), ("change", 3, True)]
+    assert len(runs) == len(traced) == 3
+    per_layer = [{"name": "binexpand.read_matrix_s", "unit": "s", "better": "lower"},
+                 {"name": "binexpand.binary_orthogonal_calls", "unit": "count",
+                  "better": "lower"},
+                 {"name": "decoder.wht_s", "unit": "s", "better": "lower"}]
+    capsys.readouterr()
+    bench_ab.report("w, traced, per layer", per_layer, traced)
+    out = capsys.readouterr().out
+    assert "w, traced, per layer: 3 pairs" in out
+    assert "1 pairs dropped for an incorrect run, 2 kept" in out
+    lines = {line.split()[0]: line for line in out.splitlines() if line.startswith("  ")}
+    # medians over seeds 1 and 2: parent 3 and 4, change 1.5 and 2
+    assert "3.5 (3.25-3.75)" in lines["binexpand.read_matrix_s"]
+    assert "1.75 (1.625-1.875)" in lines["binexpand.read_matrix_s"]
+    assert " 0.5000 " in lines["binexpand.read_matrix_s"]
+    assert " 2/2 " in lines["binexpand.read_matrix_s"]
+    assert "24 (24-24)" in lines["binexpand.binary_orthogonal_calls"]
+    assert " 0/2 " in lines["binexpand.binary_orthogonal_calls"]
+    assert "decoder.wht_s" not in lines     # a layer neither side reports is left out
