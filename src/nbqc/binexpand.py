@@ -11,7 +11,8 @@ parameters); the binary expansion is recomputed on load, never stored.
 Both are held as row-major index arrays (see `qcpair` and `nblift`).
 The expansion orders its ones with one sort of their row-major keys.
 The reader parses all row lines together in array steps over their
-bytes; the writer formats one line per row.
+bytes; the writer applies one format string, built from the row
+weights, to all the entries at once.
 
 Costs.  The expansion reads each entry's image off the images of the
 p unit vectors, O(nnz p^2), and sorts the keys of its ones once.
@@ -21,11 +22,13 @@ joined pair: the product vanishes iff every key occurs an even number
 of times.  A pair of rows that shares no column has a zero product, so
 the check is exact, and the join holds O(nnz x column weight) keys.
 No array has one cell per pair of rows.  The reader does O(1) array
-steps over the bytes and tokens of the file.
+steps over the bytes and tokens of the file, and the writer one `%`
+over all of its entries.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -145,12 +148,20 @@ def binary_orthogonal(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> bool:
 #   r<row>: <col>:<hexlog> <col>:<hexlog> ...
 #
 # Tokens are separated by spaces or tabs; the row prefix is its own token.
-# row and col are decimal digits, hexlog is the discrete log of the entry
-# in lower-case hex digits, each at most _MAX_DIGITS digits with no sign;
-# row has no leading zero.  Columns strictly ascend.
+# The header keys come once each, in this order.  An <int> is an optional
+# '-' and decimal digits, <hex> is lower-case hex digits, each at most
+# _MAX_DIGITS digits.  row and col are decimal digits, hexlog is the
+# discrete log of the entry in lower-case hex digits, each at most
+# _MAX_DIGITS digits with no sign; row has no leading zero.  Columns
+# strictly ascend.
 
-_HEADER_KEYS = ("p", "poly", "J", "L", "P", "sigma", "tau", "role")
-_MAX_DIGITS = 15        # per column or log; 16**15 < 2**63, so no value overflows int64
+_MAX_DIGITS = 15        # per number; 16**15 < 2**63, so no value overflows int64
+_INT = f"(-?[0-9]{{1,{_MAX_DIGITS}}})"
+_HEX = f"([0-9a-f]{{1,{_MAX_DIGITS}}})"
+_HEADER = re.compile("[ \t]+".join((f"p={_INT}", f"poly=0x{_HEX}", f"J={_INT}", f"L={_INT}",
+                                     f"P={_INT}", f"sigma={_INT}", f"tau={_INT}",
+                                     "role=(GAMMA|DELTA)")))
+_DIMS = re.compile(f"M={_INT}[ \t]+N={_INT}")
 _SEPARATOR = np.zeros(256, dtype=bool)
 _SEPARATOR[[9, 10, 32]] = True      # tab, newline, space
 _DIGIT = np.full(256, 16)       # the value of a decimal or lower-case hex digit, else 16
@@ -170,11 +181,17 @@ def write_matrix(mat: NBMatrix, sink) -> None:
     sink.write(f"M={mat.m} N={mat.n}\n")
     if not mat.val.all():
         raise ZeroDivisionError("a stored zero has no log")
-    cells = [f"{c}:{lg:x}" for c, lg in zip(mat.col.tolist(),
-                                             mat.field.log_table[mat.val].tolist())]
-    ends = np.cumsum(np.bincount(mat.row, minlength=mat.m)).tolist()
-    sink.write("".join(f"r{r}: {' '.join(cells[lo:hi])}\n"
-                       for r, (lo, hi) in enumerate(zip([0] + ends, ends))))
+    # one format per row weight; row r's prefix and then its (col, log)
+    # pairs fill its slots, r + 2 * (entries before it) onwards
+    weights = np.bincount(mat.row, minlength=mat.m)
+    sizes, which = np.unique(weights, return_inverse=True)
+    line = ["r%d: " + " ".join(["%d:%x"] * w) + "\n" for w in sizes.tolist()]
+    values = np.empty(mat.m + 2 * len(mat.col), dtype=np.int64)
+    values[np.arange(mat.m) + 2 * (np.cumsum(weights) - weights)] = np.arange(mat.m)
+    at = mat.row + 1 + 2 * np.arange(len(mat.col))
+    values[at] = mat.col
+    values[at + 1] = mat.field.log_table[mat.val]
+    sink.write("".join(map(line.__getitem__, which.tolist())) % tuple(values.tolist()))
 
 
 def read_matrix(source, expected_field: FieldSpec | None = None) -> NBMatrix:
@@ -191,28 +208,17 @@ def read_matrix(source, expected_field: FieldSpec | None = None) -> NBMatrix:
         raise ParseError(1, "expected magic 'NBQC 1'")
     if len(lines) < 3:
         raise ParseError(len(lines), "truncated header")
-    header = _parse_kv(lines[1], 2)
-    missing = [k for k in _HEADER_KEYS if k not in header]
-    if missing:
-        raise ParseError(2, f"missing header fields: {', '.join(missing)}")
-    role = header["role"]
-    if role not in ("GAMMA", "DELTA"):
-        raise ParseError(2, f"bad role {role!r}")
-    try:
-        p = int(header["p"])
-        poly = int(header["poly"], 16)
-        params = QCParams(P=int(header["P"]), J=int(header["J"]),
-                          L=int(header["L"]), sigma=int(header["sigma"]),
-                          tau=int(header["tau"]))
-    except ValueError as exc:
-        raise ParseError(2, f"bad header value: {exc}") from exc
-    dims = _parse_kv(lines[2], 3)
-    if set(dims) != {"M", "N"}:
+    header = _HEADER.fullmatch(lines[1])
+    if not header:
+        raise ParseError(2, "expected 'p=<int> poly=0x<hex> J=<int> L=<int> P=<int> "
+                            "sigma=<int> tau=<int> role=<GAMMA|DELTA>'")
+    p, J, L, P, sigma, tau = map(int, header.group(1, 3, 4, 5, 6, 7))
+    poly, role = int(header[2], 16), header[8]
+    params = QCParams(P=P, J=J, L=L, sigma=sigma, tau=tau)
+    dims = _DIMS.fullmatch(lines[2])
+    if not dims:
         raise ParseError(3, "expected 'M=<int> N=<int>'")
-    try:
-        m, n = int(dims["M"]), int(dims["N"])
-    except ValueError as exc:
-        raise ParseError(3, f"bad dimension: {exc}") from exc
+    m, n = int(dims[1]), int(dims[2])
     if m < 0 or n < 0:
         raise ParseError(3, f"negative dimension M={m} N={n}")
 
@@ -298,16 +304,6 @@ def _numbers(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, base: int):
     digits = np.where(at >= lo, _DIGIT[b.take(at, mode="clip")], 0)
     ok = (lo < hi) & (hi - lo <= _MAX_DIGITS) & (digits < base).all(axis=0)
     return base ** np.arange(width - 1, -1, -1) @ digits, ok
-
-
-def _parse_kv(line: str, line_no: int) -> dict:
-    out = {}
-    for tok in line.split():
-        key, sep, val = tok.partition("=")
-        if not sep or not key or not val:
-            raise ParseError(line_no, f"expected key=value, got {tok!r}")
-        out[key] = val
-    return out
 
 
 def load_pair(gamma_path, delta_path) -> CssCodePair:

@@ -5,11 +5,14 @@ coefficient of alpha^j in the polynomial basis, so the integer doubles
 as the coefficient column vector of the element.  Multiplication runs
 on log/antilog tables built from a primitive polynomial.
 
-Every element also has a p x p binary image (the multiply-by-x linear
-map in the polynomial basis).  The image of alpha is the companion
-matrix of the primitive polynomial; the map preserves sums and
-products, which is what lets a non-binary parity-check pair expand to
-an orthogonal binary pair.
+Every element x also has a p x p binary image, companion(x): the
+multiply-by-x linear map in the polynomial basis, whose column j is the
+bit vector of x * alpha^j.  The image of alpha is the companion matrix
+of the primitive polynomial; the map preserves sums and products, which
+is what lets a non-binary parity-check pair expand to an orthogonal
+binary pair.  The library uses the images only as index maps on
+symbols; the matrices themselves, and per-element field arithmetic,
+are built by the tests.
 """
 
 from __future__ import annotations
@@ -67,53 +70,6 @@ class FieldSpec:
 
     def same_field(self, other: "FieldSpec") -> bool:
         return self.p == other.p and self.poly == other.poly
-
-    # -- element arithmetic -------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        """Characteristic-2 addition (XOR of coefficient vectors)."""
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp_table[(int(self.log_table[a]) + int(self.log_table[b])) % (self.q - 1)])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(self.exp_table[(-int(self.log_table[a])) % (self.q - 1)])
-
-    def log(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("log of 0 is undefined")
-        return int(self.log_table[a])
-
-    def exp(self, k: int) -> int:
-        """alpha^k for any integer k (reduced mod q-1)."""
-        return int(self.exp_table[k % (self.q - 1)])
-
-    # -- binary-matrix representation ---------------------------------------
-
-    def companion(self, x: int) -> np.ndarray:
-        """p x p binary image of x: column j is the bit vector of x * alpha^j.
-
-        companion(0) is the zero matrix, companion(1) the identity, and
-        companion(alpha) the companion matrix of the primitive polynomial
-        (subdiagonal of ones, last column the coefficient mask).  The map
-        satisfies companion(x) @ v(y) = v(x*y) over GF(2).
-        """
-        mat = np.zeros((self.p, self.p), dtype=np.uint8)
-        for j in range(self.p):
-            w = self.mul(x, 1 << j)
-            for i in range(self.p):
-                mat[i, j] = (w >> i) & 1
-        return mat
-
-    def companion_transpose(self, x: int) -> np.ndarray:
-        """Transpose of companion(x); the image used for the second matrix
-        of a CSS pair and for its decoder."""
-        return self.companion(x).T.copy()
 
     # -- index maps on [0, q) -----------------------------------------------
     # The action of companion(x) on coefficient vectors, viewed as a

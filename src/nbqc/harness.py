@@ -274,7 +274,7 @@ def verify_pair_files(gamma_path, delta_path) -> list[tuple[str, bool, str]]:
 
 
 def cmd_construct(args) -> int:
-    params = QCParams(P=args.P, J=args.J, L=args.L, sigma=args.sigma, tau=args.tau)
+    params = QCParams(P=args.P, J=2, L=args.L, sigma=args.sigma, tau=args.tau)
     field = make_field(args.p, args.poly)
     pair = build_pair(params)
     gamma, delta = nblift.lift(pair, field, np.random.default_rng(args.seed), args.reject_trivial)
@@ -346,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--p", type=int, required=True, help="field extension degree")
     c.add_argument("--poly", type=lambda s: int(s, 0), default=None,
                    help="primitive polynomial mask (default: built-in per p)")
-    c.add_argument("--J", type=int, default=2)
     c.add_argument("--L", type=int, required=True)
     c.add_argument("--P", type=int, required=True)
     c.add_argument("--sigma", type=int, required=True)

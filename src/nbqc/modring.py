@@ -39,8 +39,7 @@ pass over the forest per sample.  No array has one cell per
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,34 +50,18 @@ class NotBalancedGraph(ValueError):
 
 @dataclass
 class ModSystem:
-    """Homogeneous system over Z_modulus.
+    """Homogeneous system over Z_modulus, held as int64 term arrays.
 
-    Each equation is a list of (variable index, coefficient) terms;
-    repeated variables accumulate.  The right-hand side is zero.
+    Term k adds coef[k] * x[var[k]] to equation eq[k]; repeated
+    (equation, variable) pairs accumulate.  The right-hand side is zero.
     """
 
     modulus: int
     n_vars: int
-    equations: list = field(default_factory=list)
-
-    def add_equation(self, terms: list[tuple[int, int]]) -> None:
-        self.equations.append(list(terms))
-
-    def terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(equation, variable, coefficient) arrays of every term."""
-        lengths = np.fromiter(map(len, self.equations), dtype=np.int64,
-                              count=len(self.equations))
-        flat = np.array(list(itertools.chain.from_iterable(self.equations)),
-                        dtype=np.int64).reshape(-1, 2)
-        return np.repeat(np.arange(len(self.equations)), lengths), flat[:, 0], flat[:, 1]
-
-    def check(self, assignment: np.ndarray) -> bool:
-        """True iff the assignment satisfies every equation mod modulus."""
-        x = np.asarray(assignment, dtype=np.int64)
-        eqs, var, coef = self.terms()
-        sums = np.zeros(len(self.equations), dtype=np.int64)
-        np.add.at(sums, eqs, coef * x[var])
-        return not np.any(sums % self.modulus)
+    n_equations: int
+    eq: np.ndarray
+    var: np.ndarray
+    coef: np.ndarray
 
 
 @dataclass
@@ -115,10 +98,12 @@ def _incidence(system: ModSystem) -> tuple[np.ndarray, np.ndarray]:
     nonzero coefficients mod m and each is +-1.
     """
     m, n = system.modulus, system.n_vars
-    eqs, var, coef = system.terms()
+    eqs, var, coef = system.eq, system.var, system.coef
     if len(var) and (var.min() < 0 or var.max() >= n):
         raise NotBalancedGraph(f"variable index outside [0, {n})")
-    n_eqs = max(len(system.equations), 1)
+    if len(eqs) and (eqs.min() < 0 or eqs.max() >= system.n_equations):
+        raise NotBalancedGraph(f"equation index outside [0, {system.n_equations})")
+    n_eqs = max(system.n_equations, 1)
     keys, where = np.unique(var * n_eqs + eqs, return_inverse=True)
     totals = np.zeros(len(keys), dtype=np.int64)
     np.add.at(totals, where, coef)
@@ -149,7 +134,7 @@ def solve_mod(system: ModSystem) -> SolutionSpace:
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     ends, coefs = _incidence(system)
-    n_eqs = len(system.equations)
+    n_eqs = system.n_equations
 
     root = list(range(n_eqs))
     adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n_eqs)]

@@ -29,10 +29,11 @@ once; the stages it calls (`assemble_constraints`, `lift_gamma`,
 `solve_delta`) take the expansion and the walk as inputs and neither
 expand nor walk again.  A construct therefore walks the cycles once,
 and `nbqc verify` walks them once more for the determinant check.  The
-balance equations, the second matrix and the determinant check read
-the cycles as two (M, L) arrays, and the logs of the first matrix on
-E1 and E2 come from one `NBMatrix.entry` lookup: O(M L) array work,
-with no per-row Python walk and no per-entry field arithmetic.
+balance system's term arrays, the second matrix and the determinant
+check are built from the cycles as two (M, L) arrays, and the logs of
+the first matrix on E1 and E2 come from one `NBMatrix.entry` lookup:
+O(M L) array work, with no per-row Python walk and no per-entry field
+arithmetic.
 `verify_orthogonal` joins the nonzeros of the two matrices on their
 column (`qcpair._column_join`, which reads each column's run of the
 second matrix off the same counting index): only row pairs that share
@@ -204,9 +205,9 @@ def assemble_constraints(hc: SparseBinaryMatrix, cycles: tuple[np.ndarray, np.nd
 
     Variables are the discrete logs of the first matrix `hc`'s nonzeros:
     a variable's index is its entry's row-major rank in `hc`.  The
-    modulus is 2^p - 1 for a lift over GF(2^p).  Row r's equation lists
-    its E1 variables with coefficient +1, then its E2 variables with -1,
-    in the walk order of `cycles`, the pair's `cycle_structure`.
+    modulus is 2^p - 1 for a lift over GF(2^p).  Row r's terms are its
+    E1 variables with coefficient +1, then its E2 variables with -1, in
+    the walk order of `cycles`, the pair's `cycle_structure`.
 
     Each variable lies on two cycles, one from each half of the second
     matrix, with equal coefficients: the system is a balanced signed
@@ -215,9 +216,11 @@ def assemble_constraints(hc: SparseBinaryMatrix, cycles: tuple[np.ndarray, np.nd
     i, j = _sides(cycles)
     # row-major keys ascend, so a position's rank is its variable index
     var = np.searchsorted(hc.row * hc.n + hc.col, i * hc.n + j)
-    coefs = [1] * var.shape[2] + [-1] * var.shape[2]
-    equations = [list(zip(terms, coefs)) for terms in np.concatenate(var, axis=1).tolist()]
-    return ModSystem(modulus=modulus, n_vars=hc.nnz(), equations=equations)
+    _, M, L = var.shape
+    return ModSystem(modulus=modulus, n_vars=hc.nnz(), n_equations=M,
+                     eq=np.repeat(np.arange(M), 2 * L),
+                     var=var.transpose(1, 0, 2).reshape(-1),
+                     coef=np.tile(np.repeat([1, -1], L), M))
 
 
 def cycle_log_steps(gamma: NBMatrix,

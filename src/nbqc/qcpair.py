@@ -142,22 +142,19 @@ def validate_params(params: QCParams) -> list[str]:
     return violations
 
 
-def build_pair(params: QCParams, allow_any_j: bool = False) -> QCPair:
+def build_pair(params: QCParams) -> QCPair:
     """Exponent matrices of the orthogonal pair for a valid parameter set.
 
     c[j, l] = sigma^(-j+l), twisted by tau on the right half;
     d[j, l] = -tau * sigma^(j-l), untwisted on the right half.
     All exponents are normalised into [0, P).
 
-    The downstream non-binary lift is only proved for column weight 2,
-    so J != 2 requires `allow_any_j`.
+    Any admissible J is built; the non-binary lift is only proved for
+    column weight 2, and `nblift.lift` rejects any other.
     """
     violations = validate_params(params)
     if violations:
         raise InvalidParams(f"invalid parameters {params}: {', '.join(violations)}")
-    if params.J != 2 and not allow_any_j:
-        raise InvalidParams(f"J={params.J}: the lift pipeline requires J=2 "
-                            "(pass allow_any_j=True to experiment)")
     P, J, L, sigma, tau = params.P, params.J, params.L, params.sigma, params.tau
     sigma_inv = pow(sigma, -1, P)
     c = np.zeros((J, L), dtype=np.int64)

@@ -18,8 +18,12 @@ the array code of `qcpair`, `channel` and `gf2p` replaces.  Matrices
 store row-major index arrays; `rows_of`, `from_rows` and `nb_from_rows`
 convert to and from per-row lists, which the oracles and the tampering
 tests read and edit.  `read_rows` is the token-by-token NBQC row reader
-that the array reader replaces.  Field powers and the exponent-table
-printout are used by tests only.  All of them are kept out of `src/`.
+that the array reader replaces, and `write_rows` the per-entry writer
+that the one-format writer replaces.  `mod_system` builds a balance
+system from equation lists and `satisfies` checks an assignment against
+it by substitution.  Per-element field arithmetic, the explicit binary
+images (`companion`), field powers and the exponent-table printout are
+used by tests only.  All of them are kept out of `src/`.
 """
 
 import itertools
@@ -107,6 +111,59 @@ def has_4cycle(mat: SparseBinaryMatrix) -> bool:
     return False
 
 
+# -- field elements and their binary images ----------------------------------------
+
+
+def field_add(field: FieldSpec, a: int, b: int) -> int:
+    """Characteristic-2 addition (XOR of coefficient vectors)."""
+    return a ^ b
+
+
+def field_mul(field: FieldSpec, a: int, b: int) -> int:
+    if a == 0 or b == 0:
+        return 0
+    return int(field.exp_table[(int(field.log_table[a]) + int(field.log_table[b])) % (field.q - 1)])
+
+
+def field_inv(field: FieldSpec, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("0 has no multiplicative inverse")
+    return int(field.exp_table[(-int(field.log_table[a])) % (field.q - 1)])
+
+
+def field_log(field: FieldSpec, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("log of 0 is undefined")
+    return int(field.log_table[a])
+
+
+def field_exp(field: FieldSpec, k: int) -> int:
+    """alpha^k for any integer k (reduced mod q-1)."""
+    return int(field.exp_table[k % (field.q - 1)])
+
+
+def companion(field: FieldSpec, x: int) -> np.ndarray:
+    """p x p binary image of x: column j is the bit vector of x * alpha^j.
+
+    companion(0) is the zero matrix, companion(1) the identity, and
+    companion(alpha) the companion matrix of the primitive polynomial
+    (subdiagonal of ones, last column the coefficient mask).  The map
+    satisfies companion(x) @ v(y) = v(x*y) over GF(2).
+    """
+    mat = np.zeros((field.p, field.p), dtype=np.uint8)
+    for j in range(field.p):
+        w = field_mul(field, x, 1 << j)
+        for i in range(field.p):
+            mat[i, j] = (w >> i) & 1
+    return mat
+
+
+def companion_transpose(field: FieldSpec, x: int) -> np.ndarray:
+    """Transpose of companion(x); the image used for the second matrix
+    of a CSS pair and for its decoder."""
+    return companion(field, x).T.copy()
+
+
 # -- symbol tables and syndromes -----------------------------------------------------
 
 
@@ -122,7 +179,7 @@ def transpose_index_table(field: FieldSpec, x: int) -> np.ndarray:
 
 def syndrome_of(code: CssCodePair, role: str, error: np.ndarray) -> np.ndarray:
     """Symbol syndrome entry by entry: each check XORs the image of its entry
-    applied to the error symbol (field.mul for role C, the transposed image
+    applied to the error symbol (field_mul for role C, the transposed image
     for role D)."""
     mat = code.matrix(role)
     field = code.field
@@ -131,7 +188,7 @@ def syndrome_of(code: CssCodePair, role: str, error: np.ndarray) -> np.ndarray:
         acc = 0
         for n, v in row:
             if role == "C":
-                acc ^= field.mul(v, int(error[n]))
+                acc ^= field_mul(field, v, int(error[n]))
             else:
                 acc ^= int(transpose_index_table(field, v)[error[n]])
         syndrome[m] = acc
@@ -196,7 +253,7 @@ def verify_orthogonal(gamma: NBMatrix, delta: NBMatrix) -> bool:
             for c, dv in drow:
                 gv = gmap.get(c)
                 if gv is not None:
-                    acc ^= field.mul(gv, dv)
+                    acc ^= field_mul(field, gv, dv)
             if acc:
                 return False
     return True
@@ -210,7 +267,7 @@ def expand_binary(mat: NBMatrix, transpose: bool) -> SparseBinaryMatrix:
     for row in mat_rows:
         for _, v in row:
             if v not in images:
-                img = mat.field.companion(v)
+                img = companion(mat.field, v)
                 images[v] = img.T.copy() if transpose else img
     rows: list[list[int]] = [[] for _ in range(p * mat.m)]
     for m, row in enumerate(mat_rows):
@@ -224,6 +281,18 @@ def expand_binary(mat: NBMatrix, transpose: bool) -> SparseBinaryMatrix:
 
 
 # -- NBQC row lines ---------------------------------------------------------------
+
+
+def write_rows(mat: NBMatrix) -> str:
+    """NBQC text of `mat`, formatted entry by entry and joined row by row."""
+    pr = mat.params
+    head = (f"NBQC 1\np={mat.field.p} poly={mat.field.poly:#x} J={pr.J} L={pr.L} "
+            f"P={pr.P} sigma={pr.sigma} tau={pr.tau} role={mat.role}\nM={mat.m} N={mat.n}\n")
+    cells = [f"{c}:{lg:x}" for c, lg in zip(mat.col.tolist(),
+                                             mat.field.log_table[mat.val].tolist())]
+    ends = np.cumsum(np.bincount(mat.row, minlength=mat.m)).tolist()
+    return head + "".join(f"r{r}: {' '.join(cells[lo:hi])}\n"
+                          for r, (lo, hi) in enumerate(zip([0] + ends, ends)))
 
 
 _COLUMN = re.compile(r"[0-9]{1,15}")
@@ -279,12 +348,27 @@ def read_rows(text: str, n: int, q: int) -> tuple[list, list, list]:
 # the g solutions of the pivot congruence.
 
 
+def mod_system(modulus: int, n_vars: int, equations=()) -> ModSystem:
+    """The system whose equation i has the (variable, coefficient) terms
+    equations[i], in the order given."""
+    eq = np.repeat(np.arange(len(equations), dtype=np.int64), [len(t) for t in equations])
+    terms = np.array([t for terms in equations for t in terms], dtype=np.int64).reshape(-1, 2)
+    return ModSystem(modulus=modulus, n_vars=n_vars, n_equations=len(equations),
+                     eq=eq, var=terms[:, 0].copy(), coef=terms[:, 1].copy())
+
+
+def satisfies(system: ModSystem, assignment) -> bool:
+    """True iff the assignment satisfies every equation mod modulus."""
+    x = np.asarray(assignment, dtype=np.int64)
+    sums = np.zeros(system.n_equations, dtype=np.int64)
+    np.add.at(sums, system.eq, system.coef * x[system.var])
+    return not np.any(sums % system.modulus)
+
+
 def dense_rows(system: ModSystem) -> np.ndarray:
     """The (equations x variables) coefficient matrix, reduced mod m."""
-    rows = np.zeros((len(system.equations), system.n_vars), dtype=np.int64)
-    for i, terms in enumerate(system.equations):
-        for v, c in terms:
-            rows[i, v] += c
+    rows = np.zeros((system.n_equations, system.n_vars), dtype=np.int64)
+    np.add.at(rows, (system.eq, system.var), system.coef)
     return rows % system.modulus
 
 
@@ -558,7 +642,7 @@ def recurrence_delta(gamma: NBMatrix, cycles: list) -> list:
     """Rows of the second matrix by the field recurrence around each cycle.
 
     delta(n_0) = 1 and delta(n_{i+1}) = delta(n_i) gamma(E1_i) / gamma(E2_i),
-    one field.mul and field.inv per entry; raises ZeroDivisionError on a
+    one field_mul and field_inv per entry; raises ZeroDivisionError on a
     zero of gamma and AssertionError when a cycle does not close.
     """
     field = gamma.field
@@ -567,8 +651,8 @@ def recurrence_delta(gamma: NBMatrix, cycles: list) -> list:
     for cyc in cycles:
         vals = {cyc.n_seq[0]: 1}
         for i, ((m, n), (_, n_next)) in enumerate(zip(cyc.e1(), cyc.e2())):
-            value = field.mul(vals[n], field.mul(entries[m].get(n, 0),
-                                                 field.inv(entries[m].get(n_next, 0))))
+            value = field_mul(field, vals[n], field_mul(field, entries[m].get(n, 0),
+                                                        field_inv(field, entries[m].get(n_next, 0))))
             if i < cyc.L - 1:
                 vals[n_next] = value
             elif value != 1:
@@ -578,13 +662,13 @@ def recurrence_delta(gamma: NBMatrix, cycles: list) -> list:
 
 
 def cycle_products(gamma: NBMatrix, cyc: CycleStructure) -> tuple[int, int]:
-    """Products of gamma's entries over E1 and over E2, with field.mul."""
+    """Products of gamma's entries over E1 and over E2, with field_mul."""
     field = gamma.field
     prod1 = prod2 = 1
     for m, n in cyc.e1():
-        prod1 = field.mul(prod1, gamma.entry(m, n))
+        prod1 = field_mul(field, prod1, gamma.entry(m, n))
     for m, n in cyc.e2():
-        prod2 = field.mul(prod2, gamma.entry(m, n))
+        prod2 = field_mul(field, prod2, gamma.entry(m, n))
     return prod1, prod2
 
 

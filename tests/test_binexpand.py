@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import col_supports, dense_mod2_product, nb_from_rows, read_rows, rows_of
+from oracles import (col_supports, dense_mod2_product, field_exp, nb_from_rows, read_rows,
+                     rows_of, write_rows)
 from nbqc.binexpand import (CssCodePair, FieldMismatch, OrthogonalityBroken,
                             ParseError, binary_orthogonal, expand_pair,
                             load_pair, read_matrix, write_matrix)
@@ -133,7 +134,7 @@ class TestFormat:
         assert buf.getvalue().splitlines()[-1] == "r0: 0:0"
 
     def test_alpha11_renders_as_b(self, gf16):
-        alpha11 = gf16.exp(11)
+        alpha11 = field_exp(gf16, 11)
         mat = nb_from_rows(1, 2, [[(1, alpha11)]], "DELTA", gf16, EX1)
         buf = io.StringIO()
         write_matrix(mat, buf)
@@ -157,6 +158,16 @@ class TestFormat:
         pytest.param(lambda t: t.replace("M=14 N=42", "M=14 N=-42"), 3, id="negative-N"),
         pytest.param(lambda t: "\n".join(t.splitlines()[:2] + ["M=0 N=-5", ""]), 3,
                      id="negative-N-no-rows"),
+        pytest.param(lambda t: t.replace("p=4 ", "p=+4 "), 2, id="plus-sign"),
+        pytest.param(lambda t: t.replace(" P=7 ", " P=0_7 "), 2, id="underscore"),
+        pytest.param(lambda t: t.replace("poly=0x3", "poly=0X3"), 2, id="upper-case-0X"),
+        pytest.param(lambda t: t.replace("poly=0x3", "poly=3"), 2, id="poly-without-0x"),
+        pytest.param(lambda t: t.replace("tau=3", "tau=3 tau=3"), 2, id="repeated-key"),
+        pytest.param(lambda t: t.replace("role=GAMMA", "role=GAMMA x=1"), 2, id="unknown-key"),
+        pytest.param(lambda t: t.replace("p=4 poly=0x3", "poly=0x3 p=4"), 2, id="key-order"),
+        pytest.param(lambda t: t.replace("p=4 ", "p=" + "4" * 5000 + " "), 2, id="long-int"),
+        pytest.param(lambda t: t.replace("M=14", "M=+14"), 3, id="plus-sign-M"),
+        pytest.param(lambda t: t.replace("N=42", "N=42 N=42"), 3, id="repeated-key-N"),
     ])
     def test_parse_errors_carry_line_numbers(self, mangle, line_no):
         buf = io.StringIO()
@@ -164,6 +175,36 @@ class TestFormat:
         with pytest.raises(ParseError) as err:
             read_matrix(io.StringIO(mangle(buf.getvalue())))
         assert err.value.line_no == line_no
+
+    def test_header_grammar_accepts_negatives_and_tabs(self, gf16):
+        params = QCParams(P=7, J=2, L=6, sigma=-5, tau=-4)
+        mat = nb_from_rows(2, 3, [[(0, 1)], []], "DELTA", gf16, params)
+        buf = io.StringIO()
+        write_matrix(mat, buf)
+        text = buf.getvalue()
+        assert text.splitlines()[1] == "p=4 poly=0x3 J=2 L=6 P=7 sigma=-5 tau=-4 role=DELTA"
+        lines = text.splitlines(keepends=True)
+        tabbed = "".join(lines[:1] + [lines[1].replace(" ", "\t", 4),
+                                      lines[2].replace(" ", " \t ")] + lines[3:])
+        for spaced in (text, tabbed):
+            back = read_matrix(io.StringIO(spaced))
+            assert back.params == params and back.role == "DELTA" and (back.m, back.n) == (2, 3)
+
+    @given(data=st.data(), p=st.sampled_from([2, 4, 8]), m=st.integers(0, 6),
+           n=st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_writer_matches_per_row_writer(self, data, p, m, n):
+        # empty rows and uneven weights, so that the rows need several formats
+        field = make_field(p)
+        rows = [[(c, data.draw(st.integers(1, field.q - 1)))
+                 for c in sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))]
+                for _ in range(m)]
+        params = QCParams(*data.draw(st.tuples(*[st.integers(-99, 99)] * 5)))
+        mat = nb_from_rows(m, n, rows, data.draw(st.sampled_from(["GAMMA", "DELTA"])),
+                           field, params)
+        buf = io.StringIO()
+        write_matrix(mat, buf)
+        assert buf.getvalue() == write_rows(mat)
 
     def test_columns_must_ascend(self):
         buf = io.StringIO()

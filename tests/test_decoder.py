@@ -25,8 +25,8 @@ from nbqc.gf2p import make_field
 from nbqc.harness import trial_rng
 from nbqc.nblift import DimensionMismatch, lift
 from nbqc.qcpair import QCParams, build_pair
-from oracles import (SingularMap, first_check_pass, mul_index_table, permute_pmf, rows_of,
-                     transpose_index_table, wht_convolve)
+from oracles import (SingularMap, companion, field_inv, first_check_pass, mul_index_table,
+                     permute_pmf, rows_of, transpose_index_table, wht_convolve)
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
 DATA = Path(__file__).parent / "data"
@@ -267,8 +267,8 @@ class TestPermute:
         rng = np.random.default_rng(1)
         msg = random_pmf(rng, 16)
         for x in (2, 7, 13):
-            fwd = permute_pmf(msg, field.companion(x))
-            back = permute_pmf(fwd, field.companion(field.inv(x)))
+            fwd = permute_pmf(msg, companion(field, x))
+            back = permute_pmf(fwd, companion(field, field_inv(field, x)))
             assert np.allclose(back, msg)
 
     def test_matches_index_table(self):
@@ -276,7 +276,7 @@ class TestPermute:
         rng = np.random.default_rng(2)
         msg = random_pmf(rng, 16)
         for x in range(1, 16):
-            via_matrix = permute_pmf(msg, field.companion(x))
+            via_matrix = permute_pmf(msg, companion(field, x))
             assert np.allclose(via_matrix, msg[mul_index_table(field, x)])
 
     @given(seed=st.integers(0, 10 ** 6), x=st.integers(1, 15))
@@ -284,7 +284,7 @@ class TestPermute:
     def test_mass_preserved(self, seed, x):
         field = make_field(4)
         msg = random_pmf(np.random.default_rng(seed), 16)
-        out = permute_pmf(msg, field.companion(x))
+        out = permute_pmf(msg, companion(field, x))
         assert out.sum() == pytest.approx(msg.sum())
 
     def test_singular_map_rejected(self):
@@ -465,11 +465,11 @@ class TestDecode:
         field = code.field
         for m in (0, 5, 11):
             row = rows_of(code.gamma)[m]
-            ptil = [permute_pmf(p0, field.companion(field.inv(v))) for _, v in row]
+            ptil = [permute_pmf(p0, companion(field, field_inv(field, v))) for _, v in row]
             for k, (_, v) in enumerate(row):
                 others = [ptil[j] for j in range(len(row)) if j != k]
                 qtil = wht_convolve(others, shift=int(s[m]))
-                expect = permute_pmf(qtil, field.companion(v))
+                expect = permute_pmf(qtil, companion(field, v))
                 expect /= expect.sum()
                 assert np.allclose(dec.last_c2v[m, k], expect, atol=1e-12)
 

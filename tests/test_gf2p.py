@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from nbqc.gf2p import (DEFAULT_POLY, DegreeOutOfRange, FieldSpec,
                        NonPrimitivePolynomial, make_field)
-from oracles import field_pow, mul_index_table, transpose_index_table
+from oracles import (companion, companion_transpose, field_add, field_exp, field_inv, field_log,
+                     field_mul, field_pow, mul_index_table, transpose_index_table)
 
 
 def naive_mul(a: int, b: int, p: int, poly_mask: int) -> int:
@@ -43,7 +44,7 @@ class TestMakeField:
     def test_default_p4_satisfies_alpha4_eq_alpha_plus_1(self, gf16):
         # alpha^4 = alpha + 1, i.e. 0b0011
         assert gf16.poly == 0b0011
-        assert gf16.exp(4) == 3
+        assert field_exp(gf16, 4) == 3
 
     def test_explicit_full_polynomial_accepted(self):
         assert make_field(4, 0b10011).poly == 0b0011
@@ -71,7 +72,7 @@ class TestMakeField:
     def test_exp_table_matches_naive_powers(self, gf16):
         v = 1
         for i in range(15):
-            assert gf16.exp(i) == v
+            assert field_exp(gf16, i) == v
             v = naive_mul(v, 2, 4, gf16.poly)
         assert v == 1
 
@@ -79,32 +80,32 @@ class TestMakeField:
 class TestElementOps:
     def test_mul_alpha4_times_alpha11(self, gf16):
         # 3 = alpha^4 and 14 = alpha^11, so the product is alpha^15 = 1
-        assert gf16.log(3) == 4 and gf16.log(14) == 11
-        assert gf16.mul(3, 14) == 1
+        assert field_log(gf16, 3) == 4 and field_log(gf16, 14) == 11
+        assert field_mul(gf16, 3, 14) == 1
 
     def test_mul_matches_naive_oracle_exhaustive(self, gf16):
         for a in range(16):
             for b in range(16):
-                assert gf16.mul(a, b) == naive_mul(a, b, 4, gf16.poly)
+                assert field_mul(gf16, a, b) == naive_mul(a, b, 4, gf16.poly)
 
     def test_add_self_inverse_and_identity(self, gf16):
         for x in range(16):
-            assert gf16.add(x, x) == 0
-            assert gf16.mul(1, x) == x
+            assert field_add(gf16, x, x) == 0
+            assert field_mul(gf16, 1, x) == x
 
     def test_inv(self, gf16):
         for x in range(1, 16):
-            assert gf16.mul(x, gf16.inv(x)) == 1
+            assert field_mul(gf16, x, field_inv(gf16, x)) == 1
         with pytest.raises(ZeroDivisionError):
-            gf16.inv(0)
+            field_inv(gf16, 0)
 
     def test_log_exp_bijection(self, gf16):
-        logs = {gf16.log(v) for v in range(1, 16)}
+        logs = {field_log(gf16, v) for v in range(1, 16)}
         assert logs == set(range(15))
         for k in range(15):
-            assert gf16.log(gf16.exp(k)) == k
+            assert field_log(gf16, field_exp(gf16, k)) == k
         with pytest.raises(ZeroDivisionError):
-            gf16.log(0)
+            field_log(gf16, 0)
 
     def test_pow(self, gf16):
         assert field_pow(gf16, 0, 0) == 1
@@ -113,13 +114,13 @@ class TestElementOps:
             assert field_pow(gf16, x, 0) == 1
             acc = 1
             for k in range(1, 6):
-                acc = gf16.mul(acc, x)
+                acc = field_mul(gf16, acc, x)
                 assert field_pow(gf16, x, k) == acc
-            assert gf16.mul(field_pow(gf16, x, -1), x) == 1
+            assert field_mul(gf16, field_pow(gf16, x, -1), x) == 1
 
     @given(a=st.integers(0, 255), b=st.integers(0, 255))
     def test_gf256_mul_matches_naive(self, gf256, a, b):
-        assert gf256.mul(a, b) == naive_mul(a, b, 8, gf256.poly)
+        assert field_mul(gf256, a, b) == naive_mul(a, b, 8, gf256.poly)
 
     @given(p=st.sampled_from([2, 3, 5, 6]), data=st.data())
     @settings(max_examples=40)
@@ -129,17 +130,17 @@ class TestElementOps:
         a = data.draw(st.integers(0, q - 1))
         b = data.draw(st.integers(0, q - 1))
         c = data.draw(st.integers(0, q - 1))
-        assert field.mul(a, b) == field.mul(b, a)
-        assert field.mul(a, field.mul(b, c)) == field.mul(field.mul(a, b), c)
-        assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
+        assert field_mul(field, a, b) == field_mul(field, b, a)
+        assert field_mul(field, a, field_mul(field, b, c)) == field_mul(field, field_mul(field, a, b), c)
+        assert field_mul(field, a, field_add(field, b, c)) == field_add(field, field_mul(field, a, b), field_mul(field, a, c))
 
 
 class TestCompanionMap:
     def test_zero_and_one(self, gf16):
-        assert not gf16.companion(0).any()
-        assert np.array_equal(gf16.companion(1), np.eye(4, dtype=np.uint8))
-        assert not gf16.companion_transpose(0).any()
-        assert np.array_equal(gf16.companion_transpose(1), np.eye(4, dtype=np.uint8))
+        assert not companion(gf16, 0).any()
+        assert np.array_equal(companion(gf16, 1), np.eye(4, dtype=np.uint8))
+        assert not companion_transpose(gf16, 0).any()
+        assert np.array_equal(companion_transpose(gf16, 1), np.eye(4, dtype=np.uint8))
 
     def test_companion_alpha_shape(self, gf16):
         # subdiagonal of ones, last column = polynomial coefficients (1,1,0,0)
@@ -147,35 +148,35 @@ class TestCompanionMap:
                              [1, 0, 0, 1],
                              [0, 1, 0, 0],
                              [0, 0, 1, 0]], dtype=np.uint8)
-        assert np.array_equal(gf16.companion(2), expected)
+        assert np.array_equal(companion(gf16, 2), expected)
 
     def test_action_on_alpha3(self, gf16):
         # companion(alpha) applied to v(alpha^3) gives v(alpha^4) = (1,1,0,0)
         v3 = np.array([0, 0, 0, 1], dtype=np.uint8)
-        out = gf16.companion(2) @ v3 & 1
+        out = companion(gf16, 2) @ v3 & 1
         assert np.array_equal(out, np.array([1, 1, 0, 0], dtype=np.uint8))
 
     def test_multiplicativity_exhaustive_gf16(self, gf16):
-        comps = [gf16.companion(x) for x in range(16)]
+        comps = [companion(gf16, x) for x in range(16)]
         for x in range(16):
             for y in range(16):
                 lhs = comps[x] @ comps[y] & 1
-                assert np.array_equal(lhs, comps[gf16.mul(x, y)])
+                assert np.array_equal(lhs, comps[field_mul(gf16, x, y)])
 
     def test_additivity_exhaustive_gf16(self, gf16):
-        comps = [gf16.companion(x) for x in range(16)]
+        comps = [companion(gf16, x) for x in range(16)]
         for x in range(16):
             for y in range(16):
                 assert np.array_equal(comps[x] ^ comps[y], comps[x ^ y])
 
     def test_action_exhaustive_gf16(self, gf16):
         for x in range(16):
-            cx = gf16.companion(x)
+            cx = companion(gf16, x)
             for y in range(16):
                 vy = (y >> np.arange(4)) & 1
                 out_bits = cx @ vy & 1
                 out = int(out_bits @ (1 << np.arange(4)))
-                assert out == gf16.mul(x, y)
+                assert out == field_mul(gf16, x, y)
 
     def test_randomized_gf256(self, gf256):
         rng = np.random.default_rng(2024)
@@ -185,21 +186,21 @@ class TestCompanionMap:
 
         def comp(v):
             if v not in cache:
-                cache[v] = gf256.companion(int(v))
+                cache[v] = companion(gf256, int(v))
             return cache[v]
 
         for x, y in zip(xs, ys):
-            assert np.array_equal(comp(x) @ comp(y) & 1, comp(gf256.mul(x, y)))
+            assert np.array_equal(comp(x) @ comp(y) & 1, comp(field_mul(gf256, x, y)))
             assert np.array_equal(comp(x) ^ comp(y), comp(x ^ y))
 
     def test_transpose_involution_and_multiplicativity(self, gf16):
         for x in range(16):
-            assert np.array_equal(gf16.companion_transpose(x).T, gf16.companion(x))
+            assert np.array_equal(companion_transpose(gf16, x).T, companion(gf16, x))
         for x in range(16):
-            tx = gf16.companion_transpose(x)
+            tx = companion_transpose(gf16, x)
             for y in range(16):
-                ty = gf16.companion_transpose(y)
-                assert np.array_equal(tx @ ty & 1, gf16.companion_transpose(gf16.mul(x, y)))
+                ty = companion_transpose(gf16, y)
+                assert np.array_equal(tx @ ty & 1, companion_transpose(gf16, field_mul(gf16, x, y)))
 
 
 class TestIndexTables:
@@ -207,12 +208,12 @@ class TestIndexTables:
         for x in range(1, 16):
             perm = mul_index_table(gf16, x)
             for e in range(16):
-                assert perm[e] == gf16.mul(x, e)
+                assert perm[e] == field_mul(gf16, x, e)
 
     def test_transpose_table_matches_matrix_action(self, gf16):
         for x in range(1, 16):
             perm = transpose_index_table(gf16, x)
-            tx = gf16.companion_transpose(x)
+            tx = companion_transpose(gf16, x)
             for e in range(16):
                 bits = (e >> np.arange(4)) & 1
                 expect = int((tx @ bits & 1) @ (1 << np.arange(4)))
@@ -231,7 +232,7 @@ class TestIndexTables:
         maps = gf256.symbol_maps(values, transpose=transpose)
         bits = (np.arange(256)[:, None] >> np.arange(8)) & 1          # (q, p)
         for x, row in zip(values, maps):
-            mat = gf256.companion_transpose(int(x)) if transpose else gf256.companion(int(x))
+            mat = companion_transpose(gf256, int(x)) if transpose else companion(gf256, int(x))
             expect = (bits @ mat.T.astype(np.int64) & 1) @ (1 << np.arange(8))
             assert np.array_equal(row, expect)
 
@@ -240,7 +241,7 @@ class TestIndexTables:
         # zero included: its image is the zero matrix
         images = gf16.unit_images(np.arange(16), transpose=transpose)
         for x in range(16):
-            mat = gf16.companion_transpose(x) if transpose else gf16.companion(x)
+            mat = companion_transpose(gf16, x) if transpose else companion(gf16, x)
             expect = (1 << np.arange(4)) @ mat.astype(np.int64)      # column j as a symbol
             assert np.array_equal(images[x], expect)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_rows, howell_sample, howell_solve, pair_walk
+from oracles import dense_rows, howell_sample, howell_solve, mod_system, pair_walk, satisfies
 from nbqc.gf2p import make_field
 from nbqc.modring import ModSystem, NotBalancedGraph, sample_solution, solve_mod
 from nbqc.nblift import assemble_constraints
@@ -34,23 +34,21 @@ def brute_force_solutions(system: ModSystem) -> set:
 
 
 def single_equation_system() -> ModSystem:
-    sys15 = ModSystem(modulus=15, n_vars=4)
-    sys15.add_equation([(0, 1), (1, 1), (2, -1), (3, -1)])
-    return sys15
+    return mod_system(15, 4, [[(0, 1), (1, 1), (2, -1), (3, -1)]])
 
 
 class TestSolveMod:
     def test_zero_always_solves(self):
         space = howell_solve(single_equation_system())
         zero = np.zeros(4, dtype=np.int64)
-        assert single_equation_system().check(zero)
+        assert satisfies(single_equation_system(), zero)
         assert any((s == 0).all() for s in space.enumerate())
 
     def test_arithmetic_identity_solution(self):
-        assert single_equation_system().check(np.array([1, 2, 3, 0]))
+        assert satisfies(single_equation_system(), np.array([1, 2, 3, 0]))
 
     def test_empty_system_all_free(self):
-        space = howell_solve(ModSystem(modulus=15, n_vars=3))
+        space = howell_solve(mod_system(15, 3))
         assert space.free_cols == [0, 1, 2]
         assert space.count() == 15 ** 3
 
@@ -61,25 +59,20 @@ class TestSolveMod:
 
     @pytest.mark.parametrize("modulus", [2, 6, 15])
     def test_brute_force_agreement_small(self, modulus):
-        system = ModSystem(modulus=modulus, n_vars=3)
-        system.add_equation([(0, 1), (1, 2), (2, -1)])
-        system.add_equation([(0, 3), (2, 3)])
+        system = mod_system(modulus, 3, [[(0, 1), (1, 2), (2, -1)], [(0, 3), (2, 3)]])
         space = howell_solve(system)
         assert {tuple(map(int, s)) for s in space.enumerate()} == brute_force_solutions(system)
 
     def test_brute_force_agreement_zero_divisor_pivots(self):
         # all coefficients share factors with 15: forces gcd pivoting
-        system = ModSystem(modulus=15, n_vars=3)
-        system.add_equation([(0, 3), (1, 5)])
-        system.add_equation([(1, 6), (2, 10)])
+        system = mod_system(15, 3, [[(0, 3), (1, 5)], [(1, 6), (2, 10)]])
         space = howell_solve(system)
         assert {tuple(map(int, s)) for s in space.enumerate()} == brute_force_solutions(system)
 
     def test_brute_force_agreement_six_vars_mod_15(self):
-        system = ModSystem(modulus=15, n_vars=6)
-        system.add_equation([(0, 1), (1, 1), (2, -1), (3, -1)])
-        system.add_equation([(2, 1), (3, 1), (4, -1), (5, -1)])
-        system.add_equation([(0, 5), (4, 10)])
+        system = mod_system(15, 6, [[(0, 1), (1, 1), (2, -1), (3, -1)],
+                                    [(2, 1), (3, 1), (4, -1), (5, -1)],
+                                    [(0, 5), (4, 10)]])
         space = howell_solve(system)
         got = {tuple(map(int, s)) for s in space.enumerate()}
         assert got == brute_force_solutions(system)
@@ -87,17 +80,15 @@ class TestSolveMod:
     def test_howell_idempotent(self):
         system = assemble_constraints(*pair_walk(build_pair(EX1)), 15)
         space = howell_solve(system)
-        again = ModSystem(modulus=15, n_vars=system.n_vars)
-        for row in space.pivot_rows:
-            again.add_equation([(int(c), int(v)) for c, v in enumerate(row) if v])
+        again = mod_system(15, system.n_vars, [[(int(c), int(v)) for c, v in enumerate(row) if v]
+                                               for row in space.pivot_rows])
         space2 = howell_solve(again)
         assert space.pivot_cols == space2.pivot_cols
         assert space.pivot_vals == space2.pivot_vals
         assert np.array_equal(space.pivot_rows, space2.pivot_rows)
 
     def test_modulus_one(self):
-        system = ModSystem(modulus=1, n_vars=2)
-        system.add_equation([(0, 1), (1, 1)])
+        system = mod_system(1, 2, [[(0, 1), (1, 1)]])
         space = howell_solve(system)
         rng = np.random.default_rng(0)
         assert np.array_equal(howell_sample(space, rng), np.zeros(2, dtype=np.int64))
@@ -106,17 +97,14 @@ class TestSolveMod:
     @settings(max_examples=60, deadline=None)
     def test_random_systems_samples_satisfy(self, modulus, n_vars, data):
         n_eq = data.draw(st.integers(0, 4))
-        system = ModSystem(modulus=modulus, n_vars=n_vars)
-        for _ in range(n_eq):
-            terms = data.draw(st.lists(
-                st.tuples(st.integers(0, n_vars - 1), st.integers(-10, 10)),
-                min_size=1, max_size=6))
-            system.add_equation(terms)
+        system = mod_system(modulus, n_vars, [data.draw(st.lists(
+            st.tuples(st.integers(0, n_vars - 1), st.integers(-10, 10)),
+            min_size=1, max_size=6)) for _ in range(n_eq)])
         space = howell_solve(system)
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         for _ in range(5):
             x = howell_sample(space, rng)
-            assert system.check(x)
+            assert satisfies(system, x)
             assert not np.any(dense_rows(system) @ x % modulus)
 
 
@@ -133,7 +121,7 @@ class TestSampling:
 
     def test_all_free_uniformity_chi2(self):
         scipy_stats = pytest.importorskip("scipy.stats")
-        space = howell_solve(ModSystem(modulus=15, n_vars=1))
+        space = howell_solve(mod_system(15, 1))
         rng = np.random.default_rng(7)
         draws = np.array([howell_sample(space, rng)[0] for _ in range(10_000)])
         counts = np.bincount(draws, minlength=15)
@@ -142,8 +130,7 @@ class TestSampling:
 
     def test_uniform_over_constrained_space(self):
         # 3x = 0 mod 15 has solutions {0, 5, 10}; each should appear ~1/3
-        system = ModSystem(modulus=15, n_vars=1)
-        system.add_equation([(0, 3)])
+        system = mod_system(15, 1, [[(0, 3)]])
         space = howell_solve(system)
         rng = np.random.default_rng(11)
         draws = np.array([howell_sample(space, rng)[0] for _ in range(3000)])
@@ -154,16 +141,17 @@ class TestSampling:
     def test_example_construction_system(self):
         hc, cycles = pair_walk(build_pair(EX1))
         system = assemble_constraints(hc, cycles, 15)
-        assert len(system.equations) == 14
+        assert system.n_equations == 14
         assert system.n_vars == 84 == hc.nnz()
-        for terms in system.equations:
-            assert len(terms) == 12
-            assert sum(1 for _, c in terms if c == 1) == 6
-            assert sum(1 for _, c in terms if c == -1) == 6
+        for e in range(14):
+            coefs = system.coef[system.eq == e]
+            assert len(coefs) == 12
+            assert np.count_nonzero(coefs == 1) == 6
+            assert np.count_nonzero(coefs == -1) == 6
         space = solve_mod(system)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            assert system.check(sample_solution(space, rng))
+            assert satisfies(system, sample_solution(space, rng))
 
     def test_gf256_modulus_system(self):
         # composite 255 = 3 * 5 * 17
@@ -171,28 +159,24 @@ class TestSampling:
         system = assemble_constraints(*pair_walk(build_pair(EX1)), field.q - 1)
         space = solve_mod(system)
         rng = np.random.default_rng(4)
-        assert system.check(sample_solution(space, rng))
+        assert satisfies(system, sample_solution(space, rng))
 
     @pytest.mark.parametrize("modulus", [63, 4095])
     def test_square_factor_moduli(self, modulus):
         # 2^6-1 and 2^12-1 carry the square factor 9; pivots can be 3, 9, 21
         rng = np.random.default_rng(modulus)
         for trial in range(30):
-            system = ModSystem(modulus=modulus, n_vars=5)
-            for _ in range(int(rng.integers(1, 5))):
-                terms = [(int(v), int(c)) for v, c in zip(
-                    rng.integers(0, 5, size=4),
-                    rng.choice([3, 9, 21, 63, 1, -1, 5, 7], size=4))]
-                system.add_equation(terms)
+            system = mod_system(modulus, 5, [[(int(v), int(c)) for v, c in zip(
+                rng.integers(0, 5, size=4),
+                rng.choice([3, 9, 21, 63, 1, -1, 5, 7], size=4))]
+                for _ in range(int(rng.integers(1, 5)))])
             space = howell_solve(system)
             for _ in range(8):
-                assert system.check(howell_sample(space, rng))
+                assert satisfies(system, howell_sample(space, rng))
 
     def test_square_factor_brute_force_agreement(self):
         # modulus 9: pivot normalisation must land on divisors {1, 3, 9}
-        system = ModSystem(modulus=9, n_vars=3)
-        system.add_equation([(0, 3), (1, 6), (2, 1)])
-        system.add_equation([(0, 6), (1, 3)])
+        system = mod_system(9, 3, [[(0, 3), (1, 6), (2, 1)], [(0, 6), (1, 3)]])
         space = howell_solve(system)
         assert {tuple(map(int, s)) for s in space.enumerate()} == brute_force_solutions(system)
 
@@ -216,7 +200,7 @@ def balanced_graphs(draw):
     for v, (a, b, c) in enumerate(edges):
         for node in (a, top + b):
             equations[slot[node]].append((v, -c if negate[node] else c))
-    return ModSystem(modulus=modulus, n_vars=len(edges), equations=equations)
+    return mod_system(modulus, len(edges), equations)
 
 
 def assert_matches_oracle(system: ModSystem, seed: int) -> None:
@@ -226,7 +210,7 @@ def assert_matches_oracle(system: ModSystem, seed: int) -> None:
     assert set(howell.pivot_vals) <= {1}
     x = sample_solution(space, np.random.default_rng(seed))
     assert np.array_equal(x, howell_sample(howell, np.random.default_rng(seed)))
-    assert system.check(x)
+    assert satisfies(system, x)
 
 
 class TestGraphSolver:
@@ -255,8 +239,8 @@ class TestGraphSolver:
         free = solve_mod(system).free_cols
         assume(free)
         v = data.draw(st.sampled_from(free))
-        eq = next(i for i, terms in enumerate(system.equations) if any(u == v for u, _ in terms))
-        system.equations[eq] = [(u, -c if u == v else c) for u, c in system.equations[eq]]
+        eq = system.eq[system.var == v].min()
+        system.coef[(system.eq == eq) & (system.var == v)] *= -1
         with pytest.raises(NotBalancedGraph, match=f"variable {v} closes an unbalanced cycle"):
             solve_mod(system)
         # the elimination finds an extra pivot: the cycle pins its edges
@@ -272,31 +256,35 @@ class TestGraphSolver:
         ([[(-1, 1)], [(-1, 1)]], 1, 15, "outside"),
     ])
     def test_malformed_systems_raise(self, equations, n_vars, modulus, message):
-        system = ModSystem(modulus=modulus, n_vars=n_vars, equations=equations)
+        system = mod_system(modulus, n_vars, equations)
         with pytest.raises(NotBalancedGraph, match=message):
+            solve_mod(system)
+
+    def test_equation_index_outside_raises(self):
+        system = mod_system(15, 1, [[(0, 1)], [(0, -1)]])
+        system.eq[1] = 2
+        with pytest.raises(NotBalancedGraph, match="equation index outside"):
             solve_mod(system)
 
     def test_coefficients_reduce_mod_m(self):
         # 16 = -14 = 1 mod 15: two parallel edges, both (+1, +1)
-        system = ModSystem(modulus=15, n_vars=2,
-                           equations=[[(0, 1), (1, 1)], [(0, 16), (1, -14)]])
+        system = mod_system(15, 2, [[(0, 1), (1, 1)], [(0, 16), (1, -14)]])
         space = solve_mod(system)
         assert (space.pivot_cols, space.free_cols) == ([0], [1])
         x = sample_solution(space, np.random.default_rng(1))
-        assert system.check(x) and x[0] == (15 - x[1]) % 15
+        assert satisfies(system, x) and x[0] == (15 - x[1]) % 15
 
     @pytest.mark.parametrize("modulus", [0, 1])
     def test_modulus_below_two_rejected(self, modulus):
         with pytest.raises(ValueError, match="modulus"):
-            solve_mod(ModSystem(modulus=modulus, n_vars=0))
+            solve_mod(mod_system(modulus, 0))
 
     def test_check_needs_no_dense_matrix(self):
         # 5 * 10^4 equations over 10^5 variables: a dense int64 matrix
         # would take 40 GB
         n = 50_000
-        system = ModSystem(modulus=15, n_vars=2 * n,
-                           equations=[[(2 * i, 1), (2 * i + 1, -1)] for i in range(n)])
+        system = mod_system(15, 2 * n, [[(2 * i, 1), (2 * i + 1, -1)] for i in range(n)])
         x = np.repeat(np.arange(n) % 15, 2)
-        assert system.check(x)
+        assert satisfies(system, x)
         x[-1] += 1
-        assert not system.check(x)
+        assert not satisfies(system, x)

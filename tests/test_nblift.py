@@ -11,17 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (CycleStructure, closed_form_cycle, cycle_products, from_rows,
-                     nb_from_rows, pair_walk, recurrence_delta, rows_of, walk_cycle,
-                     walk_cycles)
+from oracles import (CycleStructure, closed_form_cycle, cycle_products, field_log, field_mul,
+                     from_rows, mod_system, nb_from_rows, pair_walk, recurrence_delta, rows_of,
+                     satisfies, walk_cycle, walk_cycles)
 from nbqc.gf2p import make_field
-from nbqc.modring import ModSystem
 from nbqc.nblift import (ClosureViolation, DimensionMismatch, NBMatrix, NotACycle,
                          assemble_constraints, cycle_structure, lift, lift_gamma, solve_delta,
                          verify_orthogonal)
 from nbqc.qcpair import QCParams, build_pair, find_params
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
+LIFT_PARAMS = [params for L in (4, 6, 8, 10) for params in find_params(L, range(3, 32))]
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +209,7 @@ class TestCycleStructure:
 class TestConstraints:
     def test_counts(self, pair):
         system = assemble_constraints(*pair_walk(pair), 15)
-        assert len(system.equations) == 14
+        assert system.n_equations == 14
         assert system.n_vars == 84
 
     def test_row5_equation_content(self, pair):
@@ -218,32 +218,45 @@ class TestConstraints:
         plus = {(1, 2), (13, 25), (5, 7), (11, 38), (2, 20), (12, 29)}
         minus = {(1, 25), (13, 7), (5, 38), (11, 20), (2, 29), (12, 2)}
         positions = list(zip(hc.row.tolist(), hc.col.tolist()))
-        terms = system.equations[5]
+        terms = list(zip(system.var[system.eq == 5].tolist(), system.coef[system.eq == 5].tolist()))
         assert {positions[idx] for idx, coef in terms if coef == 1} == plus
         assert {positions[idx] for idx, coef in terms if coef == -1} == minus
 
     def test_all_zero_satisfies(self, pair):
         system = assemble_constraints(*pair_walk(pair), 15)
-        assert system.check(np.zeros(84, dtype=np.int64))
+        assert satisfies(system, np.zeros(84, dtype=np.int64))
 
     def test_constant_assignment_satisfies(self, pair):
         system = assemble_constraints(*pair_walk(pair), 15)
-        assert system.check(np.full(84, 11, dtype=np.int64))
+        assert satisfies(system, np.full(84, 11, dtype=np.int64))
 
     def test_equations_match_oracle_walk(self):
         for params in scan_params()[::5]:
-            inst = build_pair(params)
-            hc, cycles = pair_walk(inst)
-            system = assemble_constraints(hc, cycles, 15)
-            # a variable's index is the row-major rank of its position
-            var_index = {pos: k for k, pos in enumerate(
-                (m, c) for m, row in enumerate(rows_of(hc)) for c in row)}
-            want = ModSystem(modulus=15, n_vars=len(var_index))
-            for cyc in walk_cycles(hc, inst.expand_d()):
-                want.add_equation([(var_index[pos], 1) for pos in cyc.e1()]
-                                  + [(var_index[pos], -1) for pos in cyc.e2()])
-            assert system.equations == want.equations, params
-            assert system.n_vars == want.n_vars
+            assert_terms_match_oracle_walk(params, 15)
+
+    @given(params=st.sampled_from(LIFT_PARAMS), p=st.integers(2, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_term_arrays_match_oracle_walk(self, params, p):
+        assert_terms_match_oracle_walk(params, 2 ** p - 1)
+
+
+def assert_terms_match_oracle_walk(params: QCParams, modulus: int) -> None:
+    """`assemble_constraints` equals the system built term by term from
+    the per-row walk: row r holds its E1 variables with +1, then its E2
+    variables with -1, in walk order."""
+    inst = build_pair(params)
+    hc, cycles = pair_walk(inst)
+    system = assemble_constraints(hc, cycles, modulus)
+    # a variable's index is the row-major rank of its position
+    var_index = {pos: k for k, pos in enumerate(
+        (m, c) for m, row in enumerate(rows_of(hc)) for c in row)}
+    want = mod_system(modulus, len(var_index), [
+        [(var_index[pos], 1) for pos in cyc.e1()] + [(var_index[pos], -1) for pos in cyc.e2()]
+        for cyc in walk_cycles(hc, inst.expand_d())])
+    assert (system.modulus, system.n_vars, system.n_equations) == \
+        (want.modulus, want.n_vars, want.n_equations), params
+    for got, exp in ((system.eq, want.eq), (system.var, want.var), (system.coef, want.coef)):
+        assert got.dtype == np.int64 and np.array_equal(got, exp), params
 
 
 def dense_nb_product(gamma: NBMatrix, delta: NBMatrix) -> np.ndarray:
@@ -256,7 +269,7 @@ def dense_nb_product(gamma: NBMatrix, delta: NBMatrix) -> np.ndarray:
         for j in range(delta.m):
             acc = 0
             for k in range(gamma.n):
-                acc ^= field.mul(int(g[i, k]), int(d[j, k]))
+                acc ^= field_mul(field, int(g[i, k]), int(d[j, k]))
             out[i, j] = acc
     return out
 
@@ -301,13 +314,13 @@ class TestLift:
 
     def test_lift_requires_column_weight_2(self, gf16):
         with pytest.raises(DimensionMismatch, match="J=2"):
-            lift(build_pair(QCParams(P=7, J=3, L=6, sigma=2, tau=3), allow_any_j=True),
+            lift(build_pair(QCParams(P=7, J=3, L=6, sigma=2, tau=3)),
                  gf16, np.random.default_rng(0))
 
     def test_reject_trivial(self, pair, gf16):
         rng = np.random.default_rng(8)
         gamma = lift_gamma(*pair_walk(pair), gf16, pair.params, rng, reject_trivial=True)
-        logs = [gf16.log(v) for row in rows_of(gamma) for _, v in row]
+        logs = [field_log(gf16, v) for row in rows_of(gamma) for _, v in row]
         assert any(lg != 0 for lg in logs)
 
     def test_pair_orthogonal_dense_oracle(self, pair, gf16):
@@ -318,7 +331,7 @@ class TestLift:
     def test_delta_row_scaling_preserves_orthogonality(self, pair, gf16):
         gamma, delta = lift(pair, gf16, np.random.default_rng(31))
         rows = rows_of(delta)
-        rows[3] = [(c, gf16.mul(v, 7)) for c, v in rows[3]]
+        rows[3] = [(c, field_mul(gf16, v, 7)) for c, v in rows[3]]
         delta = nb_from_rows(delta.m, delta.n, rows, "DELTA", gf16, pair.params)
         assert verify_orthogonal(gamma, delta)
 

@@ -69,12 +69,10 @@ class TestBuildPair:
         with pytest.raises(InvalidParams):
             build_pair(QCParams(P=7, J=2, L=6, sigma=3, tau=5))
 
-    def test_j_not_2_needs_override(self):
-        params = QCParams(P=7, J=3, L=6, sigma=2, tau=3)
-        with pytest.raises(InvalidParams):
-            build_pair(params)
-        pair = build_pair(params, allow_any_j=True)
-        assert pair.c.table.shape == (3, 6)
+    def test_builds_any_admissible_j(self):
+        # J=3 is admissible for P=7; `nblift.lift` is what rejects J != 2
+        pair = build_pair(QCParams(P=7, J=3, L=6, sigma=2, tau=3))
+        assert pair.c.table.shape == pair.d.table.shape == (3, 6)
 
     def test_deterministic(self):
         a, b = build_pair(EX1), build_pair(EX1)
@@ -110,7 +108,7 @@ class TestExpand:
     @pytest.mark.parametrize("J", [1, 2, 3])
     def test_matches_circulant_double_loop(self, J):
         for params in find_params(6, range(3, 40))[::5] + find_params(8, range(3, 40))[::5]:
-            pair = build_pair(replace(params, J=J), allow_any_j=True)
+            pair = build_pair(replace(params, J=J))
             for exponents in (pair.c, pair.d):
                 got, want = expand(exponents, params.P), oracles.expand(exponents, params.P)
                 assert (got.m, got.n) == (want.m, want.n) == (J * params.P, params.L * params.P)

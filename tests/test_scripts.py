@@ -139,3 +139,39 @@ def test_bench_ab_traced_runs_and_per_layer_report(monkeypatch, capsys):
     assert "24 (24-24)" in lines["binexpand.binary_orthogonal_calls"]
     assert " 0/2 " in lines["binexpand.binary_orthogonal_calls"]
     assert "decoder.wht_s" not in lines     # a layer neither side reports is left out
+
+
+LOC_MODULE = '''"""Module docstring,
+on two lines."""
+
+import os  # a trailing comment does not hide the code
+
+# a whole-line comment
+
+
+class Shape:
+    """Class docstring."""
+
+    def area(self):
+        """Method docstring,
+
+        over three lines."""
+        return 0
+
+
+def banner():
+    text = """a string that is not a docstring
+counts on each of its lines"""
+    "a bare string after the first statement is not a docstring"
+    return text
+'''
+
+
+def test_loc_counts_code_lines_only(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "shapes.py").write_text(LOC_MODULE)
+    (pkg / "empty.py").write_text('"""Only a docstring."""\n\n# and a comment\n')
+    out = run_script("loc.py", str(pkg)).stdout.splitlines()
+    # import, class, def area, return, def banner, text (2 lines), bare string, return
+    assert out == [f"     0 {pkg / 'empty.py'}", f"     9 {pkg / 'shapes.py'}", "     9 total"]
