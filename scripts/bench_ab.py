@@ -13,7 +13,7 @@ relative to the parent's, the median gain against the parent's IQR, and
 in how many pairs the change was better (ties count for neither).  A pair
 in which either run was incorrect (`correct` false, failed operations or
 a nonzero exit) is left out of these statistics; the report says how
-many pairs were dropped.
+many pairs were dropped, and warns when fewer than 10 pairs are kept.
 
 With --trace, every seed also gets one traced run per side (`--trace 1`,
 same order), and the same statistics are printed for the per-layer
@@ -36,6 +36,10 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# five pairs once read a decoder-free change as 12.5% slower on
+# sim-gf256-n336, half the bound of trials_per_s; fewer than this many
+# pairs are reported with a warning
+MIN_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -87,6 +91,9 @@ def report(workload: str, metrics: list[dict], runs: list[tuple[dict, dict]]) ->
     # an incorrect run's metrics measure a broken pipeline: its whole pair goes
     kept = [pair for pair in runs if all(map(is_correct, pair))]
     print(f"  {len(runs) - len(kept)} pairs dropped for an incorrect run, {len(kept)} kept")
+    if len(kept) < MIN_PAIRS:
+        print(f"  WARNING: only {len(kept)} pairs kept, fewer than {MIN_PAIRS}: "
+              "host noise alone can move a median by a tenth")
     runs = kept
     width = max([14] + [len(m["name"]) for m in metrics])
     print(f"  {'metric':<{width}} {'parent median (q1-q3)':<32} {'change median (q1-q3)':<32} "

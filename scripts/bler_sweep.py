@@ -1,31 +1,22 @@
 #!/usr/bin/env python3
 """Desk-scale block-error-rate sweep.
 
-Builds one code per field size on a shared quasi-cyclic template, sweeps
-the marginal flip probability, and writes one CSV per code (plus the
-limit curves) into --outdir.  Defaults are sized to finish in a few
-minutes on a laptop; larger fields and trial counts reproduce the
+Builds one code per field size on a shared quasi-cyclic template with
+`nbqc construct`, sweeps the marginal flip probability with
+`nbqc simulate`, and writes one CSV per code into --outdir (the .nbqc
+files go to a temporary directory).  Trials are split over NBQC_WORKERS
+processes, by default one per CPU.  Defaults are sized to finish in a
+few minutes on a laptop; larger fields and trial counts reproduce the
 qualitative picture at lower error rates.
 """
 
 import argparse
 import os
+import tempfile
 from pathlib import Path
 
-import numpy as np
-
-from nbqc.binexpand import expand_pair
-from nbqc.decoder import DecoderConfig
-from nbqc.gf2p import make_field
-from nbqc.harness import CSV_HEADER, record_csv_line, simulate_sweep
-from nbqc.nblift import lift
-from nbqc.qcpair import QCParams, build_pair, find_params
-
-
-def build_code(p: int, params: QCParams, seed: int):
-    gamma, delta = lift(build_pair(params), make_field(p), np.random.default_rng(seed),
-                        reject_trivial=True)
-    return expand_pair(gamma, delta)
+from nbqc import harness
+from nbqc.qcpair import find_params
 
 
 def main() -> None:
@@ -46,24 +37,25 @@ def main() -> None:
     if not candidates:
         raise SystemExit(f"no valid (sigma, tau) for L={args.L}, P={args.P}")
     params = candidates[0]
-    workers = int(os.environ.get("NBQC_WORKERS", str(os.cpu_count() or 1)))
+    os.environ.setdefault("NBQC_WORKERS", str(os.cpu_count() or 1))
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    for p in args.fields:
-        code = build_code(p, params, args.seed)
-        print(f"GF(2^{p}): n={code.n_qubits} qubits, R_Q={code.rate_q:.4f}")
-        records = simulate_sweep(code, args.fm, args.trials, args.seed,
-                                 DecoderConfig(max_iter=args.max_iter),
-                                 workers=workers)
-        path = outdir / f"bler_p{p}_L{params.L}_P{params.P}.csv"
-        with open(path, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for rec in records:
-                fh.write(record_csv_line(rec) + "\n")
-                print(f"  f_m={rec.f_m:<6g} role={rec.role} "
-                      f"bler={rec.bler:.5f} iters={rec.mean_iterations:.2f}")
-        print(f"  -> {path}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for p in args.fields:
+            prefix = os.path.join(tmp, f"p{p}")
+            path = outdir / f"bler_p{p}_L{params.L}_P{params.P}.csv"
+            for argv in (["construct", "--p", str(p), "--L", str(params.L),
+                          "--P", str(params.P), "--sigma", str(params.sigma),
+                          "--tau", str(params.tau), "--seed", str(args.seed),
+                          "--reject-trivial", "--out", prefix],
+                         ["simulate", f"{prefix}.gamma.nbqc", f"{prefix}.delta.nbqc",
+                          "--fm", *map(str, args.fm), "--trials", str(args.trials),
+                          "--seed", str(args.seed), "--max-iter", str(args.max_iter),
+                          "--out", str(path)]):
+                if harness.main(argv):
+                    raise SystemExit(f"nbqc {argv[0]} failed for p={p}")
+            print(f"  -> {path}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,10 @@ Subcommands
 Monte Carlo trials use counter-based per-trial RNG streams (Philox keyed
 by the master seed, counter-offset by the trial index), so results are
 byte-identical for a fixed seed regardless of how trials are split
-across workers.  Worker count comes from NBQC_WORKERS (default 1).
+across workers.  Worker count comes from NBQC_WORKERS (default 1).  A
+sweep splits the trial indices among the workers once, in one process
+pool, and each worker decodes its range at every f_m with one decoder
+per role.
 """
 
 from __future__ import annotations
@@ -143,74 +146,62 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return rng
 
 
-def _run_trials(code, role: str, f_m: float, mode: str, trials: range,
-                seed: int, config: DecoderConfig):
-    decoder = SyndromeDecoder(code, role)
-    params = channel.ChannelParams(f_m=f_m, mode=mode)
-    fails = mismatches = 0
-    iter_sum = 0
+def _run_trials(code, f_m_values, mode: str, trials: range, seed: int,
+                config: DecoderConfig) -> np.ndarray:
+    """(fails, mismatches, iterations) over `trials` at each f_m and role,
+    as an (F, 2, 3) array; role C runs all its trials before role D."""
+    params = [channel.ChannelParams(f_m=f_m, mode=mode) for f_m in f_m_values]
+    counts = np.zeros((len(params), 2, 3), dtype=np.int64)
     rng = _philox_generator()     # re-seeked to each trial's stream, as trial_rng builds it
-    for t in trials:
-        rng.bit_generator.state = _philox_state(seed, t)
-        x_err, z_err = channel.sample_error(code.N, code.field.p, params, rng)
-        err = x_err if role == "C" else z_err
-        syndrome = decoder.syndrome_of_symbols(err)
-        outcome = decoder.decode(syndrome, f_m, config)
-        iter_sum += outcome.iterations
-        if not outcome.ok:
-            fails += 1
-        elif not np.array_equal(outcome.estimate, err):
-            mismatches += 1
-    return fails, mismatches, iter_sum
-
-
-def simulate_point(code, role: str, f_m: float, trials: int, seed: int,
-                   config: DecoderConfig = DecoderConfig(),
-                   mode: str = "independent",
-                   workers: int = 1) -> SimRecord:
-    """Monte Carlo BLER of one constituent code at one operating point.
-
-    Trial outcomes are independent of the worker split: trial t always
-    uses the stream derived from (seed, t).
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers <= 1 or trials < 2 * workers:
-        fails, mismatches, iter_sum = _run_trials(
-            code, role, f_m, mode, range(trials), seed, config)
-    else:
-        # imported here so that serial runs skip loading multiprocessing at start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = (trials + workers - 1) // workers
-        ranges = [range(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                _run_trials_star,
-                [(code, role, f_m, mode, r, seed, config) for r in ranges]))
-        fails = sum(p[0] for p in parts)
-        mismatches = sum(p[1] for p in parts)
-        iter_sum = sum(p[2] for p in parts)
-    block = fails + mismatches
-    return SimRecord(f_m=f_m, role=role, trials=trials, block_errors=block,
-                     bler=block / trials, mean_iterations=iter_sum / trials,
-                     fail_count=fails, mismatch_count=mismatches, seed=seed)
-
-
-def _run_trials_star(args):
-    return _run_trials(*args)
+    for r, role in enumerate(("C", "D")):
+        decoder = SyndromeDecoder(code, role)
+        for i, chan in enumerate(params):
+            fails = mismatches = iter_sum = 0
+            for t in trials:
+                rng.bit_generator.state = _philox_state(seed, t)
+                err = channel.sample_error(code.N, code.field.p, chan, rng)[r]
+                outcome = decoder.decode(decoder.syndrome_of_symbols(err), chan.f_m, config)
+                iter_sum += outcome.iterations
+                if not outcome.ok:
+                    fails += 1
+                elif not np.array_equal(outcome.estimate, err):
+                    mismatches += 1
+            counts[i, r] = fails, mismatches, iter_sum
+        del decoder   # role D's decoder is built only once C's is freed: one alive at a time
+    return counts
 
 
 def simulate_sweep(code, f_m_values, trials: int, seed: int,
                    config: DecoderConfig = DecoderConfig(),
                    mode: str = "independent",
                    workers: int = 1) -> list[SimRecord]:
-    """One SimRecord per (f_m, role), roles C then D at each point."""
-    records = []
-    for f_m in f_m_values:
-        for role in ("C", "D"):
-            records.append(simulate_point(code, role, f_m, trials, seed, config, mode, workers))
-    return records
+    """Monte Carlo BLER of both constituent codes at each f_m: one SimRecord
+    per (f_m, role), roles C then D at each point.
+
+    The trial indices are split among the workers once per sweep, and each
+    worker decodes its range at every f_m with one decoder per role.  Trial
+    outcomes are independent of the split: trial t always uses the stream
+    derived from (seed, t).
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    f_m_values = list(f_m_values)
+    if workers <= 1 or trials < 2 * workers:
+        counts = _run_trials(code, f_m_values, mode, range(trials), seed, config)
+    else:
+        # imported here so that serial runs skip loading multiprocessing at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunk = (trials + workers - 1) // workers
+        jobs = [(code, f_m_values, mode, range(lo, min(lo + chunk, trials)), seed, config)
+                for lo in range(0, trials, chunk)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            counts = sum(pool.map(_run_trials, *zip(*jobs)))
+    return [SimRecord(f_m=f_m, role=role, trials=trials, block_errors=fails + mismatches,
+                      bler=(fails + mismatches) / trials, mean_iterations=iter_sum / trials,
+                      fail_count=fails, mismatch_count=mismatches, seed=seed)
+            for f_m, point in zip(f_m_values, counts.tolist())
+            for role, (fails, mismatches, iter_sum) in zip(("C", "D"), point)]
 
 
 # -- verification -------------------------------------------------------------

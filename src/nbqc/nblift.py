@@ -106,11 +106,6 @@ class NBMatrix:
         """The nonzero pattern; shares the index arrays."""
         return SparseBinaryMatrix(m=self.m, n=self.n, row=self.row, col=self.col)
 
-    def to_dense(self) -> np.ndarray:
-        d = np.zeros((self.m, self.n), dtype=np.int64)
-        d[self.row, self.col] = self.val
-        return d
-
     def row_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """(cols, vals) as (m, L) arrays; requires uniform row weight."""
         L = _row_weight(self, "row weight is not uniform")

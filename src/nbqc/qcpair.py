@@ -66,11 +66,6 @@ class SparseBinaryMatrix:
     row: np.ndarray     # int64
     col: np.ndarray     # int64
 
-    def to_dense(self) -> np.ndarray:
-        d = np.zeros((self.m, self.n), dtype=np.uint8)
-        d[self.row, self.col] = 1
-        return d
-
     def nnz(self) -> int:
         return len(self.col)
 

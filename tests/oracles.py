@@ -17,9 +17,9 @@ per-entry syndrome loop and the single-element symbol tables are what
 the array code of `qcpair`, `channel` and `gf2p` replaces.  Matrices
 store row-major index arrays; `rows_of`, `from_rows` and `nb_from_rows`
 convert to and from per-row lists, which the oracles and the tampering
-tests read and edit.  `read_rows` is the token-by-token NBQC row reader
-that the array reader replaces, and `write_rows` the per-entry writer
-that the one-format writer replaces.  `mod_system` builds a balance
+tests read and edit, and `dense` to a dense array.  `read_rows` is the
+token-by-token NBQC row reader that the array reader replaces, and
+`write_rows` the per-entry writer that the one-format writer replaces.  `mod_system` builds a balance
 system from equation lists and `satisfies` checks an assignment against
 it by substitution.  Per-element field arithmetic, the explicit binary
 images (`companion`), field powers and the exponent-table printout are
@@ -73,6 +73,15 @@ def nb_from_rows(m: int, n: int, rows, role: str, field: FieldSpec,
     row, entries = _flatten(rows)
     col, val = np.array(entries, dtype=np.int64).reshape(-1, 2).T.copy()
     return NBMatrix(m=m, n=n, role=role, field=field, params=params, row=row, col=col, val=val)
+
+
+def dense(mat) -> np.ndarray:
+    """The dense array of a matrix: uint8 ones of a SparseBinaryMatrix, int64
+    field elements of an NBMatrix."""
+    nb = isinstance(mat, NBMatrix)
+    d = np.zeros((mat.m, mat.n), dtype=np.int64 if nb else np.uint8)
+    d[mat.row, mat.col] = mat.val if nb else 1
+    return d
 
 
 def col_supports(mat: SparseBinaryMatrix) -> list[list[int]]:
@@ -230,7 +239,7 @@ def binary_orthogonal(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> bool:
 
 def dense_mod2_product(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> np.ndarray:
     """a @ b.T over GF(2), as a dense array."""
-    return a.to_dense().astype(np.int64) @ b.to_dense().astype(np.int64).T % 2
+    return dense(a).astype(np.int64) @ dense(b).astype(np.int64).T % 2
 
 
 def column_join(cols_a, cols_b) -> list[tuple[int, int]]:

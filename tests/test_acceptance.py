@@ -17,7 +17,7 @@ from nbqc.binexpand import binary_orthogonal, expand_pair
 from nbqc.channel import syndrome_of
 from nbqc.decoder import DecoderConfig, SyndromeDecoder
 from nbqc.gf2p import make_field
-from nbqc.harness import main, s2_limit, shannon_limit, simulate_point
+from nbqc.harness import main, s2_limit, shannon_limit, simulate_sweep
 from nbqc.nblift import cycle_structure, lift, verify_orthogonal
 from nbqc.qcpair import QCParams, build_pair
 
@@ -202,15 +202,12 @@ def test_c07_monte_carlo_sanity():
     code = expand_pair(*lift(pair, field, np.random.default_rng(7), reject_trivial=True))
 
     for seed in (11, 12, 13):
-        for role in ("C", "D"):
-            lo = simulate_point(code, role, 0.02, trials=1000, seed=seed,
-                                workers=WORKERS)
-            hi = simulate_point(code, role, 0.04, trials=1000, seed=seed,
-                                workers=WORKERS)
-            assert lo.bler < hi.bler
+        records = simulate_sweep(code, [0.02, 0.04], trials=1000, seed=seed,
+                                 workers=WORKERS)
+        for lo, hi in zip(records[:2], records[2:]):
+            assert lo.role == hi.role and lo.bler < hi.bler
 
-    rec_c = simulate_point(code, "C", 0.03, trials=10_000, seed=555, workers=WORKERS)
-    rec_d = simulate_point(code, "D", 0.03, trials=10_000, seed=555, workers=WORKERS)
+    rec_c, rec_d = simulate_sweep(code, [0.03], trials=10_000, seed=555, workers=WORKERS)
 
     def interval(rec):
         half = 1.96 * (rec.bler * (1 - rec.bler) / rec.trials) ** 0.5

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (col_supports, dense_mod2_product, field_exp, nb_from_rows, read_rows,
-                     rows_of, write_rows)
+from oracles import (col_supports, dense, dense_mod2_product, field_exp, nb_from_rows,
+                     read_rows, rows_of, write_rows)
 from nbqc.binexpand import (CssCodePair, FieldMismatch, OrthogonalityBroken,
                             ParseError, binary_orthogonal, expand_pair,
                             load_pair, read_matrix, write_matrix)
@@ -67,10 +67,10 @@ class TestExpandPair:
                           row=hd.row, col=hd.col, val=np.ones_like(hd.col))
         code = expand_pair(ones_g, ones_d)
         p = 4
-        expect = np.kron(hc.to_dense(), np.eye(p, dtype=np.uint8))
-        assert np.array_equal(code.hc.to_dense(), expect)
-        expect_d = np.kron(hd.to_dense(), np.eye(p, dtype=np.uint8))
-        assert np.array_equal(code.hd.to_dense(), expect_d)
+        expect = np.kron(dense(hc), np.eye(p, dtype=np.uint8))
+        assert np.array_equal(dense(code.hc), expect)
+        expect_d = np.kron(dense(hd), np.eye(p, dtype=np.uint8))
+        assert np.array_equal(dense(code.hd), expect_d)
 
     @pytest.mark.parametrize("p", [2, 4, 8])
     def test_random_lifts_binary_orthogonal(self, p, pair):

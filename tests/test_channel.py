@@ -102,7 +102,7 @@ class TestSyndrome:
     @pytest.mark.parametrize("role", ["C", "D"])
     def test_matches_dense_binary_product(self, code, role):
         mat = code.hc if role == "C" else code.hd
-        dense = mat.to_dense().astype(np.int64)
+        dense = oracles.dense(mat).astype(np.int64)
         p = code.field.p
         rng = np.random.default_rng(11)
         for _ in range(100):

@@ -4,6 +4,7 @@ Spot values for the limit curves were computed independently at 30
 digits (mpmath root-finding on the closed forms) and frozen here.
 """
 
+import concurrent.futures
 import hashlib
 import math
 import subprocess
@@ -18,10 +19,10 @@ from oracles import read_rows
 from nbqc import nblift, qcpair
 from nbqc.binexpand import load_pair, read_matrix, write_matrix
 from nbqc.channel import ChannelParams, sample_error, syndrome_of
-from nbqc.decoder import SyndromeDecoder
+from nbqc.decoder import DecoderConfig, SyndromeDecoder
 from nbqc.harness import (DomainError, SimRecord, bdd_limit,
                           limit_point, main, record_csv_line, s2_limit,
-                          shannon_limit, simulate_point, simulate_sweep,
+                          shannon_limit, simulate_sweep,
                           trial_rng, verify_pair_files)
 
 DATA = Path(__file__).parent / "data"
@@ -29,6 +30,7 @@ DATA = Path(__file__).parent / "data"
 # frozen independent evaluations (30-digit root finds)
 S2_ZERO = 0.110027864438359551          # root of 1 - 2 h(f)
 SHANNON_THIRD = 0.0722357932154816416   # shannon(f) = 1/3
+SWEEP_CSV_SHA256 = "a21ec43283ec343de746eb7cbf8a38fc904f8dca58224dc32bf73b26932c1e0c"
 
 
 def traced_peak(fn, *args):
@@ -114,19 +116,19 @@ def golden_code(golden_paths):
 
 class TestSimulate:
     def test_zero_rate_is_error_free(self, golden_code):
-        rec = simulate_point(golden_code, "C", 0.0, trials=50, seed=1)
-        assert rec.bler == 0.0
-        assert rec.block_errors == rec.fail_count == rec.mismatch_count == 0
-        assert rec.mean_iterations == 0.0
+        for rec in simulate_sweep(golden_code, [0.0], trials=50, seed=1):
+            assert rec.bler == 0.0
+            assert rec.block_errors == rec.fail_count == rec.mismatch_count == 0
+            assert rec.mean_iterations == 0.0
 
     def test_counting_identity(self, golden_code):
-        rec = simulate_point(golden_code, "C", 0.06, trials=200, seed=2)
-        assert rec.block_errors == rec.fail_count + rec.mismatch_count
-        assert rec.bler == rec.block_errors / rec.trials
+        for rec in simulate_sweep(golden_code, [0.06], trials=200, seed=2):
+            assert rec.block_errors == rec.fail_count + rec.mismatch_count
+            assert rec.bler == rec.block_errors / rec.trials
 
     def test_worker_split_invariance(self, golden_code):
-        serial = simulate_point(golden_code, "D", 0.04, trials=120, seed=3, workers=1)
-        split = simulate_point(golden_code, "D", 0.04, trials=120, seed=3, workers=3)
+        serial = simulate_sweep(golden_code, [0.04], trials=120, seed=3, workers=1)
+        split = simulate_sweep(golden_code, [0.04], trials=120, seed=3, workers=3)
         assert serial == split
 
     def test_sweep_order(self, golden_code):
@@ -159,21 +161,71 @@ class TestSimulate:
 
     def test_simulation_draws_the_trial_rng_streams(self, golden_code):
         # the simulation re-seeks one generator; trial t must still see the
-        # stream of Philox(key=seed, counter=t << 128)
+        # stream of Philox(key=seed, counter=t << 128), whose X part role C
+        # decodes and whose Z part role D decodes
         seed, f_m, trials = 2**64 + 5, 0.05, 30
-        rec = simulate_point(golden_code, "C", f_m, trials=trials, seed=seed)
-        dec = SyndromeDecoder(golden_code, "C")
-        fails = iters = 0
-        for t in range(trials):
-            rng = np.random.Generator(np.random.Philox(key=seed, counter=t << 128))
-            err, _ = sample_error(golden_code.N, golden_code.field.p, ChannelParams(f_m), rng)
-            out = dec.decode(syndrome_of(golden_code, "C", err), f_m)
-            fails += not out.ok
-            iters += out.iterations
-        assert iters > trials
-        assert rec.fail_count == fails and rec.mean_iterations == iters / trials
+        records = simulate_sweep(golden_code, [f_m], trials=trials, seed=seed)
+        assert [rec.role for rec in records] == ["C", "D"]
+        for part, rec in enumerate(records):
+            dec = SyndromeDecoder(golden_code, rec.role)
+            fails = iters = 0
+            for t in range(trials):
+                rng = np.random.Generator(np.random.Philox(key=seed, counter=t << 128))
+                err = sample_error(golden_code.N, golden_code.field.p, ChannelParams(f_m),
+                                   rng)[part]
+                out = dec.decode(syndrome_of(golden_code, rec.role, err), f_m)
+                fails += not out.ok
+                iters += out.iterations
+            assert iters > trials
+            assert rec.fail_count == fails and rec.mean_iterations == iters / trials
         with pytest.raises(ValueError):
-            simulate_point(golden_code, "C", f_m, trials=3, seed=-1)
+            simulate_sweep(golden_code, [f_m], trials=3, seed=-1)
+
+    def test_one_pool_per_sweep(self, golden_code, monkeypatch, tmp_path, golden_paths):
+        # a stand-in executor that counts its instances and maps in-process
+        pools = []
+
+        class CountingPool:
+            def __init__(self, max_workers):
+                self.max_workers, self.jobs = max_workers, 0
+                pools.append(self)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                jobs = list(zip(*iterables))
+                self.jobs += len(jobs)
+                return [fn(*job) for job in jobs]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        f_m = [0.02, 0.05, 0.08]
+        split = simulate_sweep(golden_code, f_m, trials=30, seed=4, workers=3)
+        # one executor for the sweep, one job per trial range of 10
+        assert [(pool.max_workers, pool.jobs) for pool in pools] == [(3, 3)]
+        assert split == simulate_sweep(golden_code, f_m, trials=30, seed=4, workers=1)
+        assert len(pools) == 1
+        monkeypatch.setenv("NBQC_WORKERS", "2")
+        out = tmp_path / "sweep.csv"
+        assert main(["simulate", *golden_paths, "--fm", *map(str, f_m), "--trials", "8",
+                     "--max-iter", "6", "--out", str(out)]) == 0
+        assert [(pool.max_workers, pool.jobs) for pool in pools[1:]] == [(2, 2)]
+        assert len(out.read_text().splitlines()) == 1 + 2 * len(f_m)
+
+    def test_sweep_csv_digest(self, golden_code):
+        # SHA-256 of these sweeps' CSV rows, recorded when every (f_m, role)
+        # point ran on its own decoder and, with two workers, in its own pool
+        digest = hashlib.sha256()
+        for mode in ("independent", "joint"):
+            for workers in (1, 2):
+                records = simulate_sweep(golden_code, [0.02, 0.05, 0.08], trials=30, seed=0,
+                                         config=DecoderConfig(max_iter=12), mode=mode,
+                                         workers=workers)
+                digest.update(("\n".join(map(record_csv_line, records)) + "\n").encode())
+        assert digest.hexdigest() == SWEEP_CSV_SHA256
 
     def test_csv_line(self):
         rec = SimRecord(f_m=0.02, role="C", trials=1000, block_errors=13,

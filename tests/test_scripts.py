@@ -87,9 +87,34 @@ def test_bench_ab_report_drops_incorrect_pairs(capsys):
     bench_ab.report("w", [metric], runs)
     out = capsys.readouterr().out
     assert "3 pairs dropped for an incorrect run, 2 kept" in out
-    assert out.count("WARNING") == 3
+    # three incorrect runs, and two kept pairs are fewer than 10
+    assert out.count("WARNING: a ") == 3
+    assert out.count("WARNING") == 4 and "WARNING: only 2 pairs kept" in out
     row = next(line for line in out.splitlines() if line.strip().startswith("trials_per_s"))
     assert "10 (10-10)" in row and "11.5 (11.25-11.75)" in row and " 2/2 " in row
+
+
+def test_bench_ab_warns_below_ten_kept_pairs(capsys):
+    bench_ab = import_bench_ab()
+
+    def pair(correct=True):
+        return tuple({"correct": c, "failed": 0, "attempted": 8, "exit": 0,
+                      "metrics": {"trials_per_s": {"value": v}}}
+                     for c, v in ((True, 10.0), (correct, 11.0)))
+
+    metric = {"name": "trials_per_s", "unit": "1/s", "better": "higher"}
+    # 4 of 6 pairs kept: one WARNING line that names the count
+    bench_ab.report("w", [metric], [pair(), pair(), pair(False), pair(), pair(False), pair()])
+    warnings = [line for line in capsys.readouterr().out.splitlines() if "WARNING" in line]
+    assert len(warnings) == 3
+    assert [line for line in warnings if "kept" in line] == [
+        "  WARNING: only 4 pairs kept, fewer than 10: "
+        "host noise alone can move a median by a tenth"]
+    # 10 kept pairs: no warning at all
+    bench_ab.report("w", [metric], [pair() for _ in range(10)])
+    out = capsys.readouterr().out
+    assert "0 pairs dropped for an incorrect run, 10 kept" in out
+    assert "WARNING" not in out
 
 
 def test_bench_ab_traced_runs_and_per_layer_report(monkeypatch, capsys):
