@@ -152,9 +152,9 @@ def _run_trials(code, f_m_values, mode: str, trials: range, seed: int,
     as an (F, 2, 3) array; role C runs all its trials before role D."""
     params = [channel.ChannelParams(f_m=f_m, mode=mode) for f_m in f_m_values]
     counts = np.zeros((len(params), 2, 3), dtype=np.int64)
-    rng = _philox_generator()     # re-seeked to each trial's stream, as trial_rng builds it
     for r, role in enumerate(("C", "D")):
         decoder = SyndromeDecoder(code, role)
+        rng = _philox_generator()     # re-seeked to each trial's stream, as trial_rng builds it
         for i, chan in enumerate(params):
             fails = mismatches = iter_sum = 0
             for t in trials:
@@ -167,7 +167,8 @@ def _run_trials(code, f_m_values, mode: str, trials: range, seed: int,
                 elif not np.array_equal(outcome.estimate, err):
                     mismatches += 1
             counts[i, r] = fails, mismatches, iter_sum
-        del decoder   # role D's decoder is built only once C's is freed: one alive at a time
+        # role D's decoder is built only once C's is freed: one alive at a time
+        del decoder, rng
     return counts
 
 
