@@ -19,11 +19,12 @@ store row-major index arrays; `rows_of`, `from_rows` and `nb_from_rows`
 convert to and from per-row lists, which the oracles and the tampering
 tests read and edit, and `dense` to a dense array.  `read_rows` is the
 token-by-token NBQC row reader that the array reader replaces, and
-`write_rows` the per-entry writer that the one-format writer replaces.  `mod_system` builds a balance
-system from equation lists and `satisfies` checks an assignment against
-it by substitution.  Per-element field arithmetic, the explicit binary
-images (`companion`), field powers and the exponent-table printout are
-used by tests only.  All of them are kept out of `src/`.
+`write_rows` the per-entry writer that the one-format writer replaces.
+`mod_system` builds a balance system from equation lists and
+`satisfies` checks an assignment against it by substitution.
+Per-element field arithmetic, the explicit binary images (`companion`),
+field powers and the exponent-table printout are used by tests only.
+All of them are kept out of `src/`.
 """
 
 import itertools
