@@ -45,18 +45,20 @@ def sample_error(n_sym: int, p: int, params: ChannelParams,
     Independent mode flips each of the p*n_sym bits of either component
     with probability f_m, independently.  Joint mode draws one Pauli
     per qubit: identity with 1 - f_dep, else X, Y, Z equiprobably; Y
-    flips both components, so X and Z bits are correlated.
+    flips both components, so X and Z bits are correlated.  Both
+    components are packed by one product, and in independent mode drawn
+    by one call, X bits first: the same stream as two calls.
     """
     n_bits = n_sym * p
     if params.mode == "independent":
-        x_bits = rng.random(n_bits) < params.f_m
-        z_bits = rng.random(n_bits) < params.f_m
+        bits = rng.random(2 * n_bits) < params.f_m
     else:
         u = rng.random(n_bits)
         third = params.f_dep / 3.0
-        x_bits = u < 2 * third                      # X or Y
-        z_bits = (u >= third) & (u < 3 * third)     # Y or Z
-    return _pack_symbols(x_bits, p), _pack_symbols(z_bits, p)
+        bits = np.concatenate((u < 2 * third,                       # X or Y
+                               (u >= third) & (u < 3 * third)))     # Y or Z
+    x_err, z_err = _pack_symbols(bits, p).reshape(2, n_sym)
+    return x_err, z_err
 
 
 def _pack_symbols(bits: np.ndarray, p: int) -> np.ndarray:

@@ -9,32 +9,37 @@ parity-check entry are pure index permutations: the binary image of a
 field element acting on symbol values.
 
 Row weight L and column weight 2 are uniform, so the whole message
-state lives in (M, L, q) arrays and one iteration is a handful of
+state lives in two (2, N, q) arrays and one iteration is a handful of
 vectorised array ops.  All-but-one products use exclusive prefix/suffix
 products, which stay exact when a transformed message has zeros (no
 division).
 
-Layout.  Stored messages are edge-major, (M, L, q).  Between the two
-transforms of an iteration they are symbol-major, (q, M, L), so every
-butterfly stage h is one product H2 @ B over the contiguous
-(q/2h, 2, h*M*L) view of its buffer, with H2 = [[1, 1], [1, -1]], and
-every prefix/suffix step is one call over (q, M).  The product reads
-each operand once, where an add/subtract pair read it twice through
-strided views.  Its (2, w) operands are at most 2^15 columns wide (or
-M*L, if that is wider), so that OpenBLAS runs them on one thread:
-threads slowed the transform, and oversubscribed the cores when
-NBQC_WORKERS > 1.  The
-permutation gathers on either side of the transforms are single `take`
-calls on flat edge*q + symbol indices built once per decoder; they also
-switch between the two layouts, so no transposing copy is made.  A
+Layout.  Stored messages are column-pair, (2, N, q): `_from[j, n]` is
+the check message on edge `_edges_from[j, n]` of column n, and
+`_to[j, n]` the variable message on `_edges_to[j, n]`, the column's
+other edge, so the variable update of both edges of every column is one
+pass from `_from` into `_to`.  Between the two transforms of an
+iteration the messages are symbol-major, (q, M, L), so every butterfly
+stage h is one product H2 @ B over the contiguous (q/2h, 2, h*M*L) view
+of its buffer, with H2 = [[1, 1], [1, -1]], and every prefix/suffix step
+is one call over (q, M).  The product reads each operand once, where an
+add/subtract pair read it twice through strided views.  Its (2, w)
+operands are at most 2^15 columns wide (or M*L, if that is wider), so
+that OpenBLAS runs them on one thread: threads slowed the transform, and
+oversubscribed the cores when NBQC_WORKERS > 1.  The permutation gathers
+on either side of the transforms are single `take` calls on contiguous
+flat slot*q + symbol indices built once per decoder, one reading `_to`
+and one writing `_from`; they also switch between the layouts, so an
+iteration moves message data twice and makes no transposing copy.  A
 decoder allocates its work buffers once: the transform input that the
 forward gather writes into, the prefix and suffix products, the pair of
 butterfly buffers that both transforms of an iteration share, and the
-(2, N, q) arrays of the variable update, which handles both edges of
-every column in one pass.  The butterfly views of every transform stage
-and the (q, M) slices of every prefix/suffix step are built with them,
-so an iteration creates no views.  Only the arrays that a decode hands
-out (`estimate`, `last_c2v`, `last_v2c`) are fresh for each decode.
+two message buffers.  The butterfly views of every transform stage and
+the (q, M) slices of every prefix/suffix step are built with them, so an
+iteration creates no views.  Only `estimate` is fresh for each decode.
+`last_c2v` and `last_v2c` are edge-major (M, L, q) copies, built on each
+access.  A decode that succeeds checks its last variable sums before the
+decision, but leaves their division and floor to `last_v2c`.
 
 Bit-identity.  Every message is computed by the same IEEE-754 float64
 operations in the same order as the per-edge definition: butterfly
@@ -70,14 +75,16 @@ bit for bit except possibly the sign of an exact zero, and the clamp
 stored.  So a decoder keeps, for the prior of the last f_m it iterated
 at, the table T = max(WHT(E) / q, 0) of the check pass seeded with 1,
 edge-major (M*L, q), and iteration 1's check messages are one XOR of
-flat indices and one `take`: c2v[m, l, s] = T[e, fwd[e, s] ^ s_m], at
-flat index (e*q + fwd[e, s]) ^ s_m, since e*q has zero low bits.  The
-table is built inside the first iterating decode at a new f_m, with the
-same gather, transform and product code as every later iteration.  It
-costs one float64 table and one int64 index array, each M*L*q entries:
-16.3 MB together for GF(256) at P=331 (n=15888).  `op_count` still
-counts iteration 1 in full, since it models the convolution's
-arithmetic, not the work executed.
+flat indices and one `take`: the message on edge e of check m is
+T[e, fwd[e, s] ^ s_m], at flat index (e*q + fwd[e, s]) ^ s_m, since e*q
+has zero low bits.  The indices are held in column-pair order, so the
+`take` writes straight into `_from`.  The table is built inside the
+first iterating decode at a new f_m, with the same gather, transform and
+product code as every later iteration.  It costs one float64 table and
+one int64 index array, each M*L*q entries: 16.3 MB together for
+GF(256) at P=331 (n=15888).  `op_count` still counts iteration 1 in
+full, since it models the convolution's arithmetic, not the work
+executed.
 """
 
 from __future__ import annotations
@@ -240,8 +247,9 @@ def _row_sums(msgs: np.ndarray, kind: str, it: int) -> np.ndarray:
     entry is finite exactly when every sum is positive and finite.  The
     check comes before the division, so a 0/0 raises without a warning.
     """
-    sums = msgs.sum(axis=-1, keepdims=True)
-    if not (sums.min() > 0.0 and sums.max() < np.inf):
+    sums = np.add.reduce(msgs, axis=-1, keepdims=True)
+    if not (np.minimum.reduce(sums, axis=None) > 0.0
+            and np.maximum.reduce(sums, axis=None) < np.inf):
         raise NonFiniteMessage(f"{kind} messages non-finite at iteration {it}")
     return sums
 
@@ -278,12 +286,6 @@ class SyndromeDecoder:
         inv = np.empty_like(fwd)
         np.put_along_axis(inv, fwd, np.arange(q)[None, :], axis=1)
         self.perm_fwd = fwd.reshape(M, L, q)    # action of the entry's image on symbols
-        # flat gathers: symbol-major transform input (q, M, L) from the
-        # edge-major variable messages, through the inverse entry maps;
-        # edge-major check messages (M, L, q) from the symbol-major
-        # transform output, through the entry maps
-        self._gather_in = (edge * q + inv.T).reshape(q, M, L)
-        self._gather_out = (fwd * (M * L) + edge[:, None]).reshape(M, L, q)
         self._syndrome_at = (edge * q).reshape(M, L)
 
         # column -> its two edges, as indices into the flat (M*L) edge axis:
@@ -295,6 +297,15 @@ class SyndromeDecoder:
         edges = np.argsort(flat_cols, kind="stable").reshape(code.N, 2)
         self._edges_to = np.ascontiguousarray(edges.T)              # (2, N)
         self._edges_from = np.ascontiguousarray(edges.T[::-1])
+        self._checks_from = self._edges_from // L                   # check of each slot
+        slot_to = np.empty(M * L, dtype=np.int64)                   # edge -> its slot in _to
+        slot_to[self._edges_to.reshape(-1)] = np.arange(M * L)
+        # flat gathers: symbol-major transform input (q, M, L) from the
+        # column-pair variable messages, through the inverse entry maps;
+        # column-pair check messages (2, N, q) from the symbol-major
+        # transform output, through the entry maps
+        self._gather_in = np.ascontiguousarray((slot_to * q + inv.T).reshape(q, M, L))
+        self._gather_out = (fwd * (M * L) + edge[:, None])[self._edges_from]
 
         self._parity = _symbol_weights(self.p) & 1
         self._symbols = np.arange(q)[:, None]
@@ -326,8 +337,39 @@ class SyndromeDecoder:
         self._first_syndrome = np.zeros(M, dtype=np.int64)
 
         self.op_count = 0
-        self.last_v2c = None      # message buffers of the most recent decode,
-        self.last_c2v = None      # kept for inspection and tests
+        # whether _from/_to hold the messages of the most recent decode, and
+        # the variable sums and floor still to apply to _to after a success
+        self._held = False
+        self._v2c_pending = None
+
+    @property
+    def last_c2v(self) -> np.ndarray | None:
+        """Check-to-variable messages (M, L, q) of the most recent decode.
+
+        None if that decode passed no messages or raised.  A fresh array
+        on every access, so writing into it changes neither the decoder
+        nor the next access.
+        """
+        if not self._held:
+            return None
+        return self._edge_major(self._from, self._edges_from)
+
+    @property
+    def last_v2c(self) -> np.ndarray | None:
+        """Variable-to-check messages (M, L, q) of the most recent decode,
+        normalised; None and fresh on access as `last_c2v`."""
+        if not self._held:
+            return None
+        to = self._to
+        if self._v2c_pending is not None:
+            sums, floor = self._v2c_pending
+            to = np.maximum(to / sums, floor)
+        return self._edge_major(to, self._edges_to)
+
+    def _edge_major(self, pairs: np.ndarray, edges: np.ndarray) -> np.ndarray:
+        out = np.empty((self.M * self.L, self.q))
+        out[edges] = pairs
+        return out.reshape(self.M, self.L, self.q)
 
     def syndrome_of_symbols(self, symbols: np.ndarray) -> np.ndarray:
         """Syndrome of a length-N symbol vector via the precomputed edge maps."""
@@ -340,10 +382,13 @@ class SyndromeDecoder:
         bits = np.bitwise_or.reduce(symbols)
         if bits < 0 or bits >= self.q:
             raise DimensionMismatch(f"symbols must lie in [0, {self.q})")
+        return self._syndrome(symbols)
+
+    def _syndrome(self, symbols: np.ndarray) -> np.ndarray:
         mapped = self.perm_fwd.take(self._syndrome_at + symbols[self.cols])   # (M, L)
         return np.bitwise_xor.reduce(mapped, axis=1)
 
-    def _check_pass(self, v2c: np.ndarray, chi) -> None:
+    def _check_pass(self, to: np.ndarray, chi) -> None:
         """Transform, exclusive products seeded with chi, inverse transform.
 
         Leaves the symbol-major (q, M*L) result in `self._wht.out`.  The
@@ -352,7 +397,7 @@ class SyndromeDecoder:
         chi is +-1, so seeding the prefix products with it flips signs
         exactly, as multiplying the finished products by it would.
         """
-        v2c.take(self._gather_in, out=self._t_in, mode="clip")   # (q, M, L)
+        to.take(self._gather_in, out=self._t_in, mode="clip")    # (q, M, L)
         walsh_hadamard(self._t_in.transpose(1, 2, 0), self._wht)
         self._pref0[...] = chi
         for a, b, out in self._products:
@@ -363,17 +408,18 @@ class SyndromeDecoder:
     def _first_check_messages(self, p0: np.ndarray, syndrome: np.ndarray,
                               out: np.ndarray) -> None:
         """Iteration 1's check messages, clamped at 0 and not yet
-        normalised, into `out` (M, L, q)."""
+        normalised, into the column-pair `out` (2, N, q)."""
         if self._first_p0 is not p0:
-            self._check_pass(np.broadcast_to(p0, (self.M, self.L, self.q)), 1.0)
+            self._check_pass(np.broadcast_to(p0, self._to.shape), 1.0)
             table = np.ascontiguousarray(self._wht.out.T)          # (M*L, q)
             table *= 1.0 / self.q
             np.maximum(table, 0.0, out=table)
             if self._first_at is None:
-                edge = np.arange(self.M * self.L).reshape(self.M, self.L, 1)
-                self._first_at = edge * self.q + self.perm_fwd
+                edge = self._edges_from
+                fwd = self.perm_fwd.reshape(-1, self.q)[edge]          # (2, N, q)
+                self._first_at = (edge * self.q)[..., None] + fwd
             self._first_table, self._first_p0 = table, p0
-        self._first_at ^= (syndrome ^ self._first_syndrome)[:, None, None]
+        self._first_at ^= (syndrome ^ self._first_syndrome)[self._checks_from][..., None]
         self._first_syndrome[:] = syndrome
         self._first_table.take(self._first_at, out=out, mode="clip")
 
@@ -383,61 +429,58 @@ class SyndromeDecoder:
         if syndrome.shape != (self.M,):
             raise DimensionMismatch(
                 f"syndrome must be {self.M} symbols, got shape {syndrome.shape}")
-        if syndrome.size and (syndrome.min() < 0 or syndrome.max() >= self.q):
+        # as in syndrome_of_symbols; the OR is also zero iff the syndrome is
+        bits = np.bitwise_or.reduce(syndrome)
+        if bits < 0 or bits >= self.q:
             raise DimensionMismatch(f"syndrome symbols must lie in [0, {self.q})")
         if not 0 <= config.pmf_floor < 1.0 / self.q:
             raise ValueError(f"pmf_floor must be below 1/q = {1.0 / self.q}")
-        M, L, q, N = self.M, self.L, self.q, self.code.N
+        q = self.q
         p0 = init_pmf(f_m, self.p)
+        self._held = False
+        self._v2c_pending = None
 
         # the decision before any message update is the prior's argmax, the
         # all-zero vector (see init_pmf), so it succeeds iff the syndrome is zero
-        if not syndrome.any():
-            # no messages were passed; cleared here only, because freeing the
-            # previous buffers before an iterating decode slows it measurably
-            self.last_v2c = self.last_c2v = None
-            return DecodeOutcome(status="success", estimate=np.zeros(N, dtype=np.int64),
+        if not bits:
+            return DecodeOutcome(status="success", estimate=np.zeros(self.code.N, dtype=np.int64),
                                  iterations=0)
 
-        v2c = np.empty((M, L, q))     # iteration 1 writes every edge before any read
-        c2v = np.empty((M, L, q))
-        v2c_flat = v2c.reshape(M * L, q)
-        c2v_flat = c2v.reshape(M * L, q)
         frm, to, belief = self._from, self._to, self._belief
-
         for it in range(1, config.max_iter + 1):
             # -- horizontal: all-but-one convolution with the syndrome mass,
             # looked up from the table at iteration 1
             if it == 1:
-                self._first_check_messages(p0, syndrome, c2v)
+                self._first_check_messages(p0, syndrome, frm)
             else:
                 if it == 2:
                     # (q, M) transform of each check's syndrome point mass
                     chi = 1.0 - 2.0 * self._parity[self._symbols & syndrome]
-                self._check_pass(v2c, chi)
+                self._check_pass(to, chi)
                 # mode "clip" writes straight into `out`; see _check_pass
-                self._wht.out.take(self._gather_out, out=c2v, mode="clip")   # (M, L, q)
-                c2v *= 1.0 / q
-                np.maximum(c2v, 0.0, out=c2v)
+                self._wht.out.take(self._gather_out, out=frm, mode="clip")   # (2, N, q)
+                frm *= 1.0 / q
+                np.maximum(frm, 0.0, out=frm)
             self.op_count += self._ops_per_iteration
-            c2v /= _row_sums(c2v, "check", it)
-            np.maximum(c2v, config.pmf_floor, out=c2v)
-            self.last_c2v = c2v
+            frm /= _row_sums(frm, "check", it)
+            np.maximum(frm, config.pmf_floor, out=frm)
 
             # -- vertical: channel prior times the other edge's check message,
             # for both edges of every column at once; the belief
             # (p0 * from_first) * from_second is taken before normalising
-            c2v_flat.take(self._edges_from, axis=0, out=frm, mode="clip")   # (2, N, q)
             np.multiply(frm, p0, out=to)
             np.multiply(to[1], frm[0], out=belief)
-            to /= _row_sums(to, "variable", it)
-            np.maximum(to, config.pmf_floor, out=to)
-            v2c_flat[self._edges_to] = to
-            self.last_v2c = v2c
+            sums = _row_sums(to, "variable", it)
 
-            # -- tentative decision and syndrome check
-            estimate = np.argmax(belief, axis=1)
-            if (self.syndrome_of_symbols(estimate) == syndrome).all():
+            # -- tentative decision and syndrome check; after a success the
+            # messages are only read through last_v2c, which normalises them
+            estimate = belief.argmax(axis=1)
+            if (self._syndrome(estimate) == syndrome).all():
+                self._held = True
+                self._v2c_pending = sums, config.pmf_floor
                 return DecodeOutcome(status="success", estimate=estimate, iterations=it)
+            to /= sums
+            np.maximum(to, config.pmf_floor, out=to)
 
+        self._held = True
         return DecodeOutcome(status="fail", estimate=estimate, iterations=config.max_iter)

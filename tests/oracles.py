@@ -14,7 +14,9 @@ the field recurrence for the second matrix and the cycle products are
 what the lift's array walk and log-domain cycle balance replace.  The
 double loop of the QC expansion, the pair-set 4-cycle search, the
 per-entry syndrome loop and the single-element symbol tables are what
-the array code of `qcpair`, `channel` and `gf2p` replaces.  Matrices
+the array code of `qcpair`, `channel` and `gf2p` replaces, and the
+component-by-component sampler is what `channel.sample_error`'s one
+draw replaces.  Matrices
 store row-major index arrays; `rows_of`, `from_rows` and `nb_from_rows`
 convert to and from per-row lists, which the oracles and the tampering
 tests read and edit, and `dense` to a dense array.  `read_rows` is the
@@ -203,6 +205,23 @@ def syndrome_of(code: CssCodePair, role: str, error: np.ndarray) -> np.ndarray:
                 acc ^= int(transpose_index_table(field, v)[error[n]])
         syndrome[m] = acc
     return syndrome
+
+
+def sample_error(n_sym: int, p: int, params, rng: np.random.Generator):
+    """(x_error, z_error) drawn component by component: in independent mode
+    one `rng.random` call per component, and each component packed on its
+    own, bit j of symbol n weighted 2^j."""
+    n_bits = n_sym * p
+    if params.mode == "independent":
+        x_bits = rng.random(n_bits) < params.f_m
+        z_bits = rng.random(n_bits) < params.f_m
+    else:
+        u = rng.random(n_bits)
+        third = params.f_dep / 3.0
+        x_bits = u < 2 * third
+        z_bits = (u >= third) & (u < 3 * third)
+    weights = 1 << np.arange(p, dtype=np.int64)
+    return tuple((bits.reshape(n_sym, p) * weights).sum(axis=1) for bits in (x_bits, z_bits))
 
 
 def field_pow(field: FieldSpec, a: int, k: int) -> int:

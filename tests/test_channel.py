@@ -6,6 +6,8 @@ dense binary matrix-vector product for the symbol-wise syndrome.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nbqc.binexpand import expand_pair
@@ -79,6 +81,21 @@ class TestSampleError:
         a = sample_error(30, 4, params, np.random.default_rng(5))
         b = sample_error(30, 4, params, np.random.default_rng(5))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    @given(n_sym=st.integers(0, 40), p=st.integers(1, 8),
+           f_m=st.floats(0.0, 0.5, exclude_max=True),
+           mode=st.sampled_from(["independent", "joint"]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_component_by_component_draws(self, n_sym, p, f_m, mode, seed):
+        # same symbols, and the generator left at the same point of its stream
+        params = ChannelParams(f_m=f_m, mode=mode)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_error(n_sym, p, params, rng)
+        want = oracles.sample_error(n_sym, p, params, ref_rng)
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == (n_sym,) and g.dtype == np.int64
+            assert np.array_equal(g, w)
+        assert rng.random() == ref_rng.random()
 
 
 class TestSyndrome:

@@ -9,6 +9,7 @@ vectors).  Decoder outputs are also pinned bit for bit by a digest.
 
 import functools
 import hashlib
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -413,6 +414,11 @@ class TestDecode:
         out = dec.decode(np.zeros(code.M, dtype=np.int64), 0.05)
         assert out.ok and out.iterations == 0
         assert dec.last_c2v is None and dec.last_v2c is None
+        # nor do a decode's half-updated buffers show after it raised
+        dec.decode(syndrome_of(code, "C", err), 0.05)
+        with pytest.raises(NonFiniteMessage):
+            dec.decode(syndrome_of(code, "C", err), 0.0, DecoderConfig(pmf_floor=0.0))
+        assert dec.last_c2v is None and dec.last_v2c is None
 
     def test_reuse_across_decodes(self):
         # the decoder's work buffers carry nothing from one decode to the
@@ -440,6 +446,52 @@ class TestDecode:
         for i, x in enumerate(held):
             for y in held[i + 1:]:
                 assert not np.shares_memory(x, y)
+
+    def test_message_views_are_fresh(self):
+        # last_c2v / last_v2c are built on every access; writing into one
+        # changes neither the next access nor the decoder
+        code = load_pair(DATA / "golden_gf16.gamma.nbqc", DATA / "golden_gf16.delta.nbqc")
+        err = np.zeros(code.N, dtype=np.int64)
+        err[[2, 9, 33]] = [1, 6, 15]
+        noise = np.random.default_rng(4).integers(0, 16, size=code.N)
+        dec = SyndromeDecoder(code, "C")
+        for e, f_m, status in ((err, 0.05, "success"), (noise, 0.08, "fail")):
+            s = syndrome_of(code, "C", e)
+            config = DecoderConfig(max_iter=6)
+            assert dec.decode(s, f_m, config).status == status
+            for name in ("last_c2v", "last_v2c"):
+                first = getattr(dec, name)
+                kept = first.copy()
+                first[...] = -1.0
+                again = getattr(dec, name)
+                assert again is not first and not np.shares_memory(again, first)
+                assert again.tobytes() == kept.tobytes()
+            assert (decode_record(dec, s, f_m, config)
+                    == decode_record(SyndromeDecoder(code, "C"), s, f_m, config))
+
+    def test_iterating_decodes_allocate_no_message_arrays(self):
+        # the messages live in decoder-owned buffers: 20 iterating decodes
+        # at GF(256) n=336 peak below one (M, L, q) float64 array
+        code = ex1_code(8)
+        dec = SyndromeDecoder(code, "C")
+        f_m, syndromes = 0.04, []
+        for t in range(100):
+            err = sample_error(code.N, 8, ChannelParams(f_m), trial_rng(5, t))[0]
+            if err.any():
+                syndromes.append(syndrome_of(code, "C", err))
+        syndromes = syndromes[:20]
+        assert len(syndromes) == 20
+        dec.decode(syndromes[0], f_m)       # builds iteration 1's table for this f_m
+        outcomes = []
+        tracemalloc.start()
+        try:
+            for s in syndromes:
+                outcomes.append(dec.decode(s, f_m))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(out.iterations >= 1 for out in outcomes)
+        assert peak < dec.M * dec.L * dec.q * 8, peak
 
     def test_nonzero_syndrome_never_stops_at_iteration_zero(self, code):
         dec = SyndromeDecoder(code, "C")
@@ -508,10 +560,11 @@ class TestFirstIterationLookup:
 
     @staticmethod
     def plain_decoder(code, role):
-        # the same decoder with its lookup replaced by the oracle's plain pass
+        # the same decoder with its lookup replaced by the oracle's plain
+        # pass, reordered from edge-major (M, L, q) to the column pairs of `out`
         dec = SyndromeDecoder(code, role)
-        dec._first_check_messages = (
-            lambda p0, syndrome, out: np.copyto(out, first_check_pass(dec, syndrome, p0)))
+        dec._first_check_messages = lambda p0, syndrome, out: np.copyto(
+            out, first_check_pass(dec, syndrome, p0).reshape(-1, dec.q)[dec._edges_from])
         return dec
 
     @pytest.mark.parametrize("p", [2, 4, 8])
