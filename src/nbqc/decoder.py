@@ -38,8 +38,7 @@ two message buffers.  The butterfly views of every transform stage and
 the (q, M) slices of every prefix/suffix step are built with them, so an
 iteration creates no views.  Only `estimate` is fresh for each decode.
 `last_c2v` and `last_v2c` are edge-major (M, L, q) copies, built on each
-access.  A decode that succeeds checks its last variable sums before the
-decision, but leaves their division and floor to `last_v2c`.
+access.
 
 Bit-identity.  Every message is computed by the same IEEE-754 float64
 operations in the same order as the per-edge definition: butterfly
@@ -337,10 +336,8 @@ class SyndromeDecoder:
         self._first_syndrome = np.zeros(M, dtype=np.int64)
 
         self.op_count = 0
-        # whether _from/_to hold the messages of the most recent decode, and
-        # the variable sums and floor still to apply to _to after a success
+        # whether _from/_to hold the messages of the most recent decode
         self._held = False
-        self._v2c_pending = None
 
     @property
     def last_c2v(self) -> np.ndarray | None:
@@ -360,11 +357,7 @@ class SyndromeDecoder:
         normalised; None and fresh on access as `last_c2v`."""
         if not self._held:
             return None
-        to = self._to
-        if self._v2c_pending is not None:
-            sums, floor = self._v2c_pending
-            to = np.maximum(to / sums, floor)
-        return self._edge_major(to, self._edges_to)
+        return self._edge_major(self._to, self._edges_to)
 
     def _edge_major(self, pairs: np.ndarray, edges: np.ndarray) -> np.ndarray:
         out = np.empty((self.M * self.L, self.q))
@@ -438,7 +431,6 @@ class SyndromeDecoder:
         q = self.q
         p0 = init_pmf(f_m, self.p)
         self._held = False
-        self._v2c_pending = None
 
         # the decision before any message update is the prior's argmax, the
         # all-zero vector (see init_pmf), so it succeeds iff the syndrome is zero
@@ -470,17 +462,14 @@ class SyndromeDecoder:
             # (p0 * from_first) * from_second is taken before normalising
             np.multiply(frm, p0, out=to)
             np.multiply(to[1], frm[0], out=belief)
-            sums = _row_sums(to, "variable", it)
+            to /= _row_sums(to, "variable", it)
+            np.maximum(to, config.pmf_floor, out=to)
 
-            # -- tentative decision and syndrome check; after a success the
-            # messages are only read through last_v2c, which normalises them
+            # -- tentative decision and syndrome check
             estimate = belief.argmax(axis=1)
             if (self._syndrome(estimate) == syndrome).all():
                 self._held = True
-                self._v2c_pending = sums, config.pmf_floor
                 return DecodeOutcome(status="success", estimate=estimate, iterations=it)
-            to /= sums
-            np.maximum(to, config.pmf_floor, out=to)
 
         self._held = True
         return DecodeOutcome(status="fail", estimate=estimate, iterations=config.max_iter)

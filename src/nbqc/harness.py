@@ -116,16 +116,25 @@ _WORD = (1 << 64) - 1
 
 def _philox_state(seed: int, trial: int) -> dict:
     """State of `Philox(key=seed, counter=trial << 128)` before its first draw."""
-    seed, trial = operator.index(seed), operator.index(trial)
+    seed = operator.index(seed)
     if not 0 <= seed < 1 << 128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64),
+                       "key": np.array([seed & _WORD, seed >> 64], dtype=np.uint64)},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    return _seek(state, trial)
+
+
+def _seek(state: dict, trial: int) -> dict:
+    """Point a `_philox_state` state at trial's stream, counter trial << 128,
+    in place; the state setter copies it, so one state serves every trial."""
+    trial = operator.index(trial)
     if not 0 <= trial < 1 << 128:
         raise ValueError(f"trial must be in [0, 2**128), got {trial}")
-    return {"bit_generator": "Philox",
-            "state": {"counter": np.array([0, 0, trial & _WORD, trial >> 64], dtype=np.uint64),
-                      "key": np.array([seed & _WORD, seed >> 64], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
+    state["state"]["counter"][2:] = trial & _WORD, trial >> 64
+    return state
 
 
 @lru_cache(maxsize=1)
@@ -158,12 +167,10 @@ def _run_trials(code, f_m_values, mode: str, trials: range, seed: int,
         decoder = SyndromeDecoder(code, role)
         rng = _philox_generator()     # re-seeked to each trial's stream, as trial_rng builds it
         state = _philox_state(seed, 0)
-        counter = state["state"]["counter"]     # the state setter copies it
         for i, chan in enumerate(params):
             fails = mismatches = iter_sum = 0
             for t in trials:
-                counter[2:] = t & _WORD, t >> 64
-                rng.bit_generator.state = state
+                rng.bit_generator.state = _seek(state, t)
                 err = channel.sample_error(code.N, code.field.p, chan, rng)[r]
                 outcome = decoder.decode(decoder.syndrome_of_symbols(err), chan.f_m, config)
                 iter_sum += outcome.iterations
@@ -351,10 +358,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--reject-trivial", action="store_true",
                    help="resample if every sampled log is zero")
     c.add_argument("--out", required=True, help="output file prefix")
+    c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="check a stored pair (exit 0 iff all pass)")
     v.add_argument("gamma")
     v.add_argument("delta")
+    v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("simulate", help="Monte Carlo BLER sweep to CSV")
     s.add_argument("gamma")
@@ -366,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--mode", choices=("independent", "joint"), default="independent")
     s.add_argument("--out", default="-", help="CSV path (default stdout)")
+    s.set_defaults(func=cmd_simulate)
 
     m = sub.add_parser("limits", help="closed-form rate limit curves to CSV")
     m.add_argument("--fm", type=float, nargs="*", default=None,
@@ -374,24 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--fm-max", type=float, default=0.33)
     m.add_argument("--fm-step", type=float, default=0.005)
     m.add_argument("--out", default="-", help="CSV path (default stdout)")
+    m.set_defaults(func=cmd_limits)
     return ap
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # built once per process: building it costs about a millisecond, and
-    # scripts call main once per code and sweep
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    # looked up on every call rather than kept in the cached parser, so
-    # that a cmd_* function replaced at module level is the one that runs
-    command = {"construct": cmd_construct, "verify": cmd_verify,
-               "simulate": cmd_simulate, "limits": cmd_limits}[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        return command(args)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         # ParseError, FieldMismatch, InvalidParams, DomainError and plain
         # file problems all surface here; internal invariants still raise

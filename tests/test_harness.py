@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import read_rows
-from nbqc import harness, nblift, qcpair
+from nbqc import nblift, qcpair
 from nbqc.binexpand import load_pair, read_matrix, write_matrix
 from nbqc.channel import ChannelParams, sample_error, syndrome_of
 from nbqc.decoder import DecoderConfig, SyndromeDecoder
@@ -471,32 +471,6 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
-
-    def test_reused_parser_parses_each_call_afresh(self, tmp_path, capsys, monkeypatch):
-        # main builds its parser once per process; no option given to one
-        # call may reach the next
-        assert harness._parser() is harness._parser()
-        assert main(["limits", "--fm", "0.1"]) == 0
-        assert [row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:]] == ["0.1"]
-        assert main(["limits"]) == 0
-        grid = [row.split(",")[0] for row in capsys.readouterr().out.splitlines()[1:]]
-        assert len(grid) == 66 and grid[0] == "0.005" and grid[-1] == "0.33"
-        # a command replaced after the parser was built still runs
-        ran = []
-        monkeypatch.setattr(harness, "cmd_limits", lambda args: ran.append(args.fm) or 0)
-        assert main(["limits", "--fm", "0.2"]) == 0 and ran == [[0.2]]
-
-        seen = []
-
-        def recording(pair, field, rng, reject_trivial=False, lift=nblift.lift):
-            seen.append(reject_trivial)
-            return lift(pair, field, rng, reject_trivial)
-
-        monkeypatch.setattr(nblift, "lift", recording)
-        flags = ["construct", "--p", "2", "--L", "6", "--P", "7", "--sigma", "2", "--tau", "3"]
-        assert main([*flags, "--reject-trivial", "--out", str(tmp_path / "a")]) == 0
-        assert main([*flags, "--out", str(tmp_path / "b")]) == 0
-        assert seen == [True, False]
 
     def test_serial_import_skips_process_pool(self):
         code = ("import sys, nbqc.harness; "
