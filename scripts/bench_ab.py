@@ -1,8 +1,10 @@
 """Alternating parent/change runs of the benchmark, with medians, IQRs and wins.
 
-    python scripts/bench_ab.py --parent HEAD~1 --workload sim-gf16-n168 --seeds 5-14 [--trace]
+    python scripts/bench_ab.py --parent HEAD~1 [--workload sim-gf16-n168] --seeds 5-14 [--trace]
 
-The change is the checkout this script sits in, working tree included.
+Without --workload, every workload of `BENCHMARK.json` runs, in its
+order, so one command prints the whole no-regression table.  The change
+is the checkout this script sits in, working tree included.
 The parent revision is checked out into a temporary `git worktree`,
 which is removed at the end.  For every seed, `perfbench/run.py` runs
 once on each side (untraced, `--seconds` each); the change runs first on
@@ -139,8 +141,9 @@ def run_pairs(sides: dict, workload: str, seeds: list[int], seconds: float,
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
-    ap.add_argument("--workload", action="append", required=True,
-                    help="workload name from BENCHMARK.json; repeat for several")
+    ap.add_argument("--workload", action="append",
+                    help="workload name from BENCHMARK.json; repeat for several "
+                         "(default: every workload)")
     ap.add_argument("--seeds", required=True, help="e.g. 5-14 or 3,7,9")
     ap.add_argument("--trace", action="store_true",
                     help="add one traced run per side and seed, and report the per-layer metrics")
@@ -151,6 +154,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     seconds = args.seconds or bench["run_seconds"]
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seeds = parse_seeds(args.seeds)
     # on SIGTERM, unwind: the running benchmark is killed and the worktree removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
@@ -159,7 +163,7 @@ def main(argv=None) -> int:
     subprocess.run(["git", "worktree", "add", "--detach", parent_dir, args.parent],
                    cwd=ROOT, check=True, capture_output=True)
     try:
-        for workload in args.workload:
+        for workload in workloads:
             runs, traced = run_pairs({"parent": parent_dir, "change": ROOT}, workload, seeds,
                                      seconds, args.trace, bench["end_to_end"])
             report(workload, bench["end_to_end"], runs)

@@ -265,11 +265,7 @@ def verify_pair_files(gamma_path, delta_path) -> list[tuple[str, bool, str]]:
     det_ok = bool(np.where(zero1 | zero2, zero1 & zero2, balanced).all())
     checks.append(("determinant_condition", det_ok, "per-row cycle products"))
 
-    # expanded here rather than by expand_pair, which would repeat the
-    # non-binary check above
-    bin_ok = nb_ok and binexpand.binary_orthogonal(
-        binexpand._expand_binary(gamma, transpose=False),
-        binexpand._expand_binary(delta, transpose=True))
+    bin_ok = nb_ok and binexpand.binary_orthogonal(gamma, delta)
     checks.append(("binary_orthogonal", bin_ok, "product over GF(2)"))
     return checks
 

@@ -2,10 +2,12 @@
 a tiny input and writes CSVs with the expected header and rows."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from nbqc.harness import CSV_HEADER
 
@@ -164,6 +166,27 @@ def test_bench_ab_traced_runs_and_per_layer_report(monkeypatch, capsys):
     assert "24 (24-24)" in lines["binexpand.binary_orthogonal_calls"]
     assert " 0/2 " in lines["binexpand.binary_orthogonal_calls"]
     assert "decoder.wht_s" not in lines     # a layer neither side reports is left out
+
+
+def test_bench_ab_defaults_to_every_workload(monkeypatch):
+    bench_ab = import_bench_ab()
+    ran, git = [], []
+    # no git and no benchmark runs: record what main would run
+    monkeypatch.setattr(bench_ab, "subprocess",
+                        SimpleNamespace(run=lambda cmd, **kw: git.append(cmd[1:3])))
+    monkeypatch.setattr(bench_ab, "signal", SimpleNamespace(signal=lambda *a: None, SIGTERM=15))
+    monkeypatch.setattr(bench_ab, "run_pairs",
+                        lambda sides, workload, *a: ran.append(workload) or ([], []))
+    monkeypatch.setattr(bench_ab, "report", lambda *a: None)
+    with open(ROOT / "BENCHMARK.json", encoding="ascii") as fh:
+        names = [w["name"] for w in json.load(fh)["workloads"]]
+    assert bench_ab.main(["--parent", "HEAD", "--seeds", "1"]) == 0
+    assert ran == names and len(names) == 3
+    ran.clear()
+    bench_ab.main(["--parent", "HEAD", "--seeds", "1", "--workload", "sim-gf16-n168",
+                   "--workload", "build-gf16-n1032"])
+    assert ran == ["sim-gf16-n168", "build-gf16-n1032"]
+    assert git == [["worktree", "add"], ["worktree", "remove"]] * 2
 
 
 LOC_MODULE = '''"""Module docstring,
