@@ -3,35 +3,34 @@
 Replacing every entry of the first matrix by its p x p binary image and
 every entry of the second by the transposed image turns an orthogonal
 pair over GF(2^p) into an orthogonal binary pair of pM x pN
-parity-check matrices.  Orthogonality over GF(2) is re-verified as a
-hard invariant, block by block from the entries' binary images.
+parity-check matrices: the image of x is the matrix of multiplication
+by x, so block (r, s) of the binary product is the image of the product
+of rows r and s over GF(2^p), and it is zero iff that product is.
+Orthogonality over GF(2) is re-verified on the expanded matrices, as a
+hard invariant, when they are built.
 
 Files carry only the non-binary matrices (plus field and construction
 parameters); the binary expansion is never stored.  A `CssCodePair`
-builds it on first use of `hc` or `hd`, so construct, verify, load and
-simulate never expand.  Both are held as row-major index arrays (see
-`qcpair` and `nblift`).  The expansion orders its ones with one sort of
-their row-major keys.
+builds it on first use of `hc` or `hd` (the tests and
+`channel.syndrome_of`), so construct, verify, load and simulate never
+expand.  Both are held as row-major index arrays (see `qcpair` and
+`nblift`).  The expansion orders its ones with one sort of their
+row-major keys.
 The reader parses all row lines together in array steps over their
 bytes; the writer applies one format string, built from the row
 weights, to all the entries at once.
 
 Costs.  The expansion reads each entry's image off the images of the
-p unit vectors, O(nnz p^2), and sorts the keys of its ones once; only
-the tests and `channel.syndrome_of` ask for it.  `binary_orthogonal`
-never expands.  Block (r, s) of the binary product is the sum, over the
-symbol columns that rows r of the first matrix and s of the second
-share, of the p x p products of their images.  It joins the symbol
-entries on their column and groups the joined pairs by row pair as
-`nblift.verify_orthogonal` does (`nblift._row_pair_xor`), forms each
-pair's p x p product over GF(2) as p column masks of p bits (each bit
-of one image selects a column of the other, and XOR sums them), and
-XOR-reduces each row pair's masks: O(K p^2) for a join of K
-symbol pairs, O(nnz x column weight), with no sort of K p^2 keys.  A
-pair of rows that shares no column has a zero product, so the check is
-exact.  No array has one cell per pair of rows.  The reader does O(1)
-array steps over the bytes and tokens of the file, and the writer one
-`%` over all of its entries.
+p unit vectors, O(nnz p^2), and sorts the keys of its ones once.
+`binary_orthogonal` joins the ones of the two matrices on their column
+(`qcpair._column_join`) and sorts the (row of a, row of b) key of every
+joined pair: the product vanishes iff every key occurs an even number
+of times.  A pair of rows that shares no column has a zero product, so
+the check is exact, and the join holds O(nnz x column weight) keys,
+about p^2 times the symbol-level join of `nblift.verify_orthogonal`.
+No array has one cell per pair of rows.  The reader does O(1) array
+steps over the bytes and tokens of the file, and the writer one `%`
+over all of its entries.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from nbqc.gf2p import FieldSpec, make_field
-from nbqc.nblift import DimensionMismatch, NBMatrix, _row_pair_xor, verify_orthogonal
-from nbqc.qcpair import QCParams, SparseBinaryMatrix
+from nbqc.nblift import DimensionMismatch, NBMatrix, verify_orthogonal
+from nbqc.qcpair import QCParams, SparseBinaryMatrix, _column_join
 
 
 class OrthogonalityBroken(AssertionError):
@@ -67,7 +66,8 @@ class FieldMismatch(ValueError):
 @dataclass(eq=False)
 class CssCodePair:
     """A full code pair: the non-binary matrices, whose binary expansions
-    `hc` and `hd` are built on first access and then kept.
+    `hc` and `hd` are built together on first access, checked for
+    orthogonality over GF(2) (`OrthogonalityBroken` if not), and kept.
 
     Rates follow from the block shape alone: R_C = 1 - J/L per
     constituent code and R_Q = 2 R_C - 1 = 1 - 2J/L for the pair, over
@@ -80,14 +80,22 @@ class CssCodePair:
     delta: NBMatrix
 
     @cached_property
+    def _binary(self) -> tuple[SparseBinaryMatrix, SparseBinaryMatrix]:
+        hc = _expand_binary(self.gamma, transpose=False)
+        hd = _expand_binary(self.delta, transpose=True)
+        if not binary_orthogonal(hc, hd):
+            raise OrthogonalityBroken("binary product nonzero after expansion")
+        return hc, hd
+
+    @property
     def hc(self) -> SparseBinaryMatrix:
         """The first matrix with each entry replaced by its p x p image."""
-        return _expand_binary(self.gamma, transpose=False)
+        return self._binary[0]
 
-    @cached_property
+    @property
     def hd(self) -> SparseBinaryMatrix:
         """The second matrix with each entry replaced by its transposed image."""
-        return _expand_binary(self.delta, transpose=True)
+        return self._binary[1]
 
     @property
     def M(self) -> int:
@@ -118,11 +126,12 @@ class CssCodePair:
 
 
 def expand_pair(gamma: NBMatrix, delta: NBMatrix) -> CssCodePair:
-    """Expand an orthogonal non-binary pair to its binary pair.
+    """The code pair of an orthogonal non-binary pair.
 
-    Verifies non-binary orthogonality up front and binary orthogonality
-    afterwards; the latter failing indicates a bug, not bad input.  The
-    binary matrices themselves are built only when first read.
+    Verifies orthogonality over GF(2^p) up front.  The binary matrices
+    are built, and their orthogonality over GF(2) verified, on first
+    read of `hc` or `hd`; that check failing indicates a bug, not bad
+    input.
     """
     field = gamma.field
     if not field.same_field(delta.field):
@@ -131,8 +140,6 @@ def expand_pair(gamma: NBMatrix, delta: NBMatrix) -> CssCodePair:
         raise DimensionMismatch("pair matrices must have equal shape")
     if not verify_orthogonal(gamma, delta):
         raise ValueError("input pair is not orthogonal over GF(2^p)")
-    if not binary_orthogonal(gamma, delta):
-        raise OrthogonalityBroken("binary product nonzero after expansion")
     return CssCodePair(field=field, params=gamma.params, gamma=gamma, delta=delta)
 
 
@@ -146,29 +153,14 @@ def _expand_binary(mat: NBMatrix, transpose: bool) -> SparseBinaryMatrix:
     return SparseBinaryMatrix(m=p * mat.m, n=width, row=row, col=col)
 
 
-def binary_orthogonal(gamma: NBMatrix, delta: NBMatrix) -> bool:
-    """The binary expansions of gamma (images) and delta (transposed
-    images) are orthogonal over GF(2), checked on p x p blocks without
-    building either expansion (see the module docstring).
-
-    Raises DimensionMismatch if the column counts differ.
-    """
-    field, p = gamma.field, gamma.field.p
-    # the columns of each entry's image as p-bit masks, which fit uint16.
-    # The second expansion holds the transposed images, so a block of the
-    # product is gamma's image times delta's image: its column i XORs the
-    # columns j of gamma's image over the ones j in column i of delta's
-    cols_g = field.unit_images(gamma.val).astype(np.uint16)
-    cols_d = field.unit_images(delta.val).astype(np.uint16)
-
-    def block_products(ig, id_):
-        left, right = cols_g[ig], cols_d[id_]
-        out = np.zeros_like(left)
-        for j in range(p):
-            out ^= (right >> j & 1) * left[:, j, None]
-        return out
-
-    return not _row_pair_xor(gamma, delta, block_products).any()
+def binary_orthogonal(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> bool:
+    """a @ b.T == 0 over GF(2), via a sparse column join."""
+    if a.n != b.n:
+        raise DimensionMismatch(f"column counts differ: {a.n} != {b.n}")
+    ia, ib = _column_join(a.col, b.col, a.n)
+    keys = np.sort(a.row[ia] * b.m + b.row[ib])
+    # every (row of a, row of b) run has even length iff the sorted keys pair up
+    return len(keys) % 2 == 0 and bool((keys[0::2] == keys[1::2]).all())
 
 
 # -- NBQC text format ---------------------------------------------------------
@@ -338,7 +330,7 @@ def _numbers(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, base: int):
 
 
 def load_pair(gamma_path, delta_path) -> CssCodePair:
-    """Read both matrices, cross-check them, and expand to a code pair."""
+    """Read both matrices, cross-check them, and build their code pair."""
     gamma = read_matrix(gamma_path)
     delta = read_matrix(delta_path, expected_field=gamma.field)
     if gamma.role != "GAMMA" or delta.role != "DELTA":

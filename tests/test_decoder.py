@@ -493,35 +493,6 @@ class TestDecode:
         assert all(out.iterations >= 1 for out in outcomes)
         assert peak < dec.M * dec.L * dec.q * 8, peak
 
-    def test_first_pass_and_characters_allocate_no_buffers(self):
-        # iteration 1's syndrome shift and the characters of iteration 2 run
-        # on decoder-owned buffers: at GF(256) n=336 a broadcast XOR
-        # allocated a 64 KB ufunc buffer, and the characters four (q, M)
-        # temporaries of 28 KB each
-        code = ex1_code(8)
-        dec = SyndromeDecoder(code, "C")
-        p0 = init_pmf(0.04, 8)
-        rng = np.random.default_rng(4)
-        syndromes = [rng.integers(0, dec.q, dec.M) for _ in range(10)]
-        dec._first_check_messages(p0, syndromes[0], np.empty((2, code.N, dec.q)))
-        out = np.empty((2, code.N, dec.q))
-        chis, peaks = [], []
-        tracemalloc.start()
-        try:
-            for s in syndromes:
-                tracemalloc.reset_peak()
-                start = tracemalloc.get_traced_memory()[0]
-                dec._first_check_messages(p0, s, out)
-                dec._syndrome_characters(s)
-                peaks.append(tracemalloc.get_traced_memory()[1] - start)
-                chis.append(dec._chi.copy())
-        finally:
-            tracemalloc.stop()
-        assert max(peaks) < 4096, peaks
-        parity = np.array([bin(v).count("1") & 1 for v in range(dec.q)])
-        for s, chi in zip(syndromes, chis):
-            assert np.array_equal(chi, 1.0 - 2.0 * parity[np.arange(dec.q)[:, None] & s])
-
     def test_nonzero_syndrome_never_stops_at_iteration_zero(self, code):
         dec = SyndromeDecoder(code, "C")
         rng = np.random.default_rng(12)

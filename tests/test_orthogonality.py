@@ -1,12 +1,10 @@
 """Sparse orthogonality checks and array expansion against test oracles.
 
 The library joins nonzeros on their column instead of comparing every
-pair of rows, checks the binary product on p x p blocks without
-expanding, and expands matrices in array steps instead of entry by
-entry.  `oracles` keeps the direct formulations: the binary verdict must
-match the product of the oracle's per-entry expansions, and every
-expanded row the oracle's rows, on orthogonal pairs and on pairs broken
-by one entry or one bit of one entry.
+pair of rows, and expands matrices in array steps instead of entry by
+entry.  `oracles` keeps the direct formulations; every verdict and
+every expanded row must match them, on orthogonal pairs and on pairs
+broken by one bit or one entry.
 """
 
 import numpy as np
@@ -15,14 +13,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nbqc.binexpand import _expand_binary, binary_orthogonal, expand_pair
+from nbqc import binexpand
+from nbqc.binexpand import (OrthogonalityBroken, _expand_binary, binary_orthogonal,
+                            expand_pair)
 from nbqc.decoder import SyndromeDecoder
 from nbqc.gf2p import make_field
 from nbqc.nblift import DimensionMismatch, NBMatrix, lift, verify_orthogonal
 from nbqc.qcpair import QCParams, SparseBinaryMatrix, _column_index, _column_join, build_pair
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
-FIELDS = {p: make_field(p) for p in (2, 3, 4, 8, 16)}
+FIELDS = {p: make_field(p) for p in (2, 4, 8)}
+
+
+def random_binary(rng, m, n, density) -> SparseBinaryMatrix:
+    return oracles.from_rows(m, n, [
+        np.flatnonzero(rng.random(n) < density).tolist() for _ in range(m)])
 
 
 def random_nb(rng, field, m, n, density, role="GAMMA") -> NBMatrix:
@@ -38,33 +43,18 @@ def lifted_pair(p, seed):
     return lift(pair, FIELDS[p], np.random.default_rng(seed))
 
 
-def expanded(gamma, delta) -> tuple[SparseBinaryMatrix, SparseBinaryMatrix]:
-    """The oracle's per-entry binary expansions of a pair."""
-    return oracles.expand_binary(gamma, False), oracles.expand_binary(delta, True)
-
-
-def oracle_binary(gamma, delta) -> bool:
-    """Binary orthogonality of the pair by the oracle's row-pair loop."""
-    return oracles.binary_orthogonal(*expanded(gamma, delta))
-
-
-def dense_binary(gamma, delta) -> bool:
-    """Binary orthogonality of the pair by the dense product."""
-    return not oracles.dense_mod2_product(*expanded(gamma, delta)).any()
-
-
 shapes = dict(seed=st.integers(0, 2 ** 32 - 1), m_a=st.integers(0, 7),
               m_b=st.integers(0, 7), n=st.integers(1, 10),
               density=st.sampled_from([0.1, 0.3, 0.6]))
 
 
-@given(p=st.sampled_from([2, 4, 8]), **shapes)
+@given(**shapes)
 @settings(max_examples=150, deadline=None)
-def test_binary_matches_oracle_on_random_matrices(p, seed, m_a, m_b, n, density):
+def test_binary_matches_oracle_on_random_matrices(seed, m_a, m_b, n, density):
     rng = np.random.default_rng(seed)
-    gamma = random_nb(rng, FIELDS[p], m_a, n, density)
-    delta = random_nb(rng, FIELDS[p], m_b, n, density, role="DELTA")
-    assert binary_orthogonal(gamma, delta) == oracle_binary(gamma, delta)
+    a = random_binary(rng, m_a, n, density)
+    b = random_binary(rng, m_b, n, density)
+    assert binary_orthogonal(a, b) == oracles.binary_orthogonal(a, b)
 
 
 @given(p=st.sampled_from([2, 4, 8]), **shapes)
@@ -83,7 +73,9 @@ def test_lifted_pairs_and_single_changes(p, seed, pick):
     gamma, delta = lifted_pair(p, seed)
     field = FIELDS[p]
     assert verify_orthogonal(gamma, delta) and oracles.verify_orthogonal(gamma, delta)
-    assert binary_orthogonal(gamma, delta) and oracle_binary(gamma, delta)
+    hc = _expand_binary(gamma, transpose=False)
+    hd = _expand_binary(delta, transpose=True)
+    assert binary_orthogonal(hc, hd) and oracles.binary_orthogonal(hc, hd)
 
     # one GF(2^p) entry of delta changed, possibly to 0
     rng = np.random.default_rng(pick)
@@ -94,33 +86,29 @@ def test_lifted_pairs_and_single_changes(p, seed, pick):
     delta.val[k] = int((v + rng.integers(1, field.q)) % field.q)
     assert verify_orthogonal(gamma, delta) == oracles.verify_orthogonal(gamma, delta)
     assert not verify_orthogonal(gamma, delta)
-    assert binary_orthogonal(gamma, delta) == oracle_binary(gamma, delta)
-    delta.val[k] = v
+    # and so over GF(2): verify reports the GF(2) verdict as the GF(2^p) one
+    assert not binary_orthogonal(hc, _expand_binary(delta, transpose=True))
 
-    # one bit of one entry of gamma flipped, which changes that entry's
-    # binary image in every row and column where the image of the bit has a one
-    k = int(rng.integers(len(gamma.val)))
-    gamma.val[k] ^= 1 << int(rng.integers(field.p))
-    assert binary_orthogonal(gamma, delta) == oracle_binary(gamma, delta)
+    # one bit of the binary expansion flipped
+    r = int(rng.integers(hd.m))
+    col = int(rng.integers(hd.n))
+    rows = oracles.rows_of(hd)
+    rows[r] = sorted(set(rows[r]) ^ {col})
+    hd = oracles.from_rows(hd.m, hd.n, rows)
+    assert binary_orthogonal(hc, hd) == oracles.binary_orthogonal(hc, hd)
 
 
-@given(p=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2 ** 32 - 1),
-       overlap=st.sampled_from([1, 2, 3, 4, 5]))
+@given(seed=st.integers(0, 2 ** 32 - 1), overlap=st.sampled_from([1, 2, 3, 4, 5]))
 @settings(max_examples=60, deadline=None)
-def test_overlap_parity_decides_binary_verdict(p, seed, overlap):
-    # one row pair sharing exactly `overlap` columns, every other pair
-    # disjoint; every value is 1, so each shared column adds the identity block
+def test_overlap_parity_decides_binary_verdict(seed, overlap):
+    # one row pair sharing exactly `overlap` columns, every other pair disjoint
     rng = np.random.default_rng(seed)
     n = 16
     cols = rng.permutation(n)
     shared = cols[:overlap].tolist()
-
-    def ones(rows, role):
-        return oracles.nb_from_rows(2, n, [[(c, 1) for c in sorted(r)] for r in rows],
-                                    role, FIELDS[p], EX1)
-    gamma = ones([shared + cols[overlap:8].tolist(), []], "GAMMA")
-    delta = ones([[], shared + cols[8:12].tolist()], "DELTA")
-    assert binary_orthogonal(gamma, delta) == (overlap % 2 == 0) == oracle_binary(gamma, delta)
+    a = oracles.from_rows(2, n, [sorted(shared + cols[overlap:8].tolist()), []])
+    b = oracles.from_rows(2, n, [[], sorted(shared + cols[8:12].tolist())])
+    assert binary_orthogonal(a, b) == (overlap % 2 == 0) == oracles.binary_orthogonal(a, b)
 
 
 column_lists = st.integers(1, 9).flatmap(lambda n: st.tuples(
@@ -147,38 +135,32 @@ def test_column_join_lists_every_shared_column_pair(case):
     assert list(zip(ia.tolist(), ib.tolist())) == oracles.column_join(cols_a, cols_b)
 
 
-def doubled(rng, field, m, perm, role) -> NBMatrix:
-    """[X | X] with its 2k columns in the order `perm`: every entry of X,
-    value included, appears twice."""
-    k = len(perm) // 2
-    x = np.where(rng.random((m, k)) < 0.4, rng.integers(1, field.q, (m, k)), 0)
-    both = np.hstack((x, x))[:, perm]
-    return oracles.nb_from_rows(m, 2 * k, [[(c, int(r[c])) for c in np.flatnonzero(r)]
-                                           for r in both], role, field, EX1)
+def doubled_pair(rng, m_a, m_b, k) -> tuple[SparseBinaryMatrix, SparseBinaryMatrix]:
+    """An orthogonal pair: [X | X] and [Y | Y] with their 2k columns shuffled,
+    so every row pair shares an even number of columns."""
+    x = rng.random((m_a, k)) < 0.4
+    y = rng.random((m_b, k)) < 0.4
+    perm = rng.permutation(2 * k)
+    a, b = np.hstack((x, x))[:, perm], np.hstack((y, y))[:, perm]
+    return (oracles.from_rows(m_a, 2 * k, [np.flatnonzero(r).tolist() for r in a]),
+            oracles.from_rows(m_b, 2 * k, [np.flatnonzero(r).tolist() for r in b]))
 
 
-@given(p=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2 ** 32 - 1),
-       m_a=st.integers(0, 8), m_b=st.integers(0, 8), k=st.integers(1, 8),
-       flips=st.integers(0, 2))
+@given(seed=st.integers(0, 2 ** 32 - 1), m_a=st.integers(0, 8), m_b=st.integers(0, 8),
+       k=st.integers(1, 8), flips=st.integers(0, 2))
 @settings(max_examples=200, deadline=None)
-def test_binary_matches_dense_product_on_orthogonal_and_broken_pairs(p, seed, m_a, m_b, k,
-                                                                     flips):
-    # [X | X] and [Y | Y], columns shuffled alike: each row pair's products
-    # come in equal pairs, which cancel in characteristic 2
+def test_binary_matches_dense_product_on_orthogonal_and_broken_pairs(seed, m_a, m_b, k, flips):
     rng = np.random.default_rng(seed)
-    field, perm = FIELDS[p], rng.permutation(2 * k)
-    gamma, delta = doubled(rng, field, m_a, perm, "GAMMA"), doubled(rng, field, m_b, perm, "DELTA")
-    assert binary_orthogonal(gamma, delta) and dense_binary(gamma, delta)
-    # toggling entry (r, c) of gamma changes the product of row r with every
-    # row of delta that holds column c, unless a second toggle undoes it
-    rows = [dict(r) for r in oracles.rows_of(gamma)]
+    a, b = doubled_pair(rng, m_a, m_b, k)
+    assert binary_orthogonal(a, b) and not oracles.dense_mod2_product(a, b).any()
+    # flipping bit (r, c) of a changes the product of row r with every row
+    # of b that holds column c, unless a second flip undoes it
+    rows = oracles.rows_of(a)
     for _ in range(flips if m_a else 0):
         r, c = int(rng.integers(m_a)), int(rng.integers(2 * k))
-        if rows[r].pop(c, None) is None:
-            rows[r][c] = int(rng.integers(1, field.q))
-    gamma = oracles.nb_from_rows(m_a, 2 * k, [sorted(r.items()) for r in rows], "GAMMA",
-                                 field, EX1)
-    assert binary_orthogonal(gamma, delta) == dense_binary(gamma, delta)
+        rows[r] = sorted(set(rows[r]) ^ {c})
+    a = oracles.from_rows(m_a, 2 * k, rows)
+    assert binary_orthogonal(a, b) == (not oracles.dense_mod2_product(a, b).any())
 
 
 class TestEdgeCases:
@@ -189,33 +171,33 @@ class TestEdgeCases:
         full = random_nb(np.random.default_rng(p), field, 4, 5, 0.8)
         for g, d in ((empty, empty), (empty, full), (full, empty)):
             assert verify_orthogonal(g, d)
-            assert binary_orthogonal(g, d)
+        bempty = oracles.from_rows(0, 5, [])
+        bfull = random_binary(np.random.default_rng(p), 4, 5, 0.8)
+        for a, b in ((bempty, bempty), (bempty, bfull), (bfull, bempty)):
+            assert binary_orthogonal(a, b)
 
     def test_rows_without_ones_are_orthogonal(self):
-        field = FIELDS[4]
-        nothing = oracles.nb_from_rows(3, 5, [[], [], []], "GAMMA", field, EX1)
-        some = oracles.nb_from_rows(2, 5, [[(0, 1), (4, 15)], [(1, 2)]], "DELTA", field, EX1)
+        nothing = oracles.from_rows(3, 5, [[], [], []])
+        some = oracles.from_rows(2, 5, [[0, 4], [1]])
         for a, b in ((nothing, nothing), (nothing, some), (some, nothing)):
             assert binary_orthogonal(a, b)
 
     def test_columns_used_by_one_side_only(self):
         # columns 3 and 4 are a's alone, 0 is b's alone; the shared column 1
         # decides the verdict, and the empty column 2 adds nothing
-        field = FIELDS[4]
-        a = oracles.nb_from_rows(2, 5, [[(1, 3), (3, 7), (4, 9)], [(3, 1)]], "GAMMA", field, EX1)
-        b = oracles.nb_from_rows(2, 5, [[(0, 5)], [(0, 2), (1, 11)]], "DELTA", field, EX1)
+        a = oracles.from_rows(2, 5, [[1, 3, 4], [3]])
+        b = oracles.from_rows(2, 5, [[0], [0, 1]])
         assert not binary_orthogonal(a, b)
-        assert binary_orthogonal(
-            a, oracles.nb_from_rows(2, 5, [[(0, 6)], [(0, 13)]], "DELTA", field, EX1))
+        assert binary_orthogonal(a, oracles.from_rows(2, 5, [[0], [0]]))
         for x, y in ((a, b), (b, a)):
-            assert binary_orthogonal(x, y) == dense_binary(x, y)
+            assert binary_orthogonal(x, y) == (not oracles.dense_mod2_product(x, y).any())
 
     def test_disjoint_supports_are_orthogonal(self):
         field = FIELDS[4]
         gamma = oracles.nb_from_rows(2, 6, [[(0, 3), (1, 7)], [(2, 9)]], "GAMMA", field, EX1)
         delta = oracles.nb_from_rows(2, 6, [[(3, 5), (4, 1)], [(5, 2)]], "DELTA", field, EX1)
         assert verify_orthogonal(gamma, delta)
-        assert binary_orthogonal(gamma, delta)
+        assert binary_orthogonal(gamma.support(), delta.support())
 
     def test_column_count_mismatch(self):
         field = FIELDS[4]
@@ -224,7 +206,7 @@ class TestEdgeCases:
         with pytest.raises(DimensionMismatch):
             verify_orthogonal(gamma, delta)
         with pytest.raises(DimensionMismatch):
-            binary_orthogonal(gamma, delta)
+            binary_orthogonal(gamma.support(), delta.support())
 
 
 @given(p=st.sampled_from([2, 4, 8]), transpose=st.booleans(), reverse=st.booleans(),
@@ -253,41 +235,40 @@ def test_expand_binary_of_unsorted_rows(transpose):
 
 
 @pytest.mark.parametrize("p", [2, 4, 8])
-def test_expand_pair_matches_oracle_on_lifted_pair(p):
+def test_expand_pair_matches_oracle_on_lifted_pair(p, monkeypatch):
+    expansions = []
+
+    def counted(mat, transpose):
+        expansions.append(transpose)
+        return _expand_binary(mat, transpose)
+
+    monkeypatch.setattr(binexpand, "_expand_binary", counted)
     gamma, delta = lifted_pair(p, 100 + p)
     code = expand_pair(gamma, delta)
     # the binary matrices are built on first use: neither expand_pair nor
     # decoding builds them
     for role in "CD":
         SyndromeDecoder(code, role).decode(np.ones(code.M, dtype=np.int64), 0.05)
-    assert "hc" not in vars(code) and "hd" not in vars(code)
-    hc, hd = code.hc, code.hd
+    assert expansions == []
+    hc = code.hc
+    assert expansions == [False, True]          # both at once, on the first read
+    hd = code.hd
     assert oracles.rows_of(hc) == oracles.rows_of(oracles.expand_binary(gamma, False))
     assert oracles.rows_of(hd) == oracles.rows_of(oracles.expand_binary(delta, True))
-    assert (hc.m, hc.n) == (hd.m, hd.n) == (p * code.M, p * code.N)
-    assert code.hc is hc and code.hd is hd      # built once, then kept
+    assert code.hc is hc and code.hd is hd and len(expansions) == 2   # then kept
 
 
-@given(p=st.sampled_from([2, 3, 4, 8]), seed=st.integers(0, 2 ** 32 - 1),
-       corrupt=st.sampled_from([None, "GAMMA", "DELTA"]), pick=st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_block_check_equals_dense_product_of_expansions(p, seed, corrupt, pick):
-    # an orthogonal lift, or one with a single value of one matrix changed
-    # (possibly to 0)
-    gamma, delta = lifted_pair(p, seed)
-    if corrupt:
-        mat = gamma if corrupt == "GAMMA" else delta
-        rng = np.random.default_rng(pick)
-        k = int(rng.integers(len(mat.val)))
-        mat.val[k] = (mat.val[k] + rng.integers(1, mat.field.q)) % mat.field.q
-    assert binary_orthogonal(gamma, delta) == dense_binary(gamma, delta)
-    assert binary_orthogonal(gamma, delta) == (corrupt is None)
+def test_broken_expansion_raises_on_first_read(monkeypatch):
+    # one one of Hd dropped: its row's product with each row of Hc that
+    # holds that column becomes odd
+    def drop_first_one_of_hd(mat, transpose):
+        h = _expand_binary(mat, transpose)
+        first = 1 if transpose else 0
+        return SparseBinaryMatrix(m=h.m, n=h.n, row=h.row[first:], col=h.col[first:])
 
-
-def test_block_check_at_p16():
-    # 16 x 16 blocks: the row masks use all 16 bits
-    gamma, delta = lifted_pair(16, 7)
-    assert binary_orthogonal(gamma, delta) and dense_binary(gamma, delta)
-    delta.val[5] ^= 1 << 15
-    assert not binary_orthogonal(gamma, delta) and not dense_binary(gamma, delta)
-
+    monkeypatch.setattr(binexpand, "_expand_binary", drop_first_one_of_hd)
+    code = expand_pair(*lifted_pair(4, 3))
+    with pytest.raises(OrthogonalityBroken):
+        code.hc
+    with pytest.raises(OrthogonalityBroken):
+        code.hd
