@@ -1,9 +1,12 @@
 """Quantum CSS code pairs from non-binary quasi-cyclic LDPC matrices.
 
 Pipeline: orthogonal binary quasi-cyclic pair -> non-binary lift over
-GF(2^p) -> binary expansion through the companion-matrix map.  Decoding
-is syndrome sum-product over GF(2)^p with Walsh-Hadamard check-node
-convolution; the harness runs seeded Monte Carlo block-error sweeps.
+GF(2^p) -> code pair on pN qubits, whose binary matrices are the
+companion-matrix images of the entries.  Those matrices are never
+built: syndromes apply them one p x p image at a time, and the tests
+build them to check orthogonality over GF(2).  Decoding is syndrome
+sum-product over GF(2)^p with Walsh-Hadamard check-node convolution;
+the harness runs seeded Monte Carlo block-error sweeps.
 """
 
 from nbqc.gf2p import FieldSpec, make_field

@@ -1,54 +1,35 @@
-"""Binary expansion of a lifted pair and the NBQC interchange format.
+"""The code pair of a lifted pair, and the NBQC interchange format.
 
 Replacing every entry of the first matrix by its p x p binary image and
 every entry of the second by the transposed image turns an orthogonal
 pair over GF(2^p) into an orthogonal binary pair of pM x pN
 parity-check matrices: the image of x is the matrix of multiplication
 by x, so block (r, s) of the binary product is the image of the product
-of rows r and s over GF(2^p), and it is zero iff that product is.
-Orthogonality over GF(2) is re-verified on the expanded matrices, as a
-hard invariant, when they are built.
+of rows r and s over GF(2^p), and it is zero iff that product is.  So
+`expand_pair` checks orthogonality over GF(2^p) only, and the library
+never builds the binary matrices: `channel.syndrome_of` applies them
+one p x p image at a time, and the tests build them entry by entry
+(`tests/oracles.py`) to check the product over GF(2).
 
 Files carry only the non-binary matrices (plus field and construction
-parameters); the binary expansion is never stored.  A `CssCodePair`
-builds it on first use of `hc` or `hd` (the tests and
-`channel.syndrome_of`), so construct, verify, load and simulate never
-expand.  Both are held as row-major index arrays (see `qcpair` and
-`nblift`).  The expansion orders its ones with one sort of their
-row-major keys.
-The reader parses all row lines together in array steps over their
-bytes; the writer applies one format string, built from the row
-weights, to all the entries at once.
-
-Costs.  The expansion reads each entry's image off the images of the
-p unit vectors, O(nnz p^2), and sorts the keys of its ones once.
-`binary_orthogonal` joins the ones of the two matrices on their column
-(`qcpair._column_join`) and sorts the (row of a, row of b) key of every
-joined pair: the product vanishes iff every key occurs an even number
-of times.  A pair of rows that shares no column has a zero product, so
-the check is exact, and the join holds O(nnz x column weight) keys,
-about p^2 times the symbol-level join of `nblift.verify_orthogonal`.
-No array has one cell per pair of rows.  The reader does O(1) array
-steps over the bytes and tokens of the file, and the writer one `%`
-over all of its entries.
+parameters), held as row-major index arrays (see `qcpair` and
+`nblift`).  The reader parses all row lines together in array steps
+over their bytes, O(1) steps over the bytes and tokens of the file; the
+writer applies one format string, built from the row weights, to all
+the entries at once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from nbqc.gf2p import FieldSpec, make_field
 from nbqc.nblift import DimensionMismatch, NBMatrix, verify_orthogonal
-from nbqc.qcpair import QCParams, SparseBinaryMatrix, _column_join
-
-
-class OrthogonalityBroken(AssertionError):
-    """Binary product check failed after expansion (internal invariant)."""
+from nbqc.qcpair import QCParams
 
 
 class ParseError(ValueError):
@@ -65,9 +46,7 @@ class FieldMismatch(ValueError):
 
 @dataclass(eq=False)
 class CssCodePair:
-    """A full code pair: the non-binary matrices, whose binary expansions
-    `hc` and `hd` are built together on first access, checked for
-    orthogonality over GF(2) (`OrthogonalityBroken` if not), and kept.
+    """A full code pair: the two non-binary matrices over one field.
 
     Rates follow from the block shape alone: R_C = 1 - J/L per
     constituent code and R_Q = 2 R_C - 1 = 1 - 2J/L for the pair, over
@@ -78,24 +57,6 @@ class CssCodePair:
     params: QCParams
     gamma: NBMatrix
     delta: NBMatrix
-
-    @cached_property
-    def _binary(self) -> tuple[SparseBinaryMatrix, SparseBinaryMatrix]:
-        hc = _expand_binary(self.gamma, transpose=False)
-        hd = _expand_binary(self.delta, transpose=True)
-        if not binary_orthogonal(hc, hd):
-            raise OrthogonalityBroken("binary product nonzero after expansion")
-        return hc, hd
-
-    @property
-    def hc(self) -> SparseBinaryMatrix:
-        """The first matrix with each entry replaced by its p x p image."""
-        return self._binary[0]
-
-    @property
-    def hd(self) -> SparseBinaryMatrix:
-        """The second matrix with each entry replaced by its transposed image."""
-        return self._binary[1]
 
     @property
     def M(self) -> int:
@@ -128,10 +89,8 @@ class CssCodePair:
 def expand_pair(gamma: NBMatrix, delta: NBMatrix) -> CssCodePair:
     """The code pair of an orthogonal non-binary pair.
 
-    Verifies orthogonality over GF(2^p) up front.  The binary matrices
-    are built, and their orthogonality over GF(2) verified, on first
-    read of `hc` or `hd`; that check failing indicates a bug, not bad
-    input.
+    Verifies orthogonality over GF(2^p), which implies it over GF(2) for
+    the binary expansion (module docstring).
     """
     field = gamma.field
     if not field.same_field(delta.field):
@@ -141,26 +100,6 @@ def expand_pair(gamma: NBMatrix, delta: NBMatrix) -> CssCodePair:
     if not verify_orthogonal(gamma, delta):
         raise ValueError("input pair is not orthogonal over GF(2^p)")
     return CssCodePair(field=field, params=gamma.params, gamma=gamma, delta=delta)
-
-
-def _expand_binary(mat: NBMatrix, transpose: bool) -> SparseBinaryMatrix:
-    p, width = mat.field.p, mat.field.p * mat.n
-    # bit i of image column j is entry [i, j] of the entry's p x p image
-    images = mat.field.unit_images(mat.val, transpose)
-    entry, i, j = np.nonzero((images[:, None, :] >> np.arange(p)[:, None]) & 1)
-    # one sort of the row-major keys orders the ones, whatever the input's column order
-    row, col = np.divmod(np.sort((mat.row[entry] * p + i) * width + mat.col[entry] * p + j), width)
-    return SparseBinaryMatrix(m=p * mat.m, n=width, row=row, col=col)
-
-
-def binary_orthogonal(a: SparseBinaryMatrix, b: SparseBinaryMatrix) -> bool:
-    """a @ b.T == 0 over GF(2), via a sparse column join."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"column counts differ: {a.n} != {b.n}")
-    ia, ib = _column_join(a.col, b.col, a.n)
-    keys = np.sort(a.row[ia] * b.m + b.row[ib])
-    # every (row of a, row of b) run has even length iff the sorted keys pair up
-    return len(keys) % 2 == 0 and bool((keys[0::2] == keys[1::2]).all())
 
 
 # -- NBQC text format ---------------------------------------------------------

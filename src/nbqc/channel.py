@@ -8,6 +8,10 @@ is exactly 2 f_dep / 3 = f_m.  In independent mode the two components
 are sampled as separate Bernoulli(f_m) bit vectors, which is the model
 the per-component decoder actually assumes; joint mode keeps the X/Z
 correlation of the real channel.
+
+A syndrome is the product of a constituent code's binary matrix with an
+error's bits over GF(2).  `syndrome_of` applies that matrix block by
+block from the field's p x p images and never builds it.
 """
 
 from __future__ import annotations
@@ -66,29 +70,27 @@ def _pack_symbols(bits: np.ndarray, p: int) -> np.ndarray:
     return bits.reshape(-1, p).astype(np.int64) @ weights
 
 
-def unpack_symbols(symbols: np.ndarray, p: int) -> np.ndarray:
-    """Length-pN bit vector of a symbol array (bit j of symbol n at pn+j)."""
-    symbols = np.asarray(symbols, dtype=np.int64)
-    return ((symbols[:, None] >> np.arange(p)) & 1).reshape(-1).astype(np.uint8)
-
-
 def syndrome_of(code: CssCodePair, role: str, error: np.ndarray) -> np.ndarray:
     """Length-M symbol syndrome of an error under one constituent code.
 
-    The GF(2) product of the code's binary matrix (hc for role C, hd
+    The GF(2) product of the code's binary matrix (Hc for role C, Hd
     for role D) with the error's bits, packed back into symbols: bit i
-    of check m's syndrome is row pm + i of the product.  It reads only
-    the expansion, not the decoder's symbol tables, so it re-checks
-    them independently.  Symbols must lie in [0, q).
+    of check m's syndrome is row pm + i of the product.  It is taken
+    one p x p block at a time, O(nnz p): each entry XORs the columns of
+    its image (`FieldSpec.unit_images`, transposed for role D) that the
+    bits of its error symbol select, and each check XORs its entries.
+    It does not read the decoder's symbol tables, so it re-checks them
+    independently.  Symbols must lie in [0, q).
     """
-    if role not in ("C", "D"):
-        raise ValueError(f"role must be 'C' or 'D', got {role!r}")
+    mat = code.matrix(role)
     error = np.asarray(error, dtype=np.int64)
     if error.shape != (code.N,):
         raise DimensionMismatch(
             f"error must be {code.N} symbols, got shape {error.shape}")
     if not 0 <= error.min() <= error.max() < code.field.q:
         raise DimensionMismatch(f"error symbols must lie in [0, {code.field.q})")
-    h = code.hc if role == "C" else code.hd
-    ones = unpack_symbols(error, code.field.p)[h.col] != 0
-    return _pack_symbols(np.bincount(h.row[ones], minlength=h.m) & 1, code.field.p)
+    images = code.field.unit_images(mat.val, transpose=role == "D")
+    bits = (error[mat.col, None] >> np.arange(code.field.p)) & 1
+    syndrome = np.zeros(code.M, dtype=np.int64)
+    np.bitwise_xor.at(syndrome, mat.row, np.bitwise_xor.reduce(images * bits, axis=1))
+    return syndrome

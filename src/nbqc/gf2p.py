@@ -11,7 +11,9 @@ bit vector of x * alpha^j.  The image of alpha is the companion matrix
 of the primitive polynomial; the map preserves sums and products, which
 is what lets a non-binary parity-check pair expand to an orthogonal
 binary pair.  The library uses the images only as index maps on
-symbols; the matrices themselves, and per-element field arithmetic,
+symbols: the decoder's symbol tables, and `channel.syndrome_of`, which
+applies each entry's image by its columns.  The matrices themselves,
+the binary expansion built from them, and per-element field arithmetic
 are built by the tests.
 """
 
@@ -74,7 +76,7 @@ class FieldSpec:
     # -- index maps on [0, q) -----------------------------------------------
     # The action of companion(x) on coefficient vectors, viewed as a
     # permutation of symbol values.  These drive the decoder and the
-    # binary expansion without materialising any matrices.
+    # syndrome without materialising any matrices.
 
     def unit_images(self, values, transpose: bool = False) -> np.ndarray:
         """(len(values), p) array: entry [i, j] is the symbol that

@@ -241,9 +241,12 @@ def verify_pair_files(gamma_path, delta_path) -> list[tuple[str, bool, str]]:
 
     pair = build_pair(params)
     hc, hd = pair.expand_c(), pair.expand_d()
-    sup_ok = all(np.array_equal(mat.row, h.row) and np.array_equal(mat.col, h.col)
-                 for mat, h in ((gamma, hc), (delta, hd)))
-    checks.append(("supports_match_construction", sup_ok, "supports vs QC expansion"))
+    shapes_ok = all((mat.m, mat.n) == (h.m, h.n) for mat, h in ((gamma, hc), (delta, hd)))
+    sup_ok = shapes_ok and all(np.array_equal(mat.row, h.row) and np.array_equal(mat.col, h.col)
+                               for mat, h in ((gamma, hc), (delta, hd)))
+    shapes = f"M x N {gamma.m}x{gamma.n}/{delta.m}x{delta.n} vs QC expansion {hc.m}x{hc.n}"
+    checks.append(("supports_match_construction", sup_ok,
+                   "supports vs QC expansion" if shapes_ok else shapes))
 
     gw = {w for mat in (gamma, delta) for w in np.bincount(mat.row, minlength=mat.m).tolist()}
     checks.append(("row_weight", gw == {params.L}, f"row weights {sorted(gw)}"))
@@ -254,6 +257,8 @@ def verify_pair_files(gamma_path, delta_path) -> list[tuple[str, bool, str]]:
     checks.append(("no_symbol_4cycles",
                    not has_4cycle(gamma.support()) and not has_4cycle(delta.support()),
                    "symbol-level Tanner graphs"))
+    if not shapes_ok:       # the product and cycle checks need the construction's shape
+        return checks
 
     nb_ok = nblift.verify_orthogonal(gamma, delta)
     checks.append(("nonbinary_orthogonal", nb_ok, "product over GF(2^p)"))
@@ -267,7 +272,7 @@ def verify_pair_files(gamma_path, delta_path) -> list[tuple[str, bool, str]]:
 
     # block (r, s) of the binary product is the image of the product of rows
     # r and s over GF(2^p) (binexpand docstring), so this verdict is the one
-    # above; CssCodePair checks the expanded matrices themselves when built
+    # above; the tests check the expanded matrices themselves
     checks.append(("binary_orthogonal", nb_ok,
                    "product over GF(2), implied by the product over GF(2^p)"))
     return checks

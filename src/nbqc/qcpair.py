@@ -11,7 +11,7 @@ A sparse binary matrix is stored as two int64 index arrays, `row` and
 each row.  The expansion writes them in one broadcast, and the matrices
 of the construction have uniform row weight, so `col.reshape(m, L)` is
 the support row by row.  Checks that pair up nonzeros (4-cycles here,
-orthogonality in `nblift` and `binexpand`) join the index arrays with
+orthogonality over GF(2^p) in `nblift`) join the index arrays with
 `_column_join` instead of comparing rows.  It reads each column's
 entries off `_column_index`, offsets found by counting, which the cycle
 walk of `nblift` uses too.
@@ -46,14 +46,6 @@ class ExponentMatrix:
 
     role: str
     table: np.ndarray
-
-    @property
-    def J(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def L(self) -> int:
-        return self.table.shape[1]
 
 
 @dataclass(eq=False)

@@ -1,9 +1,9 @@
 """Direct reference implementations, for tests only.
 
 The library checks orthogonality by a sparse column join, expands
-matrices in array steps, solves the balance equations on their graph
-and walks cycles through a column index; these are the direct
-formulations they must agree with.  The orthogonality checks compare
+quasi-cyclic matrices in array steps, solves the balance equations on
+their graph and walks cycles through a column index; these are the
+direct formulations they must agree with.  The orthogonality checks compare
 every pair of rows (or loop over every entry), so they are quadratic in
 the row count.  The Howell-form solver reduces dense rows over Z_m for
 any homogeneous system, zero-divisor pivots included.  The single-message
@@ -27,6 +27,16 @@ token-by-token NBQC row reader that the array reader replaces, and
 Per-element field arithmetic, the explicit binary images (`companion`),
 field powers and the exponent-table printout are used by tests only.
 All of them are kept out of `src/`.
+
+The binary expansion itself lives only here: `expand_binary` replaces
+each entry by its `companion` image (transposed for the second matrix),
+entry by entry, and `binary_orthogonal` and `dense_mod2_product` check
+the GF(2) product of the expanded pair.  The library checks the pair
+over GF(2^p) only, which implies the GF(2) verdict, so the tests built
+on these are the GF(2) gate of the construction.  `binary_syndrome` is the dense
+GF(2) product that `channel.syndrome_of` takes block by block, and
+`unpack_symbols`/`pack_symbols` convert between symbols and their bits
+(bit j of symbol n at pn + j).
 """
 
 import itertools
@@ -205,6 +215,25 @@ def syndrome_of(code: CssCodePair, role: str, error: np.ndarray) -> np.ndarray:
                 acc ^= int(transpose_index_table(field, v)[error[n]])
         syndrome[m] = acc
     return syndrome
+
+
+def unpack_symbols(symbols, p: int) -> np.ndarray:
+    """Length-pN bit vector of a symbol array (bit j of symbol n at pn + j)."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    return ((symbols[:, None] >> np.arange(p)) & 1).reshape(-1).astype(np.uint8)
+
+
+def pack_symbols(bits, p: int) -> np.ndarray:
+    """The symbols of a length-pN bit vector; inverse of `unpack_symbols`."""
+    return np.asarray(bits, dtype=np.int64).reshape(-1, p) @ (1 << np.arange(p))
+
+
+def binary_syndrome(code: CssCodePair, role: str, error: np.ndarray) -> np.ndarray:
+    """The symbols of Hc e (role C) or Hd e (role D) over GF(2), with the
+    dense expansion of `expand_binary` and the error's bits."""
+    h = expand_binary(code.matrix(role), transpose=role == "D")
+    return pack_symbols(dense(h).astype(np.int64) @ unpack_symbols(error, code.field.p) % 2,
+                        code.field.p)
 
 
 def sample_error(n_sym: int, p: int, params, rng: np.random.Generator):

@@ -1,9 +1,11 @@
-"""Binary expansion and NBQC format tests.
+"""Code pair and NBQC format tests.
 
-The dense GF(2) matrix product is the orthogonality oracle.  The
-tests/data fixtures are an externally constructed GF(16) pair on the
-(2, 6, 7) template, used to cross-validate the reader and every
-structural invariant against data this codebase did not generate.
+The binary expansion is built entry by entry by `oracles.expand_binary`
+(the library never builds it), and the dense GF(2) matrix product is
+its orthogonality oracle.  The tests/data fixtures are an externally
+constructed GF(16) pair on the (2, 6, 7) template, used to
+cross-validate the reader and every structural invariant against data
+this codebase did not generate.
 """
 
 import io
@@ -14,10 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (col_supports, dense, dense_mod2_product, field_exp, nb_from_rows,
-                     read_rows, rows_of, write_rows)
-from nbqc.binexpand import (CssCodePair, FieldMismatch, OrthogonalityBroken,
-                            ParseError, binary_orthogonal, expand_pair,
+from oracles import (binary_orthogonal, col_supports, dense, dense_mod2_product,
+                     expand_binary, field_exp, nb_from_rows, read_rows, rows_of, write_rows)
+from nbqc.binexpand import (CssCodePair, FieldMismatch, ParseError, expand_pair,
                             load_pair, read_matrix, write_matrix)
 from nbqc.gf2p import make_field
 from nbqc.nblift import NBMatrix, lift, verify_orthogonal
@@ -44,11 +45,17 @@ def make_code(seed=3, p=4) -> CssCodePair:
     return expand_pair(*lift(pair, field, rng))
 
 
+def binary_pair(code: CssCodePair):
+    """(Hc, Hd): the first matrix's images and the second's transposed images."""
+    return expand_binary(code.gamma, False), expand_binary(code.delta, True)
+
+
 class TestExpandPair:
     def test_dims_and_rates(self):
         code = make_code()
-        assert (code.hc.m, code.hc.n) == (56, 168)
-        assert (code.hd.m, code.hd.n) == (56, 168)
+        hc, hd = binary_pair(code)
+        assert (hc.m, hc.n) == (56, 168)
+        assert (hd.m, hd.n) == (56, 168)
         assert code.n_qubits == 168
         assert code.rate_c == pytest.approx(2 / 3)
         assert code.rate_q == pytest.approx(1 / 3)
@@ -56,7 +63,7 @@ class TestExpandPair:
 
     def test_binary_orthogonality_dense_oracle(self):
         code = make_code()
-        assert not dense_mod2_product(code.hc, code.hd).any()
+        assert not dense_mod2_product(*binary_pair(code)).any()
 
     def test_all_ones_expansion_is_identity_blocks(self, pair, gf16):
         hc = pair.expand_c()
@@ -65,20 +72,20 @@ class TestExpandPair:
                           row=hc.row, col=hc.col, val=np.ones_like(hc.col))
         ones_d = NBMatrix(m=14, n=42, role="DELTA", field=gf16, params=EX1,
                           row=hd.row, col=hd.col, val=np.ones_like(hd.col))
-        code = expand_pair(ones_g, ones_d)
+        bin_c, bin_d = binary_pair(expand_pair(ones_g, ones_d))
         p = 4
         expect = np.kron(dense(hc), np.eye(p, dtype=np.uint8))
-        assert np.array_equal(dense(code.hc), expect)
+        assert np.array_equal(dense(bin_c), expect)
         expect_d = np.kron(dense(hd), np.eye(p, dtype=np.uint8))
-        assert np.array_equal(dense(code.hd), expect_d)
+        assert np.array_equal(dense(bin_d), expect_d)
 
     @pytest.mark.parametrize("p", [2, 4, 8])
     def test_random_lifts_binary_orthogonal(self, p, pair):
         field = make_field(p)
         rng = np.random.default_rng(100 + p)
-        code = expand_pair(*lift(pair, field, rng))
-        assert not dense_mod2_product(code.hc, code.hd).any()
-        assert binary_orthogonal(code.hc, code.hd)
+        hc, hd = binary_pair(expand_pair(*lift(pair, field, rng)))
+        assert not dense_mod2_product(hc, hd).any()
+        assert binary_orthogonal(hc, hd)
 
     def test_non_orthogonal_input_rejected(self, pair, gf16):
         rng = np.random.default_rng(9)
@@ -92,14 +99,16 @@ class TestExpandPair:
         code = make_code()
         assert not has_4cycle(code.gamma.support())
         assert not has_4cycle(code.delta.support())
-        assert has_4cycle(code.hc)
-        assert has_4cycle(code.hd)
+        hc, hd = binary_pair(code)
+        assert has_4cycle(hc)
+        assert has_4cycle(hd)
 
     def test_sparsity_bounds(self):
         code = make_code()
         p, J, L, P = 4, EX1.J, EX1.L, EX1.P
-        assert code.hc.nnz() <= J * L * P * p * p
-        col_weights = [len(c) for c in col_supports(code.hc)]
+        hc, _ = binary_pair(code)
+        assert hc.nnz() <= J * L * P * p * p
+        col_weights = [len(c) for c in col_supports(hc)]
         assert max(col_weights) <= J * p
 
 
@@ -236,7 +245,7 @@ class TestGoldenPair:
         code = load_pair(DATA / "golden_gf16.gamma.nbqc",
                          DATA / "golden_gf16.delta.nbqc")
         assert verify_orthogonal(code.gamma, code.delta)
-        assert not dense_mod2_product(code.hc, code.hd).any()
+        assert not dense_mod2_product(*binary_pair(code)).any()
 
     def test_supports_match_construction(self, pair):
         code = load_pair(DATA / "golden_gf16.gamma.nbqc",
@@ -432,5 +441,4 @@ def test_expansion_preserves_orthogonality_property(p, seed):
     pair = build_pair(EX1)
     field = make_field(p)
     gamma, delta = lift(pair, field, np.random.default_rng(seed))
-    code = expand_pair(gamma, delta)    # reading hc raises OrthogonalityBroken on failure
-    assert binary_orthogonal(code.hc, code.hd)
+    assert binary_orthogonal(*binary_pair(expand_pair(gamma, delta)))

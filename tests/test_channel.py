@@ -1,7 +1,9 @@
 """Channel sampling and syndrome tests.
 
 Oracles: empirical frequency counts with binomial tolerances, and the
-dense binary matrix-vector product for the symbol-wise syndrome.
+dense binary matrix-vector product with the expansion that
+`oracles.expand_binary` builds entry by entry, for the syndrome that
+the library takes one p x p block at a time.
 """
 
 import numpy as np
@@ -10,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nbqc.binexpand import expand_pair
-from nbqc.channel import ChannelParams, sample_error, syndrome_of, unpack_symbols
+from oracles import pack_symbols, unpack_symbols
+from nbqc.binexpand import CssCodePair, expand_pair
+from nbqc.channel import ChannelParams, sample_error, syndrome_of
 from nbqc.gf2p import make_field
 from nbqc.nblift import DimensionMismatch, lift
 from nbqc.qcpair import QCParams, build_pair
@@ -118,7 +121,7 @@ class TestSyndrome:
 
     @pytest.mark.parametrize("role", ["C", "D"])
     def test_matches_dense_binary_product(self, code, role):
-        mat = code.hc if role == "C" else code.hd
+        mat = oracles.expand_binary(code.matrix(role), transpose=role == "D")
         dense = oracles.dense(mat).astype(np.int64)
         p = code.field.p
         rng = np.random.default_rng(11)
@@ -152,14 +155,17 @@ class TestSyndrome:
                 syndrome_of(code, role, e1) ^ syndrome_of(code, role, e2))
 
     def test_dual_rows_have_zero_syndrome(self, code):
-        # rows of the second binary matrix are C-syndrome-free
-        p = code.field.p
-        from nbqc.channel import _pack_symbols
-        for r in range(0, code.hd.m, 9):
-            bits = np.zeros(code.hc.n, dtype=bool)
-            bits[oracles.rows_of(code.hd)[r]] = True
-            err = _pack_symbols(bits, p)
-            assert not syndrome_of(code, "C", err).any()
+        # every row of the other binary matrix (Hd for role C, Hc for
+        # role D) is free of this role's syndrome
+        for role in ("C", "D"):
+            dual = oracles.expand_binary(code.matrix("D" if role == "C" else "C"),
+                                         transpose=role == "C")
+            assert dual.m == code.M * code.field.p
+            for cols in oracles.rows_of(dual):
+                bits = np.zeros(dual.n, dtype=bool)
+                bits[cols] = True
+                err = pack_symbols(bits, code.field.p)
+                assert not syndrome_of(code, role, err).any()
 
     def test_dimension_check(self, code):
         with pytest.raises(DimensionMismatch):
@@ -174,3 +180,33 @@ class TestSyndrome:
             syndrome_of(code, role, err)
         err[5] = 15
         assert syndrome_of(code, role, err).any()
+
+
+def random_rows(rng, field, m, n, reverse):
+    """Row lists of a random m x n matrix with nonzero entries, each row's
+    columns ascending, or descending with `reverse`."""
+    rows = []
+    for _ in range(m):
+        cols = np.flatnonzero(rng.random(n) < 0.5).tolist()
+        row = [(c, int(rng.integers(1, field.q))) for c in cols]
+        rows.append(row[::-1] if reverse else row)
+    return rows
+
+
+@given(p=st.sampled_from([2, 3, 4, 8, 16]), seed=st.integers(0, 2 ** 32 - 1),
+       m=st.integers(1, 6), n=st.integers(1, 9), reverse=st.booleans(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_block_syndrome_matches_oracle_binary_product(p, seed, m, n, reverse, data):
+    # any pair of matrices, orthogonal or not: the syndrome is a product
+    # with one matrix; the error holds 0 and q - 1 as well as any symbol
+    field = make_field(p)
+    rng = np.random.default_rng(seed)
+    gamma, delta = (oracles.nb_from_rows(m, n, random_rows(rng, field, m, n, reverse),
+                                         role, field, EX1) for role in ("GAMMA", "DELTA"))
+    code = CssCodePair(field=field, params=EX1, gamma=gamma, delta=delta)
+    symbol = st.one_of(st.sampled_from([0, field.q - 1]), st.integers(0, field.q - 1))
+    err = np.array(data.draw(st.lists(symbol, min_size=n, max_size=n)), dtype=np.int64)
+    for role in ("C", "D"):
+        got = syndrome_of(code, role, err)
+        assert got.shape == (m,) and got.dtype == np.int64
+        assert np.array_equal(got, oracles.binary_syndrome(code, role, err))

@@ -302,6 +302,23 @@ class TestVerify:
         assert main(["verify", *paths]) == 1
         assert "FAIL params_valid" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_column_count_header_differs_fails(self, golden_paths, tmp_path, capsys, which):
+        # N=43 in one file's header: the entries fit, but the shape is not
+        # the construction's, so the checks that need it do not run
+        paths = list(golden_paths)
+        bad = tmp_path / Path(paths[which]).name
+        bad.write_text(Path(paths[which]).read_text().replace("\nM=14 N=42\n", "\nM=14 N=43\n", 1))
+        paths[which] = str(bad)
+        checks = verify_pair_files(*paths)
+        assert [n for n, ok, _ in checks if not ok] == ["supports_match_construction",
+                                                        "column_weight"]
+        assert "14x43" in dict((n, d) for n, _, d in checks)["supports_match_construction"]
+        assert len(checks) == 7 and checks[-1][0] == "no_symbol_4cycles"
+        assert main(["verify", *paths]) == 1
+        out = capsys.readouterr()
+        assert "FAIL supports_match_construction" in out.out and "error" not in out.err
+
     def test_cross_seed_pair_fails(self, golden_paths, tmp_path):
         import numpy as np
         from nbqc.gf2p import make_field
