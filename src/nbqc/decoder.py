@@ -16,9 +16,9 @@ division).
 
 Layout.  Stored messages are column-pair, (2, N, q): `_from[j, n]` is
 the check message on edge `_edges_from[j, n]` of column n, and
-`_to[j, n]` the variable message on `_edges_to[j, n]`, the column's
-other edge, so the variable update of both edges of every column is one
-pass from `_from` into `_to`.  Between the two transforms of an
+`_to[j, n]` the variable message on `_edges_from[1 - j, n]`, the
+column's other edge, so the variable update of both edges of every
+column is one pass from `_from` into `_to`.  Between the two transforms of an
 iteration the messages are symbol-major, (q, M, L), so every butterfly
 stage h is one product H2 @ B over the contiguous (q/2h, 2, h*M*L) view
 of its buffer, with H2 = [[1, 1], [1, -1]], and every prefix/suffix step
@@ -37,8 +37,8 @@ butterfly buffers that both transforms of an iteration share, and the
 two message buffers.  The butterfly views of every transform stage and
 the (q, M) slices of every prefix/suffix step are built with them, so an
 iteration creates no views.  Only `estimate` is fresh for each decode.
-`last_c2v` and `last_v2c` are edge-major (M, L, q) copies, built on each
-access.
+After a decode that iterated, `_from` and `_to` hold its last messages
+until the next decode overwrites them.
 
 Bit-identity.  Every message is computed by the same IEEE-754 float64
 operations in the same order as the per-edge definition: butterfly
@@ -106,18 +106,19 @@ class NonFiniteMessage(ArithmeticError):
     """A message PMF contains NaN or infinity."""
 
 
+# lower bound on every normalised message entry
+_PMF_FLOOR = 1e-300
+
+
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Iteration cap and probability floor.  Ties go to the lowest symbol."""
+    """Iteration cap.  Ties go to the lowest symbol."""
 
     max_iter: int = 32
-    pmf_floor: float = 1e-300
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.pmf_floor < 0:
-            raise ValueError(f"pmf_floor must be >= 0, got {self.pmf_floor}")
 
 
 @dataclass
@@ -269,8 +270,6 @@ class SyndromeDecoder:
     """
 
     def __init__(self, code: CssCodePair, role: str):
-        if role not in ("C", "D"):
-            raise ValueError(f"role must be 'C' or 'D', got {role!r}")
         self.code = code
         self.role = role
         field = code.field
@@ -293,12 +292,12 @@ class SyndromeDecoder:
         flat_cols = self.cols.reshape(-1)
         if (np.bincount(flat_cols, minlength=code.N) != 2).any():
             raise DimensionMismatch("decoder requires column weight exactly 2")
-        edges = np.argsort(flat_cols, kind="stable").reshape(code.N, 2)
-        self._edges_to = np.ascontiguousarray(edges.T)              # (2, N)
-        self._edges_from = np.ascontiguousarray(edges.T[::-1])
+        edges = np.argsort(flat_cols, kind="stable").reshape(code.N, 2).T   # (2, N)
+        # slot j of column n: `_to` on edge edges[j, n], `_from` on the other
+        self._edges_from = np.ascontiguousarray(edges[::-1])
         self._checks_from = self._edges_from // L                   # check of each slot
         slot_to = np.empty(M * L, dtype=np.int64)                   # edge -> its slot in _to
-        slot_to[self._edges_to.reshape(-1)] = np.arange(M * L)
+        slot_to[edges.reshape(-1)] = np.arange(M * L)
         # flat gathers: symbol-major transform input (q, M, L) from the
         # column-pair variable messages, through the inverse entry maps;
         # column-pair check messages (2, N, q) from the symbol-major
@@ -336,33 +335,6 @@ class SyndromeDecoder:
         self._first_syndrome = np.zeros(M, dtype=np.int64)
 
         self.op_count = 0
-        # whether _from/_to hold the messages of the most recent decode
-        self._held = False
-
-    @property
-    def last_c2v(self) -> np.ndarray | None:
-        """Check-to-variable messages (M, L, q) of the most recent decode.
-
-        None if that decode passed no messages or raised.  A fresh array
-        on every access, so writing into it changes neither the decoder
-        nor the next access.
-        """
-        if not self._held:
-            return None
-        return self._edge_major(self._from, self._edges_from)
-
-    @property
-    def last_v2c(self) -> np.ndarray | None:
-        """Variable-to-check messages (M, L, q) of the most recent decode,
-        normalised; None and fresh on access as `last_c2v`."""
-        if not self._held:
-            return None
-        return self._edge_major(self._to, self._edges_to)
-
-    def _edge_major(self, pairs: np.ndarray, edges: np.ndarray) -> np.ndarray:
-        out = np.empty((self.M * self.L, self.q))
-        out[edges] = pairs
-        return out.reshape(self.M, self.L, self.q)
 
     def syndrome_of_symbols(self, symbols: np.ndarray) -> np.ndarray:
         """Syndrome of a length-N symbol vector via the precomputed edge maps."""
@@ -426,11 +398,8 @@ class SyndromeDecoder:
         bits = np.bitwise_or.reduce(syndrome)
         if bits < 0 or bits >= self.q:
             raise DimensionMismatch(f"syndrome symbols must lie in [0, {self.q})")
-        if not 0 <= config.pmf_floor < 1.0 / self.q:
-            raise ValueError(f"pmf_floor must be below 1/q = {1.0 / self.q}")
         q = self.q
         p0 = init_pmf(f_m, self.p)
-        self._held = False
 
         # the decision before any message update is the prior's argmax, the
         # all-zero vector (see init_pmf), so it succeeds iff the syndrome is zero
@@ -455,7 +424,7 @@ class SyndromeDecoder:
                 np.maximum(frm, 0.0, out=frm)
             self.op_count += self._ops_per_iteration
             frm /= _row_sums(frm, "check", it)
-            np.maximum(frm, config.pmf_floor, out=frm)
+            np.maximum(frm, _PMF_FLOOR, out=frm)
 
             # -- vertical: channel prior times the other edge's check message,
             # for both edges of every column at once; the belief
@@ -463,13 +432,11 @@ class SyndromeDecoder:
             np.multiply(frm, p0, out=to)
             np.multiply(to[1], frm[0], out=belief)
             to /= _row_sums(to, "variable", it)
-            np.maximum(to, config.pmf_floor, out=to)
+            np.maximum(to, _PMF_FLOOR, out=to)
 
             # -- tentative decision and syndrome check
             estimate = belief.argmax(axis=1)
             if (self._syndrome(estimate) == syndrome).all():
-                self._held = True
                 return DecodeOutcome(status="success", estimate=estimate, iterations=it)
 
-        self._held = True
         return DecodeOutcome(status="fail", estimate=estimate, iterations=config.max_iter)

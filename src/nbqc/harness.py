@@ -10,10 +10,11 @@ Subcommands
 Monte Carlo trials use counter-based per-trial RNG streams (Philox keyed
 by the master seed, counter-offset by the trial index), so results are
 byte-identical for a fixed seed regardless of how trials are split
-across workers.  Worker count comes from NBQC_WORKERS (default 1).  A
-sweep splits the trial indices among the workers once, in one process
-pool, and each worker decodes its range at every f_m with one decoder
-per role.
+across workers.  Worker count comes from NBQC_WORKERS: a positive
+integer, default 1, capped at the CPU count.  A sweep splits the trial
+indices among the workers once, in one process pool with one process
+per trial range, and each worker decodes its range at every f_m with
+one decoder per role.
 """
 
 from __future__ import annotations
@@ -150,13 +151,6 @@ def _philox_generator() -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_placeholder_seed()))
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent stream for one trial: Philox keyed by seed, counter trial << 128."""
-    rng = _philox_generator()
-    rng.bit_generator.state = _philox_state(seed, trial)
-    return rng
-
-
 def _run_trials(code, f_m_values, mode: str, trials: range, seed: int,
                 config: DecoderConfig) -> np.ndarray:
     """(fails, mismatches, iterations) over `trials` at each f_m and role,
@@ -165,7 +159,7 @@ def _run_trials(code, f_m_values, mode: str, trials: range, seed: int,
     counts = np.zeros((len(params), 2, 3), dtype=np.int64)
     for r, role in enumerate(("C", "D")):
         decoder = SyndromeDecoder(code, role)
-        rng = _philox_generator()     # re-seeked to each trial's stream, as trial_rng builds it
+        rng = _philox_generator()     # re-seeked to Philox(key=seed, counter=t << 128) per trial
         state = _philox_state(seed, 0)
         for i, chan in enumerate(params):
             fails = mismatches = iter_sum = 0
@@ -208,7 +202,7 @@ def simulate_sweep(code, f_m_values, trials: int, seed: int,
         chunk = (trials + workers - 1) // workers
         jobs = [(code, f_m_values, mode, range(lo, min(lo + chunk, trials)), seed, config)
                 for lo in range(0, trials, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             counts = sum(pool.map(_run_trials, *zip(*jobs)))
     return [SimRecord(f_m=f_m, role=role, trials=trials, block_errors=fails + mismatches,
                       bler=(fails + mismatches) / trials, mean_iterations=iter_sum / trials,
@@ -304,10 +298,22 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _env_workers() -> int:
+    """NBQC_WORKERS (default 1), a positive integer, capped at the CPU count."""
+    text = os.environ.get("NBQC_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"NBQC_WORKERS must be a positive integer, got {text!r}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def cmd_simulate(args) -> int:
+    workers = _env_workers()
     code = load_pair(args.gamma, args.delta)
     config = DecoderConfig(max_iter=args.max_iter)
-    workers = int(os.environ.get("NBQC_WORKERS", "1"))
     records = simulate_sweep(code, args.fm, args.trials, args.seed, config,
                              mode=args.mode, workers=workers)
     lines = [CSV_HEADER] + [record_csv_line(r) for r in records]

@@ -40,14 +40,6 @@ class QCParams:
     tau: int
 
 
-@dataclass(frozen=True, eq=False)
-class ExponentMatrix:
-    """J x L table of circulant exponents plus its role tag (C or D)."""
-
-    role: str
-    table: np.ndarray
-
-
 @dataclass(eq=False)
 class SparseBinaryMatrix:
     """Binary m x n matrix: its ones sit at (row[k], col[k]), in row-major
@@ -62,13 +54,14 @@ class SparseBinaryMatrix:
         return len(self.col)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QCPair:
-    """The exponent matrices of an orthogonal QC pair with its parameters."""
+    """The (J, L) int64 circulant exponent tables of an orthogonal QC pair,
+    c for the first matrix and d for the second, with its parameters."""
 
     params: QCParams
-    c: ExponentMatrix
-    d: ExponentMatrix
+    c: np.ndarray
+    d: np.ndarray
 
     def expand_c(self) -> SparseBinaryMatrix:
         return expand(self.c, self.params.P)
@@ -152,21 +145,19 @@ def build_pair(params: QCParams) -> QCPair:
             twist_d = tau if ell < L // 2 else 1
             c[j, ell] = twist_c * pow(sigma_inv, j, P) * pow(sigma, ell, P) % P
             d[j, ell] = -twist_d * pow(sigma, j, P) * pow(sigma_inv, ell, P) % P
-    return QCPair(params=params,
-                  c=ExponentMatrix(role="C", table=c),
-                  d=ExponentMatrix(role="D", table=d))
+    return QCPair(params=params, c=c, d=d)
 
 
-def expand(exponents: ExponentMatrix, P: int) -> SparseBinaryMatrix:
-    """Blow up an exponent table into its JP x LP binary matrix.
+def expand(table: np.ndarray, P: int) -> SparseBinaryMatrix:
+    """Blow up a (J, L) exponent table into its JP x LP binary matrix.
 
     Row r of I(x) has its single 1 at column (x + r) mod P.  Block ell
     holds the columns [ell P, (ell + 1) P), so each row's columns
     already ascend with ell.
     """
-    J, L = exponents.table.shape
+    J, L = table.shape
     r = np.arange(P)[:, None]
-    cols = np.arange(L) * P + (exponents.table[:, None, :] + r) % P     # (J, P, L)
+    cols = np.arange(L) * P + (table[:, None, :] + r) % P     # (J, P, L)
     return SparseBinaryMatrix(m=J * P, n=L * P, row=np.repeat(np.arange(J * P), L),
                               col=cols.reshape(-1))
 

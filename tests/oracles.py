@@ -26,7 +26,9 @@ token-by-token NBQC row reader that the array reader replaces, and
 `satisfies` checks an assignment against it by substitution.
 Per-element field arithmetic, the explicit binary images (`companion`),
 field powers and the exponent-table printout are used by tests only.
-All of them are kept out of `src/`.
+So are `decoder_messages`, which reads a decoder's message buffers in
+edge-major order, and `trial_stream`, a simulation trial's Philox
+stream built directly.  All of them are kept out of `src/`.
 
 The binary expansion itself lives only here: `expand_binary` replaces
 each entry by its `companion` image (transposed for the second matrix),
@@ -51,8 +53,7 @@ from nbqc.decoder import LengthMismatch, SyndromeDecoder, walsh_hadamard
 from nbqc.gf2p import FieldSpec
 from nbqc.modring import ModSystem
 from nbqc.nblift import DimensionMismatch, NBMatrix, NotACycle, cycle_structure
-from nbqc.qcpair import (ExponentMatrix, QCPair, QCParams, SparseBinaryMatrix,
-                         validate_params)
+from nbqc.qcpair import QCPair, QCParams, SparseBinaryMatrix, validate_params
 
 
 # -- per-row lists -----------------------------------------------------------------
@@ -109,13 +110,13 @@ def col_supports(mat: SparseBinaryMatrix) -> list[list[int]]:
 # -- QC expansion and 4-cycles -------------------------------------------------------
 
 
-def expand(exponents: ExponentMatrix, P: int) -> SparseBinaryMatrix:
+def expand(table: np.ndarray, P: int) -> SparseBinaryMatrix:
     """The JP x LP binary matrix of an exponent table, one circulant row at a time."""
-    J, L = exponents.table.shape
+    J, L = table.shape
     rows = []
     for j in range(J):
         for r in range(P):
-            cols = [int(ell * P + (exponents.table[j, ell] + r) % P) for ell in range(L)]
+            cols = [int(ell * P + (table[j, ell] + r) % P) for ell in range(L)]
             rows.append(sorted(cols))
     return from_rows(J * P, L * P, rows)
 
@@ -267,9 +268,9 @@ def field_pow(field: FieldSpec, a: int, k: int) -> int:
 def format_exponents(pair: QCPair) -> str:
     """Render both matrices in bracketed I(x) block notation."""
     out = []
-    for exp in (pair.c, pair.d):
-        rows = ["  ".join(f"I({v})" for v in row) for row in exp.table]
-        out.append(f"H_{exp.role} =\n  " + "\n  ".join(rows))
+    for role, table in (("C", pair.c), ("D", pair.d)):
+        rows = ["  ".join(f"I({v})" for v in row) for row in table]
+        out.append(f"H_{role} =\n  " + "\n  ".join(rows))
     return "\n".join(out)
 
 
@@ -836,3 +837,28 @@ def first_check_pass(decoder: SyndromeDecoder, syndrome: np.ndarray, p0: np.ndar
     suff = np.cumprod(np.concatenate((ones, t[:, :0:-1]), axis=1), axis=1)[:, ::-1]
     back = walsh_hadamard(pref * suff)
     return np.maximum(np.take_along_axis(back, fwd, axis=2) * (1.0 / q), 0.0)
+
+
+def decoder_messages(decoder: SyndromeDecoder, outcome) -> tuple | None:
+    """The check-to-variable and variable-to-check messages that `decoder`
+    holds after the decode that returned `outcome`, as fresh edge-major
+    (M, L, q) arrays; None if that decode stopped at iteration 0.
+
+    The decoder stores them column-pair: slot j of column n holds the
+    check message on edge `_edges_from[j, n]` and the variable message
+    on the column's other edge, `_edges_from[1 - j, n]`.
+    """
+    if outcome.iterations == 0:
+        return None
+    edges_from = decoder._edges_from
+    out = []
+    for pairs, edges in ((decoder._from, edges_from), (decoder._to, edges_from[::-1])):
+        msgs = np.empty((decoder.M * decoder.L, decoder.q))
+        msgs[edges] = pairs
+        out.append(msgs.reshape(decoder.M, decoder.L, decoder.q))
+    return tuple(out)
+
+
+def trial_stream(seed: int, trial: int) -> np.random.Generator:
+    """Trial `trial`'s stream of a simulation with master seed `seed`."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=trial << 128))

@@ -45,8 +45,8 @@ def desk_code():
 def test_c01_example_reproduction():
     t0 = time.perf_counter()
     pair = build_pair(EX1)
-    assert pair.c.table.tolist() == [[1, 2, 4, 3, 6, 5], [4, 1, 2, 5, 3, 6]]
-    assert pair.d.table.tolist() == [[4, 2, 1, 6, 3, 5], [1, 4, 2, 5, 6, 3]]
+    assert pair.c.tolist() == [[1, 2, 4, 3, 6, 5], [4, 1, 2, 5, 3, 6]]
+    assert pair.d.tolist() == [[4, 2, 1, 6, 3, 5], [1, 4, 2, 5, 6, 3]]
     hc, hd = pair.expand_c(), pair.expand_d()
     assert rows_of(hd)[5] == [2, 7, 20, 25, 29, 38]
     assert rows_of(hc)[0] == [1, 9, 18, 24, 34, 40]

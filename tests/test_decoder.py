@@ -23,11 +23,11 @@ from nbqc.channel import ChannelParams, sample_error, syndrome_of
 from nbqc.decoder import (DecoderConfig, LengthMismatch, NonFiniteMessage, SyndromeDecoder,
                           init_pmf, walsh_hadamard, wht_work)
 from nbqc.gf2p import make_field
-from nbqc.harness import trial_rng
 from nbqc.nblift import DimensionMismatch, lift
 from nbqc.qcpair import QCParams, build_pair
-from oracles import (SingularMap, companion, field_inv, first_check_pass, mul_index_table,
-                     permute_pmf, rows_of, transpose_index_table, wht_convolve)
+from oracles import (SingularMap, companion, decoder_messages, field_inv, first_check_pass,
+                     mul_index_table, permute_pmf, rows_of, transpose_index_table,
+                     trial_stream, wht_convolve)
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
 DATA = Path(__file__).parent / "data"
@@ -379,14 +379,17 @@ class TestDecode:
             SyndromeDecoder(code, "C").decode(np.zeros(3, dtype=np.int64), 0.01)
         assert "syndrome" in str(err.value)
 
+    def test_bad_role(self, code):
+        with pytest.raises(ValueError, match="role must be 'C' or 'D', got 'E'"):
+            SyndromeDecoder(code, "E")
+
     def test_config_validation(self, code):
         with pytest.raises(ValueError):
             DecoderConfig(max_iter=0)
         with pytest.raises(TypeError):      # ties always go to the lowest symbol
             DecoderConfig(tie_break="random")
-        with pytest.raises(ValueError):
-            SyndromeDecoder(code, "C").decode(np.zeros(code.M, dtype=np.int64), 0.01,
-                                              DecoderConfig(pmf_floor=0.5))
+        with pytest.raises(TypeError):      # the floor is fixed
+            DecoderConfig(pmf_floor=0.0)
 
     def test_message_normalisation_invariant(self, code):
         # every stored PMF sums to 1 within 1e-9 at the end of an iteration
@@ -396,29 +399,28 @@ class TestDecode:
         s = syndrome_of(code, "C", err)
         out = dec.decode(s, 0.08, DecoderConfig(max_iter=5))
         assert out.iterations >= 1
-        for buf in (dec.last_v2c, dec.last_c2v):
-            assert buf is not None
+        for buf in decoder_messages(dec, out):
             sums = buf.sum(axis=-1)
             assert np.abs(sums - 1.0).max() < 1e-9
 
-    def test_buffers_cleared_by_iteration_zero_success(self):
-        # the buffers belong to the most recent decode, even one that
-        # stops before the first message update
+    def test_buffers_cleared_by_iteration_zero_success(self, monkeypatch):
+        # a decode that stops before the first message update passes no
+        # messages, even after one that did
         code = load_pair(DATA / "golden_gf16.gamma.nbqc", DATA / "golden_gf16.delta.nbqc")
         dec = SyndromeDecoder(code, "C")
         err = np.zeros(code.N, dtype=np.int64)
         err[[2, 9, 33]] = [1, 6, 15]
         out = dec.decode(syndrome_of(code, "C", err), 0.05)
         assert out.ok and out.iterations >= 1
-        assert dec.last_c2v is not None and dec.last_v2c is not None
+        assert decoder_messages(dec, out) is not None
         out = dec.decode(np.zeros(code.M, dtype=np.int64), 0.05)
         assert out.ok and out.iterations == 0
-        assert dec.last_c2v is None and dec.last_v2c is None
-        # nor do a decode's half-updated buffers show after it raised
+        assert decoder_messages(dec, out) is None
+        # without a floor, a decode at f_m 0.0 raises after one that did not
         dec.decode(syndrome_of(code, "C", err), 0.05)
+        monkeypatch.setattr("nbqc.decoder._PMF_FLOOR", 0.0)
         with pytest.raises(NonFiniteMessage):
-            dec.decode(syndrome_of(code, "C", err), 0.0, DecoderConfig(pmf_floor=0.0))
-        assert dec.last_c2v is None and dec.last_v2c is None
+            dec.decode(syndrome_of(code, "C", err), 0.0)
 
     def test_reuse_across_decodes(self):
         # the decoder's work buffers carry nothing from one decode to the
@@ -432,8 +434,8 @@ class TestDecode:
         for err, f_m in ((err_a, 0.05), (err_b, 0.08), (err_a, 0.05)):
             out = dec.decode(syndrome_of(code, "C", err), f_m, DecoderConfig(max_iter=6))
             assert out.iterations >= 1
-            runs.append((out, dec.last_c2v, dec.last_v2c,
-                         [a.copy() for a in (out.estimate, dec.last_c2v, dec.last_v2c)]))
+            c2v, v2c = decoder_messages(dec, out)
+            runs.append((out, c2v, v2c, [a.copy() for a in (out.estimate, c2v, v2c)]))
         (a1, c2v_a1, v2c_a1, kept_a1), (b, c2v_b, v2c_b, kept_b), (a2, c2v_a2, v2c_a2, _) = runs
         assert a1.status == a2.status and a1.iterations == a2.iterations
         assert np.array_equal(a1.estimate, a2.estimate)
@@ -448,8 +450,8 @@ class TestDecode:
                 assert not np.shares_memory(x, y)
 
     def test_message_views_are_fresh(self):
-        # last_c2v / last_v2c are built on every access; writing into one
-        # changes neither the next access nor the decoder
+        # the messages read out of a decoder are copies; writing into one
+        # changes neither the next read nor the decoder
         code = load_pair(DATA / "golden_gf16.gamma.nbqc", DATA / "golden_gf16.delta.nbqc")
         err = np.zeros(code.N, dtype=np.int64)
         err[[2, 9, 33]] = [1, 6, 15]
@@ -458,12 +460,13 @@ class TestDecode:
         for e, f_m, status in ((err, 0.05, "success"), (noise, 0.08, "fail")):
             s = syndrome_of(code, "C", e)
             config = DecoderConfig(max_iter=6)
-            assert dec.decode(s, f_m, config).status == status
-            for name in ("last_c2v", "last_v2c"):
-                first = getattr(dec, name)
+            out = dec.decode(s, f_m, config)
+            assert out.status == status
+            for k in range(2):
+                first = decoder_messages(dec, out)[k]
                 kept = first.copy()
                 first[...] = -1.0
-                again = getattr(dec, name)
+                again = decoder_messages(dec, out)[k]
                 assert again is not first and not np.shares_memory(again, first)
                 assert again.tobytes() == kept.tobytes()
             assert (decode_record(dec, s, f_m, config)
@@ -476,7 +479,7 @@ class TestDecode:
         dec = SyndromeDecoder(code, "C")
         f_m, syndromes = 0.04, []
         for t in range(100):
-            err = sample_error(code.N, 8, ChannelParams(f_m), trial_rng(5, t))[0]
+            err = sample_error(code.N, 8, ChannelParams(f_m), trial_stream(5, t))[0]
             if err.any():
                 syndromes.append(syndrome_of(code, "C", err))
         syndromes = syndromes[:20]
@@ -501,9 +504,8 @@ class TestDecode:
             s[rng.integers(0, code.M)] = rng.integers(1, 16)
             out = dec.decode(s, float(rng.choice([0.0, 0.01, 0.2])), DecoderConfig(max_iter=2))
             assert out.iterations >= 1
-            assert dec.last_c2v is not None and dec.last_v2c is not None
 
-    def test_first_iteration_matches_public_ops(self, code):
+    def test_first_iteration_matches_public_ops(self, code, monkeypatch):
         # one horizontal step, recomputed edge by edge with the public
         # permute/convolve operations
         dec = SyndromeDecoder(code, "C")
@@ -511,8 +513,8 @@ class TestDecode:
         err[[2, 9, 33]] = [1, 6, 15]
         s = syndrome_of(code, "C", err)
         f_m = 0.05
-        out = dec.decode(s, f_m, DecoderConfig(max_iter=1, pmf_floor=0.0))
-        assert dec.last_c2v is not None
+        monkeypatch.setattr("nbqc.decoder._PMF_FLOOR", 0.0)
+        c2v, _ = decoder_messages(dec, dec.decode(s, f_m, DecoderConfig(max_iter=1)))
         p0 = init_pmf(f_m, 4)
         field = code.field
         for m in (0, 5, 11):
@@ -523,7 +525,7 @@ class TestDecode:
                 qtil = wht_convolve(others, shift=int(s[m]))
                 expect = permute_pmf(qtil, companion(field, v))
                 expect /= expect.sum()
-                assert np.allclose(dec.last_c2v[m, k], expect, atol=1e-12)
+                assert np.allclose(c2v[m, k], expect, atol=1e-12)
 
     def test_css_wiring(self, code):
         # X-only error: D sees a zero syndrome, C decodes the error
@@ -550,8 +552,9 @@ def decode_record(dec, syndrome, f_m, config):
         out = dec.decode(syndrome, f_m, config)
     except NonFiniteMessage as exc:
         return ("raised", str(exc), dec.op_count - before)
+    msgs = decoder_messages(dec, out)
     return (out.status, out.estimate.tobytes(), out.iterations, dec.op_count - before,
-            *(b"-" if buf is None else buf.tobytes() for buf in (dec.last_c2v, dec.last_v2c)))
+            *((b"-", b"-") if msgs is None else (buf.tobytes() for buf in msgs)))
 
 
 class TestFirstIterationLookup:
@@ -569,16 +572,17 @@ class TestFirstIterationLookup:
 
     @pytest.mark.parametrize("p", [2, 4, 8])
     @pytest.mark.parametrize("role", ["C", "D"])
-    @pytest.mark.parametrize("pmf_floor", [0.0, 1e-300])
-    def test_matches_plain_first_pass(self, p, role, pmf_floor):
+    @pytest.mark.parametrize("floor", [0.0, 1e-300])
+    def test_matches_plain_first_pass(self, p, role, floor, monkeypatch):
         code = ex1_code(p)
         q = code.field.q
         rng = np.random.default_rng(p)
         lookup, plain = SyndromeDecoder(code, role), self.plain_decoder(code, role)
+        monkeypatch.setattr("nbqc.decoder._PMF_FLOOR", floor)
         outcomes = set()
         for f_m in (0.0, 0.01, 0.2, 0.49):
             for max_iter in (1, 3):
-                config = DecoderConfig(max_iter=max_iter, pmf_floor=pmf_floor)
+                config = DecoderConfig(max_iter=max_iter)
                 # random syndromes with zero checks, and syndromes of sparse errors
                 err = np.zeros(code.N, dtype=np.int64)
                 err[rng.choice(code.N, 2, replace=False)] = rng.integers(1, q, size=2)
@@ -593,17 +597,18 @@ class TestFirstIterationLookup:
 
     @pytest.mark.parametrize("p", [2, 4, 8])
     @pytest.mark.parametrize("role", ["C", "D"])
-    def test_zero_prior_raises_without_warning(self, p, role):
+    def test_zero_prior_raises_without_warning(self, p, role, monkeypatch):
         # at f_m 0.0 without a floor, a nonzero syndrome leaves rows of
         # zeros; the decoder raises before it would divide 0 by 0
         code = ex1_code(p)
         dec = SyndromeDecoder(code, role)
         syndrome = np.zeros(code.M, dtype=np.int64)
         syndrome[0] = 1
+        monkeypatch.setattr("nbqc.decoder._PMF_FLOOR", 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteMessage, match="at iteration 1$"):
-                dec.decode(syndrome, 0.0, DecoderConfig(pmf_floor=0.0))
+                dec.decode(syndrome, 0.0)
 
     def test_cache_follows_f_m(self):
         code = ex1_code(4)
@@ -694,18 +699,19 @@ def decode_digest(code, trials=6):
         for f_m in (0.03, 0.05):
             params = ChannelParams(f_m)
             for t in range(trials):
-                x_err, z_err = sample_error(code.N, code.field.p, params, trial_rng(11, t))
+                x_err, z_err = sample_error(code.N, code.field.p, params, trial_stream(11, t))
                 err = x_err if role == "C" else z_err
                 out = dec.decode(syndrome_of(code, role, err), f_m)
                 h.update(np.asarray(out.estimate, dtype=np.int64).tobytes())
                 h.update(out.iterations.to_bytes(4, "little"))
-                for buf in (dec.last_c2v, dec.last_v2c):
+                for buf in decoder_messages(dec, out) or (None, None):
                     h.update(b"-" if buf is None else np.ascontiguousarray(buf).tobytes())
     return h.hexdigest()
 
 
 def floor_zero_digest(p, role):
-    """SHA-256 over `decode_record` at pmf_floor 0 and f_m 0.0 and 0.02.
+    """SHA-256 over `decode_record` at f_m 0.0 and 0.02, for a caller that
+    has set the decoder's floor to 0.
 
     The syndromes are those of four f_m 0.02 errors and two uniform ones.
     Without a floor, exact zeros reach the normalisation, and at f_m 0.0
@@ -713,11 +719,11 @@ def floor_zero_digest(p, role):
     """
     code = ex1_code(p)
     dec = SyndromeDecoder(code, role)
-    config = DecoderConfig(pmf_floor=0.0)
+    config = DecoderConfig()
     rng = np.random.default_rng(p)
     syndromes = []
     for t in range(4):
-        x_err, z_err = sample_error(code.N, p, ChannelParams(0.02), trial_rng(13, t))
+        x_err, z_err = sample_error(code.N, p, ChannelParams(0.02), trial_stream(13, t))
         syndromes.append(syndrome_of(code, role, x_err if role == "C" else z_err))
     syndromes += [rng.integers(0, code.field.q, size=code.M) for _ in range(2)]
     h = hashlib.sha256()
@@ -763,7 +769,8 @@ class TestBitIdentity:
         (8, "D",
          "cb9606e360f8a6322a5b9423c1be011b56adfdd69a69ad1197c6b60d185a46c7"),
     ])
-    def test_without_floor(self, p, role, digest):
-        # pmf_floor 0 lets the sign of an exact zero reach the stored
+    def test_without_floor(self, p, role, digest, monkeypatch):
+        # floor 0 lets the sign of an exact zero reach the stored
         # messages unless the clamps at 0 remove it
+        monkeypatch.setattr("nbqc.decoder._PMF_FLOOR", 0.0)
         assert floor_zero_digest(p, role) == digest

@@ -7,6 +7,7 @@ digits (mpmath root-finding on the closed forms) and frozen here.
 import concurrent.futures
 import hashlib
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -20,10 +21,9 @@ from nbqc import nblift, qcpair
 from nbqc.binexpand import load_pair, read_matrix, write_matrix
 from nbqc.channel import ChannelParams, sample_error, syndrome_of
 from nbqc.decoder import DecoderConfig, SyndromeDecoder
-from nbqc.harness import (DomainError, SimRecord, bdd_limit,
-                          limit_point, main, record_csv_line, s2_limit,
-                          shannon_limit, simulate_sweep,
-                          trial_rng, verify_pair_files)
+from nbqc.harness import (DomainError, SimRecord, _philox_generator, _philox_state, _seek,
+                          bdd_limit, limit_point, main, record_csv_line, s2_limit,
+                          shannon_limit, simulate_sweep, verify_pair_files)
 
 DATA = Path(__file__).parent / "data"
 
@@ -114,6 +114,32 @@ def golden_code(golden_paths):
     return load_pair(*golden_paths)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Every process pool that a sweep opens, through a stand-in executor
+    that records its size and job count and maps in-process."""
+    opened = []
+
+    class CountingPool:
+        def __init__(self, max_workers):
+            self.max_workers, self.jobs = max_workers, 0
+            opened.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            jobs = list(zip(*iterables))
+            self.jobs += len(jobs)
+            return [fn(*job) for job in jobs]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return opened
+
+
 class TestSimulate:
     def test_zero_rate_is_error_free(self, golden_code):
         for rec in simulate_sweep(golden_code, [0.0], trials=50, seed=1):
@@ -137,17 +163,22 @@ class TestSimulate:
             (0.01, "C"), (0.01, "D"), (0.02, "C"), (0.02, "D")]
 
     def test_trial_rng_streams_differ(self):
-        a = trial_rng(7, 0).random(4)
-        b = trial_rng(7, 1).random(4)
-        c = trial_rng(7, 0).random(4)
+        # one generator re-seeked through one state, as the trial loop does
+        got, state = _philox_generator(), _philox_state(7, 0)
+        draws = []
+        for t in (0, 1, 0):
+            got.bit_generator.state = _seek(state, t)
+            draws.append(got.random(4))
+        a, b, c = draws
         assert not np.array_equal(a, b)
         assert np.array_equal(a, c)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**62, 2**64 + 5, 2**128 - 1])
     def test_trial_rng_is_philox_keyed_by_seed(self, seed):
-        for t in (0, 1, 2**64 + 3):
+        got, state = _philox_generator(), _philox_state(seed, 0)
+        for t in (0, 1, 2**64 + 3, 5):
             want = np.random.Generator(np.random.Philox(key=seed, counter=t << 128))
-            got = trial_rng(seed, t)
+            got.bit_generator.state = _seek(state, t)
             assert np.array_equal(got.random(6), want.random(6))
             assert np.array_equal(got.integers(0, 2**62, 6), want.integers(0, 2**62, 6))
             assert np.array_equal(got.random(5, dtype=np.float32),
@@ -157,7 +188,7 @@ class TestSimulate:
                                              (5, -1), (5, 2**128)])
     def test_trial_rng_rejects_out_of_range(self, seed, trial):
         with pytest.raises(ValueError):
-            trial_rng(seed, trial)
+            _philox_state(seed, trial)
 
     def test_simulation_draws_the_trial_rng_streams(self, golden_code):
         # the simulation re-seeks one generator; trial t must still see the
@@ -181,39 +212,49 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_sweep(golden_code, [f_m], trials=3, seed=-1)
 
-    def test_one_pool_per_sweep(self, golden_code, monkeypatch, tmp_path, golden_paths):
-        # a stand-in executor that counts its instances and maps in-process
-        pools = []
-
-        class CountingPool:
-            def __init__(self, max_workers):
-                self.max_workers, self.jobs = max_workers, 0
-                pools.append(self)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                jobs = list(zip(*iterables))
-                self.jobs += len(jobs)
-                return [fn(*job) for job in jobs]
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    def test_one_pool_per_sweep(self, golden_code, monkeypatch, tmp_path, golden_paths, pools):
         f_m = [0.02, 0.05, 0.08]
         split = simulate_sweep(golden_code, f_m, trials=30, seed=4, workers=3)
         # one executor for the sweep, one job per trial range of 10
         assert [(pool.max_workers, pool.jobs) for pool in pools] == [(3, 3)]
         assert split == simulate_sweep(golden_code, f_m, trials=30, seed=4, workers=1)
         assert len(pools) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)     # the CLI caps workers at it
         monkeypatch.setenv("NBQC_WORKERS", "2")
         out = tmp_path / "sweep.csv"
         assert main(["simulate", *golden_paths, "--fm", *map(str, f_m), "--trials", "8",
                      "--max-iter", "6", "--out", str(out)]) == 0
         assert [(pool.max_workers, pool.jobs) for pool in pools[1:]] == [(2, 2)]
         assert len(out.read_text().splitlines()) == 1 + 2 * len(f_m)
+
+    def test_pool_sized_to_its_jobs(self, golden_code, pools):
+        # 9 trials over 4 workers are 3 ranges of 3: 3 processes, not 4
+        split = simulate_sweep(golden_code, [0.05], trials=9, seed=6, workers=4)
+        assert [(pool.max_workers, pool.jobs) for pool in pools] == [(3, 3)]
+        assert split == simulate_sweep(golden_code, [0.05], trials=9, seed=6, workers=1)
+
+    @pytest.mark.parametrize("value", ["abc", "", "2.5", "0", "-3"])
+    def test_bad_worker_count_is_an_error(self, golden_paths, monkeypatch, capsys, tmp_path,
+                                          pools, value):
+        monkeypatch.setenv("NBQC_WORKERS", value)
+        out = tmp_path / "sweep.csv"
+        assert main(["simulate", *golden_paths, "--fm", "0.05", "--trials", "8",
+                     "--out", str(out)]) == 2
+        assert "NBQC_WORKERS" in capsys.readouterr().err
+        assert not out.exists() and not pools
+
+    @pytest.mark.parametrize("cpus, sizes", [(2, [(2, 2)]), (None, [])])
+    def test_worker_count_capped_at_cpu_count(self, golden_paths, monkeypatch, tmp_path,
+                                              pools, cpus, sizes):
+        # 8 workers asked for on 2 CPUs run 2 processes; an unknown CPU
+        # count runs serially
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setenv("NBQC_WORKERS", "8")
+        out = tmp_path / "sweep.csv"
+        assert main(["simulate", *golden_paths, "--fm", "0.05", "--trials", "30",
+                     "--max-iter", "6", "--out", str(out)]) == 0
+        assert [(pool.max_workers, pool.jobs) for pool in pools] == sizes
+        assert len(out.read_text().splitlines()) == 3
 
     def test_sweep_csv_digest(self, golden_code):
         # SHA-256 of these sweeps' CSV rows, recorded when every (f_m, role)

@@ -13,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nbqc.qcpair import (ExponentMatrix, InvalidParams, QCParams, build_pair, expand,
-                         find_params, has_4cycle, validate_params)
+from nbqc.qcpair import (InvalidParams, QCParams, build_pair, expand, find_params,
+                         has_4cycle, validate_params)
 from oracles import col_supports, format_exponents, from_rows, rows_of
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
@@ -51,14 +51,14 @@ class TestValidate:
 class TestBuildPair:
     def test_reference_exponents(self):
         pair = build_pair(EX1)
-        assert pair.c.table.tolist() == EX1_C
-        assert pair.d.table.tolist() == EX1_D
+        assert pair.c.tolist() == EX1_C
+        assert pair.d.tolist() == EX1_D
 
     def test_row_shift_structure(self):
         pair = build_pair(EX1)
         sigma_inv = pow(EX1.sigma, -1, EX1.P)
         for ell in range(EX1.L):
-            assert pair.c.table[1, ell] == sigma_inv * pair.c.table[0, ell] % EX1.P
+            assert pair.c[1, ell] == sigma_inv * pair.c[0, ell] % EX1.P
 
     def test_invalid_raises(self):
         with pytest.raises(InvalidParams):
@@ -67,18 +67,22 @@ class TestBuildPair:
     def test_builds_any_admissible_j(self):
         # J=3 is admissible for P=7; `nblift.lift` is what rejects J != 2
         pair = build_pair(QCParams(P=7, J=3, L=6, sigma=2, tau=3))
-        assert pair.c.table.shape == pair.d.table.shape == (3, 6)
+        assert pair.c.shape == pair.d.shape == (3, 6)
+
+    def test_pairs_compare_by_identity(self):
+        # the exponent tables are arrays, so == does not compare them
+        a, b = build_pair(EX1), build_pair(EX1)
+        assert a == a and a != b
 
     def test_deterministic(self):
         a, b = build_pair(EX1), build_pair(EX1)
-        assert np.array_equal(a.c.table, b.c.table)
-        assert np.array_equal(a.d.table, b.d.table)
+        assert np.array_equal(a.c, b.c)
+        assert np.array_equal(a.d, b.d)
 
 
 class TestExpand:
     def test_identity_block(self):
-        exp = ExponentMatrix(role="C", table=np.zeros((1, 1), dtype=np.int64))
-        mat = expand(exp, 5)
+        mat = expand(np.zeros((1, 1), dtype=np.int64), 5)
         assert rows_of(mat) == [[r] for r in range(5)]
 
     def test_reference_row5_support(self):
