@@ -95,7 +95,7 @@ def expand_pair(gamma: NBMatrix, delta: NBMatrix) -> CssCodePair:
     field = gamma.field
     if not field.same_field(delta.field):
         raise FieldMismatch("matrices live in different fields")
-    if not gamma.same_shape(delta):
+    if (gamma.m, gamma.n) != (delta.m, delta.n):
         raise DimensionMismatch("pair matrices must have equal shape")
     if not verify_orthogonal(gamma, delta):
         raise ValueError("input pair is not orthogonal over GF(2^p)")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nbqc.binexpand import CssCodePair
-from nbqc.nblift import DimensionMismatch
+from nbqc.nblift import _symbol_vector
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,10 @@ def syndrome_of(code: CssCodePair, role: str, error: np.ndarray) -> np.ndarray:
     its image (`FieldSpec.unit_images`, transposed for role D) that the
     bits of its error symbol select, and each check XORs its entries.
     It does not read the decoder's symbol tables, so it re-checks them
-    independently.  Symbols must lie in [0, q).
+    independently.  `error` must be N integer symbols in [0, q).
     """
     mat = code.matrix(role)
-    error = np.asarray(error, dtype=np.int64)
-    if error.shape != (code.N,):
-        raise DimensionMismatch(
-            f"error must be {code.N} symbols, got shape {error.shape}")
-    if not 0 <= error.min() <= error.max() < code.field.q:
-        raise DimensionMismatch(f"error symbols must lie in [0, {code.field.q})")
+    error = _symbol_vector(error, code.N, code.field.q, "error")
     images = code.field.unit_images(mat.val, transpose=role == "D")
     bits = (error[mat.col, None] >> np.arange(code.field.p)) & 1
     syndrome = np.zeros(code.M, dtype=np.int64)

@@ -95,7 +95,7 @@ from typing import NamedTuple
 import numpy as np
 
 from nbqc.binexpand import CssCodePair
-from nbqc.nblift import DimensionMismatch
+from nbqc.nblift import DimensionMismatch, _symbol_vector
 
 
 class LengthMismatch(ValueError):
@@ -147,19 +147,10 @@ def init_pmf(f_m: float, p: int) -> np.ndarray:
     return pmf
 
 
-def _popcount(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.int64).copy()
-    out = np.zeros_like(v)
-    while v.any():
-        out += v & 1
-        v >>= 1
-    return out
-
-
 @lru_cache(maxsize=16)
 def _symbol_weights(p: int) -> np.ndarray:
     """Hamming weight of every symbol in [0, 2^p); shared, so read-only."""
-    w = _popcount(np.arange(1 << p))
+    w = (np.arange(1 << p)[:, None] >> np.arange(p) & 1).sum(axis=1)
     w.setflags(write=False)
     return w
 
@@ -337,17 +328,8 @@ class SyndromeDecoder:
         self.op_count = 0
 
     def syndrome_of_symbols(self, symbols: np.ndarray) -> np.ndarray:
-        """Syndrome of a length-N symbol vector via the precomputed edge maps."""
-        symbols = np.asarray(symbols)
-        if symbols.shape != (self.code.N,):
-            raise DimensionMismatch(
-                f"symbols must be {self.code.N} values, got shape {symbols.shape}")
-        # q is a power of 2: the OR of all symbols is negative iff one is,
-        # and at least q iff one is
-        bits = np.bitwise_or.reduce(symbols)
-        if bits < 0 or bits >= self.q:
-            raise DimensionMismatch(f"symbols must lie in [0, {self.q})")
-        return self._syndrome(symbols)
+        """Syndrome of N integer symbols in [0, q) via the precomputed edge maps."""
+        return self._syndrome(_symbol_vector(symbols, self.code.N, self.q, "error"))
 
     def _syndrome(self, symbols: np.ndarray) -> np.ndarray:
         mapped = self.perm_fwd.take(self._syndrome_at + symbols[self.cols])   # (M, L)
@@ -390,20 +372,13 @@ class SyndromeDecoder:
 
     def decode(self, syndrome: np.ndarray, f_m: float,
                config: DecoderConfig = DecoderConfig()) -> DecodeOutcome:
-        syndrome = np.asarray(syndrome, dtype=np.int64)
-        if syndrome.shape != (self.M,):
-            raise DimensionMismatch(
-                f"syndrome must be {self.M} symbols, got shape {syndrome.shape}")
-        # as in syndrome_of_symbols; the OR is also zero iff the syndrome is
-        bits = np.bitwise_or.reduce(syndrome)
-        if bits < 0 or bits >= self.q:
-            raise DimensionMismatch(f"syndrome symbols must lie in [0, {self.q})")
+        syndrome = _symbol_vector(syndrome, self.M, self.q, "syndrome")
         q = self.q
         p0 = init_pmf(f_m, self.p)
 
         # the decision before any message update is the prior's argmax, the
         # all-zero vector (see init_pmf), so it succeeds iff the syndrome is zero
-        if not bits:
+        if not syndrome.any():
             return DecodeOutcome(status="success", estimate=np.zeros(self.code.N, dtype=np.int64),
                                  iterations=0)
 

@@ -25,7 +25,6 @@ import operator
 import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -116,16 +115,9 @@ _WORD = (1 << 64) - 1
 
 
 def _philox_state(seed: int, trial: int) -> dict:
-    """State of `Philox(key=seed, counter=trial << 128)` before its first draw."""
-    seed = operator.index(seed)
-    if not 0 <= seed < 1 << 128:
-        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
-    state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64),
-                       "key": np.array([seed & _WORD, seed >> 64], dtype=np.uint64)},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    return _seek(state, trial)
+    """State of `Philox(key=seed, counter=trial << 128)` before its first draw;
+    Philox raises ValueError for a seed outside [0, 2**128)."""
+    return _seek(np.random.Philox(key=operator.index(seed)).state, trial)
 
 
 def _seek(state: dict, trial: int) -> dict:
@@ -138,19 +130,6 @@ def _seek(state: dict, trial: int) -> dict:
     return state
 
 
-@lru_cache(maxsize=1)
-def _placeholder_seed() -> np.random.SeedSequence:
-    # Philox(key=...) seeds itself from OS entropy before the key overrides
-    # it; a fixed seed sequence skips that, and the state it gives is always
-    # replaced.  Made on first use: importing numpy does not load
-    # numpy.random, and loading it takes about 25 ms.
-    return np.random.SeedSequence(0)
-
-
-def _philox_generator() -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(_placeholder_seed()))
-
-
 def _run_trials(code, f_m_values, mode: str, trials: range, seed: int,
                 config: DecoderConfig) -> np.ndarray:
     """(fails, mismatches, iterations) over `trials` at each f_m and role,
@@ -159,7 +138,9 @@ def _run_trials(code, f_m_values, mode: str, trials: range, seed: int,
     counts = np.zeros((len(params), 2, 3), dtype=np.int64)
     for r, role in enumerate(("C", "D")):
         decoder = SyndromeDecoder(code, role)
-        rng = _philox_generator()     # re-seeked to Philox(key=seed, counter=t << 128) per trial
+        # one generator, re-seeked to Philox(key=seed, counter=t << 128) per trial;
+        # its own seed is never drawn from
+        rng = np.random.Generator(np.random.Philox())
         state = _philox_state(seed, 0)
         for i, chan in enumerate(params):
             fails = mismatches = iter_sum = 0
@@ -249,7 +230,7 @@ def verify_pair_files(gamma_path, delta_path) -> list[tuple[str, bool, str]]:
                    f"column weights {sorted(col_w)}"))
 
     checks.append(("no_symbol_4cycles",
-                   not has_4cycle(gamma.support()) and not has_4cycle(delta.support()),
+                   not has_4cycle(gamma) and not has_4cycle(delta),
                    "symbol-level Tanner graphs"))
     if not shapes_ok:       # the product and cycle checks need the construction's shape
         return checks

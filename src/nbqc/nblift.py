@@ -13,9 +13,10 @@ second matrix's nonzeros are the running sums of the same log
 differences around each cycle, and the sum over a whole cycle is the
 determinant condition that `nbqc verify` re-checks.
 
-An `NBMatrix` is stored like a `SparseBinaryMatrix`: int64 arrays `row`
-and `col`, one entry per nonzero in row-major order with columns
-ascending within each row, plus `val`, the field element at each entry.
+An `NBMatrix` is a `SparseBinaryMatrix`, int64 arrays `row` and `col`
+with one entry per nonzero in row-major order and columns ascending
+within each row, that also holds `val`, the field element at each
+entry, so the support checks of `qcpair` take it as it is.
 The first matrix takes its `row` and `col` from the QC expansion, whose
 entry order is also the numbering of the lift's variables, so its
 values are the sampled logs through the antilog table.  The second
@@ -67,25 +68,41 @@ class DimensionMismatch(ValueError):
     pass
 
 
+def _symbol_vector(values, n: int, q: int, what: str) -> np.ndarray:
+    """`values` as an int64 array of n symbols in [0, q), q a power of 2.
+
+    Raises DimensionMismatch naming `what` unless `values` has shape (n,)
+    and an integer dtype (bool, float, complex and object arrays are
+    refused rather than cast) and every symbol lies in [0, q).
+    """
+    values = np.asarray(values)
+    if values.shape != (n,):
+        raise DimensionMismatch(f"{what} must be {n} symbols, got shape {values.shape}")
+    if values.dtype.kind not in "iu":
+        raise DimensionMismatch(f"{what} symbols must be integers, got dtype {values.dtype}")
+    # q is a power of 2: the OR of all symbols is negative iff one is,
+    # and at least q iff one is
+    bits = np.bitwise_or.reduce(values)
+    if bits < 0 or bits >= q:
+        raise DimensionMismatch(f"{what} symbols must lie in [0, {q})")
+    return values.astype(np.int64, copy=False)
+
+
 MAX_RESAMPLE = 1000     # draws `lift_gamma` makes before giving up on a non-trivial lift
 
 
 @dataclass(eq=False)
-class NBMatrix:
-    """Sparse matrix over GF(2^p): element val[k] at (row[k], col[k]),
-    in row-major order with columns ascending within each row.
+class NBMatrix(SparseBinaryMatrix):
+    """Sparse matrix over GF(2^p): element val[k] at the support entry
+    (row[k], col[k]).
 
     All stored elements are nonzero; the support is that of the QC
     expansion the matrix was lifted from.
     """
 
-    m: int
-    n: int
     role: str                    # "GAMMA" | "DELTA"
     field: FieldSpec
     params: QCParams
-    row: np.ndarray              # int64
-    col: np.ndarray              # int64
     val: np.ndarray              # int64 field elements
 
     def entry(self, i, j):
@@ -102,17 +119,10 @@ class NBMatrix:
         found = np.where(keys[at] == want, np.append(self.val, 0)[at], 0)
         return found if found.ndim else int(found)
 
-    def support(self) -> SparseBinaryMatrix:
-        """The nonzero pattern; shares the index arrays."""
-        return SparseBinaryMatrix(m=self.m, n=self.n, row=self.row, col=self.col)
-
     def row_grid(self) -> tuple[np.ndarray, np.ndarray]:
         """(cols, vals) as (m, L) arrays; requires uniform row weight."""
         L = _row_weight(self, "row weight is not uniform")
         return self.col.reshape(self.m, L), self.val.reshape(self.m, L)
-
-    def same_shape(self, other: "NBMatrix") -> bool:
-        return self.m == other.m and self.n == other.n
 
 
 def _row_weight(mat, what: str) -> int:

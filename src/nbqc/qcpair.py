@@ -70,19 +70,29 @@ class QCPair:
         return expand(self.d, self.params.P)
 
 
-def _order(a: int, P: int) -> int:
-    """Multiplicative order of a unit a in Z_P."""
-    v, k = a % P, 1
-    while v != 1:
-        v = v * a % P
-        k += 1
-        if k > P:
-            raise ArithmeticError(f"{a} is not a unit mod {P}")
-    return k
-
-
 def _unit_count(P: int) -> int:
     return sum(1 for z in range(1, P) if math.gcd(z, P) == 1)
+
+
+def _sigma_conditions(sigma: int, P: int) -> tuple[int, set, list[str]]:
+    """(order, orbit, violations) of sigma in Z_P^*, for P > 2.
+
+    The order of sigma, its orbit {sigma^j mod P}, and the names of the
+    violated conditions that involve sigma alone, in `validate_params`'
+    order.  A sigma that is not a unit has order 0 and an empty orbit;
+    `validate_params` names that case itself.
+    """
+    if math.gcd(sigma, P) != 1:
+        return 0, set(), []
+    powers, s = [1], sigma % P
+    while s != 1:
+        powers.append(s)
+        s = s * sigma % P
+    violations = [name for name, bad in (
+        ("order_equals_unit_group", len(powers) == _unit_count(P)),
+        ("one_minus_sigma_power_not_unit", any(math.gcd(1 - x, P) != 1 for x in powers[1:])))
+        if bad]
+    return len(powers), set(powers), violations
 
 
 def validate_params(params: QCParams) -> list[str]:
@@ -91,32 +101,17 @@ def validate_params(params: QCParams) -> list[str]:
     Empty list means the parameter set is admissible.
     """
     P, J, L, sigma, tau = params.P, params.J, params.L, params.sigma, params.tau
-    violations = []
     if P <= 2:
-        violations.append("P_not_greater_than_2")
+        return ["P_not_greater_than_2"]
+    order, orbit, sigma_violations = _sigma_conditions(sigma, P)
+    violations = [name for name, bad in (("sigma_not_unit", not order),
+                                         ("tau_not_unit", math.gcd(tau, P) != 1),
+                                         ("L_not_even", L % 2 != 0)) if bad]
+    if not order:
         return violations
-    sigma_unit = math.gcd(sigma % P, P) == 1 and sigma % P != 0
-    tau_unit = math.gcd(tau % P, P) == 1 and tau % P != 0
-    if not sigma_unit:
-        violations.append("sigma_not_unit")
-    if not tau_unit:
-        violations.append("tau_not_unit")
-    if L % 2 != 0:
-        violations.append("L_not_even")
-    if not sigma_unit:
-        return violations
-    order = _order(sigma, P)
-    if L % 2 == 0 and order != L // 2:
-        violations.append("order_mismatch")
-    if not 1 <= J <= order:
-        violations.append("J_out_of_range")
-    if order == _unit_count(P):
-        violations.append("order_equals_unit_group")
-    for j in range(1, order):
-        if math.gcd((1 - pow(sigma, j, P)) % P, P) != 1:
-            violations.append("one_minus_sigma_power_not_unit")
-            break
-    orbit = {pow(sigma, j, P) for j in range(order)}
+    violations += [name for name, bad in (("order_mismatch", L % 2 == 0 and order != L // 2),
+                                          ("J_out_of_range", not 1 <= J <= order)) if bad]
+    violations += sigma_violations
     if tau % P in orbit:
         violations.append("tau_in_sigma_orbit")
     return violations
@@ -215,28 +210,24 @@ def find_params(L: int, P_range) -> list[QCParams]:
 
     Returns every combination that passes validation, ordered by
     (P, sigma, tau).  May be empty (e.g. no element of order L/2).
-    The conditions of `validate_params` that involve only sigma are
-    checked once per sigma; the tau scan then tests the two that involve
-    tau (a unit, outside the orbit of sigma), and runs only for the few
-    sigma that pass.
+    Each sigma whose power L/2 is 1 (a unit of order dividing L/2) is
+    checked once by `_sigma_conditions`, the conditions of
+    `validate_params` that involve sigma alone; the tau scan then tests
+    the two that involve tau (a unit, outside the orbit of sigma), and
+    runs only for the few sigma that pass.
     """
     if L % 2 != 0 or L < 4:
         raise InvalidParams(f"L must be even and >= 4, got {L}")
-    order = L // 2
     found = []
     for P in P_range:
         if P <= 2:
             continue
         for sigma in range(1, P):
-            # pow filters first, so _order only walks orders dividing L/2
-            if (math.gcd(sigma, P) != 1 or pow(sigma, order, P) != 1
-                    or _order(sigma, P) != order):
+            if pow(sigma, L // 2, P) != 1:
                 continue
-            powers = [pow(sigma, j, P) for j in range(order)]
-            if order == _unit_count(P) or any(math.gcd((1 - s) % P, P) != 1 for s in powers[1:]):
-                continue
-            orbit = set(powers)
-            found.extend(QCParams(P=P, J=2, L=L, sigma=sigma, tau=tau)
-                         for tau in range(1, P)
-                         if math.gcd(tau, P) == 1 and tau not in orbit)
+            order, orbit, violations = _sigma_conditions(sigma, P)
+            if order == L // 2 and not violations:
+                found.extend(QCParams(P=P, J=2, L=L, sigma=sigma, tau=tau)
+                             for tau in range(1, P)
+                             if math.gcd(tau, P) == 1 and tau not in orbit)
     return found

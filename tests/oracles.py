@@ -18,7 +18,7 @@ the array code of `qcpair`, `channel` and `gf2p` replaces, and the
 component-by-component sampler is what `channel.sample_error`'s one
 draw replaces.  Matrices
 store row-major index arrays; `rows_of`, `from_rows` and `nb_from_rows`
-convert to and from per-row lists, which the oracles and the tampering
+convert to and from per-row lists, `support` drops an NBMatrix's values, which the oracles and the tampering
 tests read and edit, and `dense` to a dense array.  `read_rows` is the
 token-by-token NBQC row reader that the array reader replaces, and
 `write_rows` the per-entry writer that the one-format writer replaces.
@@ -67,6 +67,12 @@ def rows_of(mat) -> list:
         entries = list(zip(entries, mat.val.tolist()))
     ends = np.cumsum(np.bincount(mat.row, minlength=mat.m)).tolist()
     return [entries[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def support(mat: SparseBinaryMatrix) -> SparseBinaryMatrix:
+    """The nonzero pattern of a matrix without its values; shares the index
+    arrays."""
+    return SparseBinaryMatrix(m=mat.m, n=mat.n, row=mat.row, col=mat.col)
 
 
 def _flatten(rows) -> tuple[np.ndarray, list]:

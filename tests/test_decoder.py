@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from nbqc.binexpand import expand_pair, load_pair
 from nbqc.channel import ChannelParams, sample_error, syndrome_of
 from nbqc.decoder import (DecoderConfig, LengthMismatch, NonFiniteMessage, SyndromeDecoder,
-                          init_pmf, walsh_hadamard, wht_work)
+                          _symbol_weights, init_pmf, walsh_hadamard, wht_work)
 from nbqc.gf2p import make_field
 from nbqc.nblift import DimensionMismatch, lift
 from nbqc.qcpair import QCParams, build_pair
@@ -114,6 +114,12 @@ class TestInitPmf:
         assert init_pmf(0.02, 4) is pmf
         with pytest.raises(ValueError):
             pmf[0] = 0.5
+
+    @pytest.mark.parametrize("p", range(1, 17))
+    def test_symbol_weights_are_popcounts(self, p):
+        w = _symbol_weights(p)
+        assert w.dtype == np.int64
+        assert w.tolist() == [bin(s).count("1") for s in range(1 << p)]
 
 
 class TestWalshHadamard:
@@ -373,6 +379,37 @@ class TestDecode:
         for sym in bad:
             with pytest.raises(DimensionMismatch):
                 dec.syndrome_of_symbols(sym)
+
+    @pytest.mark.parametrize("convert", [
+        lambda v: v + 0.7, lambda v: v.astype(np.float64), lambda v: v + 0j,
+        lambda v: v.astype(object), lambda v: v.astype(bool)],
+        ids=["float", "integral-float", "complex", "object", "bool"])
+    def test_non_integer_symbols_refused(self, code, convert):
+        # every entry point refuses, rather than casts, a vector that is not
+        # integer-typed; a bool vector is a mask, not symbols
+        dec = SyndromeDecoder(code, "C")
+        err = np.zeros(code.N, dtype=np.int64)
+        err[[3, 20]] = 1, 5
+        syn = dec.syndrome_of_symbols(err)
+        assert syn.any()
+        for call, vec in ((lambda v: dec.decode(v, 0.02), syn),
+                          (dec.syndrome_of_symbols, err),
+                          (lambda v: syndrome_of(code, "C", v), err)):
+            with pytest.raises(DimensionMismatch, match="must be integers"):
+                call(convert(vec))
+
+    def test_integer_symbol_types_accepted(self, code):
+        dec = SyndromeDecoder(code, "C")
+        err = np.zeros(code.N, dtype=np.int64)
+        err[[3, 20]] = 1, 5
+        syn = dec.syndrome_of_symbols(err)
+        want = dec.decode(syn, 0.02)
+        for convert in (list, lambda v: v.astype(np.uint8), lambda v: v.astype(np.int32)):
+            assert np.array_equal(dec.syndrome_of_symbols(convert(err)), syn)
+            assert np.array_equal(syndrome_of(code, "C", convert(err)), syn)
+            got = dec.decode(convert(syn), 0.02)
+            assert (got.status, got.iterations) == (want.status, want.iterations)
+            assert np.array_equal(got.estimate, want.estimate)
 
     def test_dimension_mismatch(self, code):
         with pytest.raises(Exception) as err:

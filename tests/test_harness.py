@@ -21,7 +21,7 @@ from nbqc import nblift, qcpair
 from nbqc.binexpand import load_pair, read_matrix, write_matrix
 from nbqc.channel import ChannelParams, sample_error, syndrome_of
 from nbqc.decoder import DecoderConfig, SyndromeDecoder
-from nbqc.harness import (DomainError, SimRecord, _philox_generator, _philox_state, _seek,
+from nbqc.harness import (DomainError, SimRecord, _philox_state, _seek,
                           bdd_limit, limit_point, main, record_csv_line, s2_limit,
                           shannon_limit, simulate_sweep, verify_pair_files)
 
@@ -164,7 +164,7 @@ class TestSimulate:
 
     def test_trial_rng_streams_differ(self):
         # one generator re-seeked through one state, as the trial loop does
-        got, state = _philox_generator(), _philox_state(7, 0)
+        got, state = np.random.Generator(np.random.Philox()), _philox_state(7, 0)
         draws = []
         for t in (0, 1, 0):
             got.bit_generator.state = _seek(state, t)
@@ -175,7 +175,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("seed", [0, 7, 2**62, 2**64 + 5, 2**128 - 1])
     def test_trial_rng_is_philox_keyed_by_seed(self, seed):
-        got, state = _philox_generator(), _philox_state(seed, 0)
+        got, state = np.random.Generator(np.random.Philox()), _philox_state(seed, 0)
         for t in (0, 1, 2**64 + 3, 5):
             want = np.random.Generator(np.random.Philox(key=seed, counter=t << 128))
             got.bit_generator.state = _seek(state, t)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import (CycleStructure, closed_form_cycle, cycle_products, dense, field_log, field_mul,
                      from_rows, mod_system, nb_from_rows, pair_walk, recurrence_delta, rows_of,
-                     satisfies, walk_cycle, walk_cycles)
+                     satisfies, support, walk_cycle, walk_cycles)
 from nbqc.gf2p import make_field
 from nbqc.nblift import (ClosureViolation, DimensionMismatch, NBMatrix, NotACycle,
                          assemble_constraints, cycle_structure, lift, lift_gamma, solve_delta,
@@ -296,7 +296,7 @@ class TestLift:
 
     def test_lift_support_and_weights(self, pair, gf16):
         gamma = lift_gamma(*pair_walk(pair), gf16, pair.params, np.random.default_rng(5))
-        assert rows_of(gamma.support()) == rows_of(pair.expand_c())
+        assert rows_of(support(gamma)) == rows_of(pair.expand_c())
         assert all(v != 0 for row in rows_of(gamma) for _, v in row)
 
     def test_lift_deterministic(self, pair, gf16):
@@ -390,5 +390,5 @@ class TestLift:
         field = make_field(p)
         gamma, delta = lift(pair, field, np.random.default_rng(seed))
         assert verify_orthogonal(gamma, delta)
-        assert rows_of(gamma.support()) == rows_of(pair.expand_c())
-        assert rows_of(delta.support()) == rows_of(pair.expand_d())
+        assert rows_of(support(gamma)) == rows_of(pair.expand_c())
+        assert rows_of(support(delta)) == rows_of(pair.expand_d())
