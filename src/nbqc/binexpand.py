@@ -12,11 +12,13 @@ one p x p image at a time, and the tests build them entry by entry
 (`tests/oracles.py`) to check the product over GF(2).
 
 Files carry only the non-binary matrices (plus field and construction
-parameters), held as row-major index arrays (see `qcpair` and
-`nblift`).  The reader parses all row lines together in array steps
-over their bytes, O(1) steps over the bytes and tokens of the file; the
-writer applies one format string, built from the row weights, to all
-the entries at once.
+parameters).  A file lists each nonzero by its column and its discrete
+log, and an `NBMatrix` holds the same logs in row-major index arrays
+(see `qcpair` and `nblift`), so neither the reader nor the writer
+converts between logs and field elements.  The reader parses all row
+lines together in array steps over their bytes, O(1) steps over the
+bytes and tokens of the file; the writer applies one format string,
+built from the row weights, to all the entries at once.
 """
 
 from __future__ import annotations
@@ -141,8 +143,6 @@ def write_matrix(mat: NBMatrix, sink) -> None:
     sink.write(f"p={mat.field.p} poly={mat.field.poly:#x} J={pr.J} L={pr.L} "
                f"P={pr.P} sigma={pr.sigma} tau={pr.tau} role={mat.role}\n")
     sink.write(f"M={mat.m} N={mat.n}\n")
-    if not mat.val.all():
-        raise ZeroDivisionError("a stored zero has no log")
     # one format per row weight; row r's prefix and then its (col, log)
     # pairs fill its slots, r + 2 * (entries before it) onwards
     weights = np.bincount(mat.row, minlength=mat.m)
@@ -152,7 +152,7 @@ def write_matrix(mat: NBMatrix, sink) -> None:
     values[np.arange(mat.m) + 2 * (np.cumsum(weights) - weights)] = np.arange(mat.m)
     at = mat.row + 1 + 2 * np.arange(len(mat.col))
     values[at] = mat.col
-    values[at + 1] = mat.field.log_table[mat.val]
+    values[at + 1] = mat.log
     sink.write("".join(map(line.__getitem__, which.tolist())) % tuple(values.tolist()))
 
 
@@ -184,23 +184,21 @@ def read_matrix(source, expected_field: FieldSpec | None = None) -> NBMatrix:
     if m < 0 or n < 0:
         raise ParseError(3, f"negative dimension M={m} N={n}")
 
-    if expected_field is not None and (expected_field.p != p or expected_field.poly != poly):
-        raise FieldMismatch(
-            f"file field (p={p}, poly={poly:#x}) != expected "
-            f"(p={expected_field.p}, poly={expected_field.poly:#x})")
-    if expected_field is not None:
-        field = expected_field
-    else:
+    field = expected_field
+    if field is None:
         try:
             field = make_field(p, poly)
         except ValueError as exc:
             raise ParseError(2, f"bad field parameters: {exc}") from exc
+    elif (field.p, field.poly) != (p, poly):
+        raise FieldMismatch(f"file field (p={p}, poly={poly:#x}) != expected "
+                            f"(p={field.p}, poly={field.poly:#x})")
 
     if len(lines) != 3 + m:
         raise ParseError(len(lines), f"expected {m} row lines, found {len(lines) - 3}")
     row, col, logs = _parse_rows(lines[3:], n, field.q)
     return NBMatrix(m=m, n=n, role=role, field=field, params=params,
-                    row=row, col=col, val=field.exp_table[logs])
+                    row=row, col=col, log=logs)
 
 
 def _parse_rows(lines: list[str], n: int, q: int):
@@ -269,7 +267,11 @@ def _numbers(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, base: int):
 
 
 def load_pair(gamma_path, delta_path) -> CssCodePair:
-    """Read both matrices, cross-check them, and build their code pair."""
+    """Read both matrices, cross-check them, and build their code pair.
+
+    Each matrix must have the shape of its header's construction,
+    2P x LP with LM entries, checked before anything is sized by N.
+    """
     gamma = read_matrix(gamma_path)
     delta = read_matrix(delta_path, expected_field=gamma.field)
     if gamma.role != "GAMMA" or delta.role != "DELTA":
@@ -277,4 +279,7 @@ def load_pair(gamma_path, delta_path) -> CssCodePair:
                          "expected GAMMA/DELTA")
     if gamma.params != delta.params:
         raise ValueError("construction parameters differ between the files")
+    P, L = gamma.params.P, gamma.params.L
+    if {(mat.m, mat.n, mat.nnz()) for mat in (gamma, delta)} != {(2 * P, L * P, 2 * L * P)}:
+        raise ValueError(f"the matrices are not 2P x LP = {2 * P}x{L * P} with LM entries")
     return expand_pair(gamma, delta)

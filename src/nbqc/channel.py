@@ -84,7 +84,7 @@ def syndrome_of(code: CssCodePair, role: str, error: np.ndarray) -> np.ndarray:
     """
     mat = code.matrix(role)
     error = _symbol_vector(error, code.N, code.field.q, "error")
-    images = code.field.unit_images(mat.val, transpose=role == "D")
+    images = code.field.unit_images(mat.log, transpose=role == "D")
     bits = (error[mat.col, None] >> np.arange(code.field.p)) & 1
     syndrome = np.zeros(code.M, dtype=np.int64)
     np.bitwise_xor.at(syndrome, mat.row, np.bitwise_xor.reduce(images * bits, axis=1))

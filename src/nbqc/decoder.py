@@ -267,11 +267,11 @@ class SyndromeDecoder:
         self.q = q = field.q
         self.p = field.p
         mat = code.matrix(role)
-        self.cols, vals = mat.row_grid()
+        self.cols, logs = mat.row_grid()
         self.M, self.L = M, L = self.cols.shape
         edge = np.arange(M * L)
 
-        fwd = field.symbol_maps(vals.reshape(-1), transpose=role == "D")   # (M*L, q)
+        fwd = field.symbol_maps(logs.reshape(-1), transpose=role == "D")   # (M*L, q)
         inv = np.empty_like(fwd)
         np.put_along_axis(inv, fwd, np.arange(q)[None, :], axis=1)
         self.perm_fwd = fwd.reshape(M, L, q)    # action of the entry's image on symbols
@@ -378,7 +378,7 @@ class SyndromeDecoder:
 
         # the decision before any message update is the prior's argmax, the
         # all-zero vector (see init_pmf), so it succeeds iff the syndrome is zero
-        if not syndrome.any():
+        if not np.count_nonzero(syndrome):
             return DecodeOutcome(status="success", estimate=np.zeros(self.code.N, dtype=np.int64),
                                  iterations=0)
 

@@ -10,11 +10,12 @@ multiply-by-x linear map in the polynomial basis, whose column j is the
 bit vector of x * alpha^j.  The image of alpha is the companion matrix
 of the primitive polynomial; the map preserves sums and products, which
 is what lets a non-binary parity-check pair expand to an orthogonal
-binary pair.  The library uses the images only as index maps on
-symbols: the decoder's symbol tables, and `channel.syndrome_of`, which
-applies each entry's image by its columns.  The matrices themselves,
-the binary expansion built from them, and per-element field arithmetic
-are built by the tests.
+binary pair.  The library holds every nonzero of a matrix as its
+discrete log, so the images are taken from logs, and it uses them only
+as index maps on symbols: the decoder's symbol tables, and
+`channel.syndrome_of`, which applies each entry's image by its columns.
+The matrices themselves, the binary expansion built from them, and
+per-element field arithmetic are built by the tests.
 """
 
 from __future__ import annotations
@@ -78,37 +79,28 @@ class FieldSpec:
     # permutation of symbol values.  These drive the decoder and the
     # syndrome without materialising any matrices.
 
-    def unit_images(self, values, transpose: bool = False) -> np.ndarray:
-        """(len(values), p) array: entry [i, j] is the symbol that
-        companion(values[i]), or its transpose, maps the unit vector
+    def unit_images(self, logs, transpose: bool = False) -> np.ndarray:
+        """(len(logs), p) array: entry [i, j] is the symbol that
+        companion(alpha^logs[i]), or its transpose, maps the unit vector
         1 << j to, i.e. column j of that matrix as a bit vector.
-
-        0 maps every unit vector to 0 (the zero matrix).
         """
-        values = np.asarray(values, dtype=np.int64)
-        p, q = self.p, self.q
-        # column j of companion(v) is the bit vector of v * alpha^j
-        images = self.exp_table[(self.log_table[values][:, None] + np.arange(p)) % (q - 1)]
-        images[values == 0] = 0
-        if transpose:           # unit vector i maps to row i of companion(v)
-            bits = (images[:, None, :] >> np.arange(p)[:, None]) & 1
-            images = (bits << np.arange(p)).sum(axis=2)
+        p, logs = self.p, np.asarray(logs, dtype=np.int64)
+        # column j of companion(alpha^k) is the bit vector of alpha^(k + j)
+        images = self.exp_table[(logs[:, None] + np.arange(p)) % (self.q - 1)]
+        if transpose:       # unit vector i maps to row i: bit j of it is bit i of column j
+            images = sum(((images[:, j, None] >> np.arange(p)) & 1) << j for j in range(p))
         return images
 
-    def symbol_maps(self, values, transpose: bool = False) -> np.ndarray:
-        """(len(values), q) tables: row i is the action of companion(values[i]),
+    def symbol_maps(self, logs, transpose: bool = False) -> np.ndarray:
+        """(len(logs), q) tables: row i is the action of companion(alpha^logs[i]),
         or of its transpose, on symbols.
 
         Both actions are GF(2)-linear, so each row is filled by doubling
         from the images of the p unit vectors.
         """
-        values = np.asarray(values, dtype=np.int64)
-        if (values == 0).any():
-            raise ZeroDivisionError("0 does not act as a permutation")
-        p, q = self.p, self.q
-        images = self.unit_images(values, transpose)
-        maps = np.zeros((len(values), q), dtype=np.int64)
-        for i in range(p):
+        images = self.unit_images(logs, transpose)
+        maps = np.zeros((len(images), self.q), dtype=np.int64)
+        for i in range(self.p):
             maps[:, 1 << i:2 << i] = maps[:, :1 << i] ^ images[:, i, None]
         return maps
 

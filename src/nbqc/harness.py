@@ -206,7 +206,9 @@ def verify_pair_files(gamma_path, delta_path) -> list[tuple[str, bool, str]]:
     checks.append(("params_match", gamma.params == delta.params,
                    f"{gamma.params} vs {delta.params}"))
 
-    violations = validate_params(params)
+    # a construction has 2P rows, so P > M fails without the O(P) scan
+    violations = ([f"P={params.P} exceeds the {gamma.m} rows of the file"] if params.P > gamma.m
+                  else validate_params(params))
     if params.J != 2:
         violations.append(f"J={params.J}, but the lift and its checks need J=2")
     checks.append(("params_valid", not violations,
@@ -225,7 +227,11 @@ def verify_pair_files(gamma_path, delta_path) -> list[tuple[str, bool, str]]:
 
     gw = {w for mat in (gamma, delta) for w in np.bincount(mat.row, minlength=mat.m).tolist()}
     checks.append(("row_weight", gw == {params.L}, f"row weights {sorted(gw)}"))
-    col_w = {w for mat in (gamma, delta) for w in np.bincount(mat.col, minlength=mat.n).tolist()}
+    col_w = set()
+    for mat in (gamma, delta):      # N sizes nothing: more columns than entries leave one empty
+        counts = (np.bincount(mat.col, minlength=mat.n) if mat.n <= mat.nnz()
+                  else np.append(np.unique(mat.col, return_counts=True)[1], 0))
+        col_w.update(counts.tolist())
     checks.append(("column_weight", col_w == {params.J},
                    f"column weights {sorted(col_w)}"))
 

@@ -7,10 +7,12 @@ from each half of the second matrix, with the same coefficient in both:
 +1 and +1, or -1 and -1.  Negating the equations of one half does not
 change the row module, and it turns the system into the signed
 incidence matrix of a bipartite graph: nodes are the equations, edges
-are the variables.  `solve_mod` finds such a signing itself, so it
-accepts any system in which every variable has exactly two
-coefficients, each +-1, and every cycle is balanced; anything else
-raises `NotBalancedGraph`.
+are the variables.  The lift builds that graph as it walks the cycles
+(`nblift.assemble_constraints`), and a `BalanceGraph` holds it as it
+is: each variable's two equations and its coefficient in each.
+`solve_mod` finds a signing itself, so it accepts any graph whose
+coefficients are +-1, that has no self-loop and in which every cycle
+is balanced; anything else raises `NotBalancedGraph`.
 
 Why the greedy forest is the Howell form.  m is composite for most p
 (15 = 3 * 5), so field-style elimination is unsound in general: pivots
@@ -32,9 +34,8 @@ call and nothing else, as the Howell sampler did (a unit pivot draws
 nothing), so the same generator yields the same solution.  The Howell
 reduction itself is kept in the test suite as the reference.
 
-Costs: O(terms) to build the graph, near-linear union-find, and one
-pass over the forest per sample.  No array has one cell per
-(equation, variable) pair.
+Costs: near-linear union-find, and one pass over the forest per
+sample.  No array has one cell per (equation, variable) pair.
 """
 
 from __future__ import annotations
@@ -49,19 +50,15 @@ class NotBalancedGraph(ValueError):
 
 
 @dataclass
-class ModSystem:
-    """Homogeneous system over Z_modulus, held as int64 term arrays.
-
-    Term k adds coef[k] * x[var[k]] to equation eq[k]; repeated
-    (equation, variable) pairs accumulate.  The right-hand side is zero.
-    """
+class BalanceGraph:
+    """Homogeneous system over Z_modulus in which every variable is an
+    edge: variable v adds coefs[v, s] * x[v] to equation ends[v, s],
+    s = 0, 1.  The right-hand side is zero."""
 
     modulus: int
-    n_vars: int
     n_equations: int
-    eq: np.ndarray
-    var: np.ndarray
-    coef: np.ndarray
+    ends: np.ndarray     # (n_vars, 2) int64 equation indices, ascending
+    coefs: np.ndarray    # (n_vars, 2) int64 coefficients
 
 
 @dataclass
@@ -90,51 +87,29 @@ class SolutionSpace:
     n_equations: int
 
 
-def _incidence(system: ModSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The two equations of every variable and its coefficient in each.
-
-    Returns (n_vars, 2) arrays, equations ascending within a row.
-    Raises NotBalancedGraph unless every variable has exactly two
-    nonzero coefficients mod m and each is +-1.
-    """
-    m, n = system.modulus, system.n_vars
-    eqs, var, coef = system.eq, system.var, system.coef
-    if len(var) and (var.min() < 0 or var.max() >= n):
-        raise NotBalancedGraph(f"variable index outside [0, {n})")
-    if len(eqs) and (eqs.min() < 0 or eqs.max() >= system.n_equations):
-        raise NotBalancedGraph(f"equation index outside [0, {system.n_equations})")
-    n_eqs = max(system.n_equations, 1)
-    keys, where = np.unique(var * n_eqs + eqs, return_inverse=True)
-    totals = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(totals, where, coef)
-    totals %= m
-    keys, totals = keys[totals != 0], totals[totals != 0]
-    counts = np.bincount(keys // n_eqs, minlength=n)
-    if (counts != 2).any():
-        v = int(np.flatnonzero(counts != 2)[0])
-        raise NotBalancedGraph(f"variable {v} is in {counts[v]} equations, not 2")
-    bad = (totals != 1) & (totals != m - 1)
-    if bad.any():
-        k = int(np.flatnonzero(bad)[0])
-        raise NotBalancedGraph(f"variable {keys[k] // n_eqs} has coefficient "
-                               f"{totals[k]}, not +-1 mod {m}")
-    return (keys % n_eqs).reshape(n, 2), totals.reshape(n, 2)
-
-
-def solve_mod(system: ModSystem) -> SolutionSpace:
+def solve_mod(graph: BalanceGraph) -> SolutionSpace:
     """Pivot and free columns of a cycle-balance system, plus its peel.
 
     The pivots are the spanning forest grown by union-find in variable
     order; each node's sign relative to its tree root is fixed along
     the forest, and every free edge must then cancel under those signs.
-    Raises NotBalancedGraph for a system that is not a graph (see
-    `_incidence`) or has a free edge that closes an unbalanced cycle.
+    Raises NotBalancedGraph for an equation index out of range, a
+    coefficient other than +-1 mod m, a self-loop, or a free edge that
+    closes an unbalanced cycle.
     """
-    m, n = system.modulus, system.n_vars
+    m, n_eqs, ends = graph.modulus, graph.n_equations, graph.ends
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    ends, coefs = _incidence(system)
-    n_eqs = system.n_equations
+    n, coefs = len(ends), graph.coefs % m
+    if n and (ends.min() < 0 or ends.max() >= n_eqs):
+        raise NotBalancedGraph(f"equation index outside [0, {n_eqs})")
+    bad = (coefs != 1) & (coefs != m - 1)
+    if bad.any():
+        v, s = np.argwhere(bad)[0]
+        raise NotBalancedGraph(f"variable {v} has coefficient {coefs[v, s]}, not +-1 mod {m}")
+    loop = np.flatnonzero(ends[:, 0] == ends[:, 1])[:1]
+    if len(loop):
+        raise NotBalancedGraph(f"variable {loop[0]} is a self-loop")
 
     root = list(range(n_eqs))
     adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n_eqs)]

@@ -15,11 +15,12 @@ determinant condition that `nbqc verify` re-checks.
 
 An `NBMatrix` is a `SparseBinaryMatrix`, int64 arrays `row` and `col`
 with one entry per nonzero in row-major order and columns ascending
-within each row, that also holds `val`, the field element at each
-entry, so the support checks of `qcpair` take it as it is.
-The first matrix takes its `row` and `col` from the QC expansion, whose
-entry order is also the numbering of the lift's variables, so its
-values are the sampled logs through the antilog table.  The second
+within each row, that also holds `log`, the discrete log of the element
+at each entry, as the NBQC file does; the support checks of `qcpair`
+take it as it is.  A log names a nonzero element, so no stored entry is
+zero.  The first matrix takes its `row` and `col` from the QC
+expansion, whose entry order is also the numbering of the lift's
+variables, so its logs are the sampled solution itself.  The second
 matrix's entries are each cycle's columns, sorted per row.
 
 Costs.  `cycle_structure` walks the cycles of all M rows at once: one
@@ -30,16 +31,18 @@ once; the stages it calls (`assemble_constraints`, `lift_gamma`,
 `solve_delta`) take the expansion and the walk as inputs and neither
 expand nor walk again.  A construct therefore walks the cycles once,
 and `nbqc verify` walks them once more for the determinant check.  The
-balance system's term arrays, the second matrix and the determinant
-check are built from the cycles as two (M, L) arrays, and the logs of
-the first matrix on E1 and E2 come from one `NBMatrix.entry` lookup:
-O(M L) array work, with no per-row Python walk and no per-entry field
-arithmetic.
+balance graph, the second matrix and the determinant check are built
+from the cycles as two (M, L) arrays, and the logs of the first matrix
+on E1 and E2 come from one `NBMatrix.log_at` lookup: O(M L) array
+work, with no per-row Python walk and no per-entry field arithmetic.
+The balance graph's edges are the variables: one stable sort of the
+walk's variable ranks lists each variable's two equations, ascending.
 `verify_orthogonal` joins the nonzeros of the two matrices on their
 column (`qcpair._column_join`, which reads each column's run of the
 second matrix off the same counting index): only row pairs that share
-a column appear, and each pair's products are XOR-summed.  A pair that
-shares no column has a zero product, so the check is exact.  The join
+a column appear, and each pair's products, the antilogs of the summed
+logs, are XOR-summed.  A pair that shares no column has a zero
+product, so the check is exact.  The join
 lists sum_c w1(c) w2(c) entry pairs, where w1 and w2 are column
 weights: O(nnz x column weight), sorted once to group them by row
 pair.  No array has one cell per pair of rows.
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nbqc.gf2p import FieldSpec
-from nbqc.modring import ModSystem, sample_solution, solve_mod
+from nbqc.modring import BalanceGraph, NotBalancedGraph, sample_solution, solve_mod
 from nbqc.qcpair import QCPair, QCParams, SparseBinaryMatrix, _column_index, _column_join
 
 
@@ -93,20 +96,20 @@ MAX_RESAMPLE = 1000     # draws `lift_gamma` makes before giving up on a non-tri
 
 @dataclass(eq=False)
 class NBMatrix(SparseBinaryMatrix):
-    """Sparse matrix over GF(2^p): element val[k] at the support entry
-    (row[k], col[k]).
+    """Sparse matrix over GF(2^p): the element alpha^log[k] at the support
+    entry (row[k], col[k]).
 
-    All stored elements are nonzero; the support is that of the QC
+    Every stored element is nonzero; the support is that of the QC
     expansion the matrix was lifted from.
     """
 
     role: str                    # "GAMMA" | "DELTA"
     field: FieldSpec
     params: QCParams
-    val: np.ndarray              # int64 field elements
+    log: np.ndarray              # int64 discrete logs in [0, q - 1)
 
-    def entry(self, i, j):
-        """The element at (i, j), 0 off the support.
+    def log_at(self, i, j):
+        """The log of the element at (i, j), -1 off the support.
 
         i and j may be index arrays, broadcast together; the result is
         then an int64 array, found with one `searchsorted` over the
@@ -116,13 +119,13 @@ class NBMatrix(SparseBinaryMatrix):
         i, j = np.asarray(i), np.asarray(j)
         want = np.where((0 <= j) & (j < self.n), i * self.n + j, -1)
         at = np.searchsorted(keys, want)
-        found = np.where(keys[at] == want, np.append(self.val, 0)[at], 0)
+        found = np.where(keys[at] == want, np.append(self.log, -1)[at], -1)
         return found if found.ndim else int(found)
 
     def row_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cols, vals) as (m, L) arrays; requires uniform row weight."""
+        """(cols, logs) as (m, L) arrays; requires uniform row weight."""
         L = _row_weight(self, "row weight is not uniform")
-        return self.col.reshape(self.m, L), self.val.reshape(self.m, L)
+        return self.col.reshape(self.m, L), self.log.reshape(self.m, L)
 
 
 def _row_weight(mat, what: str) -> int:
@@ -205,27 +208,35 @@ def _sides(cycles: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarra
 
 
 def assemble_constraints(hc: SparseBinaryMatrix, cycles: tuple[np.ndarray, np.ndarray],
-                         modulus: int) -> ModSystem:
-    """Balance equations for the lift, one per row of the second matrix.
+                         modulus: int) -> BalanceGraph:
+    """Balance equations for the lift, one per row of the second matrix,
+    as the graph whose edges are the variables.
 
     Variables are the discrete logs of the first matrix `hc`'s nonzeros:
     a variable's index is its entry's row-major rank in `hc`.  The
-    modulus is 2^p - 1 for a lift over GF(2^p).  Row r's terms are its
-    E1 variables with coefficient +1, then its E2 variables with -1, in
-    the walk order of `cycles`, the pair's `cycle_structure`.
+    modulus is 2^p - 1 for a lift over GF(2^p).  Row r's cycle in
+    `cycles`, the pair's `cycle_structure`, gives its E1 variables
+    coefficient +1 and its E2 variables -1.
 
     Each variable lies on two cycles, one from each half of the second
     matrix, with equal coefficients: the system is a balanced signed
-    graph, which `solve_mod` solves on its spanning forest.
+    graph, which `solve_mod` solves on its spanning forest.  Raises
+    NotBalancedGraph for a variable that the cycles do not visit
+    exactly twice.
     """
     i, j = _sides(cycles)
-    # row-major keys ascend, so a position's rank is its variable index
-    var = np.searchsorted(hc.row * hc.n + hc.col, i * hc.n + j)
-    _, M, L = var.shape
-    return ModSystem(modulus=modulus, n_vars=hc.nnz(), n_equations=M,
-                     eq=np.repeat(np.arange(M), 2 * L),
-                     var=var.transpose(1, 0, 2).reshape(-1),
-                     coef=np.tile(np.repeat([1, -1], L), M))
+    M, L = cycles[1].shape
+    # row-major keys ascend, so a position's rank is its variable index;
+    # positions in equation order: row r's E1, then its E2
+    var = np.searchsorted(hc.row * hc.n + hc.col, i * hc.n + j).transpose(1, 0, 2).reshape(-1)
+    counts = np.bincount(var, minlength=hc.nnz())
+    if (counts != 2).any():
+        v = int((counts != 2).argmax())
+        raise NotBalancedGraph(f"variable {v} has {counts[v]} positions, not 2")
+    # a stable sort lists each variable's two positions, equations ascending
+    at = np.argsort(var, kind="stable").reshape(-1, 2)
+    return BalanceGraph(modulus=modulus, n_equations=M, ends=at // (2 * L),
+                        coefs=np.where(at % (2 * L) < L, 1, -1))
 
 
 def cycle_log_steps(gamma: NBMatrix,
@@ -235,13 +246,13 @@ def cycle_log_steps(gamma: NBMatrix,
     Returns (steps, zeros).  steps[r, i] = log gamma(E1_i) -
     log gamma(E2_i) on row r's cycle, an (M, L) array, and the row is
     balanced iff its steps sum to 0 mod 2^p - 1.  zeros is (2, M) and
-    flags a cycle that meets a zero of gamma on E1 (zeros[0]) or on E2
-    (zeros[1]); a zero has no log, so that row's steps mean nothing.
-    Both sides come from one `entry` lookup.
+    flags a cycle that meets a zero of gamma, a position off its
+    support, on E1 (zeros[0]) or on E2 (zeros[1]); a zero has no log,
+    so that row's steps mean nothing.  Both sides come from one
+    `log_at` lookup.
     """
-    values = gamma.entry(*_sides(cycles))
-    logs = gamma.field.log_table[values]
-    return logs[0] - logs[1], (values == 0).any(axis=2)
+    logs = gamma.log_at(*_sides(cycles))
+    return logs[0] - logs[1], (logs < 0).any(axis=2)
 
 
 def lift(pair: QCPair, field: FieldSpec, rng: np.random.Generator,
@@ -281,7 +292,7 @@ def lift_gamma(hc: SparseBinaryMatrix, cycles: tuple[np.ndarray, np.ndarray],
         raise RuntimeError("could not sample a non-trivial lift")
     # variables are numbered row-major over the support, like its entries
     return NBMatrix(m=hc.m, n=hc.n, role="GAMMA", field=field, params=params,
-                    row=hc.row, col=hc.col, val=field.exp_table[logs])
+                    row=hc.row, col=hc.col, log=logs)
 
 
 def solve_delta(gamma: NBMatrix, cycles: tuple[np.ndarray, np.ndarray]) -> NBMatrix:
@@ -309,11 +320,11 @@ def solve_delta(gamma: NBMatrix, cycles: tuple[np.ndarray, np.ndarray]) -> NBMat
     n_seq = cycles[1]
     M, L = n_seq.shape
     by_col = np.argsort(n_seq, axis=1)
-    values = field.exp_table[np.take_along_axis(np.roll(running, 1, axis=1), by_col, axis=1)]
     return NBMatrix(m=M, n=gamma.n, role="DELTA", field=field, params=gamma.params,
                     row=np.repeat(np.arange(M), L),
                     col=np.take_along_axis(n_seq, by_col, axis=1).reshape(-1),
-                    val=values.reshape(-1))
+                    log=np.take_along_axis(np.roll(running, 1, axis=1), by_col,
+                                           axis=1).reshape(-1))
 
 
 def verify_orthogonal(gamma: NBMatrix, delta: NBMatrix) -> bool:
@@ -326,13 +337,11 @@ def verify_orthogonal(gamma: NBMatrix, delta: NBMatrix) -> bool:
         raise DimensionMismatch(
             f"column counts differ: {gamma.n} != {delta.n}")
     field = gamma.field
-    g_nz, d_nz = gamma.val != 0, delta.val != 0     # a zero entry adds nothing
-    ig, id_ = _column_join(gamma.col[g_nz], delta.col[d_nz], gamma.n)
+    ig, id_ = _column_join(gamma.col, delta.col, gamma.n)
     if not len(ig):
         return True
-    keys = gamma.row[g_nz][ig] * delta.m + delta.row[d_nz][id_]
+    keys = gamma.row[ig] * delta.m + delta.row[id_]
     order = np.argsort(keys)
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    logs = field.log_table[gamma.val[g_nz][ig]] + field.log_table[delta.val[d_nz][id_]]
-    products = field.exp_table[logs % (field.q - 1)]
+    products = field.exp_table[(gamma.log[ig] + delta.log[id_]) % (field.q - 1)]
     return not np.bitwise_xor.reduceat(products[order], starts).any()

@@ -17,13 +17,18 @@ per-entry syndrome loop and the single-element symbol tables are what
 the array code of `qcpair`, `channel` and `gf2p` replaces, and the
 component-by-component sampler is what `channel.sample_error`'s one
 draw replaces.  Matrices
-store row-major index arrays; `rows_of`, `from_rows` and `nb_from_rows`
-convert to and from per-row lists, `support` drops an NBMatrix's values, which the oracles and the tampering
-tests read and edit, and `dense` to a dense array.  `read_rows` is the
+store row-major index arrays, and an NBMatrix holds the discrete log of
+each entry; the oracles see its field elements instead: `rows_of`,
+`from_rows` and `nb_from_rows` convert to and from per-row lists of
+elements, which the oracles and the tampering tests read and edit,
+`entry` reads one element, `support` drops an NBMatrix's logs, and
+`dense` converts to a dense array.  `read_rows` is the
 token-by-token NBQC row reader that the array reader replaces, and
 `write_rows` the per-entry writer that the one-format writer replaces.
-`mod_system` builds a balance system from equation lists and
-`satisfies` checks an assignment against it by substitution.
+`ModSystem` is a balance system held as term arrays, the input of the
+Howell oracle: `mod_system` builds one from equation lists,
+`terms_of` from a `modring.BalanceGraph`, and `satisfies` checks an
+assignment against it by substitution.
 Per-element field arithmetic, the explicit binary images (`companion`),
 field powers and the exponent-table printout are used by tests only.
 So are `decoder_messages`, which reads a decoder's message buffers in
@@ -51,7 +56,7 @@ import numpy as np
 from nbqc.binexpand import CssCodePair, ParseError
 from nbqc.decoder import LengthMismatch, SyndromeDecoder, walsh_hadamard
 from nbqc.gf2p import FieldSpec
-from nbqc.modring import ModSystem
+from nbqc.modring import BalanceGraph
 from nbqc.nblift import DimensionMismatch, NBMatrix, NotACycle, cycle_structure
 from nbqc.qcpair import QCPair, QCParams, SparseBinaryMatrix, validate_params
 
@@ -61,16 +66,16 @@ from nbqc.qcpair import QCPair, QCParams, SparseBinaryMatrix, validate_params
 
 def rows_of(mat) -> list:
     """Per-row lists in stored order: column indices of a SparseBinaryMatrix,
-    (column, value) pairs of an NBMatrix."""
+    (column, field element) pairs of an NBMatrix."""
     entries = mat.col.tolist()
     if isinstance(mat, NBMatrix):
-        entries = list(zip(entries, mat.val.tolist()))
+        entries = list(zip(entries, mat.field.exp_table[mat.log].tolist()))
     ends = np.cumsum(np.bincount(mat.row, minlength=mat.m)).tolist()
     return [entries[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def support(mat: SparseBinaryMatrix) -> SparseBinaryMatrix:
-    """The nonzero pattern of a matrix without its values; shares the index
+    """The nonzero pattern of a matrix without its logs; shares the index
     arrays."""
     return SparseBinaryMatrix(m=mat.m, n=mat.n, row=mat.row, col=mat.col)
 
@@ -89,10 +94,20 @@ def from_rows(m: int, n: int, rows) -> SparseBinaryMatrix:
 
 def nb_from_rows(m: int, n: int, rows, role: str, field: FieldSpec,
                  params: QCParams) -> NBMatrix:
-    """NBMatrix whose row i holds the (column, value) pairs rows[i], in the order given."""
+    """NBMatrix whose row i holds the (column, nonzero field element) pairs
+    rows[i], in the order given."""
     row, entries = _flatten(rows)
     col, val = np.array(entries, dtype=np.int64).reshape(-1, 2).T.copy()
-    return NBMatrix(m=m, n=n, role=role, field=field, params=params, row=row, col=col, val=val)
+    if not val.all():
+        raise ValueError("an NBMatrix stores no zero; leave the entry out")
+    return NBMatrix(m=m, n=n, role=role, field=field, params=params, row=row, col=col,
+                    log=field.log_table[val])
+
+
+def entry(mat: NBMatrix, i: int, j: int) -> int:
+    """The field element at (i, j), 0 off the support."""
+    log = mat.log_at(i, j)
+    return 0 if log < 0 else int(mat.field.exp_table[log])
 
 
 def dense(mat) -> np.ndarray:
@@ -100,7 +115,7 @@ def dense(mat) -> np.ndarray:
     field elements of an NBMatrix."""
     nb = isinstance(mat, NBMatrix)
     d = np.zeros((mat.m, mat.n), dtype=np.int64 if nb else np.uint8)
-    d[mat.row, mat.col] = mat.val if nb else 1
+    d[mat.row, mat.col] = mat.field.exp_table[mat.log] if nb else 1
     return d
 
 
@@ -197,13 +212,13 @@ def companion_transpose(field: FieldSpec, x: int) -> np.ndarray:
 
 
 def mul_index_table(field: FieldSpec, x: int) -> np.ndarray:
-    """perm[e] = x * e: the action of companion(x) on symbols."""
-    return field.symbol_maps([x])[0]
+    """perm[e] = x * e: the action of companion(x) on symbols; x nonzero."""
+    return field.symbol_maps([field_log(field, x)])[0]
 
 
 def transpose_index_table(field: FieldSpec, x: int) -> np.ndarray:
-    """perm[e] = companion(x)^T applied to the bit vector of e."""
-    return field.symbol_maps([x], transpose=True)[0]
+    """perm[e] = companion(x)^T applied to the bit vector of e; x nonzero."""
+    return field.symbol_maps([field_log(field, x)], transpose=True)[0]
 
 
 def syndrome_of(code: CssCodePair, role: str, error: np.ndarray) -> np.ndarray:
@@ -353,8 +368,7 @@ def write_rows(mat: NBMatrix) -> str:
     pr = mat.params
     head = (f"NBQC 1\np={mat.field.p} poly={mat.field.poly:#x} J={pr.J} L={pr.L} "
             f"P={pr.P} sigma={pr.sigma} tau={pr.tau} role={mat.role}\nM={mat.m} N={mat.n}\n")
-    cells = [f"{c}:{lg:x}" for c, lg in zip(mat.col.tolist(),
-                                             mat.field.log_table[mat.val].tolist())]
+    cells = [f"{c}:{lg:x}" for c, lg in zip(mat.col.tolist(), mat.log.tolist())]
     ends = np.cumsum(np.bincount(mat.row, minlength=mat.m)).tolist()
     return head + "".join(f"r{r}: {' '.join(cells[lo:hi])}\n"
                           for r, (lo, hi) in enumerate(zip([0] + ends, ends)))
@@ -411,6 +425,31 @@ def read_rows(text: str, n: int, q: int) -> tuple[list, list, list]:
 # the free variables take.  Sampling draws the free variables uniformly
 # from Z_m and, at each pivot row with pivot g, picks uniformly among
 # the g solutions of the pivot congruence.
+
+
+@dataclass
+class ModSystem:
+    """Homogeneous system over Z_modulus, held as int64 term arrays.
+
+    Term k adds coef[k] * x[var[k]] to equation eq[k]; repeated
+    (equation, variable) pairs accumulate.  The right-hand side is zero.
+    """
+
+    modulus: int
+    n_vars: int
+    n_equations: int
+    eq: np.ndarray
+    var: np.ndarray
+    coef: np.ndarray
+
+
+def terms_of(graph: BalanceGraph) -> ModSystem:
+    """The system of a balance graph: two terms per variable, one at each
+    of its equations."""
+    n = len(graph.ends)
+    return ModSystem(modulus=graph.modulus, n_vars=n, n_equations=graph.n_equations,
+                     eq=graph.ends.reshape(-1), var=np.repeat(np.arange(n), 2),
+                     coef=graph.coefs.reshape(-1))
 
 
 def mod_system(modulus: int, n_vars: int, equations=()) -> ModSystem:
@@ -731,9 +770,9 @@ def cycle_products(gamma: NBMatrix, cyc: CycleStructure) -> tuple[int, int]:
     field = gamma.field
     prod1 = prod2 = 1
     for m, n in cyc.e1():
-        prod1 = field_mul(field, prod1, gamma.entry(m, n))
+        prod1 = field_mul(field, prod1, entry(gamma, m, n))
     for m, n in cyc.e2():
-        prod2 = field_mul(field, prod2, gamma.entry(m, n))
+        prod2 = field_mul(field, prod2, entry(gamma, m, n))
     return prod1, prod2
 
 

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (binary_orthogonal, col_supports, dense, dense_mod2_product,
-                     expand_binary, field_exp, nb_from_rows, read_rows, rows_of, support,
-                     write_rows)
+                     expand_binary, field_exp, field_log, nb_from_rows, read_rows, rows_of,
+                     support, write_rows)
 from nbqc.binexpand import (CssCodePair, FieldMismatch, ParseError, expand_pair,
                             load_pair, read_matrix, write_matrix)
 from nbqc.gf2p import make_field
@@ -70,9 +70,9 @@ class TestExpandPair:
         hc = pair.expand_c()
         hd = pair.expand_d()
         ones_g = NBMatrix(m=14, n=42, role="GAMMA", field=gf16, params=EX1,
-                          row=hc.row, col=hc.col, val=np.ones_like(hc.col))
+                          row=hc.row, col=hc.col, log=np.zeros_like(hc.col))
         ones_d = NBMatrix(m=14, n=42, role="DELTA", field=gf16, params=EX1,
-                          row=hd.row, col=hd.col, val=np.ones_like(hd.col))
+                          row=hd.row, col=hd.col, log=np.zeros_like(hd.col))
         bin_c, bin_d = binary_pair(expand_pair(ones_g, ones_d))
         p = 4
         expect = np.kron(dense(hc), np.eye(p, dtype=np.uint8))
@@ -91,8 +91,8 @@ class TestExpandPair:
     def test_non_orthogonal_input_rejected(self, pair, gf16):
         rng = np.random.default_rng(9)
         gamma, delta = lift(pair, gf16, rng)
-        v0 = int(delta.val[0])      # row 0's first entry
-        delta.val[0] = v0 ^ 3 if v0 ^ 3 else 2
+        v0 = field_exp(gf16, delta.log[0])      # row 0's first entry
+        delta.log[0] = field_log(gf16, v0 ^ 3 if v0 ^ 3 else 2)
         with pytest.raises(ValueError):
             expand_pair(gamma, delta)
 
@@ -267,6 +267,24 @@ class TestGoldenPair:
             load_pair(DATA / "golden_gf16.delta.nbqc",
                       DATA / "golden_gf16.gamma.nbqc")
 
+    @pytest.mark.parametrize("old, new", [
+        ("\nM=14 N=42\n", "\nM=14 N=1000000000000\n"),
+        (" P=7 ", " P=999999999999999 "),
+        (" L=6 ", " L=8 "),
+        ("\nr12: ", "\nr12: 1:1 "),
+    ], ids=["huge-N", "huge-P", "other-L", "extra-entry"])
+    def test_pair_not_of_its_headers_shape_rejected(self, tmp_path, old, new):
+        # both headers agree, but the shape is not 2P x LP with LM entries;
+        # a header number must not size any array before that is checked
+        paths = []
+        for role in ("gamma", "delta"):
+            text = (DATA / f"golden_gf16.{role}.nbqc").read_text()
+            assert old in text
+            paths.append(tmp_path / f"bad.{role}.nbqc")
+            paths[-1].write_text(text.replace(old, new, 1))
+        with pytest.raises(ValueError, match="not 2P x LP"):
+            load_pair(*paths)
+
     def test_bad_field_parameters_are_parse_errors(self):
         text = (DATA / "golden_gf16.gamma.nbqc").read_text()
         for mangled in (text.replace("p=4", "p=99"),
@@ -394,7 +412,7 @@ class TestReaderErrors:
         lines = golden_text().splitlines()
         lines[3] = "r0:\t001:04  9:9\t \t18:a 24:2 34:b 040:8 \t"
         got = read_text("\n".join(lines) + "\n")
-        for name in ("row", "col", "val"):
+        for name in ("row", "col", "log"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
@@ -408,7 +426,7 @@ class TestReaderMatchesTokenReader:
         mat = read_text(text)
         row, col, logs = read_rows(text, mat.n, mat.field.q)
         assert mat.row.tolist() == row and mat.col.tolist() == col
-        assert mat.val.tolist() == mat.field.exp_table[logs].tolist()
+        assert mat.log.tolist() == logs
         assert mat.row.dtype == mat.col.dtype == np.int64
 
     @given(edits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2),
@@ -432,8 +450,7 @@ class TestReaderMatchesTokenReader:
             assert (err.value.line_no, str(err.value)) == (exc.line_no, str(exc))
             return
         mat = read_text(text)
-        assert (mat.row.tolist(), mat.col.tolist(),
-                mat.field.log_table[mat.val].tolist()) == want
+        assert (mat.row.tolist(), mat.col.tolist(), mat.log.tolist()) == want
 
 
 @given(p=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2 ** 31))

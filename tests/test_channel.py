@@ -117,7 +117,7 @@ class TestSyndrome:
         assert {m for m in range(code.M) if s[m]} <= touched
         assert len(touched) == 2
         for m in touched:
-            assert s[m] == oracles.field_mul(code.field, code.gamma.entry(m, n), v)
+            assert s[m] == oracles.field_mul(code.field, oracles.entry(code.gamma, m, n), v)
 
     @pytest.mark.parametrize("role", ["C", "D"])
     def test_matches_dense_binary_product(self, code, role):

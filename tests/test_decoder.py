@@ -361,10 +361,11 @@ class TestDecode:
         code = expand_pair(*lift(pair, field, np.random.default_rng(4)))
         dec = SyndromeDecoder(code, role)
         table = mul_index_table if role == "C" else transpose_index_table
-        _, vals = code.matrix(role).row_grid()
+        _, logs = code.matrix(role).row_grid()
         for m in range(dec.M):
             for k in range(dec.L):
-                assert np.array_equal(dec.perm_fwd[m, k], table(field, int(vals[m, k])))
+                value = int(field.exp_table[logs[m, k]])
+                assert np.array_equal(dec.perm_fwd[m, k], table(field, value))
 
     def test_syndrome_of_symbols_validates(self, code):
         dec = SyndromeDecoder(code, "C")

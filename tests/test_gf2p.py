@@ -229,7 +229,7 @@ class TestIndexTables:
     @pytest.mark.parametrize("transpose", [False, True])
     def test_symbol_maps_match_matrix_action(self, gf256, transpose):
         values = np.random.default_rng(6).integers(1, 256, size=12)
-        maps = gf256.symbol_maps(values, transpose=transpose)
+        maps = gf256.symbol_maps(gf256.log_table[values], transpose=transpose)
         bits = (np.arange(256)[:, None] >> np.arange(8)) & 1          # (q, p)
         for x, row in zip(values, maps):
             mat = companion_transpose(gf256, int(x)) if transpose else companion(gf256, int(x))
@@ -238,17 +238,28 @@ class TestIndexTables:
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_unit_images_are_matrix_columns(self, gf16, transpose):
-        # zero included: its image is the zero matrix
-        images = gf16.unit_images(np.arange(16), transpose=transpose)
-        for x in range(16):
+        # every nonzero element, taken by its log
+        images = gf16.unit_images(gf16.log_table[1:], transpose=transpose)
+        for x in range(1, 16):
             mat = companion_transpose(gf16, x) if transpose else companion(gf16, x)
             expect = (1 << np.arange(4)) @ mat.astype(np.int64)      # column j as a symbol
-            assert np.array_equal(images[x], expect)
+            assert np.array_equal(images[x - 1], expect)
+
+    @pytest.mark.parametrize("p", range(2, 17))
+    def test_transposed_images_are_rows(self, p):
+        # the transposed image of row i, bit j = bit i of column j, from the
+        # (n, p, p) bit array: every log for p <= 12, 3000 random logs above
+        field = make_field(p)
+        logs = (np.arange(field.q - 1) if p <= 12
+                else np.random.default_rng(p).integers(0, field.q - 1, size=3000))
+        columns = field.unit_images(logs)
+        bits = (columns[:, None, :] >> np.arange(p)[:, None]) & 1   # [k, i, j]: bit i of column j
+        expect = (bits << np.arange(p)).sum(axis=2)
+        got = field.unit_images(logs, transpose=True)
+        assert got.dtype == np.int64 and np.array_equal(got, expect)
 
     def test_zero_rejected(self, gf16):
         with pytest.raises(ZeroDivisionError):
             mul_index_table(gf16, 0)
         with pytest.raises(ZeroDivisionError):
             transpose_index_table(gf16, 0)
-        with pytest.raises(ZeroDivisionError):
-            gf16.symbol_maps([3, 0, 5])

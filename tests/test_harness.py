@@ -47,7 +47,7 @@ def assert_reader_matches_token_reader(*paths):
         mat = read_matrix(path)
         text = Path(path).read_text()
         assert (mat.row.tolist(), mat.col.tolist(),
-                mat.field.log_table[mat.val].tolist()) == read_rows(text, mat.n, mat.field.q)
+                mat.log.tolist()) == read_rows(text, mat.n, mat.field.q)
 
 
 def bisect(fn, lo, hi, tol=1e-12):
@@ -359,6 +359,29 @@ class TestVerify:
         assert main(["verify", *paths]) == 1
         out = capsys.readouterr()
         assert "FAIL supports_match_construction" in out.out and "error" not in out.err
+
+    @pytest.mark.parametrize("old, new, failing", [
+        # the entries fit, but N=10^12 must size no array: with more columns
+        # than entries, the column weights are counted from the entries
+        ("\nM=14 N=42\n", "\nM=14 N=1000000000000\n",
+         ["supports_match_construction", "column_weight"]),
+        # a construction has 2P rows, so a P above M fails without the O(P)
+        # scan of the unit group
+        (" P=7 ", " P=999999999999999 ", ["params_valid"]),
+    ], ids=["huge-N", "huge-P"])
+    def test_header_numbers_size_nothing(self, golden_paths, tmp_path, capsys, old, new,
+                                         failing):
+        paths = []
+        for path in golden_paths:
+            bad = tmp_path / Path(path).name
+            bad.write_text(Path(path).read_text().replace(old, new, 1))
+            paths.append(str(bad))
+        assert [n for n, ok, _ in verify_pair_files(*paths) if not ok] == failing
+        assert main(["verify", *paths]) == 1
+        out = capsys.readouterr()
+        assert f"FAIL {failing[-1]}" in out.out and not out.err
+        assert main(["simulate", *paths, "--fm", "0.05", "--trials", "1"]) == 2
+        assert "not 2P x LP" in capsys.readouterr().err
 
     def test_cross_seed_pair_fails(self, golden_paths, tmp_path):
         import numpy as np

@@ -5,7 +5,8 @@ the Howell-form solver in `oracles`, which handles any homogeneous
 system over Z_m, and, for small systems, exhaustive enumeration of
 Z_m^n.  `TestSolveMod` and most of `TestSampling` exercise the Howell
 oracle itself on general systems; `TestGraphSolver` holds the library
-solver to it on balance graphs.
+solver to it on balance graphs, whose term arrays `oracles.terms_of`
+lists.
 """
 
 import numpy as np
@@ -13,9 +14,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_rows, howell_sample, howell_solve, mod_system, pair_walk, satisfies
+from oracles import (ModSystem, dense_rows, howell_sample, howell_solve, mod_system, pair_walk,
+                     satisfies, terms_of)
 from nbqc.gf2p import make_field
-from nbqc.modring import ModSystem, NotBalancedGraph, sample_solution, solve_mod
+from nbqc.modring import BalanceGraph, NotBalancedGraph, sample_solution, solve_mod
 from nbqc.nblift import assemble_constraints
 from nbqc.qcpair import QCParams, build_pair, find_params
 
@@ -78,7 +80,7 @@ class TestSolveMod:
         assert got == brute_force_solutions(system)
 
     def test_howell_idempotent(self):
-        system = assemble_constraints(*pair_walk(build_pair(EX1)), 15)
+        system = terms_of(assemble_constraints(*pair_walk(build_pair(EX1)), 15))
         space = howell_solve(system)
         again = mod_system(15, system.n_vars, [[(int(c), int(v)) for c, v in enumerate(row) if v]
                                                for row in space.pivot_rows])
@@ -140,7 +142,8 @@ class TestSampling:
 
     def test_example_construction_system(self):
         hc, cycles = pair_walk(build_pair(EX1))
-        system = assemble_constraints(hc, cycles, 15)
+        graph = assemble_constraints(hc, cycles, 15)
+        system = terms_of(graph)
         assert system.n_equations == 14
         assert system.n_vars == 84 == hc.nnz()
         for e in range(14):
@@ -148,7 +151,7 @@ class TestSampling:
             assert len(coefs) == 12
             assert np.count_nonzero(coefs == 1) == 6
             assert np.count_nonzero(coefs == -1) == 6
-        space = solve_mod(system)
+        space = solve_mod(graph)
         rng = np.random.default_rng(3)
         for _ in range(10):
             assert satisfies(system, sample_solution(space, rng))
@@ -156,10 +159,10 @@ class TestSampling:
     def test_gf256_modulus_system(self):
         # composite 255 = 3 * 5 * 17
         field = make_field(8)
-        system = assemble_constraints(*pair_walk(build_pair(EX1)), field.q - 1)
-        space = solve_mod(system)
+        graph = assemble_constraints(*pair_walk(build_pair(EX1)), field.q - 1)
+        space = solve_mod(graph)
         rng = np.random.default_rng(4)
-        assert satisfies(system, sample_solution(space, rng))
+        assert satisfies(terms_of(graph), sample_solution(space, rng))
 
     @pytest.mark.parametrize("modulus", [63, 4095])
     def test_square_factor_moduli(self, modulus):
@@ -181,13 +184,22 @@ class TestSampling:
         assert {tuple(map(int, s)) for s in space.enumerate()} == brute_force_solutions(system)
 
 
+def balance_graph(modulus: int, n_equations: int, edges) -> BalanceGraph:
+    """The balance graph whose variable v joins equations a and b with
+    coefficients c and d, for edges[v] = ((a, c), (b, d))."""
+    terms = np.array(edges, dtype=np.int64).reshape(-1, 2, 2)
+    return BalanceGraph(modulus=modulus, n_equations=n_equations,
+                        ends=terms[:, :, 0].copy(), coefs=terms[:, :, 1].copy())
+
+
 @st.composite
 def balanced_graphs(draw):
-    """A random bipartite graph as a balance system, equations shuffled.
+    """A random bipartite balance graph, equations shuffled.
 
     Each edge carries the same coefficient, +1 or -1, at both ends, as
     the lift's variables do; some equations are then negated, which
-    keeps every cycle balanced.
+    keeps every cycle balanced.  Each edge lists its equations
+    ascending, as `assemble_constraints` does.
     """
     modulus = draw(st.sampled_from([3, 7, 15, 63, 255]))
     top, bottom = draw(st.integers(1, 5)), draw(st.integers(1, 5))
@@ -196,15 +208,13 @@ def balanced_graphs(draw):
     nodes = top + bottom
     negate = draw(st.lists(st.booleans(), min_size=nodes, max_size=nodes))
     slot = draw(st.permutations(range(nodes)))
-    equations = [[] for _ in range(nodes)]
-    for v, (a, b, c) in enumerate(edges):
-        for node in (a, top + b):
-            equations[slot[node]].append((v, -c if negate[node] else c))
-    return mod_system(modulus, len(edges), equations)
+    return balance_graph(modulus, nodes, [sorted((slot[node], -c if negate[node] else c)
+                                                 for node in (a, top + b)) for a, b, c in edges])
 
 
-def assert_matches_oracle(system: ModSystem, seed: int) -> None:
-    space, howell = solve_mod(system), howell_solve(system)
+def assert_matches_oracle(graph: BalanceGraph, seed: int) -> None:
+    system = terms_of(graph)
+    space, howell = solve_mod(graph), howell_solve(system)
     assert space.pivot_cols == howell.pivot_cols
     assert space.free_cols == howell.free_cols
     assert set(howell.pivot_vals) <= {1}
@@ -214,70 +224,67 @@ def assert_matches_oracle(system: ModSystem, seed: int) -> None:
 
 
 class TestGraphSolver:
-    @given(system=balanced_graphs(), seed=st.integers(0, 2 ** 32 - 1))
+    @given(graph=balanced_graphs(), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=150, deadline=None)
-    def test_balanced_graphs_match_howell(self, system, seed):
-        assert_matches_oracle(system, seed)
+    def test_balanced_graphs_match_howell(self, graph, seed):
+        assert_matches_oracle(graph, seed)
 
     @given(params=st.sampled_from(LIFT_PARAMS), p=st.sampled_from([2, 3, 4, 8]),
            seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_lift_systems_match_howell(self, params, p, seed):
-        system = assemble_constraints(*pair_walk(build_pair(params)), 2 ** p - 1)
-        assert_matches_oracle(system, seed)
+        graph = assemble_constraints(*pair_walk(build_pair(params)), 2 ** p - 1)
+        assert_matches_oracle(graph, seed)
 
     def test_resampling_consumes_the_same_stream(self):
-        system = assemble_constraints(*pair_walk(build_pair(EX1)), 3)
-        space, howell = solve_mod(system), howell_solve(system)
+        graph = assemble_constraints(*pair_walk(build_pair(EX1)), 3)
+        space, howell = solve_mod(graph), howell_solve(terms_of(graph))
         rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
         for _ in range(20):
             assert np.array_equal(sample_solution(space, rng_a), howell_sample(howell, rng_b))
 
-    @given(system=balanced_graphs(), data=st.data())
+    @given(graph=balanced_graphs(), data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_unbalanced_cycle_raises(self, system, data):
-        free = solve_mod(system).free_cols
+    def test_unbalanced_cycle_raises(self, graph, data):
+        free = solve_mod(graph).free_cols
         assume(free)
         v = data.draw(st.sampled_from(free))
-        eq = system.eq[system.var == v].min()
-        system.coef[(system.eq == eq) & (system.var == v)] *= -1
+        graph.coefs[v, 0] *= -1         # at the lower of its two equations
         with pytest.raises(NotBalancedGraph, match=f"variable {v} closes an unbalanced cycle"):
-            solve_mod(system)
+            solve_mod(graph)
         # the elimination finds an extra pivot: the cycle pins its edges
-        assert len(howell_solve(system).free_cols) < len(free)
+        assert len(howell_solve(terms_of(graph)).free_cols) < len(free)
 
-    @pytest.mark.parametrize("equations, n_vars, modulus, message", [
-        ([[(0, 1), (1, 1)], [(1, -1)]], 2, 15, "variable 0 is in 1 equations"),
-        ([[(0, 1)], [(0, 1)], [(0, -1)]], 1, 15, "variable 0 is in 3 equations"),
-        ([], 3, 15, "variable 0 is in 0 equations"),
-        ([[(0, 1), (0, -1)], [(0, 1)]], 1, 15, "variable 0 is in 1 equations"),
-        ([[(0, 2)], [(0, -2)]], 1, 15, "coefficient 2, not"),
-        ([[(0, 1)], [(1, 1)]], 1, 15, "outside"),
-        ([[(-1, 1)], [(-1, 1)]], 1, 15, "outside"),
-    ])
-    def test_malformed_systems_raise(self, equations, n_vars, modulus, message):
-        system = mod_system(modulus, n_vars, equations)
+    @pytest.mark.parametrize("edges, n_equations, modulus, message", [
+        ([((0, 2), (1, -2))], 2, 15, "coefficient 2, not"),
+        ([((0, 1), (1, 1))], 1, 15, "outside"),
+        ([((-1, 1), (0, 1))], 2, 15, "outside"),
+        ([((1, 1), (1, -1))], 2, 15, "variable 0 is a self-loop"),
+        ([((0, 1), (1, 1)), ((0, 1), (0, 1))], 2, 15, "variable 1 is a self-loop"),
+    ], ids=["coefficient-2", "equation-above-range", "equation-below-range", "self-loop",
+            "second-edge-self-loop"])
+    def test_malformed_systems_raise(self, edges, n_equations, modulus, message):
         with pytest.raises(NotBalancedGraph, match=message):
-            solve_mod(system)
+            solve_mod(balance_graph(modulus, n_equations, edges))
 
     def test_equation_index_outside_raises(self):
-        system = mod_system(15, 1, [[(0, 1)], [(0, -1)]])
-        system.eq[1] = 2
+        system = balance_graph(15, 2, [((0, 1), (1, -1))])
+        system.ends[0, 1] = 2
         with pytest.raises(NotBalancedGraph, match="equation index outside"):
             solve_mod(system)
 
     def test_coefficients_reduce_mod_m(self):
         # 16 = -14 = 1 mod 15: two parallel edges, both (+1, +1)
-        system = mod_system(15, 2, [[(0, 1), (1, 1)], [(0, 16), (1, -14)]])
+        system = balance_graph(15, 2, [((0, 1), (1, 16)), ((0, 1), (1, -14))])
         space = solve_mod(system)
         assert (space.pivot_cols, space.free_cols) == ([0], [1])
         x = sample_solution(space, np.random.default_rng(1))
-        assert satisfies(system, x) and x[0] == (15 - x[1]) % 15
+        assert satisfies(terms_of(system), x) and x[0] == (15 - x[1]) % 15
 
     @pytest.mark.parametrize("modulus", [0, 1])
     def test_modulus_below_two_rejected(self, modulus):
         with pytest.raises(ValueError, match="modulus"):
-            solve_mod(mod_system(modulus, 0))
+            solve_mod(balance_graph(modulus, 0, []))
 
     def test_check_needs_no_dense_matrix(self):
         # 5 * 10^4 equations over 10^5 variables: a dense int64 matrix

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (CycleStructure, closed_form_cycle, cycle_products, dense, field_log, field_mul,
-                     from_rows, mod_system, nb_from_rows, pair_walk, recurrence_delta, rows_of,
-                     satisfies, support, walk_cycle, walk_cycles)
+                     from_rows, nb_from_rows, pair_walk, recurrence_delta, rows_of, satisfies,
+                     support, terms_of, walk_cycle, walk_cycles)
 from nbqc.gf2p import make_field
+from nbqc.modring import NotBalancedGraph
 from nbqc.nblift import (ClosureViolation, DimensionMismatch, NBMatrix, NotACycle,
                          assemble_constraints, cycle_structure, lift, lift_gamma, solve_delta,
                          verify_orthogonal)
@@ -210,11 +211,11 @@ class TestConstraints:
     def test_counts(self, pair):
         system = assemble_constraints(*pair_walk(pair), 15)
         assert system.n_equations == 14
-        assert system.n_vars == 84
+        assert system.ends.shape == system.coefs.shape == (84, 2)
 
     def test_row5_equation_content(self, pair):
         hc, cycles = pair_walk(pair)
-        system = assemble_constraints(hc, cycles, 15)
+        system = terms_of(assemble_constraints(hc, cycles, 15))
         plus = {(1, 2), (13, 25), (5, 7), (11, 38), (2, 20), (12, 29)}
         minus = {(1, 25), (13, 7), (5, 38), (11, 20), (2, 29), (12, 2)}
         positions = list(zip(hc.row.tolist(), hc.col.tolist()))
@@ -223,12 +224,26 @@ class TestConstraints:
         assert {positions[idx] for idx, coef in terms if coef == -1} == minus
 
     def test_all_zero_satisfies(self, pair):
-        system = assemble_constraints(*pair_walk(pair), 15)
+        system = terms_of(assemble_constraints(*pair_walk(pair), 15))
         assert satisfies(system, np.zeros(84, dtype=np.int64))
 
     def test_constant_assignment_satisfies(self, pair):
-        system = assemble_constraints(*pair_walk(pair), 15)
+        system = terms_of(assemble_constraints(*pair_walk(pair), 15))
         assert satisfies(system, np.full(84, 11, dtype=np.int64))
+
+    def test_variable_without_two_positions_raises(self, pair):
+        hc, (m_seq, n_seq) = pair_walk(pair)
+        # the last row's cycle left out: its variables lie on one cycle only
+        with pytest.raises(NotBalancedGraph, match=r"variable \d+ has 1 positions, not 2"):
+            assemble_constraints(hc, (m_seq[:-1], n_seq[:-1]), 15)
+        # the first row's cycle walked twice: its variables lie on three
+        with pytest.raises(NotBalancedGraph, match=r"variable \d+ has 3 positions, not 2"):
+            assemble_constraints(hc, (np.vstack((m_seq, m_seq[:1])),
+                                      np.vstack((n_seq, n_seq[:1]))), 15)
+        # an entry that no cycle visits
+        extra = from_rows(hc.m, hc.n + 1, rows_of(hc)[:-1] + [rows_of(hc)[-1] + [hc.n]])
+        with pytest.raises(NotBalancedGraph, match=f"variable {hc.nnz()} has 0 positions"):
+            assemble_constraints(extra, (m_seq, n_seq), 15)
 
     def test_equations_match_oracle_walk(self):
         for params in scan_params()[::5]:
@@ -241,22 +256,25 @@ class TestConstraints:
 
 
 def assert_terms_match_oracle_walk(params: QCParams, modulus: int) -> None:
-    """`assemble_constraints` equals the system built term by term from
-    the per-row walk: row r holds its E1 variables with +1, then its E2
-    variables with -1, in walk order."""
+    """`assemble_constraints` equals the graph built term by term from
+    the per-row walk: row r gives its E1 variables +1 and its E2
+    variables -1, and each variable lists its two equations ascending."""
     inst = build_pair(params)
     hc, cycles = pair_walk(inst)
-    system = assemble_constraints(hc, cycles, modulus)
+    graph = assemble_constraints(hc, cycles, modulus)
     # a variable's index is the row-major rank of its position
     var_index = {pos: k for k, pos in enumerate(
         (m, c) for m, row in enumerate(rows_of(hc)) for c in row)}
-    want = mod_system(modulus, len(var_index), [
-        [(var_index[pos], 1) for pos in cyc.e1()] + [(var_index[pos], -1) for pos in cyc.e2()]
-        for cyc in walk_cycles(hc, inst.expand_d())])
-    assert (system.modulus, system.n_vars, system.n_equations) == \
-        (want.modulus, want.n_vars, want.n_equations), params
-    for got, exp in ((system.eq, want.eq), (system.var, want.var), (system.coef, want.coef)):
-        assert got.dtype == np.int64 and np.array_equal(got, exp), params
+    want = [[] for _ in var_index]
+    for r, cyc in enumerate(walk_cycles(hc, inst.expand_d())):     # equations ascend
+        for coef, side in ((1, cyc.e1()), (-1, cyc.e2())):
+            for pos in side:
+                want[var_index[pos]].append((r, coef))
+    assert (graph.modulus, len(graph.ends), graph.n_equations) == \
+        (modulus, len(var_index), len(cycles[0])), params
+    for got, exp in ((graph.ends, [[r for r, _ in w] for w in want]),
+                     (graph.coefs, [[c for _, c in w] for w in want])):
+        assert got.dtype == np.int64 and got.tolist() == exp, params
 
 
 def dense_nb_product(gamma: NBMatrix, delta: NBMatrix) -> np.ndarray:
@@ -277,7 +295,7 @@ def dense_nb_product(gamma: NBMatrix, delta: NBMatrix) -> np.ndarray:
 def all_ones_lift(pair, field) -> NBMatrix:
     hc = pair.expand_c()
     return NBMatrix(m=hc.m, n=hc.n, role="GAMMA", field=field, params=pair.params,
-                    row=hc.row, col=hc.col, val=np.ones_like(hc.col))
+                    row=hc.row, col=hc.col, log=np.zeros_like(hc.col))
 
 
 class TestLift:
@@ -338,14 +356,14 @@ class TestLift:
     def test_perturbed_delta_breaks_orthogonality(self, pair, gf16):
         gamma, delta = lift(pair, gf16, np.random.default_rng(41))
         k = np.flatnonzero(delta.row == 2)[3]
-        v0 = int(delta.val[k])
-        delta.val[k] = v0 ^ 1 if v0 ^ 1 else 3
+        v0 = int(gf16.exp_table[delta.log[k]])
+        delta.log[k] = field_log(gf16, v0 ^ 1 if v0 ^ 1 else 3)
         assert not verify_orthogonal(gamma, delta)
 
     def test_closure_violation_detected(self, pair, gf16):
         gamma = all_ones_lift(pair, gf16)
         # corrupt one entry of a cycle so the wrap-around product is off
-        gamma.val[0] = 5        # row 0's first entry
+        gamma.log[0] = field_log(gf16, 5)       # row 0's first entry
         with pytest.raises(ClosureViolation):
             solve_delta(gamma, cycle_structure(pair.expand_c(), pair.expand_d()))
 
@@ -371,12 +389,13 @@ class TestLift:
         gamma = lift_gamma(*pair_walk(pair), gf16, pair.params, np.random.default_rng(3))
         full = dense(gamma)
         i, j = np.indices(full.shape)
-        got = gamma.entry(i, j)
-        assert got.dtype == np.int64 and np.array_equal(got, full)
+        got = gamma.log_at(i, j)        # the log of each element, -1 for a zero
+        want = np.where(full, gf16.log_table[full], -1)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
         col, value = rows_of(gamma)[4][2]
-        assert gamma.entry(4, col) == value and type(gamma.entry(4, col)) is int
-        assert gamma.entry(4, col + 1) == 0
-        assert gamma.entry(1, -1) == 0 and gamma.entry(0, gamma.n) == 0
+        assert gamma.log_at(4, col) == field_log(gf16, value) and type(gamma.log_at(4, col)) is int
+        assert gamma.log_at(4, col + 1) == -1
+        assert gamma.log_at(1, -1) == -1 and gamma.log_at(0, gamma.n) == -1
 
     def test_zero_dim_orthogonal(self, gf16):
         empty = nb_from_rows(0, 0, [], "GAMMA", gf16, EX1)

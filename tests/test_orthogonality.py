@@ -60,13 +60,15 @@ def test_lifted_pairs_and_single_changes(p, seed, pick):
     hd = oracles.expand_binary(delta, transpose=True)
     assert oracles.binary_orthogonal(hc, hd)
 
-    # one GF(2^p) entry of delta changed, possibly to 0
+    # one GF(2^p) entry of delta changed; a change to 0 removes it from the support
     rng = np.random.default_rng(pick)
     r = int(rng.integers(delta.m))
-    entries = np.flatnonzero(delta.row == r)
-    k = entries[int(rng.integers(len(entries)))]
-    v = int(delta.val[k])
-    delta.val[k] = int((v + rng.integers(1, field.q)) % field.q)
+    rows = oracles.rows_of(delta)
+    j = int(rng.integers(len(rows[r])))
+    col, v = rows[r][j]
+    w = int((v + rng.integers(1, field.q)) % field.q)
+    rows[r][j:j + 1] = [(col, w)] if w else []
+    delta = oracles.nb_from_rows(delta.m, delta.n, rows, "DELTA", field, delta.params)
     assert verify_orthogonal(gamma, delta) == oracles.verify_orthogonal(gamma, delta)
     assert not verify_orthogonal(gamma, delta)
     # and so over GF(2): verify reports the GF(2) verdict as the GF(2^p) one
