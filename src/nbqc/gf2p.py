@@ -2,8 +2,9 @@
 
 Field elements are integers in [0, 2^p): bit j of the integer is the
 coefficient of alpha^j in the polynomial basis, so the integer doubles
-as the coefficient column vector of the element.  Multiplication runs
-on log/antilog tables built from a primitive polynomial.
+as the coefficient column vector of the element.  The field keeps one
+table, the powers of alpha (the antilogs), built from a primitive
+polynomial.
 
 Every element x also has a p x p binary image, companion(x): the
 multiply-by-x linear map in the polynomial basis, whose column j is the
@@ -59,7 +60,7 @@ DEFAULT_POLY = {
 
 @dataclass(frozen=True, eq=False)
 class FieldSpec:
-    """GF(2^p) with precomputed log/antilog tables.
+    """GF(2^p) with its precomputed antilog table.
 
     Immutable after construction; all operations are pure, so a single
     instance is safely shared across workers.
@@ -69,7 +70,6 @@ class FieldSpec:
     poly: int                      # coefficient mask below x^p
     q: int
     exp_table: np.ndarray          # exp_table[i] = alpha^i, i in [0, q-1)
-    log_table: np.ndarray          # log_table[v] = log_alpha v, v in [1, q)
 
     def same_field(self, other: "FieldSpec") -> bool:
         return self.p == other.p and self.poly == other.poly
@@ -124,18 +124,16 @@ def make_field(p: int, poly: int | None = None) -> FieldSpec:
         raise NonPrimitivePolynomial(f"polynomial mask {poly:#x} has degree != {p}")
 
     exp_table = np.zeros(q - 1, dtype=np.int64)
-    log_table = np.zeros(q, dtype=np.int64)
     v = 1
     for i in range(q - 1):
         if v == 0 or (i > 0 and v == 1):
             raise NonPrimitivePolynomial(
                 f"x has order {i} < {q - 1} mod {poly:#x} + x^{p}")
         exp_table[i] = v
-        log_table[v] = i
         v <<= 1
         if v & q:
             v ^= q | poly
     if v != 1 or len(set(exp_table.tolist())) != q - 1:
         raise NonPrimitivePolynomial(
             f"x does not generate the multiplicative group mod {poly:#x} + x^{p}")
-    return FieldSpec(p=p, poly=poly, q=q, exp_table=exp_table, log_table=log_table)
+    return FieldSpec(p=p, poly=poly, q=q, exp_table=exp_table)

@@ -228,10 +228,9 @@ def verify_pair_files(gamma_path, delta_path) -> list[tuple[str, bool, str]]:
     gw = {w for mat in (gamma, delta) for w in np.bincount(mat.row, minlength=mat.m).tolist()}
     checks.append(("row_weight", gw == {params.L}, f"row weights {sorted(gw)}"))
     col_w = set()
-    for mat in (gamma, delta):      # N sizes nothing: more columns than entries leave one empty
-        counts = (np.bincount(mat.col, minlength=mat.n) if mat.n <= mat.nnz()
-                  else np.append(np.unique(mat.col, return_counts=True)[1], 0))
-        col_w.update(counts.tolist())
+    for mat in (gamma, delta):      # N sizes nothing: the weights are counted from the entries
+        counts = np.unique(mat.col, return_counts=True)[1].tolist()
+        col_w.update(counts + [0] * (len(counts) < mat.n))
     checks.append(("column_weight", col_w == {params.J},
                    f"column weights {sorted(col_w)}"))
 

@@ -200,8 +200,11 @@ def has_4cycle(mat: SparseBinaryMatrix) -> bool:
     so its (column, column) key repeats.
     """
     ia, ib = _column_join(mat.row, mat.row, mat.m)
-    left, right = mat.col[ia], mat.col[ib]
-    keys = np.sort((left * mat.n + right)[left < right])
+    # each column is renamed by its first place among the sorted columns,
+    # so a key stays below nnz^2 whatever N is
+    rank = np.searchsorted(np.sort(mat.col), mat.col)
+    left, right = rank[ia], rank[ib]
+    keys = np.sort((left * mat.nnz() + right)[left < right])
     return bool((keys[1:] == keys[:-1]).any())
 
 

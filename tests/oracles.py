@@ -29,8 +29,9 @@ token-by-token NBQC row reader that the array reader replaces, and
 Howell oracle: `mod_system` builds one from equation lists,
 `terms_of` from a `modring.BalanceGraph`, and `satisfies` checks an
 assignment against it by substitution.
-Per-element field arithmetic, the explicit binary images (`companion`),
-field powers and the exponent-table printout are used by tests only.
+The log table (`log_table`), per-element field arithmetic, the explicit
+binary images (`companion`), field powers and the exponent-table
+printout are used by tests only.
 So are `decoder_messages`, which reads a decoder's message buffers in
 edge-major order, and `trial_stream`, a simulation trial's Philox
 stream built directly.  All of them are kept out of `src/`.
@@ -46,6 +47,7 @@ GF(2) product that `channel.syndrome_of` takes block by block, and
 (bit j of symbol n at pn + j).
 """
 
+import functools
 import itertools
 import math
 import re
@@ -101,7 +103,7 @@ def nb_from_rows(m: int, n: int, rows, role: str, field: FieldSpec,
     if not val.all():
         raise ValueError("an NBMatrix stores no zero; leave the entry out")
     return NBMatrix(m=m, n=n, role=role, field=field, params=params, row=row, col=col,
-                    log=field.log_table[val])
+                    log=log_table(field)[val])
 
 
 def entry(mat: NBMatrix, i: int, j: int) -> int:
@@ -158,6 +160,15 @@ def has_4cycle(mat: SparseBinaryMatrix) -> bool:
 # -- field elements and their binary images ----------------------------------------
 
 
+@functools.cache
+def log_table(field: FieldSpec) -> np.ndarray:
+    """log_table(field)[v] = log_alpha v for v in [1, q), the inverse of
+    `field.exp_table`; entry 0 is unused."""
+    table = np.zeros(field.q, dtype=np.int64)
+    table[field.exp_table] = np.arange(field.q - 1)
+    return table
+
+
 def field_add(field: FieldSpec, a: int, b: int) -> int:
     """Characteristic-2 addition (XOR of coefficient vectors)."""
     return a ^ b
@@ -166,19 +177,19 @@ def field_add(field: FieldSpec, a: int, b: int) -> int:
 def field_mul(field: FieldSpec, a: int, b: int) -> int:
     if a == 0 or b == 0:
         return 0
-    return int(field.exp_table[(int(field.log_table[a]) + int(field.log_table[b])) % (field.q - 1)])
+    return int(field.exp_table[(int(log_table(field)[a]) + int(log_table(field)[b])) % (field.q - 1)])
 
 
 def field_inv(field: FieldSpec, a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("0 has no multiplicative inverse")
-    return int(field.exp_table[(-int(field.log_table[a])) % (field.q - 1)])
+    return int(field.exp_table[(-int(log_table(field)[a])) % (field.q - 1)])
 
 
 def field_log(field: FieldSpec, a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("log of 0 is undefined")
-    return int(field.log_table[a])
+    return int(log_table(field)[a])
 
 
 def field_exp(field: FieldSpec, k: int) -> int:
@@ -283,7 +294,7 @@ def field_pow(field: FieldSpec, a: int, k: int) -> int:
         if k < 0:
             raise ZeroDivisionError("negative power of 0")
         return 0
-    return int(field.exp_table[(int(field.log_table[a]) * k) % (field.q - 1)])
+    return int(field.exp_table[(int(log_table(field)[a]) * k) % (field.q - 1)])
 
 
 def format_exponents(pair: QCPair) -> str:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from nbqc.gf2p import (DEFAULT_POLY, DegreeOutOfRange, FieldSpec,
                        NonPrimitivePolynomial, make_field)
 from oracles import (companion, companion_transpose, field_add, field_exp, field_inv, field_log,
-                     field_mul, field_pow, mul_index_table, transpose_index_table)
+                     field_mul, field_pow, log_table, mul_index_table, transpose_index_table)
 
 
 def naive_mul(a: int, b: int, p: int, poly_mask: int) -> int:
@@ -68,6 +68,7 @@ class TestMakeField:
     def test_all_defaults_are_primitive(self, p):
         field = make_field(p)
         assert field.q == 1 << p
+        assert np.array_equal(log_table(field)[field.exp_table], np.arange(field.q - 1))
 
     def test_exp_table_matches_naive_powers(self, gf16):
         v = 1
@@ -229,7 +230,7 @@ class TestIndexTables:
     @pytest.mark.parametrize("transpose", [False, True])
     def test_symbol_maps_match_matrix_action(self, gf256, transpose):
         values = np.random.default_rng(6).integers(1, 256, size=12)
-        maps = gf256.symbol_maps(gf256.log_table[values], transpose=transpose)
+        maps = gf256.symbol_maps(log_table(gf256)[values], transpose=transpose)
         bits = (np.arange(256)[:, None] >> np.arange(8)) & 1          # (q, p)
         for x, row in zip(values, maps):
             mat = companion_transpose(gf256, int(x)) if transpose else companion(gf256, int(x))
@@ -239,7 +240,7 @@ class TestIndexTables:
     @pytest.mark.parametrize("transpose", [False, True])
     def test_unit_images_are_matrix_columns(self, gf16, transpose):
         # every nonzero element, taken by its log
-        images = gf16.unit_images(gf16.log_table[1:], transpose=transpose)
+        images = gf16.unit_images(log_table(gf16)[1:], transpose=transpose)
         for x in range(1, 16):
             mat = companion_transpose(gf16, x) if transpose else companion(gf16, x)
             expect = (1 << np.arange(4)) @ mat.astype(np.int64)      # column j as a symbol

@@ -8,6 +8,7 @@ import concurrent.futures
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -360,21 +361,28 @@ class TestVerify:
         out = capsys.readouterr()
         assert "FAIL supports_match_construction" in out.out and "error" not in out.err
 
-    @pytest.mark.parametrize("old, new, failing", [
+    @pytest.mark.parametrize("old, new, scale, failing", [
         # the entries fit, but N=10^12 must size no array: with more columns
         # than entries, the column weights are counted from the entries
-        ("\nM=14 N=42\n", "\nM=14 N=1000000000000\n",
+        ("\nM=14 N=42\n", "\nM=14 N=1000000000000\n", 1,
+         ["supports_match_construction", "column_weight"]),
+        # columns c -> 2^15 c with N = 2^49 + 1: an int64 key c1 N + c2 of
+        # the column pair (c1, c2) would wrap to 2^15 (c1 + c2), so pairs of
+        # equal sum would collide and report 4-cycles the code does not have
+        ("\nM=14 N=42\n", "\nM=14 N=562949953421313\n", 1 << 15,
          ["supports_match_construction", "column_weight"]),
         # a construction has 2P rows, so a P above M fails without the O(P)
         # scan of the unit group
-        (" P=7 ", " P=999999999999999 ", ["params_valid"]),
-    ], ids=["huge-N", "huge-P"])
-    def test_header_numbers_size_nothing(self, golden_paths, tmp_path, capsys, old, new,
+        (" P=7 ", " P=999999999999999 ", 1, ["params_valid"]),
+    ], ids=["huge-N", "huge-N-spread-columns", "huge-P"])
+    def test_header_numbers_size_nothing(self, golden_paths, tmp_path, capsys, old, new, scale,
                                          failing):
         paths = []
         for path in golden_paths:
             bad = tmp_path / Path(path).name
-            bad.write_text(Path(path).read_text().replace(old, new, 1))
+            text = re.sub(r"(?<= )(\d+):", lambda c: f"{int(c[1]) * scale}:",
+                          Path(path).read_text())
+            bad.write_text(text.replace(old, new, 1))
             paths.append(str(bad))
         assert [n for n, ok, _ in verify_pair_files(*paths) if not ok] == failing
         assert main(["verify", *paths]) == 1

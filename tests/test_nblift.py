@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (CycleStructure, closed_form_cycle, cycle_products, dense, field_log, field_mul,
-                     from_rows, nb_from_rows, pair_walk, recurrence_delta, rows_of, satisfies,
-                     support, terms_of, walk_cycle, walk_cycles)
+                     from_rows, log_table, nb_from_rows, pair_walk, recurrence_delta, rows_of,
+                     satisfies, support, terms_of, walk_cycle, walk_cycles)
 from nbqc.gf2p import make_field
 from nbqc.modring import NotBalancedGraph
 from nbqc.nblift import (ClosureViolation, DimensionMismatch, NBMatrix, NotACycle,
@@ -390,7 +390,7 @@ class TestLift:
         full = dense(gamma)
         i, j = np.indices(full.shape)
         got = gamma.log_at(i, j)        # the log of each element, -1 for a zero
-        want = np.where(full, gf16.log_table[full], -1)
+        want = np.where(full, log_table(gf16)[full], -1)
         assert got.dtype == np.int64 and np.array_equal(got, want)
         col, value = rows_of(gamma)[4][2]
         assert gamma.log_at(4, col) == field_log(gf16, value) and type(gamma.log_at(4, col)) is int
