@@ -3,8 +3,8 @@
 Messages are probability vectors of length q = 2^p indexed by error
 symbols.  Check-node updates are group convolutions over (Z_2)^p,
 diagonalised by the Walsh-Hadamard transform: transform, multiply
-pointwise (including the character of the syndrome symbol, which is the
-transform of its point mass), transform back.  Entry maps through a
+pointwise, transform back; the check's syndrome symbol translates the
+result (see "Syndrome").  Entry maps through a
 parity-check entry are pure index permutations: the binary image of a
 field element acting on symbol values.
 
@@ -28,17 +28,19 @@ operands are at most 2^15 columns wide (or M*L, if that is wider), so
 that OpenBLAS runs them on one thread: threads slowed the transform, and
 oversubscribed the cores when NBQC_WORKERS > 1.  The permutation gathers
 on either side of the transforms are single `take` calls on contiguous
-flat slot*q + symbol indices built once per decoder, one reading `_to`
-and one writing `_from`; they also switch between the layouts, so an
-iteration moves message data twice and makes no transposing copy.  A
-decoder allocates its work buffers once: the transform input that the
-forward gather writes into, the prefix and suffix products, the pair of
-butterfly buffers that both transforms of an iteration share, and the
-two message buffers.  The butterfly views of every transform stage and
-the (q, M) slices of every prefix/suffix step are built with them, so an
-iteration creates no views.  Only `estimate` is fresh for each decode.
-After a decode that iterated, `_from` and `_to` hold its last messages
-until the next decode overwrites them.
+flat indices, one reading `_to` at slot*q + symbol, built once per
+decoder, and one writing `_from` at symbol*(M*L) + edge, rebuilt once
+per decode from the syndrome (see "Syndrome"); they also switch between
+the layouts, so an iteration moves message data twice and makes no
+transposing copy.  A decoder allocates its work buffers once: the
+transform input that the forward gather and the exclusive products
+write into, the prefix and suffix products, the pair of butterfly
+buffers that both transforms of an iteration share, the two message
+buffers and the writing gather's indices.  The butterfly views of every
+transform stage and the (q, M) slices of every prefix/suffix step are
+built with them, so an iteration creates no views.  Only `estimate` is
+fresh for each decode.  After a decode that iterated, `_from` and `_to`
+hold its last messages until the next decode overwrites them.
 
 Bit-identity.  Every message is computed by the same IEEE-754 float64
 operations in the same order as the per-edge definition: butterfly
@@ -58,29 +60,29 @@ faster at some sizes, but a q-term sum in BLAS order, like a float32
 product, rounds differently, flips near-tied decisions and changes
 iteration counts, so they are not used.
 
-First iteration.  Iteration 1 starts from the prior p0 on every edge, so
-its check pass depends on the syndrome only through the +-1 character
-chi_s of each check's syndrome symbol s, which seeds the exclusive
-products.  Multiplying by a character translates the transform:
-WHT(chi_s * x)[u] = WHT(x)[u ^ s] (Declercq & Fossorier, IEEE Trans.
-Commun. 2007).  Both steps are exact in float64.  Every prefix and
-suffix product seeded with chi_s is chi_s times the same product seeded
-with 1, because round-to-nearest rounds a negated value to the negated
-result.  Each butterfly stage on sign-flipped operands computes the
-negated or swapped sums of the unflipped stage, so the inverse
-transform of the seeded products is the unseeded one translated by s,
-bit for bit except possibly the sign of an exact zero, and the clamp
-`np.maximum(c2v, 0.0)` turns -0.0 into +0.0 before any message is
-stored.  So a decoder keeps, for the prior of the last f_m it iterated
-at, the table T = max(WHT(E) / q, 0) of the check pass seeded with 1,
-edge-major (M*L, q), and iteration 1's check messages are one XOR of
-flat indices and one `take`: the message on edge e of check m is
-T[e, fwd[e, s] ^ s_m], at flat index (e*q + fwd[e, s]) ^ s_m, since e*q
-has zero low bits.  The indices are held in column-pair order, so the
-`take` writes straight into `_from`.  The table is built inside the
-first iterating decode at a new f_m, with the same gather, transform and
-product code as every later iteration.  It costs one float64 table and
-one int64 index array, each M*L*q entries: 16.3 MB together for
+Syndrome.  A check's syndrome symbol s enters its all-but-one
+convolution as the +-1 character chi_s, the transform of its point mass,
+which multiplies the exclusive products.  Multiplying by a character
+translates the transform: WHT(chi_s * x)[u] = WHT(x)[u ^ s] (Declercq &
+Fossorier, IEEE Trans. Commun. 2007), and in float64 the two sides are
+equal bit for bit except possibly the sign of an exact zero.  Every
+prefix and suffix product seeded with chi_s is chi_s times the same
+product seeded with 1, because round-to-nearest rounds a negated value
+to the negated result, and each butterfly stage on sign-flipped operands
+computes the negated or swapped sums of the unflipped stage.  So no
+check pass sees the syndrome: its products are seeded with 1, and each
+decode applies the syndrome once, to the gather that reads check
+messages out of the symbol-major transform: entry u of the message on
+edge e of check m is read at flat index (fwd[e, u] ^ s_m) * (M*L) + e.
+The indices are held in column-pair order, so that the `take` writes
+straight into `_from`, and the clamp `np.maximum(c2v, 0.0)` turns -0.0
+into +0.0 before a message is stored.
+Iteration 1 starts from the prior p0 on every edge, so its check pass
+depends on f_m alone: a decoder keeps a copy of that pass's transform
+output for the last f_m it iterated at, and iteration 1 gathers from the
+copy through the same indices through which every later iteration
+gathers from its own pass.  The copy is one float64 array and the
+indices one int64 array, each M*L*q entries: 16.3 MB together for
 GF(256) at P=331 (n=15888).  `op_count` still counts iteration 1 in
 full, since it models the convolution's arithmetic, not the work
 executed.
@@ -249,8 +251,9 @@ class SyndromeDecoder:
     """Reusable decoder for one constituent code of a pair.
 
     Precomputes, per edge (m, k): the symbol permutation of the entry's
-    binary image, flat gather indices through it and through its
-    inverse, and column-to-edge pointers.  A decoder instance owns its
+    binary image, flat gather indices through its inverse, and
+    column-to-edge pointers.  Each decode builds the gather through the
+    permutations, translated by its syndrome.  A decoder instance owns its
     message and work buffers; share the (immutable) code across
     instances, not the instance across threads.
 
@@ -289,15 +292,12 @@ class SyndromeDecoder:
         self._checks_from = self._edges_from // L                   # check of each slot
         slot_to = np.empty(M * L, dtype=np.int64)                   # edge -> its slot in _to
         slot_to[edges.reshape(-1)] = np.arange(M * L)
-        # flat gathers: symbol-major transform input (q, M, L) from the
+        # flat gather of the symbol-major transform input (q, M, L) from the
         # column-pair variable messages, through the inverse entry maps;
-        # column-pair check messages (2, N, q) from the symbol-major
-        # transform output, through the entry maps
+        # the entry maps in slot order, from which decode builds the
+        # gather of the column-pair check messages (see "Syndrome")
         self._gather_in = np.ascontiguousarray((slot_to * q + inv.T).reshape(q, M, L))
-        self._gather_out = (fwd * (M * L) + edge[:, None])[self._edges_from]
-
-        self._parity = _symbol_weights(self.p) & 1
-        self._symbols = np.arange(q)[:, None]
+        self._fwd_from = fwd[self._edges_from]                     # (2, N, q)
         log2q = q.bit_length() - 1
         self._ops_per_iteration = (2 * M * L * q * log2q + M * L * q
                                    + (2 * (L - 2) + 2 * L) * M * q)
@@ -307,9 +307,8 @@ class SyndromeDecoder:
         self._t_in = np.empty((q, M, L))
         self._pref = pref = np.empty((q, M, L))
         self._suff = suff = np.empty((q, M, L))
-        suff[..., L - 1] = 1.0
+        pref[..., 0] = suff[..., L - 1] = 1.0
         t = self._wht.out.reshape(q, M, L)
-        self._pref0 = pref[..., 0]
         self._products = (
             tuple((pref[..., k - 1], t[..., k - 1], pref[..., k]) for k in range(1, L))
             + tuple((suff[..., k + 1], t[..., k + 1], suff[..., k])
@@ -317,13 +316,10 @@ class SyndromeDecoder:
         self._from = np.empty((2, code.N, q))
         self._to = np.empty((2, code.N, q))
         self._belief = np.empty((code.N, q))
-        # iteration 1's lookup (see "First iteration"), built by decode:
-        # the prior it was built for, the table, and flat indices into it
-        # that hold the syndrome of the last decode that used them
-        self._first_p0 = None
-        self._first_table = None
-        self._first_at = None
-        self._first_syndrome = np.zeros(M, dtype=np.int64)
+        self._at = np.empty((2, code.N, q), dtype=np.int64)
+        # the prior whose check pass decode last ran, and a copy of its output
+        self._prior_p0 = None
+        self._prior_out = None
 
         self.op_count = 0
 
@@ -335,40 +331,22 @@ class SyndromeDecoder:
         mapped = self.perm_fwd.take(self._syndrome_at + symbols[self.cols])   # (M, L)
         return np.bitwise_xor.reduce(mapped, axis=1)
 
-    def _check_pass(self, to: np.ndarray, chi) -> None:
-        """Transform, exclusive products seeded with chi, inverse transform.
+    def _check_pass(self, to: np.ndarray) -> None:
+        """Transform, exclusive products, inverse transform.
 
-        Leaves the symbol-major (q, M*L) result in `self._wht.out`.  The
-        gather indices are in range by construction, and mode "clip"
-        writes straight into `out`, which the default mode would buffer.
-        chi is +-1, so seeding the prefix products with it flips signs
-        exactly, as multiplying the finished products by it would.
+        Leaves the symbol-major (q, M*L) result, not yet translated by
+        the syndrome, in `self._wht.out`.  The gather indices are in range
+        by construction, and mode "clip" writes straight into `out`,
+        which the default mode would buffer.  The exclusive products go
+        to the transform input buffer, so the seeds of the prefix and
+        suffix products, set once, are never overwritten.
         """
         to.take(self._gather_in, out=self._t_in, mode="clip")    # (q, M, L)
         walsh_hadamard(self._t_in.transpose(1, 2, 0), self._wht)
-        self._pref0[...] = chi
         for a, b, out in self._products:
             np.multiply(a, b, out=out)
-        self._pref *= self._suff                                    # exclusive products
-        walsh_hadamard(self._pref.transpose(1, 2, 0), self._wht)
-
-    def _first_check_messages(self, p0: np.ndarray, syndrome: np.ndarray,
-                              out: np.ndarray) -> None:
-        """Iteration 1's check messages, clamped at 0 and not yet
-        normalised, into the column-pair `out` (2, N, q)."""
-        if self._first_p0 is not p0:
-            self._check_pass(np.broadcast_to(p0, self._to.shape), 1.0)
-            table = np.ascontiguousarray(self._wht.out.T)          # (M*L, q)
-            table *= 1.0 / self.q
-            np.maximum(table, 0.0, out=table)
-            if self._first_at is None:
-                edge = self._edges_from
-                fwd = self.perm_fwd.reshape(-1, self.q)[edge]          # (2, N, q)
-                self._first_at = (edge * self.q)[..., None] + fwd
-            self._first_table, self._first_p0 = table, p0
-        self._first_at ^= (syndrome ^ self._first_syndrome)[self._checks_from][..., None]
-        self._first_syndrome[:] = syndrome
-        self._first_table.take(self._first_at, out=out, mode="clip")
+        np.multiply(self._pref, self._suff, out=self._t_in)       # exclusive products
+        walsh_hadamard(self._t_in.transpose(1, 2, 0), self._wht)
 
     def decode(self, syndrome: np.ndarray, f_m: float,
                config: DecoderConfig = DecoderConfig()) -> DecodeOutcome:
@@ -382,21 +360,25 @@ class SyndromeDecoder:
             return DecodeOutcome(status="success", estimate=np.zeros(self.code.N, dtype=np.int64),
                                  iterations=0)
 
-        frm, to, belief = self._from, self._to, self._belief
+        frm, to, belief, at = self._from, self._to, self._belief, self._at
+        # the gather out of every check pass, translated by the syndrome
+        np.bitwise_xor(self._fwd_from, syndrome[self._checks_from][..., None], out=at)
+        at *= self.M * self.L
+        at += self._edges_from[..., None]
+        if self._prior_p0 is not p0:
+            self._check_pass(np.broadcast_to(p0, to.shape))
+            self._prior_out, self._prior_p0 = self._wht.out.copy(), p0
+        table = self._prior_out
         for it in range(1, config.max_iter + 1):
-            # -- horizontal: all-but-one convolution with the syndrome mass,
-            # looked up from the table at iteration 1
-            if it == 1:
-                self._first_check_messages(p0, syndrome, frm)
-            else:
-                if it == 2:
-                    # (q, M) transform of each check's syndrome point mass
-                    chi = 1.0 - 2.0 * self._parity[self._symbols & syndrome]
-                self._check_pass(to, chi)
-                # mode "clip" writes straight into `out`; see _check_pass
-                self._wht.out.take(self._gather_out, out=frm, mode="clip")   # (2, N, q)
-                frm *= 1.0 / q
-                np.maximum(frm, 0.0, out=frm)
+            # -- horizontal: all-but-one convolution with the syndrome mass;
+            # iteration 1's pass, on the prior, is the copy kept for p0
+            if it > 1:
+                self._check_pass(to)
+                table = self._wht.out
+            # mode "clip" writes straight into `out`; see _check_pass
+            table.take(at, out=frm, mode="clip")                    # (2, N, q)
+            frm *= 1.0 / q
+            np.maximum(frm, 0.0, out=frm)
             self.op_count += self._ops_per_iteration
             frm /= _row_sums(frm, "check", it)
             np.maximum(frm, _PMF_FLOOR, out=frm)

@@ -313,6 +313,9 @@ def cmd_limits(args) -> int:
     else:
         if not args.fm_step > 0:
             raise DomainError(f"--fm-step must be > 0, got {args.fm_step}")
+        # endpoints outside the domain fail before the grid is sized from them
+        limit_point(args.fm_min)
+        limit_point(args.fm_max)
         if not args.fm_max >= args.fm_min:
             raise DomainError(f"--fm-max {args.fm_max} is below --fm-min {args.fm_min}")
         # the tolerance keeps fm_max on the grid when the quotient rounds below it

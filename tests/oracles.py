@@ -8,8 +8,10 @@ every pair of rows (or loop over every entry), so they are quadratic in
 the row count.  The Howell-form solver reduces dense rows over Z_m for
 any homogeneous system, zero-divisor pivots included.  The single-message
 convolution and symbol relabelling are the per-edge steps of the
-decoder's vectorised iteration, and the plain first check pass is what
-the decoder's first-iteration lookup replaces.  The per-row cycle walk,
+decoder's vectorised iteration.  The per-edge check pass, seeded with
+the character of each check's syndrome symbol, and the per-edge decode
+built on it are what the decoder's syndrome-translated gather and its
+cached iteration-1 pass replace.  The per-row cycle walk,
 the field recurrence for the second matrix and the cycle products are
 what the lift's array walk and log-domain cycle balance replace.  The
 double loop of the QC expansion, the pair-set 4-cycle search, the
@@ -56,7 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from nbqc.binexpand import CssCodePair, ParseError
-from nbqc.decoder import LengthMismatch, SyndromeDecoder, walsh_hadamard
+from nbqc.decoder import (LengthMismatch, NonFiniteMessage, SyndromeDecoder, init_pmf,
+                          walsh_hadamard)
 from nbqc.gf2p import FieldSpec
 from nbqc.modring import BalanceGraph
 from nbqc.nblift import DimensionMismatch, NBMatrix, NotACycle, cycle_structure
@@ -167,6 +170,40 @@ def log_table(field: FieldSpec) -> np.ndarray:
     table = np.zeros(field.q, dtype=np.int64)
     table[field.exp_table] = np.arange(field.q - 1)
     return table
+
+
+def x_has_full_order(p: int, mask: int) -> bool:
+    """Whether x has multiplicative order 2^p - 1 modulo x^p + mask.
+
+    By Lagrange's theorem, not by listing powers: x^n = 1 for n = 2^p - 1,
+    and x^(n/r) != 1 for every prime r dividing n (square-and-multiply
+    over shift-and-add products of polynomials).
+    """
+    n = (1 << p) - 1
+    poly = (1 << p) | mask
+
+    def mulmod(a: int, b: int) -> int:
+        acc = 0
+        while b:
+            if b & 1:
+                acc ^= a
+            b >>= 1
+            a <<= 1
+            if a >> p & 1:
+                a ^= poly
+        return acc
+
+    def x_pow(k: int) -> int:
+        acc, base = 1, 2                # x, reduced since p >= 2
+        while k:
+            if k & 1:
+                acc = mulmod(acc, base)
+            base = mulmod(base, base)
+            k >>= 1
+        return acc
+
+    primes = [r for r in range(2, n + 1) if n % r == 0 and all(r % d for d in range(2, r))]
+    return x_pow(n) == 1 and all(x_pow(n // r) != 1 for r in primes)
 
 
 def field_add(field: FieldSpec, a: int, b: int) -> int:
@@ -874,25 +911,65 @@ def permute_pmf(msg: np.ndarray, map_matrix: np.ndarray) -> np.ndarray:
     return msg[idx]
 
 
-def first_check_pass(decoder: SyndromeDecoder, syndrome: np.ndarray, p0: np.ndarray) -> np.ndarray:
-    """Iteration 1's check messages before normalising, (M, L, q), computed directly.
+def check_pass(decoder: SyndromeDecoder, syndrome: np.ndarray, v2c: np.ndarray) -> np.ndarray:
+    """One iteration's check messages before normalising, (M, L, q), per edge.
 
-    Every edge carries the prior p0: gather it through the inverse entry
-    maps, transform, take exclusive products along each row seeded with
-    the character of the row's syndrome symbol (cumprod, the same
-    sequential products as the decoder), transform back, gather through
-    the entry maps, scale by 1/q and clamp at 0.
+    `v2c` holds the variable message on every edge, edge-major (M, L, q),
+    or a single PMF that every edge carries (the prior, at iteration 1).
+    Gather it through the inverse entry maps, transform, take exclusive
+    products along each row seeded with the character of the row's
+    syndrome symbol (cumprod, the same sequential products as the
+    decoder), transform back, gather through the entry maps, scale by
+    1/q and clamp at 0.
     """
     q = decoder.q
     fwd = decoder.perm_fwd                                      # (M, L, q)
     inv = np.argsort(fwd, axis=2)
-    t = walsh_hadamard(p0[inv])
+    t = walsh_hadamard(np.take_along_axis(np.broadcast_to(v2c, fwd.shape), inv, axis=2))
     chi = np.stack([_character(int(s), q) for s in syndrome])   # (M, q)
     pref = np.cumprod(np.concatenate((chi[:, None], t[:, :-1]), axis=1), axis=1)
     ones = np.ones_like(chi)[:, None]
     suff = np.cumprod(np.concatenate((ones, t[:, :0:-1]), axis=1), axis=1)[:, ::-1]
     back = walsh_hadamard(pref * suff)
     return np.maximum(np.take_along_axis(back, fwd, axis=2) * (1.0 / q), 0.0)
+
+
+def _normalised(msgs: np.ndarray, floor: float, kind: str, it: int) -> np.ndarray:
+    sums = msgs.sum(axis=-1, keepdims=True)
+    if not (sums.min() > 0.0 and sums.max() < np.inf):
+        raise NonFiniteMessage(f"{kind} messages non-finite at iteration {it}")
+    return np.maximum(msgs / sums, floor)
+
+
+def reference_decode(decoder: SyndromeDecoder, syndrome: np.ndarray, f_m: float,
+                     max_iter: int, floor: float) -> tuple:
+    """Syndrome sum-product decoding edge by edge, every check pass from
+    `check_pass`: (status, estimate, iterations, c2v, v2c), the messages
+    edge-major (M, L, q) or None at iteration 0.  Raises NonFiniteMessage
+    as the decoder does, with `floor` in place of its message floor.
+
+    Each column's two edges, e0 < e1 in row-major edge order, pass each
+    other the prior times their check message, and its belief is
+    (c2v[e0] * p0) * c2v[e1], the decoder's order of the products.
+    """
+    code, q = decoder.code, decoder.q
+    p0 = init_pmf(f_m, code.field.p)
+    if not syndrome.any():
+        return "success", np.zeros(code.N, dtype=np.int64), 0, None, None
+    e0, e1 = np.argsort(decoder.cols.reshape(-1), kind="stable").reshape(code.N, 2).T
+    shape = (decoder.M * decoder.L, q)
+    v2c = p0
+    for it in range(1, max_iter + 1):
+        c2v = _normalised(check_pass(decoder, syndrome, v2c).reshape(shape), floor, "check", it)
+        to = np.empty(shape)
+        to[e0], to[e1] = c2v[e1] * p0, c2v[e0] * p0
+        belief = (c2v[e0] * p0) * c2v[e1]
+        v2c = _normalised(to, floor, "variable", it).reshape(decoder.M, decoder.L, q)
+        estimate = belief.argmax(axis=1)
+        done = np.array_equal(syndrome_of(code, decoder.role, estimate), syndrome)
+        if done or it == max_iter:
+            return ("success" if done else "fail", estimate, it,
+                    c2v.reshape(v2c.shape), v2c)
 
 
 def decoder_messages(decoder: SyndromeDecoder, outcome) -> tuple | None:

@@ -1,10 +1,11 @@
 """Decoder tests.
 
 Oracles: the O(q^2) double-sum convolution, the plain concatenating
-butterfly transform, the field's per-value index tables, hand-computed
-binary sum-product identities at q=2, and exhaustive single-symbol
-maximum likelihood decoding (enumerable because candidates are N*(q-1)
-vectors).  Decoder outputs are also pinned bit for bit by a digest.
+butterfly transform, the field's per-value index tables, the per-edge
+decode whose check passes are seeded with the syndrome's character,
+hand-computed binary sum-product identities at q=2, and exhaustive
+single-symbol maximum likelihood decoding (enumerable because candidates
+are N*(q-1) vectors).  Decoder outputs are also pinned bit for bit by a digest.
 """
 
 import functools
@@ -25,8 +26,8 @@ from nbqc.decoder import (DecoderConfig, LengthMismatch, NonFiniteMessage, Syndr
 from nbqc.gf2p import make_field
 from nbqc.nblift import DimensionMismatch, lift
 from nbqc.qcpair import QCParams, build_pair
-from oracles import (SingularMap, companion, decoder_messages, field_inv, first_check_pass,
-                     mul_index_table, permute_pmf, rows_of, transpose_index_table,
+from oracles import (SingularMap, companion, decoder_messages, field_inv, mul_index_table,
+                     permute_pmf, reference_decode, rows_of, transpose_index_table,
                      trial_stream, wht_convolve)
 
 EX1 = QCParams(P=7, J=2, L=6, sigma=2, tau=3)
@@ -596,17 +597,23 @@ def decode_record(dec, syndrome, f_m, config):
 
 
 class TestFirstIterationLookup:
-    """Iteration 1's check messages come from a per-f_m table translated by
-    the syndrome; they must equal the plain first check pass bit for bit."""
+    """Every iteration's check messages come from a check pass that never
+    sees the syndrome, gathered through indices translated by it, and
+    iteration 1's pass is the one kept for the prior; decoding must equal
+    the per-edge decode whose every check pass is seeded with the
+    syndrome's character, bit for bit."""
 
     @staticmethod
-    def plain_decoder(code, role):
-        # the same decoder with its lookup replaced by the oracle's plain
-        # pass, reordered from edge-major (M, L, q) to the column pairs of `out`
-        dec = SyndromeDecoder(code, role)
-        dec._first_check_messages = lambda p0, syndrome, out: np.copyto(
-            out, first_check_pass(dec, syndrome, p0).reshape(-1, dec.q)[dec._edges_from])
-        return dec
+    def reference_record(dec, syndrome, f_m, config, floor, ops):
+        """`decode_record` of `oracles.reference_decode`; `ops` is the
+        op_count of one iteration, which every iteration adds."""
+        try:
+            status, estimate, its, c2v, v2c = reference_decode(dec, syndrome, f_m,
+                                                               config.max_iter, floor)
+        except NonFiniteMessage as exc:
+            return ("raised", str(exc), int(str(exc).rsplit(" ", 1)[1]) * ops)
+        return (status, estimate.tobytes(), its, its * ops,
+                *((b"-", b"-") if c2v is None else (c2v.tobytes(), v2c.tobytes())))
 
     @pytest.mark.parametrize("p", [2, 4, 8])
     @pytest.mark.parametrize("role", ["C", "D"])
@@ -615,12 +622,12 @@ class TestFirstIterationLookup:
         code = ex1_code(p)
         q = code.field.q
         rng = np.random.default_rng(p)
-        lookup, plain = SyndromeDecoder(code, role), self.plain_decoder(code, role)
+        dec = SyndromeDecoder(code, role)
+        ops = dec._ops_per_iteration
         monkeypatch.setattr("nbqc.decoder._PMF_FLOOR", floor)
         outcomes = set()
         for f_m in (0.0, 0.01, 0.2, 0.49):
             for max_iter in (1, 3):
-                config = DecoderConfig(max_iter=max_iter)
                 # random syndromes with zero checks, and syndromes of sparse errors
                 err = np.zeros(code.N, dtype=np.int64)
                 err[rng.choice(code.N, 2, replace=False)] = rng.integers(1, q, size=2)
@@ -628,9 +635,13 @@ class TestFirstIterationLookup:
                              for _ in range(2)]
                 syndromes += [syndrome_of(code, role, err), syndrome_of(code, role, err[::-1])]
                 for s in syndromes:
-                    got = decode_record(lookup, s, f_m, config)
-                    assert got == decode_record(plain, s, f_m, config)
-                    outcomes.add(got[0])
+                    # a decode capped at k stops after iteration k, so the
+                    # messages of every iteration up to max_iter are compared
+                    for k in range(1, max_iter + 1):
+                        config = DecoderConfig(max_iter=k)
+                        got = decode_record(dec, s, f_m, config)
+                        assert got == self.reference_record(dec, s, f_m, config, floor, ops)
+                        outcomes.add(got[0])
         assert outcomes >= {"success", "fail"}
 
     @pytest.mark.parametrize("p", [2, 4, 8])

@@ -4,6 +4,8 @@ The independent oracle here is naive polynomial arithmetic over GF(2):
 shift-and-XOR multiplication reduced by the modulus, with no tables.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 from nbqc.gf2p import (DEFAULT_POLY, DegreeOutOfRange, FieldSpec,
                        NonPrimitivePolynomial, make_field)
 from oracles import (companion, companion_transpose, field_add, field_exp, field_inv, field_log,
-                     field_mul, field_pow, log_table, mul_index_table, transpose_index_table)
+                     field_mul, field_pow, log_table, mul_index_table, transpose_index_table,
+                     x_has_full_order)
 
 
 def naive_mul(a: int, b: int, p: int, poly_mask: int) -> int:
@@ -69,6 +72,23 @@ class TestMakeField:
         field = make_field(p)
         assert field.q == 1 << p
         assert np.array_equal(log_table(field)[field.exp_table], np.arange(field.q - 1))
+
+    @pytest.mark.parametrize("p", range(2, 9))
+    def test_accepts_exactly_when_x_has_full_order(self, p):
+        # every mask: make_field's power walk must agree with the order
+        # found from the prime factors of q - 1, and there are
+        # phi(q - 1) / p primitive polynomials of degree p
+        accepted = 0
+        for mask in range(1 << p):
+            try:
+                make_field(p, mask)
+            except NonPrimitivePolynomial:
+                assert not x_has_full_order(p, mask), mask
+            else:
+                assert x_has_full_order(p, mask), mask
+                accepted += 1
+        q = 1 << p
+        assert accepted * p == sum(math.gcd(k, q - 1) == 1 for k in range(1, q))
 
     def test_exp_table_matches_naive_powers(self, gf16):
         v = 1

@@ -554,6 +554,12 @@ class TestCli:
         ["--fm-step", "0"],
         ["--fm-step", "-0.01"],
         ["--fm-min", "0.03", "--fm-max", "0.01"],
+        # endpoints outside (0, 1/3) are refused before any grid is built:
+        # an infinite one overflowed the point count, a huge finite one
+        # sized a list of about 2e14 points
+        ["--fm-max", "inf"],
+        ["--fm-min=-inf"],
+        ["--fm-max", "1e12"],
     ])
     def test_limits_grid_rejects_bad_range(self, argv, capsys):
         assert main(["limits", *argv]) == 2
