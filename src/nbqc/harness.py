@@ -15,6 +15,11 @@ integer, default 1, capped at the CPU count.  A sweep splits the trial
 indices among the workers once, in one process pool with one process
 per trial range, and each worker decodes its range at every f_m with
 one decoder per role.
+
+`main` builds the argument parser on its first call and reuses it for
+every later call in the process; it runs each command through the module
+attribute `cmd_<command>`, looked up at call time, so a patched `cmd_*`
+is the one that runs.  `build_parser` returns a fresh parser each time.
 """
 
 from __future__ import annotations
@@ -99,6 +104,11 @@ def s2_limit(f_m: float) -> float:
 def bdd_limit(f_m: float) -> float:
     """Bounded-distance-decoder limit, correlations ignored: 1 - 2 h(2f)."""
     return 1.0 - 2.0 * binary_entropy(2.0 * f_m)
+
+
+# the largest f_m grid `nbqc limits` builds: a tiny --fm-step would
+# otherwise size a list of trillions of points
+MAX_LIMIT_POINTS = 10 ** 6
 
 
 def limit_point(f_m: float) -> LimitPoint:
@@ -319,8 +329,12 @@ def cmd_limits(args) -> int:
         if not args.fm_max >= args.fm_min:
             raise DomainError(f"--fm-max {args.fm_max} is below --fm-min {args.fm_min}")
         # the tolerance keeps fm_max on the grid when the quotient rounds below it
-        count = int((args.fm_max - args.fm_min) / args.fm_step + 1e-9) + 1
-        grid = [args.fm_min + i * args.fm_step for i in range(count)]
+        steps = (args.fm_max - args.fm_min) / args.fm_step + 1e-9
+        # sized before any list is built; `not <` also refuses an infinite quotient
+        if not steps < MAX_LIMIT_POINTS:
+            raise DomainError(f"--fm-step {args.fm_step} makes a grid of more than "
+                              f"{MAX_LIMIT_POINTS} points")
+        grid = [args.fm_min + i * args.fm_step for i in range(int(steps) + 1)]
     lines = ["f_m,shannon,s2,bdd"]
     for f in grid:
         pt = limit_point(f)
@@ -357,12 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--reject-trivial", action="store_true",
                    help="resample if every sampled log is zero")
     c.add_argument("--out", required=True, help="output file prefix")
-    c.set_defaults(func=cmd_construct)
 
     v = sub.add_parser("verify", help="check a stored pair (exit 0 iff all pass)")
     v.add_argument("gamma")
     v.add_argument("delta")
-    v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("simulate", help="Monte Carlo BLER sweep to CSV")
     s.add_argument("gamma")
@@ -374,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--mode", choices=("independent", "joint"), default="independent")
     s.add_argument("--out", default="-", help="CSV path (default stdout)")
-    s.set_defaults(func=cmd_simulate)
 
     m = sub.add_parser("limits", help="closed-form rate limit curves to CSV")
     m.add_argument("--fm", type=float, nargs="*", default=None,
@@ -383,14 +394,19 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--fm-max", type=float, default=0.33)
     m.add_argument("--fm-step", type=float, default=0.005)
     m.add_argument("--out", default="-", help="CSV path (default stdout)")
-    m.set_defaults(func=cmd_limits)
     return ap
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
         # ParseError, FieldMismatch, InvalidParams, DomainError and plain
         # file problems all surface here; internal invariants still raise

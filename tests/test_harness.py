@@ -18,13 +18,13 @@ import numpy as np
 import pytest
 
 from oracles import read_rows
-from nbqc import nblift, qcpair
+from nbqc import harness, nblift, qcpair
 from nbqc.binexpand import load_pair, read_matrix, write_matrix
 from nbqc.channel import ChannelParams, sample_error, syndrome_of
 from nbqc.decoder import DecoderConfig, SyndromeDecoder
-from nbqc.harness import (DomainError, SimRecord, _philox_state, _seek,
-                          bdd_limit, limit_point, main, record_csv_line, s2_limit,
-                          shannon_limit, simulate_sweep, verify_pair_files)
+from nbqc.harness import (DomainError, SimRecord, _philox_state, _seek, bdd_limit,
+                          build_parser, cmd_construct, limit_point, main, record_csv_line,
+                          s2_limit, shannon_limit, simulate_sweep, verify_pair_files)
 
 DATA = Path(__file__).parent / "data"
 
@@ -32,6 +32,19 @@ DATA = Path(__file__).parent / "data"
 S2_ZERO = 0.110027864438359551          # root of 1 - 2 h(f)
 SHANNON_THIRD = 0.0722357932154816416   # shannon(f) = 1/3
 SWEEP_CSV_SHA256 = "a21ec43283ec343de746eb7cbf8a38fc904f8dca58224dc32bf73b26932c1e0c"
+# the two codes the benchmark builds: construct flags, then the SHA-256 of
+# the gamma and the delta file
+BENCHMARK_CODES = {
+    "gf256-n336": (
+        ["--p", "8", "--L", "6", "--P", "7", "--sigma", "2", "--tau", "3", "--seed", "0"],
+        "ba814459fc83c1a32405ef850f3abcf56d3c6e435e5264afd2ce475571f88090",
+        "db45b7e86ba71ef69de9aa03165cd3ab8f4f80e1f4364aedd57f745b51d06a16"),
+    "gf16-n1032": (
+        ["--p", "4", "--L", "6", "--P", "43", "--sigma", "6", "--tau", "2", "--seed", "0",
+         "--reject-trivial"],
+        "b2df7bcdb9bc56dac217af91b9ada25b75cf4bc244ee6a8eae05a13de9c2f950",
+        "f54e637e6dae1ff84f54b0721a69a7472b4d9542cff0f799609e851b809b1437"),
+}
 
 
 def traced_peak(fn, *args):
@@ -445,15 +458,8 @@ class TestVerify:
         assert_reader_matches_token_reader(g, d)
 
 
-    @pytest.mark.parametrize("flags, gamma_sha, delta_sha", [
-        (["--p", "8", "--L", "6", "--P", "7", "--sigma", "2", "--tau", "3", "--seed", "0"],
-         "ba814459fc83c1a32405ef850f3abcf56d3c6e435e5264afd2ce475571f88090",
-         "db45b7e86ba71ef69de9aa03165cd3ab8f4f80e1f4364aedd57f745b51d06a16"),
-        (["--p", "4", "--L", "6", "--P", "43", "--sigma", "6", "--tau", "2", "--seed", "0",
-          "--reject-trivial"],
-         "b2df7bcdb9bc56dac217af91b9ada25b75cf4bc244ee6a8eae05a13de9c2f950",
-         "f54e637e6dae1ff84f54b0721a69a7472b4d9542cff0f799609e851b809b1437"),
-    ], ids=["gf256-n336", "gf16-n1032"])
+    @pytest.mark.parametrize("flags, gamma_sha, delta_sha", list(BENCHMARK_CODES.values()),
+                             ids=list(BENCHMARK_CODES))
     def test_benchmark_code_bytes_and_checks(self, tmp_path, flags, gamma_sha, delta_sha):
         # the two codes the benchmark builds; at p=8 the logs take two hex digits
         prefix = str(tmp_path / "code")
@@ -567,6 +573,34 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["--fm-step", "1e-13"],                                         # about 3.3e12 points
+        ["--fm-min", "0.1", "--fm-max", "0.2", "--fm-step", "1e-7"],    # 10**6 + 1 points
+    ])
+    def test_limits_grid_over_the_cap_is_refused(self, argv):
+        # in a child limited to 2 GB of address space and 60 s, so that a
+        # grid sized before the check fails there and not on the host
+        code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30,) * 2); "
+                "from nbqc.harness import main; sys.exit(main(sys.argv[1:]))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run([sys.executable, "-c", code, "limits", *argv], cwd=src,
+                              env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and "more than 1000000 points" in proc.stderr
+
+    def test_limits_grid_at_the_cap(self, tmp_path, monkeypatch, capsys):
+        # 0.01, 0.02, 0.03 is three points: built at a cap of 3, refused at 2
+        out = tmp_path / "grid.csv"
+        argv = ["limits", "--fm-min", "0.01", "--fm-max", "0.03", "--fm-step", "0.01",
+                "--out", str(out)]
+        monkeypatch.setattr(harness, "MAX_LIMIT_POINTS", 3)
+        assert main(argv) == 0
+        assert len(out.read_text().splitlines()) == 1 + 3
+        monkeypatch.setattr(harness, "MAX_LIMIT_POINTS", 2)
+        assert main(argv) == 2
+        assert "more than 2 points" in capsys.readouterr().err
+
     def test_serial_import_skips_process_pool(self):
         code = ("import sys, nbqc.harness; "
                 "print('concurrent.futures.process' in sys.modules)")
@@ -593,3 +627,91 @@ class TestCli:
         main(["simulate", *golden_paths, "--fm", "0.03", "--trials", "40",
               "--seed", "2", "--out", par])
         assert Path(base).read_bytes() == Path(par).read_bytes()
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """main's cached parser cleared, and a list that gains one entry per
+    `build_parser` call."""
+    builds = []
+
+    def counted(build=harness.build_parser):
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(harness, "_parser", None)
+    monkeypatch.setattr(harness, "build_parser", counted)
+    return builds
+
+
+def sha256_file(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestParserReuse:
+    def test_one_parser_serves_every_command(self, tmp_path, golden_paths, parser_builds):
+        flags, gamma_sha, delta_sha = BENCHMARK_CODES["gf16-n1032"]
+        prefix = str(tmp_path / "n1032")
+        assert main(["construct", *flags, "--out", prefix]) == 0
+        g, d = prefix + ".gamma.nbqc", prefix + ".delta.nbqc"
+        assert (sha256_file(g), sha256_file(d)) == (gamma_sha, delta_sha)
+        # an argparse failure (no --p) leaves the next call working
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "--L", "6", "--P", "7", "--sigma", "2", "--tau", "3",
+                  "--out", prefix])
+        assert exc.value.code == 2
+        assert main(["verify", g, d]) == 0
+
+        # the sweeps of test_sweep_csv_digest, joint first: a call without
+        # --mode runs independent mode, whatever the call before it chose
+        rows = {}
+        for mode in ("joint", None):
+            out = tmp_path / f"{mode}.csv"
+            assert main(["simulate", *golden_paths, "--fm", "0.02", "0.05", "0.08",
+                         "--trials", "30", "--seed", "0", "--max-iter", "12",
+                         *(["--mode", mode] if mode else []), "--out", str(out)]) == 0
+            header, body = out.read_text().split("\n", 1)
+            assert header == harness.CSV_HEADER
+            rows[mode] = body
+        # the digest pins two sweeps per mode, one per worker count, with equal rows
+        digest = hashlib.sha256(2 * rows[None].encode() + 2 * rows["joint"].encode())
+        assert digest.hexdigest() == SWEEP_CSV_SHA256
+
+        out = tmp_path / "limits.csv"
+        assert main(["limits", "--fm-min", "0.01", "--fm-max", "0.03", "--fm-step", "0.01",
+                     "--out", str(out)]) == 0
+        assert [row.split(",")[0] for row in out.read_text().splitlines()[1:]] == [
+            "0.01", "0.02", "0.03"]
+
+        # without --reject-trivial, and at another seed: the bytes equal a
+        # fresh parser's run of the same flags
+        flags, gamma_sha, delta_sha = BENCHMARK_CODES["gf256-n336"]
+        prefix = str(tmp_path / "n336")
+        assert main(["construct", *flags, "--out", prefix]) == 0
+        assert (sha256_file(prefix + ".gamma.nbqc"),
+                sha256_file(prefix + ".delta.nbqc")) == (gamma_sha, delta_sha)
+        argv = ["construct", *flags[:-1], "5", "--out"]
+        assert main([*argv, str(tmp_path / "reused")]) == 0
+        assert cmd_construct(build_parser().parse_args([*argv, str(tmp_path / "fresh")])) == 0
+        for role in ("gamma", "delta"):
+            assert (tmp_path / f"reused.{role}.nbqc").read_bytes() == (
+                tmp_path / f"fresh.{role}.nbqc").read_bytes()
+        assert len(parser_builds) == 1
+
+    def test_patched_command_runs(self, parser_builds, monkeypatch):
+        assert main(["limits", "--fm", "0.05"]) == 0
+        ran = []
+        monkeypatch.setattr(harness, "cmd_verify", lambda args: ran.append(args) or 7)
+        assert main(["verify", "a.nbqc", "b.nbqc"]) == 7
+        assert [(args.gamma, args.delta) for args in ran] == [("a.nbqc", "b.nbqc")]
+        assert len(parser_builds) == 1
+
+    def test_import_builds_no_parser(self):
+        code = ("import argparse; made = []; init = argparse.ArgumentParser.__init__; "
+                "argparse.ArgumentParser.__init__ = "
+                "lambda self, *a, **k: made.append(1) or init(self, *a, **k); "
+                "import nbqc.harness; print(len(made), nbqc.harness._parser)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, cwd=src)
+        assert out.stdout.strip() == "0 None"

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 from nbqc.harness import CSV_HEADER
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -168,6 +170,45 @@ def test_bench_ab_traced_runs_and_per_layer_report(monkeypatch, capsys):
     assert "decoder.wht_s" not in lines     # a layer neither side reports is left out
 
 
+def test_bench_ab_verdicts(capsys):
+    bench_ab = import_bench_ab()
+    lower = {"name": "construct_s", "unit": "s", "better": "lower", "bound": 0.25}
+    higher = {"name": "trials_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}
+    parent = [3.2, 3.3, 3.4, 3.25, 3.35, 3.3, 3.2, 3.4, 3.3, 3.3]     # IQR 0.1125
+
+    def verdict(metric, change, claimed=False, base=parent):
+        return bench_ab.verdict(metric, list(zip(base, change)), claimed)
+
+    # a claim: met on 10/10 and 9/10 wins with a median gain above the IQR
+    assert verdict(lower, [2.5] * 10, claimed=True) == "met"
+    assert verdict(lower, [2.5] * 9 + [3.5], claimed=True) == "met"
+    assert verdict(lower, [2.5] * 8 + [3.5] * 2, claimed=True) == "not met"
+    # every pair won by 0.05, below the parent's IQR
+    assert verdict(lower, [v - 0.05 for v in parent], claimed=True) == "not met"
+    # the bound is 25% of the parent's median 3.3, 0.825: 0.8 worse is within it
+    assert verdict(higher, [2.5] * 10, base=[3.3] * 10) == "within bound"
+    assert verdict(higher, [2.45] * 10, base=[3.3] * 10) == "worse than bound"
+    assert verdict(lower, [4.1] * 10) == "within bound"
+    assert verdict(lower, [4.2] * 10) == "worse than bound"
+    # the parent's IQR (100) is wider than 25% of its median (100): no reading,
+    # unless every change run beats every parent run
+    wide = [50, 150] * 5
+    assert verdict(higher, [100] * 10, base=wide) == "unresolved"
+    assert verdict(higher, [151] * 10, base=wide) == "within bound"
+    assert verdict({**higher, "bound": 2.0}, [10] * 10, base=wide) == "within bound"
+    # a per-layer metric has no bound and no verdict
+    assert verdict({"name": "decoder.wht_s", "unit": "s", "better": "lower"}, [9] * 10) == "-"
+
+    runs = [tuple({"correct": True, "failed": 0, "attempted": 8, "exit": 0,
+                   "metrics": {"construct_s": {"value": v}, "trials_per_s": {"value": v}}}
+                  for v in pair) for pair in zip(parent, [2.5] * 10)]
+    bench_ab.report("w", [lower, higher], runs, claim="construct_s")
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ") and "pairs" not in line}
+    assert " 10/10  met " in rows["construct_s"]
+    assert " 0/10  within bound " in rows["trials_per_s"]
+
+
 def test_bench_ab_defaults_to_every_workload(monkeypatch):
     bench_ab = import_bench_ab()
     ran, git = [], []
@@ -187,6 +228,23 @@ def test_bench_ab_defaults_to_every_workload(monkeypatch):
                    "--workload", "build-gf16-n1032"])
     assert ran == ["sim-gf16-n168", "build-gf16-n1032"]
     assert git == [["worktree", "add"], ["worktree", "remove"]] * 2
+
+
+def test_bench_ab_claim_names_a_metric_of_the_run(monkeypatch, capsys):
+    bench_ab = import_bench_ab()
+    claims = []
+    monkeypatch.setattr(bench_ab, "subprocess", SimpleNamespace(run=lambda cmd, **kw: None))
+    monkeypatch.setattr(bench_ab, "signal", SimpleNamespace(signal=lambda *a: None, SIGTERM=15))
+    monkeypatch.setattr(bench_ab, "run_pairs", lambda *a: ([], []))
+    monkeypatch.setattr(bench_ab, "report", lambda *a: claims.append(a[3]))
+    assert bench_ab.main(["--parent", "HEAD", "--seeds", "1",
+                          "--claim", "construct_s@build-gf16-n1032"]) == 0
+    # the claim reaches the claimed workload's report only
+    assert claims == [None, None, "construct_s"]
+    for claim in ("wht_s@build-gf16-n1032", "construct_s@nowhere", "construct_s"):
+        with pytest.raises(SystemExit):
+            bench_ab.main(["--parent", "HEAD", "--seeds", "1", "--claim", claim])
+        assert "--claim" in capsys.readouterr().err
 
 
 LOC_MODULE = '''"""Module docstring,
