@@ -13,7 +13,7 @@ from nbqc.gf2p import FieldSpec, make_field
 from nbqc.qcpair import QCParams, QCPair, build_pair, expand, find_params, has_4cycle, validate_params
 from nbqc.nblift import NBMatrix, cycle_structure, lift, lift_gamma, solve_delta, verify_orthogonal
 from nbqc.binexpand import CssCodePair, expand_pair, read_matrix, write_matrix
-from nbqc.channel import ChannelParams, sample_error, syndrome_of
+from nbqc.channel import ChannelParams, sample_error
 from nbqc.decoder import DecoderConfig, DecodeOutcome, SyndromeDecoder
 
 __all__ = [
@@ -21,6 +21,6 @@ __all__ = [
     "QCParams", "QCPair", "build_pair", "expand", "find_params", "has_4cycle", "validate_params",
     "NBMatrix", "cycle_structure", "lift", "lift_gamma", "solve_delta", "verify_orthogonal",
     "CssCodePair", "expand_pair", "read_matrix", "write_matrix",
-    "ChannelParams", "sample_error", "syndrome_of",
+    "ChannelParams", "sample_error",
     "DecoderConfig", "DecodeOutcome", "SyndromeDecoder",
 ]

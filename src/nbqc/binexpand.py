@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nbqc.gf2p import FieldSpec, make_field
+from nbqc.gf2p import FieldSpec, make_field, poly_mask
 from nbqc.nblift import DimensionMismatch, NBMatrix, verify_orthogonal
 from nbqc.qcpair import QCParams
 
@@ -159,7 +159,8 @@ def write_matrix(mat: NBMatrix, sink) -> None:
 def read_matrix(source, expected_field: FieldSpec | None = None) -> NBMatrix:
     """Parse an NBQC file back into an NBMatrix.
 
-    With `expected_field`, the file's (p, poly) must match exactly.
+    With `expected_field`, the file's (p, poly) must match it, the
+    polynomial spelled with or without its leading term (`poly_mask`).
     """
     if isinstance(source, (str, Path)):
         # a non-ASCII byte reads as U+FFFD, which the parse rejects with its line
@@ -175,7 +176,7 @@ def read_matrix(source, expected_field: FieldSpec | None = None) -> NBMatrix:
         raise ParseError(2, "expected 'p=<int> poly=0x<hex> J=<int> L=<int> P=<int> "
                             "sigma=<int> tau=<int> role=<GAMMA|DELTA>'")
     p, J, L, P, sigma, tau = map(int, header.group(1, 3, 4, 5, 6, 7))
-    poly, role = int(header[2], 16), header[8]
+    poly, role = poly_mask(p, int(header[2], 16)), header[8]
     params = QCParams(P=P, J=J, L=L, sigma=sigma, tau=tau)
     dims = _DIMS.fullmatch(lines[2])
     if not dims:

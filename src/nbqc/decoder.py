@@ -32,7 +32,10 @@ flat indices, one reading `_to` at slot*q + symbol, built once per
 decoder, and one writing `_from` at symbol*(M*L) + edge, rebuilt once
 per decode from the syndrome (see "Syndrome"); they also switch between
 the layouts, so an iteration moves message data twice and makes no
-transposing copy.  A decoder allocates its work buffers once: the
+transposing copy.  Each edge's forward symbol map is held once, in
+column-pair slot order, (2, N, q), the order the writing gather reads
+it in; the syndrome reads it too, through an (M, L) array of each
+edge's row offset there.  A decoder allocates its work buffers once: the
 transform input that the forward gather and the exclusive products
 write into, the prefix and suffix products, the pair of butterfly
 buffers that both transforms of an iteration share, the two message
@@ -149,12 +152,9 @@ def init_pmf(f_m: float, p: int) -> np.ndarray:
     return pmf
 
 
-@lru_cache(maxsize=16)
 def _symbol_weights(p: int) -> np.ndarray:
-    """Hamming weight of every symbol in [0, 2^p); shared, so read-only."""
-    w = (np.arange(1 << p)[:, None] >> np.arange(p) & 1).sum(axis=1)
-    w.setflags(write=False)
-    return w
+    """Hamming weight of every symbol in [0, 2^p)."""
+    return (np.arange(1 << p)[:, None] >> np.arange(p) & 1).sum(axis=1)
 
 
 class WHTWork(NamedTuple):
@@ -251,9 +251,10 @@ class SyndromeDecoder:
     """Reusable decoder for one constituent code of a pair.
 
     Precomputes, per edge (m, k): the symbol permutation of the entry's
-    binary image, flat gather indices through its inverse, and
-    column-to-edge pointers.  Each decode builds the gather through the
-    permutations, translated by its syndrome.  A decoder instance owns its
+    binary image (held once, in column-pair slot order, where the
+    syndrome reads it through per-edge offsets), flat gather indices
+    through its inverse, and column-to-edge pointers.  Each decode builds
+    the gather through the permutations, translated by its syndrome.  A decoder instance owns its
     message and work buffers; share the (immutable) code across
     instances, not the instance across threads.
 
@@ -272,13 +273,10 @@ class SyndromeDecoder:
         mat = code.matrix(role)
         self.cols, logs = mat.row_grid()
         self.M, self.L = M, L = self.cols.shape
-        edge = np.arange(M * L)
 
         fwd = field.symbol_maps(logs.reshape(-1), transpose=role == "D")   # (M*L, q)
         inv = np.empty_like(fwd)
         np.put_along_axis(inv, fwd, np.arange(q)[None, :], axis=1)
-        self.perm_fwd = fwd.reshape(M, L, q)    # action of the entry's image on symbols
-        self._syndrome_at = (edge * q).reshape(M, L)
 
         # column -> its two edges, as indices into the flat (M*L) edge axis:
         # row 0 holds each column's first edge, row 1 its second.  The
@@ -295,9 +293,11 @@ class SyndromeDecoder:
         # flat gather of the symbol-major transform input (q, M, L) from the
         # column-pair variable messages, through the inverse entry maps;
         # the entry maps in slot order, from which decode builds the
-        # gather of the column-pair check messages (see "Syndrome")
+        # gather of the column-pair check messages (see "Syndrome"); the
+        # syndrome reads edge e's map at `_from` slot (slot_to[e] + N) mod 2N
         self._gather_in = np.ascontiguousarray((slot_to * q + inv.T).reshape(q, M, L))
         self._fwd_from = fwd[self._edges_from]                     # (2, N, q)
+        self._syndrome_at = ((slot_to + code.N) % (2 * code.N) * q).reshape(M, L)
         log2q = q.bit_length() - 1
         self._ops_per_iteration = (2 * M * L * q * log2q + M * L * q
                                    + (2 * (L - 2) + 2 * L) * M * q)
@@ -328,7 +328,7 @@ class SyndromeDecoder:
         return self._syndrome(_symbol_vector(symbols, self.code.N, self.q, "error"))
 
     def _syndrome(self, symbols: np.ndarray) -> np.ndarray:
-        mapped = self.perm_fwd.take(self._syndrome_at + symbols[self.cols])   # (M, L)
+        mapped = self._fwd_from.take(self._syndrome_at + symbols[self.cols])  # (M, L)
         return np.bitwise_xor.reduce(mapped, axis=1)
 
     def _check_pass(self, to: np.ndarray) -> None:

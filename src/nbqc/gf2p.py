@@ -105,21 +105,23 @@ class FieldSpec:
         return maps
 
 
+def poly_mask(p: int, poly: int) -> int:
+    """The coefficient bitmask of `poly` below x^p: a polynomial may also be
+    spelled with its leading term, bit p, set, which is then dropped."""
+    return poly ^ (1 << p) if poly >> p == 1 else poly
+
+
 def make_field(p: int, poly: int | None = None) -> FieldSpec:
     """Build GF(2^p) from a primitive polynomial.
 
-    `poly` is the coefficient bitmask below the leading term; passing the
-    full polynomial with bit p set is also accepted.  Omitted, the
-    built-in default for p is used.  Primitivity is verified by an
-    exhaustive order check on x.
+    `poly` is the coefficient bitmask below the leading term, or the full
+    polynomial (see `poly_mask`).  Omitted, the built-in default for p is
+    used.  Primitivity is verified by an exhaustive order check on x.
     """
     if not 2 <= p <= 16:
         raise DegreeOutOfRange(f"p={p} outside [2, 16]")
     q = 1 << p
-    if poly is None:
-        poly = DEFAULT_POLY[p]
-    if poly >> p == 1:
-        poly ^= q                   # strip an explicit leading term
+    poly = poly_mask(p, DEFAULT_POLY[p] if poly is None else poly)
     if not 0 <= poly < q:
         raise NonPrimitivePolynomial(f"polynomial mask {poly:#x} has degree != {p}")
 

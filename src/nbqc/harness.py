@@ -124,15 +124,10 @@ def limit_point(f_m: float) -> LimitPoint:
 _WORD = (1 << 64) - 1
 
 
-def _philox_state(seed: int, trial: int) -> dict:
-    """State of `Philox(key=seed, counter=trial << 128)` before its first draw;
-    Philox raises ValueError for a seed outside [0, 2**128)."""
-    return _seek(np.random.Philox(key=operator.index(seed)).state, trial)
-
-
 def _seek(state: dict, trial: int) -> dict:
-    """Point a `_philox_state` state at trial's stream, counter trial << 128,
-    in place; the state setter copies it, so one state serves every trial."""
+    """Point the state of a fresh `Philox(key=seed)`, read before its first
+    draw, at trial's stream, counter trial << 128, in place; the state
+    setter copies it, so one state serves every trial."""
     trial = operator.index(trial)
     if not 0 <= trial < 1 << 128:
         raise ValueError(f"trial must be in [0, 2**128), got {trial}")
@@ -148,10 +143,11 @@ def _run_trials(code, f_m_values, mode: str, trials: range, seed: int,
     counts = np.zeros((len(params), 2, 3), dtype=np.int64)
     for r, role in enumerate(("C", "D")):
         decoder = SyndromeDecoder(code, role)
-        # one generator, re-seeked to Philox(key=seed, counter=t << 128) per trial;
-        # its own seed is never drawn from
-        rng = np.random.Generator(np.random.Philox())
-        state = _philox_state(seed, 0)
+        # one generator, re-seeked to Philox(key=seed, counter=t << 128) per
+        # trial through its own state before any draw; Philox raises
+        # ValueError for a seed outside [0, 2**128)
+        rng = np.random.Generator(np.random.Philox(key=operator.index(seed)))
+        state = rng.bit_generator.state
         for i, chan in enumerate(params):
             fails = mismatches = iter_sum = 0
             for t in trials:

@@ -35,7 +35,9 @@ The log table (`log_table`), per-element field arithmetic, the explicit
 binary images (`companion`), field powers and the exponent-table
 printout are used by tests only.
 So are `decoder_messages`, which reads a decoder's message buffers in
-edge-major order, and `trial_stream`, a simulation trial's Philox
+edge-major order, `entry_maps`, every entry's symbol map from the
+per-value tables, which the per-edge check pass reads in place of the
+decoder's own maps, and `trial_stream`, a simulation trial's Philox
 stream built directly.  All of them are kept out of `src/`.
 
 The binary expansion itself lives only here: `expand_binary` replaces
@@ -911,6 +913,16 @@ def permute_pmf(msg: np.ndarray, map_matrix: np.ndarray) -> np.ndarray:
     return msg[idx]
 
 
+@functools.lru_cache(maxsize=8)
+def entry_maps(code: CssCodePair, role: str) -> np.ndarray:
+    """(M, L, q) action on symbols of every entry of the role's matrix, row
+    by row, from the field's per-value tables; cached, so read-only."""
+    table = mul_index_table if role == "C" else transpose_index_table
+    maps = np.array([[table(code.field, v) for _, v in row] for row in rows_of(code.matrix(role))])
+    maps.setflags(write=False)
+    return maps
+
+
 def check_pass(decoder: SyndromeDecoder, syndrome: np.ndarray, v2c: np.ndarray) -> np.ndarray:
     """One iteration's check messages before normalising, (M, L, q), per edge.
 
@@ -920,10 +932,11 @@ def check_pass(decoder: SyndromeDecoder, syndrome: np.ndarray, v2c: np.ndarray) 
     products along each row seeded with the character of the row's
     syndrome symbol (cumprod, the same sequential products as the
     decoder), transform back, gather through the entry maps, scale by
-    1/q and clamp at 0.
+    1/q and clamp at 0.  The entry maps are the field's per-value tables
+    of each entry, not the decoder's own.
     """
     q = decoder.q
-    fwd = decoder.perm_fwd                                      # (M, L, q)
+    fwd = entry_maps(decoder.code, decoder.role)                # (M, L, q)
     inv = np.argsort(fwd, axis=2)
     t = walsh_hadamard(np.take_along_axis(np.broadcast_to(v2c, fwd.shape), inv, axis=2))
     chi = np.stack([_character(int(s), q) for s in syndrome])   # (M, q)

@@ -336,12 +336,15 @@ class TestDecode:
             saw_fail |= not out.ok
         assert saw_fail
 
-    def test_decoder_syndrome_map_agrees_with_channel(self, code):
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_decoder_syndrome_map_agrees_with_channel(self, p):
+        field = make_field(p)
+        code = expand_pair(*lift(build_pair(EX1), field, np.random.default_rng(4)))
         rng = np.random.default_rng(7)
         for role in ("C", "D"):
             dec = SyndromeDecoder(code, role)
             for _ in range(20):
-                err = rng.integers(0, 16, size=code.N)
+                err = rng.integers(0, field.q, size=code.N)
                 assert np.array_equal(dec.syndrome_of_symbols(err),
                                       syndrome_of(code, role, err))
 
@@ -363,10 +366,18 @@ class TestDecode:
         dec = SyndromeDecoder(code, role)
         table = mul_index_table if role == "C" else transpose_index_table
         _, logs = code.matrix(role).row_grid()
+        # the maps are held once, in slot order: every edge in exactly one slot
+        edges = dec._edges_from.reshape(-1)
+        assert np.array_equal(np.sort(edges), np.arange(dec.M * dec.L))
+        maps = np.empty((dec.M * dec.L, field.q), dtype=np.int64)
+        maps[edges] = dec._fwd_from.reshape(-1, field.q)
+        # the syndrome's row offsets point at each edge's own map
+        by_offset = dec._fwd_from.reshape(-1)[dec._syndrome_at[..., None] + np.arange(field.q)]
         for m in range(dec.M):
             for k in range(dec.L):
-                value = int(field.exp_table[logs[m, k]])
-                assert np.array_equal(dec.perm_fwd[m, k], table(field, value))
+                want = table(field, int(field.exp_table[logs[m, k]]))
+                assert np.array_equal(maps[m * dec.L + k], want)
+                assert np.array_equal(by_offset[m, k], want)
 
     def test_syndrome_of_symbols_validates(self, code):
         dec = SyndromeDecoder(code, "C")

@@ -19,10 +19,10 @@ import pytest
 
 from oracles import read_rows
 from nbqc import harness, nblift, qcpair
-from nbqc.binexpand import load_pair, read_matrix, write_matrix
+from nbqc.binexpand import FieldMismatch, load_pair, read_matrix, write_matrix
 from nbqc.channel import ChannelParams, sample_error, syndrome_of
 from nbqc.decoder import DecoderConfig, SyndromeDecoder
-from nbqc.harness import (DomainError, SimRecord, _philox_state, _seek, bdd_limit,
+from nbqc.harness import (DomainError, SimRecord, _seek, bdd_limit,
                           build_parser, cmd_construct, limit_point, main, record_csv_line,
                           s2_limit, shannon_limit, simulate_sweep, verify_pair_files)
 
@@ -177,8 +177,9 @@ class TestSimulate:
             (0.01, "C"), (0.01, "D"), (0.02, "C"), (0.02, "D")]
 
     def test_trial_rng_streams_differ(self):
-        # one generator re-seeked through one state, as the trial loop does
-        got, state = np.random.Generator(np.random.Philox()), _philox_state(7, 0)
+        # one generator re-seeked through its own state, as the trial loop does
+        got = np.random.Generator(np.random.Philox(key=7))
+        state = got.bit_generator.state
         draws = []
         for t in (0, 1, 0):
             got.bit_generator.state = _seek(state, t)
@@ -189,7 +190,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("seed", [0, 7, 2**62, 2**64 + 5, 2**128 - 1])
     def test_trial_rng_is_philox_keyed_by_seed(self, seed):
-        got, state = np.random.Generator(np.random.Philox()), _philox_state(seed, 0)
+        got = np.random.Generator(np.random.Philox(key=seed))
+        state = got.bit_generator.state
         for t in (0, 1, 2**64 + 3, 5):
             want = np.random.Generator(np.random.Philox(key=seed, counter=t << 128))
             got.bit_generator.state = _seek(state, t)
@@ -201,8 +203,9 @@ class TestSimulate:
     @pytest.mark.parametrize("seed, trial", [(-1, 0), (2**128, 0), (1 << 130, 3),
                                              (5, -1), (5, 2**128)])
     def test_trial_rng_rejects_out_of_range(self, seed, trial):
+        # a bad seed is refused by Philox, a bad trial by _seek
         with pytest.raises(ValueError):
-            _philox_state(seed, trial)
+            _seek(np.random.Philox(key=seed).state, trial)
 
     def test_simulation_draws_the_trial_rng_streams(self, golden_code):
         # the simulation re-seeks one generator; trial t must still see the
@@ -417,6 +420,53 @@ class TestVerify:
         checks = dict((n, ok) for n, ok, _ in
                       verify_pair_files(golden_paths[0], str(other)))
         assert not checks["nonbinary_orthogonal"]
+
+    @staticmethod
+    def with_polys(golden_paths, tmp_path, polys):
+        """Copies of the golden pair whose headers spell the polynomial as
+        `polys` (gamma, delta); None leaves a header as it is."""
+        paths = []
+        for path, poly in zip(golden_paths, polys):
+            text = Path(path).read_text()
+            assert " poly=0x3 " in text
+            paths.append(str(tmp_path / Path(path).name))
+            Path(paths[-1]).write_text(text if poly is None
+                                       else text.replace(" poly=0x3 ", f" poly={poly} ", 1))
+        return paths
+
+    @pytest.mark.parametrize("polys", [("0x13", "0x13"), ("0x13", None), (None, "0x13")],
+                             ids=["both", "gamma", "delta"])
+    def test_leading_term_spells_the_same_field(self, golden_paths, golden_code, tmp_path,
+                                                capsys, polys):
+        # x^4 + x + 1 spelled with its leading term, 0x13, in either header or both
+        paths = self.with_polys(golden_paths, tmp_path, polys)
+        code = load_pair(*paths)
+        assert (code.field.p, code.field.poly) == (4, 0x3)
+        assert all(np.array_equal(getattr(code, m).log, getattr(golden_code, m).log)
+                   for m in ("gamma", "delta"))
+        checks = verify_pair_files(*paths)
+        assert len(checks) == 10 and all(ok for _, ok, _ in checks)
+        assert main(["verify", *paths]) == 0
+        sweeps = []
+        for pair in (paths, golden_paths):
+            out = tmp_path / "sweep.csv"
+            assert main(["simulate", *pair, "--fm", "0.05", "--trials", "8",
+                         "--out", str(out)]) == 0
+            sweeps.append(out.read_bytes())
+        assert sweeps[0] == sweeps[1]
+        assert not capsys.readouterr().err
+
+    @pytest.mark.parametrize("poly", ["0x9", "0x19"])
+    def test_other_polynomial_is_refused(self, golden_paths, tmp_path, capsys, poly):
+        # x^4 + x^3 + 1 is primitive too, but not the first file's field
+        paths = self.with_polys(golden_paths, tmp_path, (None, poly))
+        with pytest.raises(FieldMismatch):
+            load_pair(*paths)
+        with pytest.raises(FieldMismatch):
+            verify_pair_files(*paths)
+        for argv in (["verify", *paths], ["simulate", *paths, "--fm", "0.05", "--trials", "1"]):
+            assert main(argv) == 2
+            assert "poly=0x9) != expected (p=4, poly=0x3)" in capsys.readouterr().err
 
     def test_longer_code_bytes_and_checks(self, tmp_path, capsys):
         # n=3048 (P=127); the digests pin the written bytes, which must not
