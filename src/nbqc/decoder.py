@@ -35,15 +35,21 @@ the layouts, so an iteration moves message data twice and makes no
 transposing copy.  Each edge's forward symbol map is held once, in
 column-pair slot order, (2, N, q), the order the writing gather reads
 it in; the syndrome reads it too, through an (M, L) array of each
-edge's row offset there.  A decoder allocates its work buffers once: the
-transform input that the forward gather and the exclusive products
-write into, the prefix and suffix products, the pair of butterfly
-buffers that both transforms of an iteration share, the two message
-buffers and the writing gather's indices.  The butterfly views of every
-transform stage and the (q, M) slices of every prefix/suffix step are
-built with them, so an iteration creates no views.  Only `estimate` is
-fresh for each decode.  After a decode that iterated, `_from` and `_to`
-hold its last messages until the next decode overwrites them.
+edge's row offset there.  A decoder allocates its work buffers once:
+the pair of butterfly buffers that both transforms of an iteration
+share, the first of which is the transform input that the forward
+gather and the exclusive products write into and that `walsh_hadamard`
+is handed as it is laid out; the prefix and suffix products; the two
+message buffers; the writing gather's indices; and the prior tiled to
+the message shape, (2, N, q), refilled when f_m changes, so that the
+variable step multiplies operands of one shape, which numpy does
+without a buffer.  Each of these buffers, the prior pass's copy and the
+slot-order entry maps start on a 64-byte boundary (`_empty`).  The
+butterfly views of every transform stage and the (q, M) slices of every
+prefix/suffix step are built with them, so an iteration creates no
+views.  Only `estimate` is fresh for each decode.  After a decode that
+iterated, `_from` and `_to` hold its last messages until the next
+decode overwrites them.
 
 Bit-identity.  Every message is computed by the same IEEE-754 float64
 operations in the same order as the per-edge definition: butterfly
@@ -78,21 +84,32 @@ decode applies the syndrome once, to the gather that reads check
 messages out of the symbol-major transform: entry u of the message on
 edge e of check m is read at flat index (fwd[e, u] ^ s_m) * (M*L) + e.
 The indices are held in column-pair order, so that the `take` writes
-straight into `_from`, and the clamp `np.maximum(c2v, 0.0)` turns -0.0
-into +0.0 before a message is stored.
+straight into `_from`.  Each check pass ends with the clamp
+`np.maximum(t, 0.0)` on its output, which turns -0.0 into +0.0 (with
+the operands the other way round, -0.0 would stay); clamping the table
+before the gather equals clamping the gathered messages, since a gather
+copies.
+The check messages are normalised without the transform's 1/q: scaling
+by 2^-p is exact for normal values, and it commutes with the clamp, with
+every partial sum of the row sum and with the division.  So dropping it
+can change an entry only where x/q would be subnormal; the clamped row
+sum is about q (q times the product of the transformed inputs at u = 0,
+each about 1), so such an entry is below 2^-1022 either way and falls
+under the message floor.
 Iteration 1 starts from the prior p0 on every edge, so its check pass
-depends on f_m alone: a decoder keeps a copy of that pass's transform
-output for the last f_m it iterated at, and iteration 1 gathers from the
-copy through the same indices through which every later iteration
-gathers from its own pass.  The copy is one float64 array and the
-indices one int64 array, each M*L*q entries: 16.3 MB together for
-GF(256) at P=331 (n=15888).  `op_count` still counts iteration 1 in
-full, since it models the convolution's arithmetic, not the work
-executed.
+depends on f_m alone: a decoder keeps a copy of that pass's clamped
+transform output for the last f_m it iterated at, and iteration 1
+gathers from the copy through the same indices through which every
+later iteration gathers from its own pass.  The copy is one float64
+array and the indices one int64 array, each M*L*q entries: 16.3 MB
+together for GF(256) at P=331 (n=15888).  `op_count` still counts
+iteration 1 in full, since it models the convolution's arithmetic, not
+the work executed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -158,12 +175,14 @@ def _symbol_weights(p: int) -> np.ndarray:
 
 
 class WHTWork(NamedTuple):
-    """Output view of the first butterfly stage, (in, out) views of every
-    later stage, and the (q, rows) buffer that holds the result."""
+    """`x`, the (rows, q) view of the symbol-major (q, rows) buffer that
+    holds the input; the (in, out) views of every butterfly stage; and
+    `y`, the (rows, q) view of the buffer that holds the result.  The
+    stages overwrite the input."""
 
-    first: np.ndarray
-    later: tuple
-    out: np.ndarray
+    x: np.ndarray
+    stages: tuple
+    y: np.ndarray
 
 
 # one butterfly: (a, b) -> (a + b, a - b)
@@ -176,11 +195,25 @@ _H2.setflags(write=False)
 _MAX_WIDTH = 1 << 15
 
 
+def _empty(shape: tuple, dtype=np.float64) -> np.ndarray:
+    """`np.empty` starting on a 64-byte boundary.
+
+    numpy places an array wherever malloc returns, often 16, 32 or 48
+    bytes past a boundary, and the decoder's kernels ran about 10% slower
+    at GF(256) n=336 when their buffers sat there (CHANGES.md).
+    """
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(dtype).reshape(shape)
+
+
 def wht_work(q: int, rows: int) -> WHTWork:
-    """Two (q, rows) float64 buffers and the views of every butterfly stage."""
+    """Two (q, rows) float64 buffers and the views of every butterfly
+    stage; the first buffer also holds the input."""
     if q < 2 or q & (q - 1):
         raise LengthMismatch(f"length {q} is not a power of 2 above 1")
-    bufs = (np.empty((q, rows)), np.empty((q, rows)))
+    bufs = (_empty((q, rows)), _empty((q, rows)))
     span = 1 << (max(1, _MAX_WIDTH // max(rows, 1)).bit_length() - 1)
 
     def stage(buf, h):
@@ -189,10 +222,11 @@ def wht_work(q: int, rows: int) -> WHTWork:
         g = min(h, span)
         return buf.reshape(q // (2 * h), 2, h // g, g * rows).transpose(0, 2, 1, 3)
 
-    hs = [1 << k for k in range(q.bit_length() - 1)]
-    dsts = [bufs[(k + 1) & 1] for k in range(len(hs))]     # stages alternate buffers
-    later = tuple((stage(src, h), stage(dst, h)) for src, dst, h in zip(dsts, dsts[1:], hs[1:]))
-    return WHTWork(stage(dsts[0], 1), later, dsts[-1])
+    # stage k reads buffer k mod 2 and writes the other one
+    log2q = q.bit_length() - 1
+    stages = tuple((stage(bufs[k & 1], 1 << k), stage(bufs[(k + 1) & 1], 1 << k))
+                   for k in range(log2q))
+    return WHTWork(bufs[0].T, stages, bufs[log2q & 1].T)
 
 
 def walsh_hadamard(x: np.ndarray, work: WHTWork | None = None) -> np.ndarray:
@@ -200,43 +234,52 @@ def walsh_hadamard(x: np.ndarray, work: WHTWork | None = None) -> np.ndarray:
 
     Applying it twice multiplies by q.  The butterflies run on a
     symbol-major (q, rows) float64 layout, alternating between two
-    buffers, so the input is never written.  Each stage h = 1, 2, 4, ...
-    is one product H2 @ B with H2 = [[1, 1], [1, -1]] and B the
+    buffers, the first of which holds a copy of the input, so `x` is
+    never written (unless it is `work.x`, below).  Each stage h = 1, 2,
+    4, ... is one product H2 @ B with H2 = [[1, 1], [1, -1]] and B the
     (q/2h, 2, h*rows) view of its buffer, split into (2, w) operands no
     wider than `_MAX_WIDTH`: every output is a two-term sum of operands
     times +-1, rounded once, so it equals the add/subtract butterfly bit
     for bit, except that an exact zero may take either sign (see the
-    module docstring).  An
-    input already laid out symbol-major in memory
-    (`np.moveaxis(x, -1, 0)` C-contiguous) is read without a transposing
-    copy.  The result has the input's shape and the same symbol-major
-    memory layout.
+    module docstring).  The result has the input's shape and a
+    symbol-major memory layout (`np.moveaxis(result, -1, 0)` C-contiguous).
 
     `work`, from `wht_work(q, rows)`, supplies the buffers; the result is
-    then a view of `work.out`, which the next call with the same `work`
-    overwrites.  Without it, fresh buffers are made.
+    then a view of `work.y`, which the next call with the same `work`
+    overwrites.  The input is copied into `work.x`, unless it is `work.x`
+    itself: a caller that writes its input there saves the copy and the
+    checks, gets `work.y` back, and finds `work.x` overwritten.  Without
+    `work`, fresh buffers are made.
     """
-    x = np.asarray(x)
-    q = x.shape[-1]
-    if q & (q - 1):
-        raise LengthMismatch(f"length {q} is not a power of 2")
-    if q == 1:
-        return x.astype(np.float64)
-    src = np.ascontiguousarray(x.reshape(-1, q).T, dtype=np.float64)
-    if work is None:
-        work = wht_work(q, src.shape[1])
-    elif work.out.shape != src.shape:
-        raise LengthMismatch(f"work buffers are {work.out.shape}, input is {src.shape}")
-    np.matmul(_H2, src.reshape(work.first.shape), out=work.first)
-    for a, b in work.later:
+    if work is None or x is not work.x:
+        x = np.asarray(x)
+        q = x.shape[-1]
+        if q & (q - 1):
+            raise LengthMismatch(f"length {q} is not a power of 2")
+        if q == 1:
+            return x.astype(np.float64)
+        rows = x.reshape(-1, q)
+        if work is None:
+            work = wht_work(q, len(rows))
+        elif work.x.shape != rows.shape:
+            raise LengthMismatch(f"work buffers are {work.x.shape[::-1]}, "
+                                 f"input is {rows.shape[::-1]}")
+        np.copyto(work.x, rows)
+        return _butterflies(work).reshape(x.shape)
+    return _butterflies(work)
+
+
+def _butterflies(work: WHTWork) -> np.ndarray:
+    for a, b in work.stages:
         np.matmul(_H2, a, out=b)
-    return work.out.T.reshape(x.shape)
+    return work.y
 
 
 def _row_sums(msgs: np.ndarray, kind: str, it: int) -> np.ndarray:
     """Sums along the last axis, which normalise `msgs`.
 
-    Entries are >= 0 or NaN and at most about 1, so every normalised
+    Entries are >= 0 or NaN and at most about q (check messages, which
+    are not scaled by the transform's 1/q) or 1, so every normalised
     entry is finite exactly when every sum is positive and finite.  The
     check comes before the division, so a 0/0 raises without a warning.
     """
@@ -275,8 +318,6 @@ class SyndromeDecoder:
         self.M, self.L = M, L = self.cols.shape
 
         fwd = field.symbol_maps(logs.reshape(-1), transpose=role == "D")   # (M*L, q)
-        inv = np.empty_like(fwd)
-        np.put_along_axis(inv, fwd, np.arange(q)[None, :], axis=1)
 
         # column -> its two edges, as indices into the flat (M*L) edge axis:
         # row 0 holds each column's first edge, row 1 its second.  The
@@ -291,12 +332,17 @@ class SyndromeDecoder:
         slot_to = np.empty(M * L, dtype=np.int64)                   # edge -> its slot in _to
         slot_to[edges.reshape(-1)] = np.arange(M * L)
         # flat gather of the symbol-major transform input (q, M, L) from the
-        # column-pair variable messages, through the inverse entry maps;
-        # the entry maps in slot order, from which decode builds the
-        # gather of the column-pair check messages (see "Syndrome"); the
-        # syndrome reads edge e's map at `_from` slot (slot_to[e] + N) mod 2N
-        self._gather_in = np.ascontiguousarray((slot_to * q + inv.T).reshape(q, M, L))
-        self._fwd_from = fwd[self._edges_from]                     # (2, N, q)
+        # column-pair variable messages, through the inverse entry maps:
+        # entry fwd[e, u] of edge e reads symbol u of its slot; the entry
+        # maps in slot order, from which decode builds the gather of the
+        # column-pair check messages (see "Syndrome"); the syndrome reads
+        # edge e's map at `_from` slot (slot_to[e] + N) mod 2N
+        self._gather_in = _empty((q, M, L), dtype=np.int64)
+        self._gather_in.reshape(q, M * L)[fwd, np.arange(M * L)[:, None]] = (
+            slot_to[:, None] * q + np.arange(q))
+        self._fwd_from = np.take(fwd, self._edges_from, axis=0,
+                                 out=_empty((2, code.N, q), dtype=np.int64))
+        self._edges_col = self._edges_from[..., None]
         self._syndrome_at = ((slot_to + code.N) % (2 * code.N) * q).reshape(M, L)
         log2q = q.bit_length() - 1
         self._ops_per_iteration = (2 * M * L * q * log2q + M * L * q
@@ -304,21 +350,23 @@ class SyndromeDecoder:
 
         # decoder-owned work buffers (see the module docstring)
         self._wht = wht_work(q, M * L)
-        self._t_in = np.empty((q, M, L))
-        self._pref = pref = np.empty((q, M, L))
-        self._suff = suff = np.empty((q, M, L))
+        self._t_in = self._wht.x.T.reshape(q, M, L)               # the transform's input
+        self._t_out = t = self._wht.y.T.reshape(q, M, L)          # and its result
+        self._pref = pref = _empty((q, M, L))
+        self._suff = suff = _empty((q, M, L))
         pref[..., 0] = suff[..., L - 1] = 1.0
-        t = self._wht.out.reshape(q, M, L)
         self._products = (
             tuple((pref[..., k - 1], t[..., k - 1], pref[..., k]) for k in range(1, L))
             + tuple((suff[..., k + 1], t[..., k + 1], suff[..., k])
                     for k in range(L - 2, -1, -1)))
-        self._from = np.empty((2, code.N, q))
-        self._to = np.empty((2, code.N, q))
-        self._belief = np.empty((code.N, q))
-        self._at = np.empty((2, code.N, q), dtype=np.int64)
-        # the prior whose check pass decode last ran, and a copy of its output
+        self._from = _empty((2, code.N, q))
+        self._to = _empty((2, code.N, q))
+        self._belief = _empty((code.N, q))
+        self._at = _empty((2, code.N, q), dtype=np.int64)
+        # the prior whose check pass decode last ran, tiled to the message
+        # shape, and a copy of its pass's clamped output
         self._prior_p0 = None
+        self._prior_tile = _empty((2, code.N, q))
         self._prior_out = None
 
         self.op_count = 0
@@ -328,30 +376,31 @@ class SyndromeDecoder:
         return self._syndrome(_symbol_vector(symbols, self.code.N, self.q, "error"))
 
     def _syndrome(self, symbols: np.ndarray) -> np.ndarray:
-        mapped = self._fwd_from.take(self._syndrome_at + symbols[self.cols])  # (M, L)
+        mapped = self._fwd_from.take(self._syndrome_at + symbols.take(self.cols))  # (M, L)
         return np.bitwise_xor.reduce(mapped, axis=1)
 
     def _check_pass(self, to: np.ndarray) -> None:
-        """Transform, exclusive products, inverse transform.
+        """Transform, exclusive products, inverse transform, clamp at 0.
 
-        Leaves the symbol-major (q, M*L) result, not yet translated by
-        the syndrome, in `self._wht.out`.  The gather indices are in range
+        Leaves the symbol-major (q, M, L) result, not yet translated by
+        the syndrome, in `self._t_out`.  The gather indices are in range
         by construction, and mode "clip" writes straight into `out`,
         which the default mode would buffer.  The exclusive products go
         to the transform input buffer, so the seeds of the prefix and
         suffix products, set once, are never overwritten.
         """
-        to.take(self._gather_in, out=self._t_in, mode="clip")    # (q, M, L)
-        walsh_hadamard(self._t_in.transpose(1, 2, 0), self._wht)
+        wht, t_in, t_out, multiply = self._wht, self._t_in, self._t_out, np.multiply
+        to.take(self._gather_in, out=t_in, mode="clip")          # (q, M, L)
+        walsh_hadamard(wht.x, wht)
         for a, b, out in self._products:
-            np.multiply(a, b, out=out)
-        np.multiply(self._pref, self._suff, out=self._t_in)       # exclusive products
-        walsh_hadamard(self._t_in.transpose(1, 2, 0), self._wht)
+            multiply(a, b, out=out)
+        multiply(self._pref, self._suff, out=t_in)                # exclusive products
+        walsh_hadamard(wht.x, wht)
+        np.maximum(t_out, 0.0, out=t_out)
 
     def decode(self, syndrome: np.ndarray, f_m: float,
                config: DecoderConfig = DecoderConfig()) -> DecodeOutcome:
         syndrome = _symbol_vector(syndrome, self.M, self.q, "syndrome")
-        q = self.q
         p0 = init_pmf(f_m, self.p)
 
         # the decision before any message update is the prior's argmax, the
@@ -360,40 +409,42 @@ class SyndromeDecoder:
             return DecodeOutcome(status="success", estimate=np.zeros(self.code.N, dtype=np.int64),
                                  iterations=0)
 
-        frm, to, belief, at = self._from, self._to, self._belief, self._at
+        frm, to, belief, at, tile = self._from, self._to, self._belief, self._at, self._prior_tile
         # the gather out of every check pass, translated by the syndrome
         np.bitwise_xor(self._fwd_from, syndrome[self._checks_from][..., None], out=at)
-        at *= self.M * self.L
-        at += self._edges_from[..., None]
+        np.multiply(at, self.M * self.L, out=at)
+        np.add(at, self._edges_col, out=at)
         if self._prior_p0 is not p0:
-            self._check_pass(np.broadcast_to(p0, to.shape))
-            self._prior_out, self._prior_p0 = self._wht.out.copy(), p0
-        table = self._prior_out
+            np.copyto(tile, p0)
+            self._check_pass(tile)
+            self._prior_out, self._prior_p0 = _empty(self._t_out.shape), p0
+            np.copyto(self._prior_out, self._t_out)
+        table, t_out, to1, from0 = self._prior_out, self._t_out, to[1], frm[0]
+        check_pass, syndrome_of, ops = self._check_pass, self._syndrome, self._ops_per_iteration
+        maximum, multiply, floor = np.maximum, np.multiply, _PMF_FLOOR
         for it in range(1, config.max_iter + 1):
             # -- horizontal: all-but-one convolution with the syndrome mass;
             # iteration 1's pass, on the prior, is the copy kept for p0
             if it > 1:
-                self._check_pass(to)
-                table = self._wht.out
+                check_pass(to)
+                table = t_out
             # mode "clip" writes straight into `out`; see _check_pass
             table.take(at, out=frm, mode="clip")                    # (2, N, q)
-            frm *= 1.0 / q
-            np.maximum(frm, 0.0, out=frm)
-            self.op_count += self._ops_per_iteration
+            self.op_count += ops
             frm /= _row_sums(frm, "check", it)
-            np.maximum(frm, _PMF_FLOOR, out=frm)
+            maximum(frm, floor, out=frm)
 
             # -- vertical: channel prior times the other edge's check message,
             # for both edges of every column at once; the belief
             # (p0 * from_first) * from_second is taken before normalising
-            np.multiply(frm, p0, out=to)
-            np.multiply(to[1], frm[0], out=belief)
+            multiply(frm, tile, out=to)
+            multiply(to1, from0, out=belief)
             to /= _row_sums(to, "variable", it)
-            np.maximum(to, _PMF_FLOOR, out=to)
+            maximum(to, floor, out=to)
 
             # -- tentative decision and syndrome check
             estimate = belief.argmax(axis=1)
-            if (self._syndrome(estimate) == syndrome).all():
+            if (syndrome_of(estimate) == syndrome).all():
                 return DecodeOutcome(status="success", estimate=estimate, iterations=it)
 
         return DecodeOutcome(status="fail", estimate=estimate, iterations=config.max_iter)

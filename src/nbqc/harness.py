@@ -11,10 +11,10 @@ Monte Carlo trials use counter-based per-trial RNG streams (Philox keyed
 by the master seed, counter-offset by the trial index), so results are
 byte-identical for a fixed seed regardless of how trials are split
 across workers.  Worker count comes from NBQC_WORKERS: a positive
-integer, default 1, capped at the CPU count.  A sweep splits the trial
-indices among the workers once, in one process pool with one process
-per trial range, and each worker decodes its range at every f_m with
-one decoder per role.
+integer, default 1, capped at the number of CPUs the process may run
+on.  A sweep splits the trial indices among the workers once, in one
+process pool with one process per trial range, and each worker decodes
+its range at every f_m with one decoder per role.
 
 `main` builds the argument parser on its first call and reuses it for
 every later call in the process; it runs each command through the module
@@ -147,21 +147,25 @@ def _run_trials(code, f_m_values, mode: str, trials: range, seed: int,
         # trial through its own state before any draw; Philox raises
         # ValueError for a seed outside [0, 2**128)
         rng = np.random.Generator(np.random.Philox(key=operator.index(seed)))
-        state = rng.bit_generator.state
+        bitgen, state = rng.bit_generator, rng.bit_generator.state
+        sample, decode, syndrome_of = (channel.sample_error, decoder.decode,
+                                       decoder.syndrome_of_symbols)
+        n_sym, p = code.N, code.field.p
         for i, chan in enumerate(params):
             fails = mismatches = iter_sum = 0
+            f_m = chan.f_m
             for t in trials:
-                rng.bit_generator.state = _seek(state, t)
-                err = channel.sample_error(code.N, code.field.p, chan, rng)[r]
-                outcome = decoder.decode(decoder.syndrome_of_symbols(err), chan.f_m, config)
+                bitgen.state = _seek(state, t)
+                err = sample(n_sym, p, chan, rng)[r]
+                outcome = decode(syndrome_of(err), f_m, config)
                 iter_sum += outcome.iterations
                 if not outcome.ok:
                     fails += 1
-                elif not np.array_equal(outcome.estimate, err):
+                elif (outcome.estimate != err).any():
                     mismatches += 1
             counts[i, r] = fails, mismatches, iter_sum
         # role D's decoder is built only once C's is freed: one alive at a time
-        del decoder, rng
+        del decoder, decode, syndrome_of, rng
     return counts
 
 
@@ -291,7 +295,9 @@ def cmd_verify(args) -> int:
 
 
 def _env_workers() -> int:
-    """NBQC_WORKERS (default 1), a positive integer, capped at the CPU count."""
+    """NBQC_WORKERS (default 1), a positive integer, capped at the number of
+    CPUs this process may run on (its affinity mask, where the platform
+    has one; else the CPU count)."""
     text = os.environ.get("NBQC_WORKERS", "1")
     try:
         workers = int(text)
@@ -299,6 +305,8 @@ def _env_workers() -> int:
         workers = 0
     if workers < 1:
         raise ValueError(f"NBQC_WORKERS must be a positive integer, got {text!r}")
+    if hasattr(os, "sched_getaffinity"):
+        return min(workers, len(os.sched_getaffinity(0)))
     return min(workers, os.cpu_count() or 1)
 
 

@@ -85,7 +85,7 @@ class TestSampleError:
         b = sample_error(30, 4, params, np.random.default_rng(5))
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    @given(n_sym=st.integers(0, 40), p=st.integers(1, 8),
+    @given(n_sym=st.integers(0, 40), p=st.integers(1, 16),
            f_m=st.floats(0.0, 0.5, exclude_max=True),
            mode=st.sampled_from(["independent", "joint"]), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

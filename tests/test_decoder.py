@@ -577,6 +577,21 @@ class TestDecode:
                 expect /= expect.sum()
                 assert np.allclose(c2v[m, k], expect, atol=1e-12)
 
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_work_buffers_start_on_64_byte_boundaries(self, p):
+        # the kernels ran about 10% slower at GF(256) on buffers that
+        # malloc placed 16, 32 or 48 bytes past a boundary
+        dec = SyndromeDecoder(ex1_code(p), "D")
+        dec.decode(np.ones(dec.M, dtype=np.int64), 0.05, DecoderConfig(max_iter=2))
+        bufs = [getattr(dec, name) for name in (
+            "_gather_in", "_fwd_from", "_t_in", "_t_out", "_pref", "_suff", "_from", "_to",
+            "_belief", "_at", "_prior_tile", "_prior_out")]
+        for rows in (1, 3, 84):
+            work = wht_work(1 << p, rows)
+            bufs += [work.x, work.y]
+        for buf in bufs:
+            assert buf.ctypes.data % 64 == 0
+
     def test_css_wiring(self, code):
         # X-only error: D sees a zero syndrome, C decodes the error
         err = np.zeros(code.N, dtype=np.int64)
@@ -637,7 +652,8 @@ class TestFirstIterationLookup:
         ops = dec._ops_per_iteration
         monkeypatch.setattr("nbqc.decoder._PMF_FLOOR", floor)
         outcomes = set()
-        for f_m in (0.0, 0.01, 0.2, 0.49):
+        # at p = 8 and f_m 1e-40 the prior's smallest masses are subnormal
+        for f_m in (0.0, 1e-40, 1e-12, 0.01, 0.2, 0.49):
             for max_iter in (1, 3):
                 # random syndromes with zero checks, and syndromes of sparse errors
                 err = np.zeros(code.N, dtype=np.int64)
@@ -834,3 +850,40 @@ class TestBitIdentity:
         # messages unless the clamps at 0 remove it
         monkeypatch.setattr("nbqc.decoder._PMF_FLOOR", 0.0)
         assert floor_zero_digest(p, role) == digest
+
+
+class TestSignedZeroClamp:
+    """The bit-identity argument needs every clamp at 0 to turn an exact
+    -0.0 into +0.0: `np.maximum(x, 0.0)` does, while with the operands
+    the other way round -0.0 would stay."""
+
+    def test_maximum_with_zero_second(self):
+        x = np.tile([-0.0, 0.0, -1.0, 2.0, -0.0, 5e-324, -5e-324], 12)
+        for arr in (x, x[::3], x.reshape(12, 7).T):
+            got = np.maximum(arr, 0.0)
+            assert (got == 0).any() and not np.signbit(got).any()
+            np.maximum(arr, 0.0, out=arr)
+            assert not np.signbit(arr).any()
+
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_check_pass_tables_hold_no_negative_zero(self, p, monkeypatch):
+        # every inverse transform (the second of each check pass) returns
+        # -0.0 in one entry in 5; the tables that the messages are gathered
+        # from must hold +0.0 there
+        real, calls = walsh_hadamard, []
+
+        def signed_zeros(x, work=None):
+            out = real(x, work)
+            calls.append(None)
+            if len(calls) % 2 == 0:
+                work.y.T.reshape(-1)[::5] = -0.0
+            return out
+
+        code = ex1_code(p)
+        dec = SyndromeDecoder(code, "C")
+        syndrome = np.zeros(code.M, dtype=np.int64)
+        syndrome[[0, 3]] = 1
+        monkeypatch.setattr("nbqc.decoder.walsh_hadamard", signed_zeros)
+        dec.decode(syndrome, 0.05, DecoderConfig(max_iter=2))
+        for table in (dec._prior_out, dec._t_out):
+            assert (table == 0).any() and not np.signbit(table).any()

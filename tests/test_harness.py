@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,21 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate_sweep(golden_code, [f_m], trials=3, seed=-1)
 
+    def test_one_decoder_alive_at_a_time(self, golden_code, monkeypatch):
+        # role C's decoder, and all that refers to it, is freed before role
+        # D's is built
+        built = []
+
+        class Tracked(SyndromeDecoder):
+            def __init__(self, code, role):
+                assert all(ref() is None for ref in built)
+                super().__init__(code, role)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(harness, "SyndromeDecoder", Tracked)
+        simulate_sweep(golden_code, [0.02, 0.05], trials=4, seed=1)
+        assert len(built) == 2
+
     def test_one_pool_per_sweep(self, golden_code, monkeypatch, tmp_path, golden_paths, pools):
         f_m = [0.02, 0.05, 0.08]
         split = simulate_sweep(golden_code, f_m, trials=30, seed=4, workers=3)
@@ -236,7 +252,8 @@ class TestSimulate:
         assert [(pool.max_workers, pool.jobs) for pool in pools] == [(3, 3)]
         assert split == simulate_sweep(golden_code, f_m, trials=30, seed=4, workers=1)
         assert len(pools) == 1
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)     # the CLI caps workers at it
+        # the CLI caps workers at the CPUs the process may use
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         monkeypatch.setenv("NBQC_WORKERS", "2")
         out = tmp_path / "sweep.csv"
         assert main(["simulate", *golden_paths, "--fm", *map(str, f_m), "--trials", "8",
@@ -260,11 +277,21 @@ class TestSimulate:
         assert "NBQC_WORKERS" in capsys.readouterr().err
         assert not out.exists() and not pools
 
-    @pytest.mark.parametrize("cpus, sizes", [(2, [(2, 2)]), (None, [])])
+    @pytest.mark.parametrize("affinity, cpus, sizes", [
+        pytest.param(None, 2, [(2, 2)], id="2-sizes0"),
+        pytest.param(None, None, [], id="None-sizes1"),
+        pytest.param({1, 3}, 8, [(2, 2)], id="affinity-2-of-8"),
+        pytest.param({2}, 8, [], id="affinity-1-of-8")])
     def test_worker_count_capped_at_cpu_count(self, golden_paths, monkeypatch, tmp_path,
-                                              pools, cpus, sizes):
-        # 8 workers asked for on 2 CPUs run 2 processes; an unknown CPU
-        # count runs serially
+                                              pools, affinity, cpus, sizes):
+        # 8 workers asked for on 2 usable CPUs run 2 processes, also when the
+        # machine has more than the process may use; one usable CPU, or an
+        # unknown CPU count where the platform has no affinity mask, runs
+        # serially
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         monkeypatch.setenv("NBQC_WORKERS", "8")
         out = tmp_path / "sweep.csv"
