@@ -65,9 +65,13 @@ def sample_error(n_sym: int, p: int, params: ChannelParams,
     return x_err, z_err
 
 
+# bit weights 2^j of a symbol's bits, sliced to p by `_pack_symbols`
+_BIT_WEIGHTS = np.int64(1) << np.arange(63, dtype=np.int64)
+_BIT_WEIGHTS.setflags(write=False)
+
+
 def _pack_symbols(bits: np.ndarray, p: int) -> np.ndarray:
-    weights = np.int64(1) << np.arange(p, dtype=np.int64)
-    return bits.reshape(-1, p).astype(np.int64) @ weights
+    return bits.reshape(-1, p).astype(np.int64) @ _BIT_WEIGHTS[:p]
 
 
 def syndrome_of(code: CssCodePair, role: str, error: np.ndarray) -> np.ndarray:

@@ -19,37 +19,47 @@ the check message on edge `_edges_from[j, n]` of column n, and
 `_to[j, n]` the variable message on `_edges_from[1 - j, n]`, the
 column's other edge, so the variable update of both edges of every
 column is one pass from `_from` into `_to`.  Between the two transforms of an
-iteration the messages are symbol-major, (q, M, L), so every butterfly
-stage h is one product H2 @ B over the contiguous (q/2h, 2, h*M*L) view
-of its buffer, with H2 = [[1, 1], [1, -1]], and every prefix/suffix step
-is one call over (q, M).  The product reads each operand once, where an
-add/subtract pair read it twice through strided views.  Its (2, w)
-operands are at most 2^15 columns wide (or M*L, if that is wider), so
-that OpenBLAS runs them on one thread: threads slowed the transform, and
-oversubscribed the cores when NBQC_WORKERS > 1.  The permutation gathers
-on either side of the transforms are single `take` calls on contiguous
-flat indices, one reading `_to` at slot*q + symbol, built once per
-decoder, and one writing `_from` at symbol*(M*L) + edge, rebuilt once
-per decode from the syndrome (see "Syndrome"); they also switch between
-the layouts, so an iteration moves message data twice and makes no
-transposing copy.  Each edge's forward symbol map is held once, in
+iteration the messages are symbol-major, one column of a (q, M*L)
+buffer per edge, so every butterfly stage h is one product H2 @ B over
+the contiguous (q/2h, 2, h*M*L) view of its buffer, with H2 = [[1, 1],
+[1, -1]].  The product reads each operand once, where an add/subtract
+pair read it twice through strided views.  Its (2, w) operands are at
+most 2^15 columns wide (or M*L, if that is wider), so that OpenBLAS runs
+them on one thread: threads slowed the transform, and oversubscribed
+the cores when NBQC_WORKERS > 1.  The transform does not care about the
+order of its columns, and the two transforms of a check pass hold them
+in different orders.  The first transform's columns are in (m, k) order,
+edge e = m*L + k, so its output is a (q, M, L) array and the input of
+prefix/suffix step k is its (q, M) slice at position k.  The prefix and
+suffix products are (L, q, M) buffers, so each step writes one
+contiguous (q, M) block, which the next step reads back.  Their product
+writes the second transform's input with columns in (k, m) order, rank
+k*M + m.  That layout timed faster at every size tried than (q, M, L)
+prefix and suffix buffers, or all three buffers (q, L, M) (ROADMAP item
+2).  The permutation gathers on either side of the transforms are
+single `take` calls on contiguous flat indices, one reading `_to` at
+slot*q + symbol into the (m, k) order, built once per decoder, and one
+writing `_from` at symbol*(M*L) + rank from the (k, m) order, rebuilt
+once per decode from the syndrome (see "Syndrome"); they also switch
+between the layouts, so an iteration moves message data twice and makes
+no transposing copy.  Each edge's forward symbol map is held once, in
 column-pair slot order, (2, N, q), the order the writing gather reads
 it in; the syndrome reads it too, through an (M, L) array of each
-edge's row offset there.  A decoder allocates its work buffers once:
-the pair of butterfly buffers that both transforms of an iteration
-share, the first of which is the transform input that the forward
-gather and the exclusive products write into and that `walsh_hadamard`
-is handed as it is laid out; the prefix and suffix products; the two
-message buffers; the writing gather's indices; and the prior tiled to
+edge's row offset there.  A decoder allocates its work buffers once,
+carved out of one block with every buffer on a 64-byte boundary
+(`_carve`): the pair of butterfly buffers that both transforms of an
+iteration share, the first of which is the transform input that the
+forward gather and the exclusive products write into and that
+`walsh_hadamard` is handed as it is laid out; the prefix and suffix
+products; the two message buffers; the writing gather's indices; the
+prior pass's copy; the slot-order entry maps; and the prior tiled to
 the message shape, (2, N, q), refilled when f_m changes, so that the
 variable step multiplies operands of one shape, which numpy does
-without a buffer.  Each of these buffers, the prior pass's copy and the
-slot-order entry maps start on a 64-byte boundary (`_empty`).  The
-butterfly views of every transform stage and the (q, M) slices of every
-prefix/suffix step are built with them, so an iteration creates no
-views.  Only `estimate` is fresh for each decode.  After a decode that
-iterated, `_from` and `_to` hold its last messages until the next
-decode overwrites them.
+without a buffer.  The butterfly views of every transform stage and the
+slices of every prefix/suffix step are built with them, so an iteration
+creates no views.  Only `estimate` is fresh for each decode.  After a
+decode that iterated, `_from` and `_to` hold its last messages until
+the next decode overwrites them.
 
 Bit-identity.  Every message is computed by the same IEEE-754 float64
 operations in the same order as the per-edge definition: butterfly
@@ -82,7 +92,8 @@ computes the negated or swapped sums of the unflipped stage.  So no
 check pass sees the syndrome: its products are seeded with 1, and each
 decode applies the syndrome once, to the gather that reads check
 messages out of the symbol-major transform: entry u of the message on
-edge e of check m is read at flat index (fwd[e, u] ^ s_m) * (M*L) + e.
+edge e = m*L + k is read at flat index (fwd[e, u] ^ s_m) * (M*L) + r,
+where r = k*M + m is the edge's column in the second transform.
 The indices are held in column-pair order, so that the `take` writes
 straight into `_from`.  Each check pass ends with the clamp
 `np.maximum(t, 0.0)` on its output, which turns -0.0 into +0.0 (with
@@ -195,17 +206,24 @@ _H2.setflags(write=False)
 _MAX_WIDTH = 1 << 15
 
 
-def _empty(shape: tuple, dtype=np.float64) -> np.ndarray:
-    """`np.empty` starting on a 64-byte boundary.
+def _carve(*specs: tuple) -> list[np.ndarray]:
+    """One uninitialised array per (shape, dtype) spec, all carved out of
+    one allocation, each starting on a 64-byte boundary.
 
     numpy places an array wherever malloc returns, often 16, 32 or 48
     bytes past a boundary, and the decoder's kernels ran about 10% slower
-    at GF(256) n=336 when their buffers sat there (CHANGES.md).
+    at GF(256) n=336 when their buffers sat there (CHANGES.md).  Reading
+    an array's address costs about 1.2 us, so it is read once per block.
     """
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    raw = np.empty(nbytes + 64, dtype=np.uint8)
-    start = -raw.ctypes.data % 64
-    return raw[start:start + nbytes].view(dtype).reshape(shape)
+    spans, end = [], 0
+    for shape, dtype in specs:
+        start = -(-end // 64) * 64
+        end = start + math.prod(shape) * np.dtype(dtype).itemsize
+        spans.append((start, end))
+    raw = np.empty(end + 64, dtype=np.uint8)
+    base = -raw.ctypes.data % 64
+    return [raw[base + start:base + stop].view(dtype).reshape(shape)
+            for (start, stop), (shape, dtype) in zip(spans, specs)]
 
 
 def wht_work(q: int, rows: int) -> WHTWork:
@@ -213,7 +231,12 @@ def wht_work(q: int, rows: int) -> WHTWork:
     stage; the first buffer also holds the input."""
     if q < 2 or q & (q - 1):
         raise LengthMismatch(f"length {q} is not a power of 2 above 1")
-    bufs = (_empty((q, rows)), _empty((q, rows)))
+    return _wht_views(*_carve(((q, rows), np.float64), ((q, rows), np.float64)))
+
+
+def _wht_views(*bufs: np.ndarray) -> WHTWork:
+    """`WHTWork` over two C-contiguous (q, rows) float64 buffers."""
+    q, rows = bufs[0].shape
     span = 1 << (max(1, _MAX_WIDTH // max(rows, 1)).bit_length() - 1)
 
     def stage(buf, h):
@@ -278,14 +301,23 @@ def _butterflies(work: WHTWork) -> np.ndarray:
 def _row_sums(msgs: np.ndarray, kind: str, it: int) -> np.ndarray:
     """Sums along the last axis, which normalise `msgs`.
 
-    Entries are >= 0 or NaN and at most about q (check messages, which
-    are not scaled by the transform's 1/q) or 1, so every normalised
-    entry is finite exactly when every sum is positive and finite.  The
-    check comes before the division, so a 0/0 raises without a warning.
+    Raises NonFiniteMessage unless every sum is positive, which also
+    refuses NaN, since `np.minimum` propagates it.  No sum can be
+    infinite, so a positive sum makes every normalised entry finite:
+    entries are >= 0 or NaN, and bounded.  Every normalised message has
+    entries in [0, 1] (each is at most its row's sum, and the floor is
+    below 1), and so does the prior.  A variable message is the prior
+    times a normalised check message, so its entries are at most the
+    prior's, and its sum at most 1.  A check message entry is a value of
+    the unnormalised inverse transform, a q-term sum of products of
+    transforms of messages with entries in [0, 1] and sums about 1; each
+    such transform value and product is at most about 1 in magnitude, so
+    the entry is at most about q, and so is the sum (the entries before
+    the clamp sum to q times the product at u = 0).  The test comes
+    before the division, so a 0/0 raises without a warning.
     """
     sums = np.add.reduce(msgs, axis=-1, keepdims=True)
-    if not (np.minimum.reduce(sums, axis=None) > 0.0
-            and np.maximum.reduce(sums, axis=None) < np.inf):
+    if not np.minimum.reduce(sums, axis=None) > 0.0:
         raise NonFiniteMessage(f"{kind} messages non-finite at iteration {it}")
     return sums
 
@@ -331,43 +363,45 @@ class SyndromeDecoder:
         self._checks_from = self._edges_from // L                   # check of each slot
         slot_to = np.empty(M * L, dtype=np.int64)                   # edge -> its slot in _to
         slot_to[edges.reshape(-1)] = np.arange(M * L)
+        N, E = code.N, M * L
+        # decoder-owned work buffers (see the module docstring)
+        f8, i8 = np.float64, np.int64
+        (self._gather_in, self._fwd_from, wht_a, wht_b, self._pref, self._suff,
+         self._from, self._to, self._belief, self._at, self._prior_tile,
+         self._prior_out) = _carve(
+            ((q, M, L), i8), ((2, N, q), i8), ((q, E), f8), ((q, E), f8),
+            ((L, q, M), f8), ((L, q, M), f8), ((2, N, q), f8), ((2, N, q), f8),
+            ((N, q), f8), ((2, N, q), i8), ((2, N, q), f8), ((q, E), f8))
         # flat gather of the symbol-major transform input (q, M, L) from the
         # column-pair variable messages, through the inverse entry maps:
         # entry fwd[e, u] of edge e reads symbol u of its slot; the entry
         # maps in slot order, from which decode builds the gather of the
         # column-pair check messages (see "Syndrome"); the syndrome reads
         # edge e's map at `_from` slot (slot_to[e] + N) mod 2N
-        self._gather_in = _empty((q, M, L), dtype=np.int64)
-        self._gather_in.reshape(q, M * L)[fwd, np.arange(M * L)[:, None]] = (
+        self._gather_in.reshape(q, E)[fwd, np.arange(E)[:, None]] = (
             slot_to[:, None] * q + np.arange(q))
-        self._fwd_from = np.take(fwd, self._edges_from, axis=0,
-                                 out=_empty((2, code.N, q), dtype=np.int64))
-        self._edges_col = self._edges_from[..., None]
-        self._syndrome_at = ((slot_to + code.N) % (2 * code.N) * q).reshape(M, L)
+        np.take(fwd, self._edges_from, axis=0, out=self._fwd_from)
+        # the rank k*M + m of each slot's edge among the columns of the
+        # second transform
+        self._edges_col = (self._edges_from % L * M + self._checks_from)[..., None]
+        self._syndrome_at = ((slot_to + N) % (2 * N) * q).reshape(M, L)
         log2q = q.bit_length() - 1
-        self._ops_per_iteration = (2 * M * L * q * log2q + M * L * q
+        self._ops_per_iteration = (2 * E * q * log2q + E * q
                                    + (2 * (L - 2) + 2 * L) * M * q)
 
-        # decoder-owned work buffers (see the module docstring)
-        self._wht = wht_work(q, M * L)
-        self._t_in = self._wht.x.T.reshape(q, M, L)               # the transform's input
-        self._t_out = t = self._wht.y.T.reshape(q, M, L)          # and its result
-        self._pref = pref = _empty((q, M, L))
-        self._suff = suff = _empty((q, M, L))
-        pref[..., 0] = suff[..., L - 1] = 1.0
+        self._wht = wht = _wht_views(wht_a, wht_b)
+        self._t_in = wht_a.reshape(q, M, L)         # the first transform's input,
+        t = wht.y.T.reshape(q, M, L)                # its result,
+        self._t_ex = wht_a.reshape(q, L, M).transpose(1, 0, 2)   # the second's input
+        self._t_out = wht.y.T                       # and its result, rank k*M + m
+        pref, suff = self._pref, self._suff
+        pref[0] = suff[L - 1] = 1.0
         self._products = (
-            tuple((pref[..., k - 1], t[..., k - 1], pref[..., k]) for k in range(1, L))
-            + tuple((suff[..., k + 1], t[..., k + 1], suff[..., k])
-                    for k in range(L - 2, -1, -1)))
-        self._from = _empty((2, code.N, q))
-        self._to = _empty((2, code.N, q))
-        self._belief = _empty((code.N, q))
-        self._at = _empty((2, code.N, q), dtype=np.int64)
+            tuple((pref[k - 1], t[..., k - 1], pref[k]) for k in range(1, L))
+            + tuple((suff[k + 1], t[..., k + 1], suff[k]) for k in range(L - 2, -1, -1)))
         # the prior whose check pass decode last ran, tiled to the message
-        # shape, and a copy of its pass's clamped output
+        # shape, and (in `_prior_out`) a copy of its pass's clamped output
         self._prior_p0 = None
-        self._prior_tile = _empty((2, code.N, q))
-        self._prior_out = None
 
         self.op_count = 0
 
@@ -382,21 +416,22 @@ class SyndromeDecoder:
     def _check_pass(self, to: np.ndarray) -> None:
         """Transform, exclusive products, inverse transform, clamp at 0.
 
-        Leaves the symbol-major (q, M, L) result, not yet translated by
-        the syndrome, in `self._t_out`.  The gather indices are in range
-        by construction, and mode "clip" writes straight into `out`,
-        which the default mode would buffer.  The exclusive products go
-        to the transform input buffer, so the seeds of the prefix and
-        suffix products, set once, are never overwritten.
+        Leaves the symbol-major (q, M*L) result, columns in (k, m) order
+        and not yet translated by the syndrome, in `self._t_out`.  The
+        gather indices are in range by construction, and mode "clip"
+        writes straight into `out`, which the default mode would buffer.
+        The exclusive products go to the transform input buffer, so the
+        seeds of the prefix and suffix products, set once, are never
+        overwritten.
         """
-        wht, t_in, t_out, multiply = self._wht, self._t_in, self._t_out, np.multiply
-        to.take(self._gather_in, out=t_in, mode="clip")          # (q, M, L)
+        wht, multiply = self._wht, np.multiply
+        to.take(self._gather_in, out=self._t_in, mode="clip")    # (q, M, L)
         walsh_hadamard(wht.x, wht)
         for a, b, out in self._products:
             multiply(a, b, out=out)
-        multiply(self._pref, self._suff, out=t_in)                # exclusive products
+        multiply(self._pref, self._suff, out=self._t_ex)          # exclusive products
         walsh_hadamard(wht.x, wht)
-        np.maximum(t_out, 0.0, out=t_out)
+        np.maximum(self._t_out, 0.0, out=self._t_out)
 
     def decode(self, syndrome: np.ndarray, f_m: float,
                config: DecoderConfig = DecoderConfig()) -> DecodeOutcome:
@@ -417,11 +452,14 @@ class SyndromeDecoder:
         if self._prior_p0 is not p0:
             np.copyto(tile, p0)
             self._check_pass(tile)
-            self._prior_out, self._prior_p0 = _empty(self._t_out.shape), p0
             np.copyto(self._prior_out, self._t_out)
+            self._prior_p0 = p0
         table, t_out, to1, from0 = self._prior_out, self._t_out, to[1], frm[0]
         check_pass, syndrome_of, ops = self._check_pass, self._syndrome, self._ops_per_iteration
         maximum, multiply, floor = np.maximum, np.multiply, _PMF_FLOOR
+        # both syndromes are int64 vectors of M symbols (`_symbol_vector`,
+        # `_syndrome`), so equal bytes mean equal syndromes
+        syndrome_bytes = syndrome.tobytes()
         for it in range(1, config.max_iter + 1):
             # -- horizontal: all-but-one convolution with the syndrome mass;
             # iteration 1's pass, on the prior, is the copy kept for p0
@@ -444,7 +482,7 @@ class SyndromeDecoder:
 
             # -- tentative decision and syndrome check
             estimate = belief.argmax(axis=1)
-            if (syndrome_of(estimate) == syndrome).all():
+            if syndrome_of(estimate).tobytes() == syndrome_bytes:
                 return DecodeOutcome(status="success", estimate=estimate, iterations=it)
 
         return DecodeOutcome(status="fail", estimate=estimate, iterations=config.max_iter)

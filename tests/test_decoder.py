@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 from nbqc.binexpand import expand_pair, load_pair
 from nbqc.channel import ChannelParams, sample_error, syndrome_of
 from nbqc.decoder import (DecoderConfig, LengthMismatch, NonFiniteMessage, SyndromeDecoder,
-                          _symbol_weights, init_pmf, walsh_hadamard, wht_work)
+                          _row_sums, _symbol_weights, init_pmf, walsh_hadamard, wht_work)
 from nbqc.gf2p import make_field
-from nbqc.nblift import DimensionMismatch, lift
+from nbqc.nblift import DimensionMismatch, _symbol_vector, lift
 from nbqc.qcpair import QCParams, build_pair
 from oracles import (SingularMap, companion, decoder_messages, field_inv, mul_index_table,
                      permute_pmf, reference_decode, rows_of, transpose_index_table,
@@ -347,6 +347,32 @@ class TestDecode:
                 err = rng.integers(0, field.q, size=code.N)
                 assert np.array_equal(dec.syndrome_of_symbols(err),
                                       syndrome_of(code, role, err))
+
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    def test_syndromes_are_int64_vectors(self, p):
+        # decode compares each tentative syndrome with the given one by
+        # their bytes, so both must be int64 vectors of M symbols
+        code = ex1_code(p)
+        rng = np.random.default_rng(8)
+        for role in ("C", "D"):
+            dec = SyndromeDecoder(code, role)
+            for dtype in (np.int64, np.int32, np.uint16):
+                err = rng.integers(0, code.field.q, size=code.N).astype(dtype)
+                given = _symbol_vector(syndrome_of(code, role, err).astype(dtype), code.M,
+                                       code.field.q, "syndrome")
+                for syn in (dec.syndrome_of_symbols(err), dec._syndrome(err.astype(np.int64)),
+                            given):
+                    assert syn.dtype == np.int64 and syn.shape == (code.M,)
+                    assert syn.flags.c_contiguous
+                    assert syn.tobytes() == syndrome_of(code, role, err).tobytes()
+            # strided syndromes, int64 or of another integer type, decode alike
+            err = np.zeros(code.N, dtype=np.int64)
+            err[[3, 17]] = [1, code.field.q - 1]
+            s = syndrome_of(code, role, err)
+            config = DecoderConfig(max_iter=6)
+            for strided in (np.repeat(s, 2)[::2], np.repeat(s.astype(np.int32), 2)[::2]):
+                assert decode_record(dec, strided, 0.05, config)[:3] == (
+                    decode_record(dec, s, 0.05, config)[:3])
 
     def test_deterministic(self, code):
         err = np.zeros(code.N, dtype=np.int64)
@@ -703,6 +729,71 @@ class TestFirstIterationLookup:
         fresh = SyndromeDecoder(code, "C")
         assert (decode_record(shared, syndromes[1], 0.05, config)
                 == decode_record(fresh, syndromes[1], 0.05, config))
+
+
+class TestRowSums:
+    """The normalising sums are refused unless all are positive: one
+    minimum, which NaN propagates through.  No sum can be infinite
+    (`_row_sums` docstring), and the decodes below stay within the bound
+    that argument gives."""
+
+    @pytest.mark.parametrize("rows", [
+        [[0.0, 0.0], [0.5, 0.5]],                                 # a zero sum
+        [[0.5, 0.5], [np.nan, 1.0]],                              # a NaN sum
+        [[1.0, 2.0], [0.5, 0.5], [3.0, np.nan]],                  # NaN after positive sums
+        [[np.nan, 0.0], [0.25, 0.5], [0.0, 0.0], [1.0, 2.0]],     # NaN and zero
+    ])
+    def test_zero_or_nan_sums_raise_without_warning(self, rows):
+        msgs = np.repeat(np.array(rows)[None], 2, axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteMessage,
+                               match="^check messages non-finite at iteration 7$"):
+                _row_sums(msgs, "check", 7)
+
+    def test_positive_sums_returned_unchanged(self):
+        msgs = np.random.default_rng(3).random((2, 42, 16))
+        msgs[1, 5] = 0.0
+        msgs[1, 5, 3] = 5e-324                  # a subnormal sum is positive
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sums = _row_sums(msgs, "variable", 1)
+        assert sums.shape == (2, 42, 1)
+        assert sums.tobytes() == np.add.reduce(msgs, axis=-1, keepdims=True).tobytes()
+
+    @pytest.mark.parametrize("p", [2, 4, 8])
+    @pytest.mark.parametrize("role", ["C", "D"])
+    @pytest.mark.parametrize("floor", [0.0, 1e-300])
+    def test_sums_stay_within_the_bound(self, p, role, floor, monkeypatch):
+        # check-message sums are at most about q, variable-message sums at
+        # most about 1, in every iteration of these decodes
+        code = ex1_code(p)
+        q = code.field.q
+        sums = {"check": [], "variable": []}
+
+        def recording(msgs, kind, it):
+            got = _row_sums(msgs, kind, it)
+            sums[kind].append(got.copy())
+            return got
+
+        monkeypatch.setattr("nbqc.decoder._row_sums", recording)
+        monkeypatch.setattr("nbqc.decoder._PMF_FLOOR", floor)
+        dec = SyndromeDecoder(code, role)
+        rng = np.random.default_rng(p)
+        err = np.zeros(code.N, dtype=np.int64)
+        err[rng.choice(code.N, 3, replace=False)] = rng.integers(1, q, size=3)
+        syndromes = [rng.integers(0, q, size=code.M) * (rng.random(code.M) < 0.7)
+                     for _ in range(2)] + [syndrome_of(code, role, err)]
+        for f_m in (0.0, 1e-40, 1e-12, 0.01, 0.2, 0.49):
+            for s in syndromes:
+                try:
+                    dec.decode(s, f_m, DecoderConfig(max_iter=8))
+                except NonFiniteMessage:
+                    assert floor == 0.0 and f_m == 0.0
+        assert len(sums["check"]) >= 50 and len(sums["variable"]) >= 50
+        check, variable = (np.concatenate(sums[kind]) for kind in ("check", "variable"))
+        assert np.isfinite(check).all() and check.max() <= q * (1 + 1e-9)
+        assert np.isfinite(variable).all() and variable.max() <= 1 + 1e-9
 
 
 class TestBinaryEquivalence:
