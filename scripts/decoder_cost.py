@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Decoder cost per iteration of one failing decode.
 
-    python scripts/decoder_cost.py [--fields 8] [--P 7 31 127 331] [--fm 0.12]
+    python scripts/decoder_cost.py [--fields 8] [--P 7 31 127 331]
 
 For each field degree p and circulant size P, builds role C of the code
 on `find_params(6, [P])[0]` (lift seed 0, trivial lifts rejected, as
-`nbqc construct --reject-trivial` does), draws errors at --fm from
+`nbqc construct --reject-trivial` does), draws errors at f_m = FM from
 `default_rng(0)` until one fails to decode within 11 iterations,
 and times that decode at max-iter 11 and at max-iter 1.  The cost of an
-iteration is (best time at 11 - best time at 1) / 10, best of --repeat
+iteration is (best time at 11 - best time at 1) / 10, best of REPEAT
 calls each, so it covers iterations 2-11 and leaves out the set-up of a
 decode and its first, cached check pass.  Prints one row per code:
 ms per iteration, and ns per message entry (2 N q entries).
@@ -28,6 +28,8 @@ from nbqc.qcpair import build_pair, find_params
 
 MAX_ITER = 11
 MAX_DRAWS = 1000
+FM = 0.12
+REPEAT = 5
 
 
 def failing_syndrome(code, decoder, f_m: float) -> np.ndarray:
@@ -41,12 +43,12 @@ def failing_syndrome(code, decoder, f_m: float) -> np.ndarray:
     raise SystemExit(f"no failing decode in {MAX_DRAWS} draws at f_m {f_m}")
 
 
-def best_time(decoder, syndrome, f_m: float, max_iter: int, repeat: int) -> float:
+def best_time(decoder, syndrome, max_iter: int) -> float:
     config = DecoderConfig(max_iter=max_iter)
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
-        decoder.decode(syndrome, f_m, config)
+        decoder.decode(syndrome, FM, config)
         times.append(time.perf_counter() - start)
     return min(times)
 
@@ -57,8 +59,6 @@ def main() -> None:
                     help="extension degrees p")
     ap.add_argument("--P", type=int, nargs="+", default=[7, 31, 127, 331],
                     help="circulant sizes")
-    ap.add_argument("--fm", type=float, default=0.12)
-    ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args()
 
     print(f"{'p':>2} {'P':>5} {'N':>6} {'ms/iteration':>13} {'ns/entry':>9}")
@@ -71,9 +71,9 @@ def main() -> None:
             pair = build_pair(candidates[0])
             code = expand_pair(*lift(pair, field, np.random.default_rng(0), True))
             decoder = SyndromeDecoder(code, "C")
-            syndrome = failing_syndrome(code, decoder, args.fm)
-            per_iter = (best_time(decoder, syndrome, args.fm, MAX_ITER, args.repeat)
-                        - best_time(decoder, syndrome, args.fm, 1, args.repeat)) / (MAX_ITER - 1)
+            syndrome = failing_syndrome(code, decoder, FM)
+            per_iter = (best_time(decoder, syndrome, MAX_ITER)
+                        - best_time(decoder, syndrome, 1)) / (MAX_ITER - 1)
             entries = 2 * code.N * field.q
             print(f"{p:>2} {P:>5} {code.N:>6} {per_iter * 1e3:>13.3f} "
                   f"{per_iter / entries * 1e9:>9.1f}", flush=True)

@@ -69,9 +69,8 @@ def test_limit_curves(tmp_path):
     assert all(len(r) == 4 for r in rows)
 
 
-
 def test_decoder_cost():
-    out = run_script("decoder_cost.py", "--fields", "2", "--P", "7", "--repeat", "2").stdout
+    out = run_script("decoder_cost.py", "--fields", "2", "--P", "7").stdout
     header, row = out.splitlines()
     assert header.split() == ["p", "P", "N", "ms/iteration", "ns/entry"]
     p, P, N, ms, ns = row.split()
@@ -79,6 +78,7 @@ def test_decoder_cost():
     # ns/entry is ms/iteration (printed to 3 decimals) over the 2 N q =
     # 336 message entries
     assert float(ms) > 0 and abs(float(ns) * 336e-6 - float(ms)) <= 6e-4
+
 
 def import_bench_ab():
     sys.path.insert(0, str(ROOT / "scripts"))
