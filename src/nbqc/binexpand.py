@@ -31,7 +31,7 @@ import numpy as np
 
 from nbqc.gf2p import FieldSpec, make_field, poly_mask
 from nbqc.nblift import DimensionMismatch, NBMatrix, verify_orthogonal
-from nbqc.qcpair import QCParams
+from nbqc.qcpair import QCParams, require_valid
 
 
 class ParseError(ValueError):
@@ -271,7 +271,10 @@ def load_pair(gamma_path, delta_path) -> CssCodePair:
     """Read both matrices, cross-check them, and build their code pair.
 
     Each matrix must have the shape of its header's construction,
-    2P x LP with LM entries, checked before anything is sized by N.
+    2P x LP with LM entries, checked before anything is sized by N, and
+    the header's parameters must satisfy the construction conditions
+    (InvalidParams), checked after the shape, so that P is bounded by the
+    rows read when their O(P) scan runs.
     """
     gamma = read_matrix(gamma_path)
     delta = read_matrix(delta_path, expected_field=gamma.field)
@@ -283,4 +286,5 @@ def load_pair(gamma_path, delta_path) -> CssCodePair:
     P, L = gamma.params.P, gamma.params.L
     if {(mat.m, mat.n, mat.nnz()) for mat in (gamma, delta)} != {(2 * P, L * P, 2 * L * P)}:
         raise ValueError(f"the matrices are not 2P x LP = {2 * P}x{L * P} with LM entries")
+    require_valid(gamma.params)
     return expand_pair(gamma, delta)

@@ -47,15 +47,15 @@ column-pair slot order, (2, N, q), the order the writing gather reads
 it in; the syndrome reads it too, through an (M, L) array of each
 edge's row offset there.  A decoder allocates its work buffers once,
 carved out of one block with every buffer on a 64-byte boundary
-(`_carve`): the pair of butterfly buffers that both transforms of an
-iteration share, the first of which is the transform input that the
-forward gather and the exclusive products write into and that
-`walsh_hadamard` is handed as it is laid out; the prefix and suffix
-products; the two message buffers; the writing gather's indices; the
-prior pass's copy; the slot-order entry maps; and the prior tiled to
-the message shape, (2, N, q), refilled when f_m changes, so that the
-variable step multiplies operands of one shape, which numpy does
-without a buffer.  The butterfly views of every transform stage and the
+(`_carve`): the pair of plain (q, M*L) butterfly buffers that both
+transforms of an iteration share, the first of which holds the
+transform input, which the forward gather and the exclusive products
+write and `walsh_hadamard` transforms where it lies; the prefix and
+suffix products; the two message buffers; the writing gather's
+indices; the prior pass's copy; the slot-order entry maps; and the
+prior tiled to the message shape, (2, N, q), refilled when f_m
+changes, so that the variable step multiplies operands of one shape,
+which numpy does without a buffer.  The butterfly views of every transform stage and the
 slices of every prefix/suffix step are built with them, so an iteration
 creates no views.  Only `estimate` is fresh for each decode.  After a
 decode that iterated, `_from` and `_to` hold its last messages until
@@ -131,10 +131,6 @@ from nbqc.binexpand import CssCodePair
 from nbqc.nblift import DimensionMismatch, _symbol_vector
 
 
-class LengthMismatch(ValueError):
-    pass
-
-
 class NonFiniteMessage(ArithmeticError):
     """A message PMF contains NaN or infinity."""
 
@@ -186,10 +182,10 @@ def _symbol_weights(p: int) -> np.ndarray:
 
 
 class WHTWork(NamedTuple):
-    """`x`, the (rows, q) view of the symbol-major (q, rows) buffer that
-    holds the input; the (in, out) views of every butterfly stage; and
-    `y`, the (rows, q) view of the buffer that holds the result.  The
-    stages overwrite the input."""
+    """`x`, the symbol-major (q, rows) buffer that holds the input, one
+    column per transform; the (in, out) views of every butterfly stage;
+    and `y`, the (q, rows) buffer that holds the result, which is `x`
+    itself when log2(q) is even.  The stages overwrite the input."""
 
     x: np.ndarray
     stages: tuple
@@ -226,14 +222,6 @@ def _carve(*specs: tuple) -> list[np.ndarray]:
             for (start, stop), (shape, dtype) in zip(spans, specs)]
 
 
-def wht_work(q: int, rows: int) -> WHTWork:
-    """Two (q, rows) float64 buffers and the views of every butterfly
-    stage; the first buffer also holds the input."""
-    if q < 2 or q & (q - 1):
-        raise LengthMismatch(f"length {q} is not a power of 2 above 1")
-    return _wht_views(*_carve(((q, rows), np.float64), ((q, rows), np.float64)))
-
-
 def _wht_views(*bufs: np.ndarray) -> WHTWork:
     """`WHTWork` over two C-contiguous (q, rows) float64 buffers."""
     q, rows = bufs[0].shape
@@ -249,50 +237,24 @@ def _wht_views(*bufs: np.ndarray) -> WHTWork:
     log2q = q.bit_length() - 1
     stages = tuple((stage(bufs[k & 1], 1 << k), stage(bufs[(k + 1) & 1], 1 << k))
                    for k in range(log2q))
-    return WHTWork(bufs[0].T, stages, bufs[log2q & 1].T)
+    return WHTWork(bufs[0], stages, bufs[log2q & 1])
 
 
-def walsh_hadamard(x: np.ndarray, work: WHTWork | None = None) -> np.ndarray:
-    """Unnormalised WHT along the last axis (length a power of 2).
+def walsh_hadamard(x: np.ndarray, work: WHTWork) -> np.ndarray:
+    """Unnormalised WHT of the columns of the symbol-major (q, rows)
+    buffer `x`, which is `work.x`; returns `work.y`.
 
-    Applying it twice multiplies by q.  The butterflies run on a
-    symbol-major (q, rows) float64 layout, alternating between two
-    buffers, the first of which holds a copy of the input, so `x` is
-    never written (unless it is `work.x`, below).  Each stage h = 1, 2,
-    4, ... is one product H2 @ B with H2 = [[1, 1], [1, -1]] and B the
-    (q/2h, 2, h*rows) view of its buffer, split into (2, w) operands no
-    wider than `_MAX_WIDTH`: every output is a two-term sum of operands
-    times +-1, rounded once, so it equals the add/subtract butterfly bit
-    for bit, except that an exact zero may take either sign (see the
-    module docstring).  The result has the input's shape and a
-    symbol-major memory layout (`np.moveaxis(result, -1, 0)` C-contiguous).
-
-    `work`, from `wht_work(q, rows)`, supplies the buffers; the result is
-    then a view of `work.y`, which the next call with the same `work`
-    overwrites.  The input is copied into `work.x`, unless it is `work.x`
-    itself: a caller that writes its input there saves the copy and the
-    checks, gets `work.y` back, and finds `work.x` overwritten.  Without
-    `work`, fresh buffers are made.
+    Applying it twice multiplies by q.  Each stage h = 1, 2, 4, ... is
+    one product H2 @ B with H2 = [[1, 1], [1, -1]] and B the (q/2h, 2,
+    h*rows) view of the buffer it reads, split into (2, w) operands no
+    wider than `_MAX_WIDTH`, alternating between the two buffers of
+    `work`: every output is a two-term sum of operands times +-1, rounded
+    once, so it equals the add/subtract butterfly bit for bit, except
+    that an exact zero may take either sign (see the module docstring).
+    The stages overwrite `x`.  They read it only through `work`; `x` is
+    passed so that the benchmark's tracer, which wraps this function,
+    can count the entries transformed from its first argument.
     """
-    if work is None or x is not work.x:
-        x = np.asarray(x)
-        q = x.shape[-1]
-        if q & (q - 1):
-            raise LengthMismatch(f"length {q} is not a power of 2")
-        if q == 1:
-            return x.astype(np.float64)
-        rows = x.reshape(-1, q)
-        if work is None:
-            work = wht_work(q, len(rows))
-        elif work.x.shape != rows.shape:
-            raise LengthMismatch(f"work buffers are {work.x.shape[::-1]}, "
-                                 f"input is {rows.shape[::-1]}")
-        np.copyto(work.x, rows)
-        return _butterflies(work).reshape(x.shape)
-    return _butterflies(work)
-
-
-def _butterflies(work: WHTWork) -> np.ndarray:
     for a, b in work.stages:
         np.matmul(_H2, a, out=b)
     return work.y
@@ -328,10 +290,11 @@ class SyndromeDecoder:
     Precomputes, per edge (m, k): the symbol permutation of the entry's
     binary image (held once, in column-pair slot order, where the
     syndrome reads it through per-edge offsets), flat gather indices
-    through its inverse, and column-to-edge pointers.  Each decode builds
-    the gather through the permutations, translated by its syndrome.  A decoder instance owns its
-    message and work buffers; share the (immutable) code across
-    instances, not the instance across threads.
+    through its inverse, and column-to-edge pointers.  Each decode
+    builds the gather through the permutations, translated by its
+    syndrome.  A decoder instance owns its message and work buffers;
+    share the (immutable) code across instances, not the instance across
+    threads.
 
     `op_count` accumulates the arithmetic operations (adds and
     multiplies) of the check-node convolutions: transform butterflies
@@ -391,9 +354,9 @@ class SyndromeDecoder:
 
         self._wht = wht = _wht_views(wht_a, wht_b)
         self._t_in = wht_a.reshape(q, M, L)         # the first transform's input,
-        t = wht.y.T.reshape(q, M, L)                # its result,
+        t = wht.y.reshape(q, M, L)                  # its result,
         self._t_ex = wht_a.reshape(q, L, M).transpose(1, 0, 2)   # the second's input
-        self._t_out = wht.y.T                       # and its result, rank k*M + m
+        self._t_out = wht.y                         # and its result, rank k*M + m
         pref, suff = self._pref, self._suff
         pref[0] = suff[L - 1] = 1.0
         self._products = (

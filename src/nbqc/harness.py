@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default="-", help="CSV path (default stdout)")
 
     m = sub.add_parser("limits", help="closed-form rate limit curves to CSV")
-    m.add_argument("--fm", type=float, nargs="*", default=None,
+    m.add_argument("--fm", type=float, nargs="+", default=None,
                    help="explicit f_m values (else a uniform grid)")
     m.add_argument("--fm-min", type=float, default=0.005)
     m.add_argument("--fm-max", type=float, default=0.33)

@@ -117,6 +117,13 @@ def validate_params(params: QCParams) -> list[str]:
     return violations
 
 
+def require_valid(params: QCParams) -> None:
+    """Raise InvalidParams naming every violated construction condition."""
+    violations = validate_params(params)
+    if violations:
+        raise InvalidParams(f"invalid parameters {params}: {', '.join(violations)}")
+
+
 def build_pair(params: QCParams) -> QCPair:
     """Exponent matrices of the orthogonal pair for a valid parameter set.
 
@@ -127,9 +134,7 @@ def build_pair(params: QCParams) -> QCPair:
     Any admissible J is built; the non-binary lift is only proved for
     column weight 2, and `nblift.lift` rejects any other.
     """
-    violations = validate_params(params)
-    if violations:
-        raise InvalidParams(f"invalid parameters {params}: {', '.join(violations)}")
+    require_valid(params)
     P, J, L, sigma, tau = params.P, params.J, params.L, params.sigma, params.tau
     sigma_inv = pow(sigma, -1, P)
     c = np.zeros((J, L), dtype=np.int64)

@@ -8,10 +8,14 @@ every pair of rows (or loop over every entry), so they are quadratic in
 the row count.  The Howell-form solver reduces dense rows over Z_m for
 any homogeneous system, zero-divisor pivots included.  The single-message
 convolution and symbol relabelling are the per-edge steps of the
-decoder's vectorised iteration.  The per-edge check pass, seeded with
-the character of each check's syndrome symbol, and the per-edge decode
-built on it are what the decoder's syndrome-translated gather and its
-cached iteration-1 pass replace.  The per-row cycle walk,
+decoder's vectorised iteration.  Every transform here is
+`concat_walsh_hadamard`, the reference Walsh-Hadamard transform: the
+add/subtract butterflies of each stage, joined by concatenation, which
+shares no code with the decoder's in-place kernel that it checks.  The
+per-edge check pass, seeded with the character of each check's syndrome
+symbol, and the per-edge decode built on it are what the decoder's
+syndrome-translated gather and its cached iteration-1 pass replace.
+The per-row cycle walk,
 the field recurrence for the second matrix and the cycle products are
 what the lift's array walk and log-domain cycle balance replace.  The
 double loop of the QC expansion, the pair-set 4-cycle search, the
@@ -60,8 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nbqc.binexpand import CssCodePair, ParseError
-from nbqc.decoder import (LengthMismatch, NonFiniteMessage, SyndromeDecoder, init_pmf,
-                          walsh_hadamard)
+from nbqc.decoder import NonFiniteMessage, SyndromeDecoder, init_pmf
 from nbqc.gf2p import FieldSpec
 from nbqc.modring import BalanceGraph
 from nbqc.nblift import DimensionMismatch, NBMatrix, NotACycle, cycle_structure
@@ -868,6 +871,34 @@ class SingularMap(ValueError):
     """The supplied bit matrix is not invertible over GF(2)."""
 
 
+class LengthMismatch(ValueError):
+    """A message or transform length does not fit the operation."""
+
+
+def concat_walsh_hadamard(x) -> np.ndarray:
+    """Unnormalised WHT along the last axis, stage by stage on (rows, q).
+
+    The add/subtract butterflies (a, b) -> (a + b, a - b) in the library
+    transform's order, h = 1, 2, 4, ..., each stage's halves joined by
+    concatenation, so the two agree bit for bit up to the sign of an
+    exact zero.  Returns float64 of the input's shape.
+    """
+    x = np.asarray(x)
+    q = x.shape[-1]
+    if q < 1 or q & (q - 1):
+        raise LengthMismatch(f"length {q} is not a power of 2")
+    y = x.reshape(-1, q).astype(np.float64)
+    h = 1
+    while h < q:
+        y = y.reshape(-1, q // (2 * h), 2, h)
+        even = y[:, :, 0, :] + y[:, :, 1, :]
+        odd = y[:, :, 0, :] - y[:, :, 1, :]
+        y = np.concatenate((even[:, :, None, :], odd[:, :, None, :]), axis=2)
+        y = y.reshape(-1, q)
+        h *= 2
+    return y.reshape(x.shape)
+
+
 def _character(shift: int, q: int) -> np.ndarray:
     """(-1)^<shift, w> for w in [0, q): the WHT of the point mass at shift."""
     bits = np.array([(w & shift).bit_count() & 1 for w in range(q)])
@@ -889,8 +920,8 @@ def wht_convolve(msgs, shift: int = 0) -> np.ndarray:
             raise LengthMismatch(f"message shapes differ: {a.shape} vs ({q},)")
     acc = _character(shift, q)
     for a in arrs:
-        acc = acc * walsh_hadamard(a)
-    out = walsh_hadamard(acc) / q
+        acc = acc * concat_walsh_hadamard(a)
+    out = concat_walsh_hadamard(acc) / q
     np.maximum(out, 0.0, out=out)
     return out / out.sum()
 
@@ -938,12 +969,12 @@ def check_pass(decoder: SyndromeDecoder, syndrome: np.ndarray, v2c: np.ndarray) 
     q = decoder.q
     fwd = entry_maps(decoder.code, decoder.role)                # (M, L, q)
     inv = np.argsort(fwd, axis=2)
-    t = walsh_hadamard(np.take_along_axis(np.broadcast_to(v2c, fwd.shape), inv, axis=2))
+    t = concat_walsh_hadamard(np.take_along_axis(np.broadcast_to(v2c, fwd.shape), inv, axis=2))
     chi = np.stack([_character(int(s), q) for s in syndrome])   # (M, q)
     pref = np.cumprod(np.concatenate((chi[:, None], t[:, :-1]), axis=1), axis=1)
     ones = np.ones_like(chi)[:, None]
     suff = np.cumprod(np.concatenate((ones, t[:, :0:-1]), axis=1), axis=1)[:, ::-1]
-    back = walsh_hadamard(pref * suff)
+    back = concat_walsh_hadamard(pref * suff)
     return np.maximum(np.take_along_axis(back, fwd, axis=2) * (1.0 / q), 0.0)
 
 

@@ -495,6 +495,24 @@ class TestVerify:
             assert main(argv) == 2
             assert "poly=0x9) != expected (p=4, poly=0x3)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("L, P, M", [(6, 0, 0), (0, 5, 10)], ids=["P0", "L0"])
+    def test_headers_that_verify_rejects_are_refused(self, tmp_path, capsys, L, P, M):
+        # empty matrices of their headers' 2P x LP shape: simulate built a
+        # decoder on them and died with an IndexError in its set-up
+        paths = []
+        for role in ("GAMMA", "DELTA"):
+            paths.append(str(tmp_path / f"bad.{role.lower()}.nbqc"))
+            Path(paths[-1]).write_text(
+                f"NBQC 1\np=4 poly=0x3 J=2 L={L} P={P} sigma=2 tau=3 role={role}\n"
+                f"M={M} N=0\n" + "".join(f"r{r}:\n" for r in range(M)))
+        with pytest.raises(qcpair.InvalidParams, match="^invalid parameters "):
+            load_pair(*paths)
+        assert main(["verify", *paths]) == 1
+        capsys.readouterr()
+        assert main(["simulate", *paths, "--fm", "0.05", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: invalid parameters ")
+
     def test_longer_code_bytes_and_checks(self, tmp_path, capsys):
         # n=3048 (P=127); the digests pin the written bytes, which must not
         # depend on how the checks and cycle walks are implemented
@@ -623,6 +641,13 @@ class TestCli:
         assert len(lines) == 3
         s2_at_011 = float(lines[2].split(",")[2])
         assert s2_at_011 == pytest.approx(s2_limit(0.11))
+
+    def test_limits_fm_needs_a_value(self, capsys):
+        # a bare --fm used to write the default grid
+        with pytest.raises(SystemExit) as exc:
+            main(["limits", "--fm"])
+        assert exc.value.code == 2
+        assert "expected at least one argument" in capsys.readouterr().err
 
     def test_limits_grid_keeps_its_last_point(self, tmp_path):
         # (0.03 - 0.01) / 0.01 evaluates to 1.9999999999999996
