@@ -6,10 +6,15 @@ pair over GF(2^p) into an orthogonal binary pair of pM x pN
 parity-check matrices: the image of x is the matrix of multiplication
 by x, so block (r, s) of the binary product is the image of the product
 of rows r and s over GF(2^p), and it is zero iff that product is.  So
-`expand_pair` checks orthogonality over GF(2^p) only, and the library
-never builds the binary matrices: `channel.syndrome_of` applies them
-one p x p image at a time, and the tests build them entry by entry
-(`tests/oracles.py`) to check the product over GF(2).
+the library checks orthogonality over GF(2^p) only, and never builds
+the binary matrices: `channel.syndrome_of` applies them one p x p image
+at a time, and the tests build them entry by entry (`tests/oracles.py`)
+to check the product over GF(2).
+
+A fresh lift becomes a code pair through `expand_pair`.  A stored pair
+is checked once, by `pair_checks`: `nbqc verify` prints its verdicts,
+and `load_pair` (what `nbqc simulate` runs) refuses a pair that fails
+any of them, naming the first.
 
 Files carry only the non-binary matrices (plus field and construction
 parameters).  A file lists each nonzero by its column and its discrete
@@ -30,8 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from nbqc.gf2p import FieldSpec, make_field, poly_mask
-from nbqc.nblift import DimensionMismatch, NBMatrix, verify_orthogonal
-from nbqc.qcpair import QCParams, require_valid
+from nbqc.nblift import (DimensionMismatch, NBMatrix, cycle_log_steps, cycle_structure,
+                         verify_orthogonal)
+from nbqc.qcpair import QCParams, build_pair, has_4cycle, validate_params
 
 
 class ParseError(ValueError):
@@ -166,7 +172,11 @@ def read_matrix(source, expected_field: FieldSpec | None = None) -> NBMatrix:
         # a non-ASCII byte reads as U+FFFD, which the parse rejects with its line
         with open(source, "r", encoding="ascii", errors="replace") as fh:
             return read_matrix(fh, expected_field)
-    lines = source.read().splitlines()
+    # lines end where text-mode reading ends them, at \n, \r\n or \r;
+    # str.splitlines would also end them at \v, \f, \x1c-\x1e and more
+    lines = re.split("\r\n?|\n", source.read())
+    if not lines[-1]:
+        lines.pop()     # the text after the last line end
     if not lines or lines[0] != "NBQC 1":
         raise ParseError(1, "expected magic 'NBQC 1'")
     if len(lines) < 3:
@@ -267,24 +277,87 @@ def _numbers(b: np.ndarray, lo: np.ndarray, hi: np.ndarray, base: int):
     return base ** np.arange(width - 1, -1, -1) @ digits, ok
 
 
-def load_pair(gamma_path, delta_path) -> CssCodePair:
-    """Read both matrices, cross-check them, and build their code pair.
+def pair_checks(gamma: NBMatrix, delta: NBMatrix) -> list[tuple[str, bool, str]]:
+    """Every structural check of a stored pair, as (name, passed, detail)
+    triples in a fixed order; `nbqc verify` prints them and `load_pair`
+    refuses a pair that fails one.
 
-    Each matrix must have the shape of its header's construction,
-    2P x LP with LM entries, checked before anything is sized by N, and
-    the header's parameters must satisfy the construction conditions
-    (InvalidParams), checked after the shape, so that P is bounded by the
-    rows read when their O(P) scan runs.
+    No header number sizes an array or a loop before the file's rows and
+    entries bound it: `params_valid` fails at once when P exceeds the
+    rows, before the O(P) scan of `validate_params`.  The checks after
+    it run only when it passes, and the product and cycle checks only
+    when both matrices have the construction's shape.
+    """
+    checks: list[tuple[str, bool, str]] = []
+    params = gamma.params
+    ok_roles = gamma.role == "GAMMA" and delta.role == "DELTA"
+    checks.append(("role_tags", ok_roles, f"{gamma.role}/{delta.role}"))
+    checks.append(("params_match", gamma.params == delta.params,
+                   f"{gamma.params} vs {delta.params}"))
+
+    # a construction has 2P rows, so P > M fails without the O(P) scan
+    violations = ([f"P={params.P} exceeds the {gamma.m} rows of the file"] if params.P > gamma.m
+                  else validate_params(params))
+    if params.J != 2:
+        violations.append(f"J={params.J}, but the lift and its checks need J=2")
+    checks.append(("params_valid", not violations,
+                   ", ".join(violations) or "all construction conditions hold"))
+    if violations:
+        return checks
+
+    pair = build_pair(params)
+    hc, hd = pair.expand_c(), pair.expand_d()
+    shapes_ok = all((mat.m, mat.n) == (h.m, h.n) for mat, h in ((gamma, hc), (delta, hd)))
+    sup_ok = shapes_ok and all(np.array_equal(mat.row, h.row) and np.array_equal(mat.col, h.col)
+                               for mat, h in ((gamma, hc), (delta, hd)))
+    shapes = f"M x N {gamma.m}x{gamma.n}/{delta.m}x{delta.n} vs QC expansion {hc.m}x{hc.n}"
+    checks.append(("supports_match_construction", sup_ok,
+                   "supports vs QC expansion" if shapes_ok else shapes))
+
+    gw = {w for mat in (gamma, delta) for w in np.bincount(mat.row, minlength=mat.m).tolist()}
+    checks.append(("row_weight", gw == {params.L}, f"row weights {sorted(gw)}"))
+    col_w = set()
+    for mat in (gamma, delta):      # N sizes nothing: the weights are counted from the entries
+        counts = np.unique(mat.col, return_counts=True)[1].tolist()
+        col_w.update(counts + [0] * (len(counts) < mat.n))
+    checks.append(("column_weight", col_w == {params.J},
+                   f"column weights {sorted(col_w)}"))
+
+    checks.append(("no_symbol_4cycles",
+                   not has_4cycle(gamma) and not has_4cycle(delta),
+                   "symbol-level Tanner graphs"))
+    if not shapes_ok:       # the product and cycle checks need the construction's shape
+        return checks
+
+    nb_ok = verify_orthogonal(gamma, delta)
+    checks.append(("nonbinary_orthogonal", nb_ok, "product over GF(2^p)"))
+
+    # a cycle passes iff its two sides' products agree: both meet a zero,
+    # or neither does and their logs balance
+    steps, (zero1, zero2) = cycle_log_steps(gamma, cycle_structure(hc, hd))
+    balanced = steps.sum(axis=1) % (gamma.field.q - 1) == 0
+    det_ok = bool(np.where(zero1 | zero2, zero1 & zero2, balanced).all())
+    checks.append(("determinant_condition", det_ok, "per-row cycle products"))
+
+    # block (r, s) of the binary product is the image of the product of rows
+    # r and s over GF(2^p) (module docstring), so this verdict is the one
+    # above; the tests check the expanded matrices themselves
+    checks.append(("binary_orthogonal", nb_ok,
+                   "product over GF(2), implied by the product over GF(2^p)"))
+    return checks
+
+
+def load_pair(gamma_path, delta_path) -> CssCodePair:
+    """Read both matrices and build their code pair.
+
+    Runs `pair_checks`, the checks of `nbqc verify`, and raises a
+    ValueError that names the first failing check and its detail, so
+    that `nbqc simulate` refuses (exit 2) every pair that `verify` fails.
+    The pair is built as it is read: `nonbinary_orthogonal` has run.
     """
     gamma = read_matrix(gamma_path)
     delta = read_matrix(delta_path, expected_field=gamma.field)
-    if gamma.role != "GAMMA" or delta.role != "DELTA":
-        raise ValueError(f"role tags are {gamma.role}/{delta.role}, "
-                         "expected GAMMA/DELTA")
-    if gamma.params != delta.params:
-        raise ValueError("construction parameters differ between the files")
-    P, L = gamma.params.P, gamma.params.L
-    if {(mat.m, mat.n, mat.nnz()) for mat in (gamma, delta)} != {(2 * P, L * P, 2 * L * P)}:
-        raise ValueError(f"the matrices are not 2P x LP = {2 * P}x{L * P} with LM entries")
-    require_valid(gamma.params)
-    return expand_pair(gamma, delta)
+    for name, ok, detail in pair_checks(gamma, delta):
+        if not ok:
+            raise ValueError(f"the pair fails {name} ({detail})")
+    return CssCodePair(field=gamma.field, params=gamma.params, gamma=gamma, delta=delta)

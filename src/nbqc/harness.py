@@ -7,6 +7,9 @@ Subcommands
     simulate    seeded Monte Carlo block-error sweep over f_m, CSV out
     limits      closed-form rate limit curves on an f_m grid, CSV out
 
+`simulate` loads its pair with `binexpand.load_pair`, which runs the
+checks that `verify` prints and refuses (exit 2) a pair that fails one.
+
 Monte Carlo trials use counter-based per-trial RNG streams (Philox keyed
 by the master seed, counter-offset by the trial index), so results are
 byte-identical for a fixed seed regardless of how trials are split
@@ -34,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from nbqc import binexpand, channel, nblift
-from nbqc.binexpand import load_pair, read_matrix, write_matrix
+from nbqc.binexpand import load_pair, pair_checks, read_matrix, write_matrix
 from nbqc.decoder import DecoderConfig, SyndromeDecoder
 from nbqc.gf2p import make_field
-from nbqc.qcpair import QCParams, build_pair, has_4cycle, validate_params
+from nbqc.qcpair import QCParams, build_pair
 
 
 class DomainError(ValueError):
@@ -206,66 +209,10 @@ def simulate_sweep(code, f_m_values, trials: int, seed: int,
 
 
 def verify_pair_files(gamma_path, delta_path) -> list[tuple[str, bool, str]]:
-    """Run every structural check; returns (name, passed, detail) triples."""
-    checks: list[tuple[str, bool, str]] = []
+    """Read a stored pair and run every structural check on it
+    (`binexpand.pair_checks`); returns (name, passed, detail) triples."""
     gamma = read_matrix(gamma_path)
-    delta = read_matrix(delta_path, expected_field=gamma.field)
-    params = gamma.params
-    ok_roles = gamma.role == "GAMMA" and delta.role == "DELTA"
-    checks.append(("role_tags", ok_roles, f"{gamma.role}/{delta.role}"))
-    checks.append(("params_match", gamma.params == delta.params,
-                   f"{gamma.params} vs {delta.params}"))
-
-    # a construction has 2P rows, so P > M fails without the O(P) scan
-    violations = ([f"P={params.P} exceeds the {gamma.m} rows of the file"] if params.P > gamma.m
-                  else validate_params(params))
-    if params.J != 2:
-        violations.append(f"J={params.J}, but the lift and its checks need J=2")
-    checks.append(("params_valid", not violations,
-                   ", ".join(violations) or "all construction conditions hold"))
-    if violations:
-        return checks
-
-    pair = build_pair(params)
-    hc, hd = pair.expand_c(), pair.expand_d()
-    shapes_ok = all((mat.m, mat.n) == (h.m, h.n) for mat, h in ((gamma, hc), (delta, hd)))
-    sup_ok = shapes_ok and all(np.array_equal(mat.row, h.row) and np.array_equal(mat.col, h.col)
-                               for mat, h in ((gamma, hc), (delta, hd)))
-    shapes = f"M x N {gamma.m}x{gamma.n}/{delta.m}x{delta.n} vs QC expansion {hc.m}x{hc.n}"
-    checks.append(("supports_match_construction", sup_ok,
-                   "supports vs QC expansion" if shapes_ok else shapes))
-
-    gw = {w for mat in (gamma, delta) for w in np.bincount(mat.row, minlength=mat.m).tolist()}
-    checks.append(("row_weight", gw == {params.L}, f"row weights {sorted(gw)}"))
-    col_w = set()
-    for mat in (gamma, delta):      # N sizes nothing: the weights are counted from the entries
-        counts = np.unique(mat.col, return_counts=True)[1].tolist()
-        col_w.update(counts + [0] * (len(counts) < mat.n))
-    checks.append(("column_weight", col_w == {params.J},
-                   f"column weights {sorted(col_w)}"))
-
-    checks.append(("no_symbol_4cycles",
-                   not has_4cycle(gamma) and not has_4cycle(delta),
-                   "symbol-level Tanner graphs"))
-    if not shapes_ok:       # the product and cycle checks need the construction's shape
-        return checks
-
-    nb_ok = nblift.verify_orthogonal(gamma, delta)
-    checks.append(("nonbinary_orthogonal", nb_ok, "product over GF(2^p)"))
-
-    # a cycle passes iff its two sides' products agree: both meet a zero,
-    # or neither does and their logs balance
-    steps, (zero1, zero2) = nblift.cycle_log_steps(gamma, nblift.cycle_structure(hc, hd))
-    balanced = steps.sum(axis=1) % (gamma.field.q - 1) == 0
-    det_ok = bool(np.where(zero1 | zero2, zero1 & zero2, balanced).all())
-    checks.append(("determinant_condition", det_ok, "per-row cycle products"))
-
-    # block (r, s) of the binary product is the image of the product of rows
-    # r and s over GF(2^p) (binexpand docstring), so this verdict is the one
-    # above; the tests check the expanded matrices themselves
-    checks.append(("binary_orthogonal", nb_ok,
-                   "product over GF(2), implied by the product over GF(2^p)"))
-    return checks
+    return pair_checks(gamma, read_matrix(delta_path, expected_field=gamma.field))
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -412,8 +359,9 @@ def main(argv=None) -> int:
     try:
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError) as exc:
-        # ParseError, FieldMismatch, InvalidParams, DomainError and plain
-        # file problems all surface here; internal invariants still raise
+        # ParseError, FieldMismatch, InvalidParams, DomainError, a stored pair
+        # that fails a check and plain file problems all surface here;
+        # internal invariants still raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

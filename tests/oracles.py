@@ -439,7 +439,9 @@ def read_rows(text: str, n: int, q: int) -> tuple[list, list, list]:
     the first failing check of the first bad line calls for.  The header
     is not checked.
     """
-    lines = text.splitlines()
+    lines = re.split("\r\n?|\n", text)    # text-mode line ends, not str.splitlines'
+    if not lines[-1]:
+        lines.pop()
     m = int(lines[2].split()[0].partition("=")[2])
     if len(lines) != 3 + m:
         raise ParseError(len(lines), f"expected {m} row lines, found {len(lines) - 3}")

@@ -263,17 +263,17 @@ class TestGoldenPair:
             assert buf.getvalue() == text
 
     def test_role_swap_rejected(self):
-        with pytest.raises(ValueError, match="role"):
+        with pytest.raises(ValueError, match=r"^the pair fails role_tags \(DELTA/GAMMA\)$"):
             load_pair(DATA / "golden_gf16.delta.nbqc",
                       DATA / "golden_gf16.gamma.nbqc")
 
-    @pytest.mark.parametrize("old, new", [
-        ("\nM=14 N=42\n", "\nM=14 N=1000000000000\n"),
-        (" P=7 ", " P=999999999999999 "),
-        (" L=6 ", " L=8 "),
-        ("\nr12: ", "\nr12: 1:1 "),
+    @pytest.mark.parametrize("old, new, check", [
+        ("\nM=14 N=42\n", "\nM=14 N=1000000000000\n", "supports_match_construction"),
+        (" P=7 ", " P=999999999999999 ", "params_valid"),
+        (" L=6 ", " L=8 ", "params_valid"),
+        ("\nr12: ", "\nr12: 1:1 ", "supports_match_construction"),
     ], ids=["huge-N", "huge-P", "other-L", "extra-entry"])
-    def test_pair_not_of_its_headers_shape_rejected(self, tmp_path, old, new):
+    def test_pair_not_of_its_headers_shape_rejected(self, tmp_path, old, new, check):
         # both headers agree, but the shape is not 2P x LP with LM entries;
         # a header number must not size any array before that is checked
         paths = []
@@ -282,7 +282,7 @@ class TestGoldenPair:
             assert old in text
             paths.append(tmp_path / f"bad.{role}.nbqc")
             paths[-1].write_text(text.replace(old, new, 1))
-        with pytest.raises(ValueError, match="not 2P x LP"):
+        with pytest.raises(ValueError, match=f"^the pair fails {check} "):
             load_pair(*paths)
 
     def test_bad_field_parameters_are_parse_errors(self):
@@ -393,6 +393,30 @@ class TestReaderErrors:
         with pytest.raises(ParseError, match="line 4: expected row prefix 'r0:'"):
             read_text("\n".join(lines) + "\n")
 
+    @pytest.mark.parametrize("ch", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+    def test_only_text_mode_line_ends_end_a_line(self, tmp_path, ch):
+        # str.splitlines would end a line at each of these too, making row 1
+        # two lines and this fault "line 18: expected 14 row lines, found 15"
+        text = golden_text().replace("\nr1: ", f"\nr1:{ch}", 1)
+        path = tmp_path / "g.nbqc"
+        path.write_text(text)
+        message = "^line 5: expected row prefix 'r1:'$"
+        with pytest.raises(ParseError, match=message):
+            read_matrix(path)
+        with pytest.raises(ParseError, match=message):
+            read_text(text)
+        with pytest.raises(ParseError, match=message):
+            read_rows(text, 42, 16)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_ends(self, end):
+        want = read_text(golden_text())
+        text = golden_text().replace("\n", end)
+        got = read_text(text)
+        assert (got.row.tolist(), got.col.tolist(), got.log.tolist()) == read_rows(text, 42, 16)
+        for name in ("row", "col", "log"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
     @pytest.mark.parametrize("find, replace, line_no", [
         (b"r5: ", b"r5: \xe9", 9),
         (b"r13: 3:a", b"r13: 3:\xff", 17),
@@ -430,7 +454,7 @@ class TestReaderMatchesTokenReader:
         assert mat.row.dtype == mat.col.dtype == np.int64
 
     @given(edits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 2),
-                                    st.sampled_from(list("0123456789abfABF:r \t\n_+-x\x1f") +
+                                    st.sampled_from(list("0123456789abfABF:r \t\n_+-x\x1f\x0c") +
                                                     ["\u2003", "\u0661", "99999999999999999"])),
                           min_size=1, max_size=3),
            role=st.sampled_from(["gamma", "delta"]))

@@ -374,6 +374,40 @@ class TestVerify:
         assert "".join("TF"[not ok] for _, ok, _ in checks) == verdicts
         assert [n for n, _, _ in checks][8] == "determinant_condition"
 
+    @staticmethod
+    def in_both(old, new):
+        return lambda g, d: (g.replace(old, new, 1), d.replace(old, new, 1))
+
+    # faults in copies of the golden pair: an edit of its two texts, and the
+    # first check that `verify` fails on the result
+    FAULTS = {
+        "J=3": (in_both(" J=2 ", " J=3 "), "params_valid"),
+        "roles-swapped": (lambda g, d: (d, g), "role_tags"),
+        "params-differ": (lambda g, d: (g, d.replace(" tau=3 ", " tau=5 ", 1)), "params_match"),
+        "sigma-order-6": (in_both(" sigma=2 ", " sigma=3 "), "params_valid"),
+        "P-above-rows": (in_both(" P=7 ", " P=15 "), "params_valid"),
+        "gamma-log": (lambda g, d: (g.replace("\nr0: 1:4 ", "\nr0: 1:5 ", 1), d),
+                      "nonbinary_orthogonal"),
+    }
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_simulate_refuses_what_verify_fails(self, golden_paths, tmp_path, capsys, fault):
+        edit, check = self.FAULTS[fault]
+        paths = [str(tmp_path / f"bad.{role}.nbqc") for role in ("gamma", "delta")]
+        for path, text in zip(paths, edit(*(Path(p).read_text() for p in golden_paths))):
+            Path(path).write_text(text)
+        name, _, detail = next(c for c in verify_pair_files(*paths) if not c[1])
+        assert name == check
+        assert main(["verify", *paths]) == 1
+        assert f"FAIL {check} ({detail})" in capsys.readouterr().out
+        with pytest.raises(ValueError) as err:
+            load_pair(*paths)
+        assert str(err.value) == f"the pair fails {check} ({detail})"
+        out = tmp_path / "sweep.csv"
+        assert main(["simulate", *paths, "--fm", "0.05", "--trials", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: the pair fails {check} ({detail})\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("J", [1, 3])
     def test_column_weight_other_than_2_fails(self, golden_paths, tmp_path, capsys, J):
         paths = []
@@ -432,7 +466,7 @@ class TestVerify:
         out = capsys.readouterr()
         assert f"FAIL {failing[-1]}" in out.out and not out.err
         assert main(["simulate", *paths, "--fm", "0.05", "--trials", "1"]) == 2
-        assert "not 2P x LP" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: the pair fails {failing[0]} (")
 
     def test_cross_seed_pair_fails(self, golden_paths, tmp_path):
         import numpy as np
@@ -505,13 +539,14 @@ class TestVerify:
             Path(paths[-1]).write_text(
                 f"NBQC 1\np=4 poly=0x3 J=2 L={L} P={P} sigma=2 tau=3 role={role}\n"
                 f"M={M} N=0\n" + "".join(f"r{r}:\n" for r in range(M)))
-        with pytest.raises(qcpair.InvalidParams, match="^invalid parameters "):
+        with pytest.raises(ValueError, match=r"^the pair fails params_valid \("):
             load_pair(*paths)
         assert main(["verify", *paths]) == 1
         capsys.readouterr()
         assert main(["simulate", *paths, "--fm", "0.05", "--trials", "1"]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: invalid parameters ")
+        assert captured.out == ""
+        assert captured.err.startswith("error: the pair fails params_valid (")
 
     def test_longer_code_bytes_and_checks(self, tmp_path, capsys):
         # n=3048 (P=127); the digests pin the written bytes, which must not
